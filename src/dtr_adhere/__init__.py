@@ -11,7 +11,7 @@ inference, synthetic scenario generators, and a CLI.
 
 __version__ = "0.1.0"
 
-from .glm import GlmFit, NonConvergenceError, RankDeficiencyError, expit, fit_linear, fit_logistic, score_rows
+from .glm import GlmFit, NonConvergenceError, RankDeficiencyError, expit, fit_logistic
 from .gest import (
     AdherenceSource,
     EstimationError,
@@ -28,7 +28,6 @@ from .gest import (
     psi_flat,
     recommend,
     sensitivity_sweep,
-    solve_stage,
 )
 from .inference import (
     BootstrapError,
@@ -51,7 +50,6 @@ from .model import (
     StageRecord,
     Trajectory,
     build_design_matrix,
-    build_design_row,
     parse_feature_spec,
 )
 from .simulation import (
@@ -91,11 +89,9 @@ __all__ = [
     "Trajectory",
     "bootstrap",
     "build_design_matrix",
-    "build_design_row",
     "estimate_regime",
     "expit",
     "fit_adherence",
-    "fit_linear",
     "fit_logistic",
     "generate_s1",
     "generate_s3",
@@ -111,8 +107,6 @@ __all__ = [
     "regime_wald_intervals",
     "run_replications",
     "sandwich",
-    "score_rows",
     "sensitivity_sweep",
-    "solve_stage",
     "wald_intervals",
 ]

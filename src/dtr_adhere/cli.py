@@ -271,15 +271,23 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
             raise ConfigError(f"config is missing '{key}'")
         return raw[key]
 
-    stages = int(need("stages"))
+    try:
+        stages = int(need("stages"))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"stages must be an integer, got {raw['stages']!r}") from err
     if stages < 1:
         raise ConfigError("stages must be >= 1")
 
+    def per_stage(key):
+        value = need(key)
+        if not isinstance(value, list) or len(value) != stages:
+            raise ConfigError(f"{key} must be a list with one entry per stage")
+        return value
+
     bindings = []
-    stage_columns = need("stage_columns")
-    if len(stage_columns) != stages:
-        raise ConfigError("stage_columns length must equal stages")
-    for entry in stage_columns:
+    for j, entry in enumerate(per_stage("stage_columns"), start=1):
+        if not isinstance(entry, dict) or "proxy" not in entry:
+            raise ConfigError(f"stage_columns entry {j} has no 'proxy' column")
         bindings.append(
             StageBinding(
                 covariates=dict(entry.get("covariates", {})),
@@ -289,11 +297,8 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
             )
         )
 
-    models_raw = need("models")
-    if len(models_raw) != stages:
-        raise ConfigError("models length must equal stages")
     models = []
-    for j, entry in enumerate(models_raw, start=1):
+    for j, entry in enumerate(per_stage("models"), start=1):
         try:
             models.append(
                 StageModelSpec.from_strings(

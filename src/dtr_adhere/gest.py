@@ -3,10 +3,9 @@
 Backward induction over stages: at each stage a logistic model for treatment
 receipt (assignment) and, in the proxy-corrected modes, a logistic model for
 the probability the treatment was actually taken given the recorded proxy
-(adherence) are fitted first; the contrast parameters then solve a linear
-estimating equation paired with a least-squares treatment-free regression,
-iterated to joint convergence.  Pseudo outcomes carry each solved stage's
-contribution backward.
+(adherence) are fitted first; the contrast parameters and a least-squares
+treatment-free regression then solve one stacked linear system jointly.
+Pseudo outcomes carry each solved stage's contribution backward.
 
 Four modes are supported:
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,16 +38,17 @@ from .model import (
     MODE_USE_PROXY,
     Trajectory,
     build_design_matrix,
-    build_design_row,
     parse_feature_spec,
 )
 
-MODES = (
-    "standard-actual",
-    "standard-naive-proxy",
-    "modified-prescribed",
-    "modified-reported",
-)
+# How each estimation mode resolves a treatment reference ``A[j]``.
+_SUBSTITUTION = {
+    "standard-actual": MODE_USE_ACTUAL,
+    "standard-naive-proxy": MODE_USE_PROXY,
+    "modified-prescribed": MODE_USE_EXPECTED,
+    "modified-reported": MODE_USE_EXPECTED,
+}
+MODES = tuple(_SUBSTITUTION)
 
 CONDITION_LIMIT = 1e12
 POSITIVITY_EPS = 1e-12
@@ -74,7 +74,7 @@ class SingularSystemError(EstimationError):
 
 @dataclass(frozen=True)
 class StageModelSpec:
-    """Feature specs for the four per-stage models plus the lambda choice.
+    """Feature specs for the four per-stage models.
 
     The contrast and treatment-free specs may reference past treatments only;
     the contrast is multiplied by the current treatment externally.  The
@@ -86,17 +86,14 @@ class StageModelSpec:
     treatment_free: FeatureSpec
     assignment: FeatureSpec
     adherence: Optional[FeatureSpec] = None
-    lambda_choice: str = "gradient"
 
     @classmethod
-    def from_strings(cls, contrast, treatment_free, assignment, adherence=None,
-                     lambda_choice="gradient"):
+    def from_strings(cls, contrast, treatment_free, assignment, adherence=None):
         return cls(
             contrast=parse_feature_spec(contrast),
             treatment_free=parse_feature_spec(treatment_free),
             assignment=parse_feature_spec(assignment),
             adherence=None if adherence is None else parse_feature_spec(adherence),
-            lambda_choice=lambda_choice,
         )
 
 
@@ -106,8 +103,6 @@ def validate_stage_models(specs: Sequence[StageModelSpec], n_stages: int) -> Non
             f"{len(specs)} stage model specs for a {n_stages}-stage dataset"
         )
     for j, spec in enumerate(specs, start=1):
-        if spec.lambda_choice != "gradient":
-            raise DesignError(f"unsupported lambda choice '{spec.lambda_choice}'")
         spec.contrast.validate_stage(j, allow_current_treatment=False)
         spec.treatment_free.validate_stage(j, allow_current_treatment=False)
         # An assignment model may condition on the current stage's proxy
@@ -212,72 +207,29 @@ def pseudo_outcome_exact(v_next, pi_prev, contrast_when_treated, contrast_when_u
 
 
 # ---------------------------------------------------------------------------
-# Stage-level solves
+# The stage solve and the adherence fit
 
 
-def solve_stage(lam, treatment, assignment_prob, v_plus_theta, *,
-                adherence_prob=None, contrast_design=None):
-    """Solve the linear stage estimating equation for the contrast parameters.
+def _fit_stage(lam, tf_design, treatment, assignment_prob, weight, v_next, *, stage: int):
+    """Solve one stage's stacked [treatment-free; contrast] equations jointly.
 
-    With ``w`` the adherence probability (or the treatment itself in the
-    uncorrected modes), ``e = treatment - assignment_prob``, and ``c_i`` the
-    contrast design row (the gradient ``lam_i`` itself unless given), solves
-    ``M psi = b`` where ``M = sum_i lam_i e_i w_i c_i^T`` and
-    ``b = sum_i lam_i e_i (v_plus_theta)_i``.  Rescaling ``lam`` rescales the
-    whole system and leaves the solution unchanged.
+    With ``e = treatment - assignment_prob`` and ``w`` the contrast weight
+    (the adherence probability, or the treatment itself in the uncorrected
+    modes), the rows are the treatment-free normal equations
+    ``T^T (v - w * lam psi - T beta) = 0`` and the contrast equations
+    ``lam^T e (v - w * lam psi - T beta) = 0``.  Returns ``(psi, beta, cond)``
+    with ``cond`` the condition number of the contrast block.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 1:
-        lam = lam[:, None]
-    contrast = lam if contrast_design is None else np.asarray(contrast_design, dtype=float)
-    t = np.asarray(treatment, dtype=float)
-    e = t - np.asarray(assignment_prob, dtype=float)
-    w = t if adherence_prob is None else np.asarray(adherence_prob, dtype=float)
-    m = (lam * (e * w)[:, None]).T @ contrast
-    b = lam.T @ (e * np.asarray(v_plus_theta, dtype=float))
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularSystemError(
-            f"stage system condition number {cond:.3g} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    return np.linalg.solve(m, b)
-
-
-def _fit_stage(lam, tf_design, treatment, assignment_prob, weight, v_next, *,
-               stage: int, max_outer: int = 50, tol: float = 1e-10):
-    """Alternate the contrast solve with the treatment-free regression until
-    the joint parameter step falls below ``tol``."""
     e = np.asarray(treatment, dtype=float) - assignment_prob
-    ew = e * weight
-    m = (lam * ew[:, None]).T @ lam
+    m = (lam * (e * weight)[:, None]).T @ lam
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularSystemError(
-            f"stage system condition number {cond:.3g} exceeds {CONDITION_LIMIT:.0e}",
-            stage=stage,
-        )
-    q, r = np.linalg.qr(tf_design)
-    diag = np.abs(np.diag(r))
+        raise SingularSystemError(f"stage system condition number {cond:.3g} exceeds "
+                                  f"{CONDITION_LIMIT:.0e}", stage=stage)
+    diag = np.abs(np.diag(np.linalg.qr(tf_design, mode="r")))
     if diag.size == 0 or np.min(diag) <= 1e-12 * max(np.max(diag), 1.0):
         raise RankDeficiencyError(f"treatment-free design at stage {stage} is rank deficient")
 
-    beta = np.zeros(tf_design.shape[1])
-    psi = np.zeros(lam.shape[1])
-    for outer in range(1, max_outer + 1):
-        b = lam.T @ (e * (v_next - tf_design @ beta))
-        psi_new = np.linalg.solve(m, b)
-        contrast = lam @ psi_new
-        beta_new = np.linalg.solve(r, q.T @ (v_next - weight * contrast))
-        step = max(
-            float(np.max(np.abs(psi_new - psi))),
-            float(np.max(np.abs(beta_new - beta))),
-        )
-        psi, beta = psi_new, beta_new
-        if step < tol:
-            return psi, beta, outer, cond
-    # The alternation is a block Gauss-Seidel pass over one joint linear
-    # system; when the blocks couple strongly (e.g. a deliberately wrong
-    # assignment model) it can cycle, so solve the stacked system directly.
     p_tf, p_psi = tf_design.shape[1], lam.shape[1]
     joint = np.empty((p_tf + p_psi, p_tf + p_psi))
     joint[:p_tf, :p_tf] = tf_design.T @ tf_design
@@ -293,77 +245,28 @@ def _fit_stage(lam, tf_design, treatment, assignment_prob, weight, v_next, *,
             stage=stage,
         )
     solution = np.linalg.solve(joint, rhs)
-    return solution[p_tf:], solution[:p_tf], max_outer + 1, cond
-
-
-# ---------------------------------------------------------------------------
-# Adherence handling
+    return solution[p_tf:], solution[:p_tf], cond
 
 
 def fit_adherence(data: Dataset, stage: int, spec: FeatureSpec, proxy_kind: str,
                   *, expected: Optional[Mapping[int, np.ndarray]] = None) -> GlmFit:
     """Fit the adherence model at one stage on the validation rows only:
     a logistic regression of the actual treatment on history and proxy."""
-    mask = data.validation[:, stage - 1]
-    n_val = int(mask.sum())
-    if n_val == 0:
-        raise DataError(f"no validation rows at stage {stage}")
     design = build_design_matrix(
         spec, data, stage, MODE_USE_PROXY, proxy_kind=proxy_kind, expected=expected
     )
-    actual = data.actual(stage)
-    return fit_logistic(design[mask], actual[mask])
+    return _fit_validation_rows(data, stage, design)
 
 
-@dataclass(frozen=True)
-class _AdherenceRep:
-    """Resolved per-stage adherence model, evaluable on new histories."""
-
-    kind: str  # "coef" | "function"
-    spec: Optional[FeatureSpec] = None
-    coefficients: Optional[np.ndarray] = None
-    probability: Optional[Callable] = None
-    fit: Optional[GlmFit] = None
-
-    def column(self, data: Dataset, stage: int, proxy_kind: str,
-               expected: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
-        if self.kind == "function":
-            def cov(name, st):
-                return data.covariate(name, st)
-
-            proxy = data.proxy(stage, proxy_kind)
-            probs = np.asarray(self.probability(stage, cov, proxy), dtype=float)
-            if probs.shape != (data.n,) or np.any((probs < 0) | (probs > 1)):
-                raise DesignError("adherence probability function returned invalid values")
-            return probs
-        design = build_design_matrix(
-            self.spec, data, stage, MODE_USE_PROXY, proxy_kind=proxy_kind, expected=expected
-        )
-        return expit(design @ self.coefficients)
-
-    def row_value(self, traj: Trajectory, stage: int, proxy_kind: Optional[str],
-                  expected: Optional[Mapping[int, float]] = None) -> float:
-        if self.kind == "function":
-            record = traj.stages[stage - 1]
-            if proxy_kind == "reported" or (proxy_kind is None and record.prescribed is None):
-                proxy = record.reported
-            else:
-                proxy = record.prescribed
-            if proxy is None:
-                raise DesignError(f"proxy treatment missing at stage {stage}")
-
-            def cov(name, st):
-                return float(traj.stages[st - 1].covariates[name])
-
-            return float(self.probability(stage, cov, np.asarray(float(proxy))))
-        row = build_design_row(
-            self.spec, traj, stage, MODE_USE_PROXY, proxy_kind=proxy_kind, expected=expected
-        )
-        return float(expit(float(row @ self.coefficients)))
+def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray) -> GlmFit:
+    mask = data.validation[:, stage - 1]
+    if not mask.any():
+        raise DataError(f"no validation rows at stage {stage}")
+    return fit_logistic(design[mask], data.actual(stage)[mask])
 
 
 # ---------------------------------------------------------------------------
-# The estimation plan and pipeline
+# The estimation plan
 
 
 @dataclass(frozen=True)
@@ -395,7 +298,7 @@ class EstimationPlan:
         return data.default_proxy_kind()
 
     def estimate(self, data: Dataset) -> "RegimeFit":
-        return _Pipeline(self, data).run()
+        return _fit_regime(self, data)
 
     def psi_estimator(self, data: Dataset) -> np.ndarray:
         """Flattened contrast estimates, stage 1 first; used by the bootstrap."""
@@ -413,9 +316,10 @@ class RegimeFit:
     diagnostics: dict
     specs: tuple
     proxy_kind: Optional[str]
-    adherence_reps: Optional[tuple]
+    # The adherence model the rules evaluate: the plan's own source, or the
+    # fitted coefficients as a known source (unused in the standard modes).
+    adherence: Optional[AdherenceSource]
     exact_pseudo_outcomes: bool
-    adherence_kind: Optional[str]
 
     @property
     def n_stages(self) -> int:
@@ -427,6 +331,12 @@ class RegimeFit:
             for j, spec in enumerate(self.specs, start=1)
             for label in spec.contrast.term_labels()
         ]
+
+    def plan(self) -> EstimationPlan:
+        """A plan that re-evaluates this fit's stage system on other data."""
+        return EstimationPlan(specs=self.specs, mode=self.mode, adherence=self.adherence,
+                              exact_pseudo_outcomes=self.exact_pseudo_outcomes,
+                              proxy_kind=self.proxy_kind)
 
 
 def psi_flat(fit: RegimeFit) -> np.ndarray:
@@ -443,238 +353,265 @@ def estimate_regime(
     proxy_kind: Optional[str] = None,
 ) -> RegimeFit:
     """Fit all stage contrasts by backward induction.  See module docstring."""
-    plan = EstimationPlan(
-        specs=tuple(specs),
-        mode=mode,
-        adherence=adherence,
-        exact_pseudo_outcomes=exact_pseudo_outcomes,
-        proxy_kind=proxy_kind,
-    )
-    return plan.estimate(data)
+    return EstimationPlan(specs=tuple(specs), mode=mode, adherence=adherence,
+                          exact_pseudo_outcomes=exact_pseudo_outcomes,
+                          proxy_kind=proxy_kind).estimate(data)
 
 
-class _Pipeline:
+# ---------------------------------------------------------------------------
+# The stage system
+
+
+class _StageTerms(NamedTuple):
+    """One stage of a backward pass."""
+
+    contrast_design: np.ndarray
+    tf_design: np.ndarray
+    weight: np.ndarray  # adherence probability, or the response when uncorrected
+    v: np.ndarray  # pseudo outcome carried into the stage
+    contrast: np.ndarray
+
+
+class _StageSystem:
+    """The stage estimating system of one plan on one dataset, written once.
+
+    It evaluates the designs, the adherence and assignment probabilities and
+    the pseudo outcomes for whatever parameter values its caller supplies,
+    through callbacks ``coefficients(stage, design)``: values fitted stage by
+    stage (estimation), blocks of a stacked parameter vector (the sandwich
+    score) or a finished fit (the recommendation rules).
+    """
+
     def __init__(self, plan: EstimationPlan, data: Dataset):
         self.plan = plan
         self.data = data
         self.k = data.n_stages
-        validate_stage_models(plan.specs, self.k)
         self.proxy_kind = plan.resolve_proxy_kind(data)
-        self.design_mode = {
-            "standard-actual": MODE_USE_ACTUAL,
-            "standard-naive-proxy": MODE_USE_PROXY,
-            "modified-prescribed": MODE_USE_EXPECTED,
-            "modified-reported": MODE_USE_EXPECTED,
-        }[plan.mode]
-        self._check_fields()
-
-    def _check_fields(self):
-        plan, data = self.plan, self.data
-        if plan.mode == "standard-actual":
-            for j in range(1, self.k + 1):
-                col = data.actual(j)
-                if col is None or np.any(np.isnan(col)):
-                    raise DataError(
-                        f"mode standard-actual needs the actual treatment at every "
-                        f"stage; missing at stage {j}"
-                    )
-        else:
-            if self.proxy_kind is None:
-                raise DataError("no proxy treatment column available for this mode")
-            for j in range(1, self.k + 1):
-                col = data.proxy(j, self.proxy_kind)
-                if col is None or np.any(np.isnan(col)):
-                    raise DataError(
-                        f"{self.proxy_kind} treatment missing at stage {j}"
-                    )
-        if plan.is_modified and plan.adherence is None:
-            raise DataError("modified modes require an AdherenceSource")
-
-    # -- responses ------------------------------------------------------------
+        self.design_mode = _SUBSTITUTION[plan.mode]
+        self.assign_mode = MODE_USE_ACTUAL if plan.mode == "standard-actual" else MODE_USE_PROXY
 
     def response(self, stage: int) -> np.ndarray:
         if self.plan.mode == "standard-actual":
             return self.data.actual(stage)
         return self.data.proxy(stage, self.proxy_kind)
 
-    # -- adherence ------------------------------------------------------------
+    def design(self, spec: FeatureSpec, stage: int, pi: dict, mode: Optional[str] = None,
+               override: Optional[Mapping[int, float]] = None) -> np.ndarray:
+        return build_design_matrix(
+            spec, self.data, stage, mode or self.design_mode,
+            proxy_kind=self.proxy_kind, expected=pi, treatment_override=override,
+        )
 
-    def resolve_adherence(self):
-        """Per-stage adherence reps and probability columns, built in stage
-        order so expected-treatment references to earlier stages resolve."""
+    def adherence(self, upto: int, coefficients: Optional[Callable] = None):
+        """Adherence designs and probabilities for stages 1..``upto``, built in
+        stage order so each design can use the earlier stages' expected
+        treatments.  Without ``coefficients`` the plan's fixed source supplies
+        them.  Returns ``(designs, pi)``, dicts keyed by stage; both are empty
+        in the standard modes."""
+        designs, pi = {}, {}
+        if not self.plan.is_modified:
+            return designs, pi
         source = self.plan.adherence
-        reps, columns = [], {}
+        for j in range(1, upto + 1):
+            if source.probability is not None:
+                pi[j] = self._known_probability(source.probability, j)
+                continue
+            designs[j] = self.design(self.plan.specs[j - 1].adherence, j, pi, MODE_USE_PROXY)
+            coef = (coefficients(j, designs[j]) if coefficients is not None
+                    else source.coefficients[j - 1])
+            pi[j] = expit(designs[j] @ coef)
+        return designs, pi
+
+    def _known_probability(self, probability: Callable, stage: int) -> np.ndarray:
+        proxy = self.data.proxy(stage, self.proxy_kind)
+        if proxy is None or np.any(np.isnan(proxy)):
+            raise DesignError(f"proxy treatment missing at stage {stage}")
+        probs = np.asarray(probability(stage, self.data.covariate, proxy), dtype=float)
+        if probs.shape != (self.data.n,) or np.any((probs < 0) | (probs > 1)):
+            raise DesignError("adherence probability function returned invalid values")
+        return probs
+
+    def assignment(self, pi: dict, coefficients: Callable):
+        """Assignment designs and probabilities, stage 1 first."""
+        designs, probs = [], []
         for j in range(1, self.k + 1):
-            spec = self.plan.specs[j - 1].adherence
-            if source.kind == "fitted":
-                if spec is None:
-                    raise DesignError(f"no adherence spec at stage {j} for fitted source")
-                if not spec.treatment_stages() or j not in spec.treatment_stages():
-                    raise DesignError(
-                        f"adherence spec at stage {j} must include the stage-{j} proxy"
-                    )
-                fit = fit_adherence(
-                    self.data, j, spec, self.proxy_kind, expected=dict(columns)
-                )
-                rep = _AdherenceRep(
-                    kind="coef", spec=spec, coefficients=fit.coefficients, fit=fit
-                )
-            elif source.kind == "known" and source.probability is not None:
-                rep = _AdherenceRep(kind="function", probability=source.probability)
-            else:
-                coefs = source.coefficients
-                if coefs is None or len(coefs) < j:
-                    raise DataError(f"adherence coefficients missing for stage {j}")
-                if spec is None:
-                    raise DesignError(f"no adherence spec at stage {j}")
-                vec = np.asarray(coefs[j - 1], dtype=float)
-                if vec.shape != (len(spec.terms),):
-                    raise DataError(
-                        f"adherence coefficient vector at stage {j} has length "
-                        f"{vec.shape[0]}, spec has {len(spec.terms)} terms"
-                    )
-                rep = _AdherenceRep(kind="coef", spec=spec, coefficients=vec)
-            reps.append(rep)
-            columns[j] = rep.column(
-                self.data, j, self.proxy_kind, expected=dict(columns)
-            )
-        return tuple(reps), columns
+            design = self.design(self.plan.specs[j - 1].assignment, j, pi, self.assign_mode)
+            designs.append(design)
+            probs.append(expit(design @ coefficients(j, design)))
+        return designs, probs
 
-    # -- the run ---------------------------------------------------------------
+    def backward(self, pi: dict, solve: Callable):
+        """Backward induction from stage K to stage 1.
 
-    def run(self) -> RegimeFit:
-        data, plan, k = self.data, self.plan, self.k
-        n = data.n
-
-        expected = None
-        reps = None
-        pi_star = {}
-        if plan.is_modified:
-            reps, pi_star = self.resolve_adherence()
-            expected = pi_star
-
-        assign_mode = MODE_USE_ACTUAL if plan.mode == "standard-actual" else MODE_USE_PROXY
-        gammas, p_cols, positivity = [], [], []
-        for j in range(1, k + 1):
-            design = build_design_matrix(
-                plan.specs[j - 1].assignment, data, j, assign_mode,
-                proxy_kind=self.proxy_kind, expected=expected,
-            )
-            try:
-                gam = fit_logistic(design, self.response(j))
-            except (NonConvergenceError, RankDeficiencyError) as err:
-                raise EstimationError(f"assignment model failed: {err}", stage=j) from err
-            p = expit(design @ gam.coefficients)
-            n_extreme = int(np.sum((p < POSITIVITY_EPS) | (p > 1.0 - POSITIVITY_EPS)))
-            if n_extreme:
-                warnings.warn(
-                    f"stage {j}: {n_extreme} fitted assignment probabilities are "
-                    "numerically 0 or 1 (positivity violation)",
-                    stacklevel=2,
-                )
-            positivity.append(n_extreme)
-            gammas.append(gam)
-            p_cols.append(p)
-
-        psi, betas = [None] * k, [None] * k
-        outer_iters, conds = [0] * k, [0.0] * k
-        pseudo = np.empty((n, k))
-        v = data.outcome.copy()
-        for j in range(k, 0, -1):
-            spec = plan.specs[j - 1]
-            lam = build_design_matrix(
-                spec.contrast, data, j, self.design_mode,
-                proxy_kind=self.proxy_kind, expected=expected,
-            )
-            tf = build_design_matrix(
-                spec.treatment_free, data, j, self.design_mode,
-                proxy_kind=self.proxy_kind, expected=expected,
-            )
-            resp = self.response(j)
-            weight = pi_star[j] if plan.is_modified else resp
-            try:
-                psi_j, beta_j, iters, cond = _fit_stage(
-                    lam, tf, resp, p_cols[j - 1], weight, v, stage=j
-                )
-            except RankDeficiencyError as err:
-                raise EstimationError(str(err), stage=j) from err
-            psi[j - 1], betas[j - 1] = psi_j, beta_j
-            outer_iters[j - 1], conds[j - 1] = iters, cond
-
-            contrast = lam @ psi_j
-            v = self._advance_pseudo(j, spec, psi_j, contrast, resp, weight,
-                                     v, expected, pi_star)
+        ``solve(j, contrast_design, tf_design, weight, v)`` returns the stage-j
+        contrast coefficients.  Returns the per-stage terms (stage 1 first)
+        and the (n, K) pseudo outcomes each stage hands back.
+        """
+        terms = [None] * self.k
+        pseudo = np.empty((self.data.n, self.k))
+        v = self.data.outcome
+        for j in range(self.k, 0, -1):
+            spec = self.plan.specs[j - 1]
+            lam = self.design(spec.contrast, j, pi)
+            tf = self.design(spec.treatment_free, j, pi)
+            weight = pi[j] if self.plan.is_modified else self.response(j)
+            psi = solve(j, lam, tf, weight, v)
+            contrast = lam @ psi
+            terms[j - 1] = _StageTerms(lam, tf, weight, v, contrast)
+            v = self._advance(j, psi, contrast, weight, v, pi)
             if not np.all(np.isfinite(v)):
                 raise EstimationError("pseudo outcomes are not finite", stage=j)
             pseudo[:, j - 1] = v
+        return terms, pseudo
 
-        nuisance = tuple(
-            {
-                "alpha": None if reps is None or reps[j].fit is None else reps[j].coefficients,
-                "beta": betas[j],
-                "gamma": gammas[j].coefficients,
-            }
-            for j in range(k)
-        )
-        diagnostics = {
-            "stage_condition": conds,
-            "outer_iterations": outer_iters,
-            "positivity_violations": positivity,
-            "assignment_iterations": [g.iterations for g in gammas],
-        }
-        return RegimeFit(
-            mode=plan.mode,
-            psi=tuple(psi),
-            nuisance=nuisance,
-            pseudo_outcomes=pseudo,
-            diagnostics=diagnostics,
-            specs=plan.specs,
-            proxy_kind=self.proxy_kind,
-            adherence_reps=reps,
-            exact_pseudo_outcomes=plan.exact_pseudo_outcomes,
-            adherence_kind=None if plan.adherence is None else plan.adherence.kind,
-        )
-
-    def _advance_pseudo(self, j, spec, psi_j, contrast, resp, weight, v,
-                        expected, pi_star):
+    def _advance(self, j, psi, contrast, weight, v, pi):
         a_opt = contrast > 0.0
         if not self.plan.is_modified:
-            return pseudo_outcome_standard(v, resp, a_opt, contrast)
-        lagged = spec.contrast.treatment_stages()
-        if self.plan.exact_pseudo_outcomes and lagged:
-            if len(lagged) > 1:
-                raise EstimationError(
-                    "exact pseudo-outcome correction supports exactly one lagged "
-                    f"treatment in the contrast, found stages {sorted(lagged)}",
-                    stage=j,
+            return pseudo_outcome_standard(v, self.response(j), a_opt, contrast)
+        spec = self.plan.specs[j - 1].contrast
+        lagged = spec.treatment_stages()
+        if not (self.plan.exact_pseudo_outcomes and lagged):
+            return pseudo_outcome_modified(v, a_opt, weight, contrast)
+        if len(lagged) > 1:
+            raise EstimationError(
+                "exact pseudo-outcome correction supports exactly one lagged "
+                f"treatment in the contrast, found stages {sorted(lagged)}",
+                stage=j,
+            )
+        (lag,) = lagged
+        c1 = self.design(spec, j, pi, override={lag: 1.0}) @ psi
+        c0 = self.design(spec, j, pi, override={lag: 0.0}) @ psi
+        # The expected optimal payoff replaces a_opt * contrast; the
+        # adherence-weighted contrast is still subtracted as usual.
+        return pseudo_outcome_exact(v, pi[lag], c1, c0) - weight * contrast
+
+    def rules(self, fit: RegimeFit, stages) -> list:
+        """Rule outputs (1 iff the contrast is strictly positive) per stage."""
+        _, pi = self.adherence(max(stages) - 1)
+        return [
+            (self.design(self.plan.specs[j - 1].contrast, j, pi) @ fit.psi[j - 1] > 0.0)
+            .astype(int)
+            for j in stages
+        ]
+
+
+# ---------------------------------------------------------------------------
+# Estimation
+
+
+def _check_inputs(system: _StageSystem) -> None:
+    plan, k = system.plan, system.k
+    validate_stage_models(plan.specs, k)
+    actual = plan.mode == "standard-actual"
+    if not actual and system.proxy_kind is None:
+        raise DataError("no proxy treatment column available for this mode")
+    for j in range(1, k + 1):
+        col = system.response(j)
+        if col is None or np.any(np.isnan(col)):
+            what = "actual" if actual else system.proxy_kind
+            raise DataError(f"{plan.mode} needs the {what} treatment; missing at stage {j}")
+    if not plan.is_modified:
+        return
+    source = plan.adherence
+    if source is None:
+        raise DataError("modified modes require an AdherenceSource")
+    if source.probability is not None:
+        return
+    for j in range(1, k + 1):
+        spec = plan.specs[j - 1].adherence
+        if source.kind == "fitted":
+            if spec is None:
+                raise DesignError(f"no adherence spec at stage {j} for fitted source")
+            if j not in spec.treatment_stages():
+                raise DesignError(
+                    f"adherence spec at stage {j} must include the stage-{j} proxy"
                 )
-            lag = next(iter(lagged))
-            c1 = build_design_matrix(
-                spec.contrast, self.data, j, self.design_mode,
-                proxy_kind=self.proxy_kind, expected=expected,
-                treatment_override={lag: 1.0},
-            ) @ psi_j
-            c0 = build_design_matrix(
-                spec.contrast, self.data, j, self.design_mode,
-                proxy_kind=self.proxy_kind, expected=expected,
-                treatment_override={lag: 0.0},
-            ) @ psi_j
-            # The expected optimal payoff replaces a_opt * contrast; the
-            # adherence-weighted contrast is still subtracted as usual.
-            return pseudo_outcome_exact(v, pi_star[lag], c1, c0) - weight * contrast
-        return pseudo_outcome_modified(v, a_opt, weight, contrast)
+            continue
+        coefs = source.coefficients
+        if len(coefs) < j:
+            raise DataError(f"adherence coefficients missing for stage {j}")
+        if spec is None:
+            raise DesignError(f"no adherence spec at stage {j}")
+        if np.shape(coefs[j - 1]) != (len(spec.terms),):
+            raise DataError(
+                f"adherence coefficient vector at stage {j} has shape "
+                f"{np.shape(coefs[j - 1])}, spec has {len(spec.terms)} terms"
+            )
+
+
+def _fit_regime(plan: EstimationPlan, data: Dataset) -> RegimeFit:
+    system = _StageSystem(plan, data)
+    _check_inputs(system)
+    k = system.k
+
+    alpha = {}
+
+    def fit_alpha(j, design):
+        alpha[j] = _fit_validation_rows(data, j, design).coefficients
+        return alpha[j]
+
+    fitted = plan.is_modified and plan.adherence.kind == "fitted"
+    _, pi = system.adherence(k, fit_alpha if fitted else None)
+
+    gammas = {}
+
+    def fit_gamma(j, design):
+        try:
+            gammas[j] = fit_logistic(design, system.response(j))
+        except (NonConvergenceError, RankDeficiencyError) as err:
+            raise EstimationError(f"assignment model failed: {err}", stage=j) from err
+        return gammas[j].coefficients
+
+    _, p_cols = system.assignment(pi, fit_gamma)
+    positivity = [int(np.sum((p < POSITIVITY_EPS) | (p > 1.0 - POSITIVITY_EPS))) for p in p_cols]
+    for j, n_extreme in enumerate(positivity, start=1):
+        if n_extreme:
+            warnings.warn(
+                f"stage {j}: {n_extreme} fitted assignment probabilities are "
+                "numerically 0 or 1 (positivity violation)",
+                stacklevel=2,
+            )
+
+    psis, betas, conds = {}, {}, {}
+
+    def solve(j, lam, tf, weight, v):
+        try:
+            psis[j], betas[j], conds[j] = _fit_stage(
+                lam, tf, system.response(j), p_cols[j - 1], weight, v, stage=j
+            )
+        except RankDeficiencyError as err:
+            raise EstimationError(str(err), stage=j) from err
+        return psis[j]
+
+    _, pseudo = system.backward(pi, solve)
+    stages = range(1, k + 1)
+    adherence = plan.adherence
+    if fitted:
+        adherence = AdherenceSource.known(coefficients=[alpha[j] for j in stages])
+    return RegimeFit(
+        mode=plan.mode,
+        psi=tuple(psis[j] for j in stages),
+        nuisance=tuple(
+            {"alpha": alpha.get(j), "beta": betas[j], "gamma": gammas[j].coefficients}
+            for j in stages
+        ),
+        pseudo_outcomes=pseudo,
+        diagnostics={
+            "stage_condition": [conds[j] for j in stages],
+            # one joint solve per stage; the key is kept for schema stability
+            "outer_iterations": [1] * k,
+            "positivity_violations": positivity,
+            "assignment_iterations": [gammas[j].iterations for j in stages],
+        },
+        specs=plan.specs,
+        proxy_kind=system.proxy_kind,
+        adherence=adherence,
+        exact_pseudo_outcomes=plan.exact_pseudo_outcomes,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Recommendations
-
-
-def _expected_for_history(fit: RegimeFit, history: Trajectory, stages) -> dict:
-    out = {}
-    for lag in sorted(stages):
-        rep = fit.adherence_reps[lag - 1]
-        out[lag] = rep.row_value(history, lag, fit.proxy_kind, expected=dict(out))
-    return out
 
 
 def recommend(fit: RegimeFit, history: Trajectory, stage: int) -> int:
@@ -682,45 +619,18 @@ def recommend(fit: RegimeFit, history: Trajectory, stage: int) -> int:
     strictly positive given the (possibly partial) history."""
     if not (1 <= stage <= fit.n_stages):
         raise DesignError(f"stage {stage} out of range (1..{fit.n_stages})")
-    spec = fit.specs[stage - 1].contrast
-    mode = {
-        "standard-actual": MODE_USE_ACTUAL,
-        "standard-naive-proxy": MODE_USE_PROXY,
-        "modified-prescribed": MODE_USE_EXPECTED,
-        "modified-reported": MODE_USE_EXPECTED,
-    }[fit.mode]
-    expected = None
-    if mode == MODE_USE_EXPECTED and spec.treatment_stages():
-        expected = _expected_for_history(fit, history, spec.treatment_stages())
-    row = build_design_row(
-        spec, history, stage, mode, proxy_kind=fit.proxy_kind, expected=expected
-    )
-    return int(row @ fit.psi[stage - 1] > 0.0)
+    if len(history.stages) < stage:
+        raise DesignError(f"trajectory has no stage {stage}")
+    # The rule needs no outcome; a placeholder makes the history a dataset.
+    cut = Trajectory(id=history.id, stages=history.stages[:stage], outcome=0.0)
+    data = Dataset.from_trajectories([cut])
+    return int(_StageSystem(fit.plan(), data).rules(fit, [stage])[0][0])
 
 
 def recommendations_matrix(fit: RegimeFit, data: Dataset) -> np.ndarray:
     """(n, K) matrix of rule outputs for every individual and stage."""
-    mode = {
-        "standard-actual": MODE_USE_ACTUAL,
-        "standard-naive-proxy": MODE_USE_PROXY,
-        "modified-prescribed": MODE_USE_EXPECTED,
-        "modified-reported": MODE_USE_EXPECTED,
-    }[fit.mode]
-    expected = None
-    if mode == MODE_USE_EXPECTED:
-        expected = {}
-        for j in range(1, data.n_stages + 1):
-            expected[j] = fit.adherence_reps[j - 1].column(
-                data, j, fit.proxy_kind, expected=dict(expected)
-            )
-    out = np.empty((data.n, data.n_stages), dtype=int)
-    for j in range(1, data.n_stages + 1):
-        design = build_design_matrix(
-            fit.specs[j - 1].contrast, data, j, mode,
-            proxy_kind=fit.proxy_kind, expected=expected,
-        )
-        out[:, j - 1] = (design @ fit.psi[j - 1] > 0.0).astype(int)
-    return out
+    rules = _StageSystem(fit.plan(), data).rules(fit, range(1, data.n_stages + 1))
+    return np.column_stack(rules)
 
 
 # ---------------------------------------------------------------------------
@@ -755,14 +665,10 @@ def sensitivity_sweep(
     for entry in grid:
         arr = np.asarray(entry, dtype=float)
         per_stage = tuple(arr for _ in range(k)) if arr.ndim == 1 else tuple(arr)
-        source = AdherenceSource.sensitivity(per_stage)
-        plan = EstimationPlan(
-            specs=tuple(specs),
-            mode=mode,
-            adherence=source,
-            exact_pseudo_outcomes=exact_pseudo_outcomes,
-            proxy_kind=proxy_kind,
-        )
+        plan = EstimationPlan(specs=tuple(specs), mode=mode,
+                              adherence=AdherenceSource.sensitivity(per_stage),
+                              exact_pseudo_outcomes=exact_pseudo_outcomes,
+                              proxy_kind=proxy_kind)
         try:
             fit = plan.estimate(data)
             points.append(SweepPoint(coefficients=per_stage, fit=fit, error=None))
@@ -773,6 +679,11 @@ def sensitivity_sweep(
 
 # ---------------------------------------------------------------------------
 # Stacked per-individual scores (for sandwich variance estimation)
+
+
+# Parameter symbol of each block; also the nuisance keys of a RegimeFit.
+_SYMBOL = {"treatment_free": "beta", "adherence": "alpha", "assignment": "gamma",
+           "contrast": "psi"}
 
 
 @dataclass(frozen=True)
@@ -789,40 +700,20 @@ class StackedScore:
 
     Parameters are packed stage K down to stage 1; within a stage the order is
     treatment-free, adherence (only when fitted from validation rows),
-    assignment, contrast.  The forward pass rebuilds adherence and assignment
-    probabilities, the substituted design matrices, and all pseudo outcomes
-    from the supplied parameters, so derivatives propagate nuisance
+    assignment, contrast.  The forward pass re-evaluates the stage system --
+    adherence and assignment probabilities, substituted designs and pseudo
+    outcomes -- at the supplied parameters, so derivatives propagate nuisance
     uncertainty into the contrast blocks.
     """
 
     def __init__(self, data: Dataset, plan: EstimationPlan, fit: RegimeFit):
         self.data = data
         self.plan = plan
-        self.fit = fit
         self.k = data.n_stages
-        self.proxy_kind = fit.proxy_kind
-        self.design_mode = {
-            "standard-actual": MODE_USE_ACTUAL,
-            "standard-naive-proxy": MODE_USE_PROXY,
-            "modified-prescribed": MODE_USE_EXPECTED,
-            "modified-reported": MODE_USE_EXPECTED,
-        }[plan.mode]
+        self.system = _StageSystem(plan, data)
         self.adherence_fitted = plan.is_modified and plan.adherence.kind == "fitted"
-
-        if plan.mode == "standard-actual":
-            self.resp = [data.actual(j) for j in range(1, self.k + 1)]
-        else:
-            self.resp = [data.proxy(j, self.proxy_kind) for j in range(1, self.k + 1)]
-
-        # Fixed adherence columns (known/external/sensitivity sources do not
-        # contribute parameters).
-        self.fixed_pi = None
-        if plan.is_modified and not self.adherence_fitted:
-            self.fixed_pi = {}
-            for j in range(1, self.k + 1):
-                self.fixed_pi[j] = fit.adherence_reps[j - 1].column(
-                    data, j, self.proxy_kind, expected=dict(self.fixed_pi)
-                )
+        # Fixed adherence (known, external, sensitivity) has no parameters.
+        self.fixed_adherence = None if self.adherence_fitted else self.system.adherence(self.k)
 
         blocks, start = [], 0
         for j in range(self.k, 0, -1):
@@ -844,158 +735,62 @@ class StackedScore:
         theta = np.empty(self.size)
         for block in self.blocks:
             j = block.stage
-            if block.kind == "treatment_free":
-                vals = fit.nuisance[j - 1]["beta"]
-            elif block.kind == "adherence":
-                vals = fit.nuisance[j - 1]["alpha"]
-            elif block.kind == "assignment":
-                vals = fit.nuisance[j - 1]["gamma"]
-            else:
-                vals = fit.psi[j - 1]
-            theta[block.start : block.start + block.size] = vals
+            theta[block.start : block.start + block.size] = (
+                fit.psi[j - 1] if block.kind == "contrast"
+                else fit.nuisance[j - 1][_SYMBOL[block.kind]]
+            )
         return theta
 
     def _unpack(self, theta: np.ndarray) -> dict:
-        out = {}
-        for block in self.blocks:
-            out[(block.stage, block.kind)] = theta[block.start : block.start + block.size]
-        return out
+        return {(b.stage, b.kind): theta[b.start : b.start + b.size] for b in self.blocks}
 
     @property
     def psi_index(self) -> np.ndarray:
         """Indices of contrast parameters in theta, ordered stage 1..K."""
-        idx = []
-        for j in range(1, self.k + 1):
-            for block in self.blocks:
-                if block.stage == j and block.kind == "contrast":
-                    idx.extend(range(block.start, block.start + block.size))
-        return np.asarray(idx, dtype=int)
+        contrast = sorted((b.stage, b.start, b.size) for b in self.blocks if b.kind == "contrast")
+        return np.concatenate([np.arange(start, start + size) for _, start, size in contrast])
 
     def parameter_names(self) -> list:
-        prefix = {
-            "treatment_free": "beta",
-            "adherence": "alpha",
-            "assignment": "gamma",
-            "contrast": "psi",
-        }
-        spec_of = {
-            "treatment_free": lambda s: s.treatment_free,
-            "adherence": lambda s: s.adherence,
-            "assignment": lambda s: s.assignment,
-            "contrast": lambda s: s.contrast,
-        }
-        names = [""] * self.size
-        for block in self.blocks:
-            labels = spec_of[block.kind](self.plan.specs[block.stage - 1]).term_labels()
-            for i, label in enumerate(labels):
-                names[block.start + i] = f"{prefix[block.kind]}{block.stage}.{label}"
-        return names
+        return [
+            f"{_SYMBOL[b.kind]}{b.stage}.{label}"
+            for b in self.blocks
+            for label in getattr(self.plan.specs[b.stage - 1], b.kind).term_labels()
+        ]
 
     def per_individual(self, theta: np.ndarray) -> np.ndarray:
         params = self._unpack(np.asarray(theta, dtype=float))
-        data, plan, k = self.data, self.plan, self.k
-        n = data.n
+        system = self.system
 
-        expected = None
-        pi_star = {}
-        if plan.is_modified:
-            if self.adherence_fitted:
-                for j in range(1, k + 1):
-                    spec = plan.specs[j - 1].adherence
-                    design = build_design_matrix(
-                        spec, data, j, MODE_USE_PROXY,
-                        proxy_kind=self.proxy_kind, expected=dict(pi_star),
-                    )
-                    pi_star[j] = expit(design @ params[(j, "adherence")])
+        def given(kind):
+            return lambda j, *_: params[(j, kind)]
+
+        if self.adherence_fitted:
+            adherence_designs, pi = system.adherence(self.k, given("adherence"))
+        else:
+            adherence_designs, pi = self.fixed_adherence
+        assign_designs, p_cols = system.assignment(pi, given("assignment"))
+        terms, _ = system.backward(pi, given("contrast"))
+
+        e, resid = {}, {}
+        for j, t in enumerate(terms, start=1):
+            e[j] = system.response(j) - p_cols[j - 1]
+            resid[j] = t.v - t.weight * t.contrast - t.tf_design @ params[(j, "treatment_free")]
+
+        out = np.empty((self.data.n, self.size))
+        for block in self.blocks:
+            j, t = block.stage, terms[block.stage - 1]
+            if block.kind == "treatment_free":
+                rows = t.tf_design * resid[j][:, None]
+            elif block.kind == "adherence":
+                mask = self.data.validation[:, j - 1]
+                target = mask * (np.where(mask, self.data.actual(j), 0.0) - pi[j])
+                rows = adherence_designs[j] * target[:, None]
+            elif block.kind == "assignment":
+                rows = assign_designs[j - 1] * e[j][:, None]
             else:
-                pi_star = dict(self.fixed_pi)
-            expected = pi_star
-
-        out = np.zeros((n, self.size))
-        p_cols, assign_designs = {}, {}
-        assign_mode = MODE_USE_ACTUAL if plan.mode == "standard-actual" else MODE_USE_PROXY
-        for j in range(1, k + 1):
-            design = build_design_matrix(
-                plan.specs[j - 1].assignment, data, j, assign_mode,
-                proxy_kind=self.proxy_kind, expected=expected,
-            )
-            assign_designs[j] = design
-            p_cols[j] = expit(design @ params[(j, "assignment")])
-
-        v = data.outcome.copy()
-        for j in range(k, 0, -1):
-            spec = plan.specs[j - 1]
-            psi_j = params[(j, "contrast")]
-            lam = build_design_matrix(
-                spec.contrast, data, j, self.design_mode,
-                proxy_kind=self.proxy_kind, expected=expected,
-            )
-            tf = build_design_matrix(
-                spec.treatment_free, data, j, self.design_mode,
-                proxy_kind=self.proxy_kind, expected=expected,
-            )
-            resp = self.resp[j - 1]
-            weight = pi_star[j] if plan.is_modified else resp
-            contrast = lam @ psi_j
-            resid = v - weight * contrast - tf @ params[(j, "treatment_free")]
-            e = resp - p_cols[j]
-
-            for block in self.blocks:
-                if block.stage != j:
-                    continue
-                sl = slice(block.start, block.start + block.size)
-                if block.kind == "treatment_free":
-                    out[:, sl] = tf * resid[:, None]
-                elif block.kind == "adherence":
-                    mask = data.validation[:, j - 1].astype(float)
-                    design = build_design_matrix(
-                        spec.adherence, data, j, MODE_USE_PROXY,
-                        proxy_kind=self.proxy_kind,
-                        expected=dict(pi_star) if expected else None,
-                    )
-                    actual = np.where(data.validation[:, j - 1], data.actual(j), 0.0)
-                    out[:, sl] = design * (mask * (actual - pi_star[j]))[:, None]
-                elif block.kind == "assignment":
-                    out[:, sl] = assign_designs[j] * e[:, None]
-                else:
-                    out[:, sl] = lam * (e * resid)[:, None]
-
-            # advance the pseudo outcome with the same rules as estimation
-            a_opt = contrast > 0.0
-            if not plan.is_modified:
-                v = pseudo_outcome_standard(v, resp, a_opt, contrast)
-            else:
-                lagged = spec.contrast.treatment_stages()
-                if plan.exact_pseudo_outcomes and lagged and len(lagged) == 1:
-                    lag = next(iter(lagged))
-                    c1 = build_design_matrix(
-                        spec.contrast, data, j, self.design_mode,
-                        proxy_kind=self.proxy_kind, expected=expected,
-                        treatment_override={lag: 1.0},
-                    ) @ psi_j
-                    c0 = build_design_matrix(
-                        spec.contrast, data, j, self.design_mode,
-                        proxy_kind=self.proxy_kind, expected=expected,
-                        treatment_override={lag: 0.0},
-                    ) @ psi_j
-                    v = pseudo_outcome_exact(v, pi_star[lag], c1, c0) - weight * contrast
-                else:
-                    v = pseudo_outcome_modified(v, a_opt, weight, contrast)
+                rows = t.contrast_design * (e[j] * resid[j])[:, None]
+            out[:, block.start : block.start + block.size] = rows
         return out
 
     def mean(self, theta: np.ndarray) -> np.ndarray:
         return self.per_individual(theta).mean(axis=0)
-
-
-def build_stacked_score(data: Dataset, plan: EstimationPlan, fit: RegimeFit) -> StackedScore:
-    return StackedScore(data, plan, fit)
-
-
-def plan_for_fit(fit: RegimeFit, adherence: Optional[AdherenceSource]) -> EstimationPlan:
-    return EstimationPlan(
-        specs=fit.specs,
-        mode=fit.mode,
-        adherence=adherence,
-        exact_pseudo_outcomes=fit.exact_pseudo_outcomes,
-        proxy_kind=fit.proxy_kind,
-    )

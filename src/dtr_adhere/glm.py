@@ -1,6 +1,4 @@
-"""Nuisance-model fitting: logistic regression by Newton scoring, linear by
-least squares, plus per-observation score contributions for stacking into a
-joint estimating equation."""
+"""Nuisance-model fitting: logistic regression by Newton scoring."""
 
 from __future__ import annotations
 
@@ -21,9 +19,7 @@ class NonConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class GlmFit:
     coefficients: np.ndarray
-    converged: bool
     iterations: int
-    family: str  # "logistic" | "linear"
 
 
 def expit(x):
@@ -87,7 +83,7 @@ def fit_logistic(
                 "complete separation in logistic fit "
                 f"(coefficient norm {np.linalg.norm(beta):.3g})"
             )
-        return GlmFit(coefficients=beta, converged=True, iterations=iteration, family="logistic")
+        return GlmFit(coefficients=beta, iterations=iteration)
 
     beta = np.zeros(p)
     for iteration in range(1, max_iter + 1):
@@ -116,51 +112,3 @@ def fit_logistic(
         f"logistic fit did not converge in {max_iter} iterations "
         f"(coefficient norm {np.linalg.norm(beta):.3g}; possible separation)"
     )
-
-
-def fit_linear(design, response) -> GlmFit:
-    """Least-squares fit via an orthogonal (SVD) decomposition."""
-    x = _as_matrix(design)
-    y = np.asarray(response, dtype=float)
-    n, p = x.shape
-    if y.shape != (n,):
-        raise ValueError("response length does not match design rows")
-    if n < p:
-        raise RankDeficiencyError("fewer rows than columns")
-    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < p:
-        raise RankDeficiencyError(f"design has rank {rank} < {p} columns")
-    return GlmFit(coefficients=beta, converged=True, iterations=0, family="linear")
-
-
-def predict_mean(fit: GlmFit, design) -> np.ndarray:
-    x = _as_matrix(design)
-    eta = x @ fit.coefficients
-    return expit(eta) if fit.family == "logistic" else eta
-
-
-def score_rows(fit: GlmFit, design, response, weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-observation score contributions x_i * (y_i - mu_i) * w_i.
-
-    Column sums vanish (to numerical tolerance) at the fitted coefficients.
-    """
-    x = _as_matrix(design)
-    y = np.asarray(response, dtype=float)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("response length does not match design rows")
-    mu = predict_mean(fit, x)
-    resid = y - mu
-    if weights is not None:
-        resid = resid * np.asarray(weights, dtype=float)
-    return x * resid[:, None]
-
-
-def logistic_covariance(fit: GlmFit, design, weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Inverse Fisher information at the fitted coefficients."""
-    x = _as_matrix(design)
-    mu = expit(x @ fit.coefficients)
-    w = mu * (1.0 - mu)
-    if weights is not None:
-        w = w * np.asarray(weights, dtype=float)
-    info = (x * w[:, None]).T @ x
-    return np.linalg.inv(info)

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gest import EstimationPlan, RegimeFit, build_stacked_score, psi_flat
+from .gest import EstimationPlan, RegimeFit, StackedScore, psi_flat
 from .model import Dataset
 
 
@@ -148,7 +148,7 @@ def regime_sandwich(
     source supplies a coefficient covariance, the contrast covariance is
     inflated by the delta-method term for that fixed plug-in.
     """
-    stacked = build_stacked_score(data, plan, fit)
+    stacked = StackedScore(data, plan, fit)
     result = sandwich(
         stacked.per_individual,
         stacked.theta_hat,

@@ -110,14 +110,6 @@ class FeatureSpec:
     def term_labels(self) -> list:
         return [t.label() for t in self.terms]
 
-    def max_stage(self) -> int:
-        stages = [0]
-        for term in self.terms:
-            for f in term.factors:
-                if isinstance(f, (Covariate, TreatmentRef)):
-                    stages.append(f.stage)
-        return max(stages)
-
     def treatment_stages(self) -> set:
         out = set()
         for term in self.terms:
@@ -609,76 +601,3 @@ def build_design_matrix(
             value = value * col
         cols.append(value)
     return np.column_stack(cols)
-
-
-def build_design_row(
-    spec: FeatureSpec,
-    traj: Trajectory,
-    stage: int,
-    mode: str,
-    *,
-    proxy_kind: Optional[str] = None,
-    expected: Optional[Mapping[int, float]] = None,
-    treatment_override: Optional[Mapping[int, float]] = None,
-) -> np.ndarray:
-    """Evaluate a FeatureSpec against a single (possibly partial) trajectory."""
-    if mode not in SUBSTITUTION_MODES:
-        raise ValueError(f"unknown substitution mode '{mode}'")
-    if stage > len(traj.stages):
-        raise DesignError(f"trajectory has no stage {stage}")
-
-    def proxy_value(record: StageRecord):
-        if proxy_kind == "prescribed":
-            return record.prescribed
-        if proxy_kind == "reported":
-            return record.reported
-        return record.prescribed if record.prescribed is not None else record.reported
-
-    out = np.empty(len(spec.terms))
-    for t_index, term in enumerate(spec.terms):
-        value = 1.0
-        for f in term.factors:
-            if isinstance(f, Constant):
-                continue
-            if isinstance(f, Covariate):
-                if f.stage > stage:
-                    raise DesignError(
-                        f"covariate {f.label()} references stage {f.stage} beyond stage {stage}"
-                    )
-                record = traj.stages[f.stage - 1]
-                if f.name not in record.covariates:
-                    raise DesignError(f"unknown covariate '{f.name}' at stage {f.stage}")
-                v = float(record.covariates[f.name])
-                if f.transform == "log":
-                    if v <= 0.0:
-                        raise DesignError(f"log of non-positive value in {f.label()}")
-                    v = float(np.log(v))
-                value *= v
-                continue
-            if f.stage > stage:
-                raise DesignError(f"treatment reference {f.label()} beyond stage {stage}")
-            if treatment_override is not None and f.stage in treatment_override:
-                value *= float(treatment_override[f.stage])
-                continue
-            record = traj.stages[f.stage - 1]
-            resolved = _resolve_source(f.source, mode)
-            if resolved == "actual":
-                if record.actual is None:
-                    raise DesignError(
-                        f"actual treatment missing at stage {f.stage} under use-actual"
-                    )
-                value *= float(record.actual)
-            elif resolved == "proxy":
-                v = proxy_value(record)
-                if v is None:
-                    raise DesignError(f"proxy treatment missing at stage {f.stage}")
-                value *= float(v)
-            else:
-                if expected is None or f.stage not in expected:
-                    raise DesignError(
-                        f"no adherence model available for expected treatment at "
-                        f"stage {f.stage}"
-                    )
-                value *= float(expected[f.stage])
-        out[t_index] = value
-    return out

@@ -267,6 +267,28 @@ class TestAnalyze:
         assert read_bytes(out1 / "fit.json") == read_bytes(out2 / "fit.json")
 
 
+class TestMalformedConfig:
+    CASES = {
+        "stage_columns entry without proxy": (
+            lambda c: c["stage_columns"][1].pop("proxy"), "no 'proxy' column"),
+        "stages not an integer": (
+            lambda c: c.update(stages="two"), "stages must be an integer"),
+        "models not a list": (
+            lambda c: c.update(models=5), "models must be a list"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_before_any_fit(self, analysis_setup, capsys, case):
+        _, config, config_path, tmp_path = analysis_setup
+        corrupt, message = self.CASES[case]
+        corrupt(config)
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "bad"
+        assert run_cli("analyze", config_path, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSensitivity:
     def grid_file(self, tmp_path, rows):
         path = tmp_path / "grid.csv"

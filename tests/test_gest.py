@@ -5,9 +5,12 @@ import pytest
 
 from dtr_adhere.gest import (
     AdherenceSource,
+    EstimationError,
     EstimationPlan,
     SingularSystemError,
+    StackedScore,
     StageModelSpec,
+    _fit_stage,
     estimate_regime,
     fit_adherence,
     pseudo_outcome_exact,
@@ -15,11 +18,11 @@ from dtr_adhere.gest import (
     pseudo_outcome_standard,
     psi_flat,
     recommend,
+    recommendations_matrix,
     sensitivity_sweep,
-    solve_stage,
     validate_stage_models,
 )
-from dtr_adhere.glm import NonConvergenceError, expit, logistic_covariance
+from dtr_adhere.glm import NonConvergenceError, RankDeficiencyError, expit
 from dtr_adhere.model import (
     Dataset,
     DesignError,
@@ -30,6 +33,7 @@ from dtr_adhere.model import (
 )
 from dtr_adhere.simulation import (
     generate_s1,
+    generate_s3,
     generate_s4,
     known_adherence,
     scenario_models,
@@ -76,55 +80,122 @@ class TestPseudoOutcomes:
         np.testing.assert_allclose(out, [1.0, 1.0])
 
 
+def stage_equations(lam, tf, a, p, w, v, psi, beta):
+    """Both blocks of the stage system at (psi, beta): treatment-free normal
+    equations, then contrast equations."""
+    resid = v - w * (lam @ psi) - tf @ beta
+    return tf.T @ resid, lam.T @ ((a - p) * resid)
+
+
 class TestSolveStage:
+    """The joint [treatment-free; contrast] stage solve."""
+
     def test_hand_built_system(self):
-        # six rows, two contrast terms; solved independently by explicit 2x2
-        # matrix arithmetic below
+        # six rows, two contrast terms, an intercept-only treatment-free model;
+        # eliminating the intercept leaves a 2x2 system solved by hand below
         lam = np.array([[1.0, 0.5], [1.0, -1.0], [1.0, 2.0], [1.0, 0.0], [1.0, 1.5], [1.0, -0.5]])
         a = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
         p = np.array([0.6, 0.4, 0.7, 0.3, 0.5, 0.55])
         v = np.array([2.0, -1.0, 0.5, 3.0, 1.0, -0.25])
 
-        m00 = m01 = m11 = b0 = b1 = 0.0
+        # beta = mean(v - a * lam psi), so row i contributes
+        # lam_i (a_i - p_i) (v_i - mean v - (a_i lam_i - mean(a lam)) psi)
+        mean_v = sum(v) / 6
+        mean_al = [sum(a[i] * lam[i, k] for i in range(6)) / 6 for k in range(2)]
+        m = [[0.0, 0.0], [0.0, 0.0]]
+        b = [0.0, 0.0]
         for i in range(6):
-            e = (a[i] - p[i]) * a[i]
-            m00 += lam[i, 0] * e * lam[i, 0]
-            m01 += lam[i, 0] * e * lam[i, 1]
-            m11 += lam[i, 1] * e * lam[i, 1]
-            b0 += lam[i, 0] * (a[i] - p[i]) * v[i]
-            b1 += lam[i, 1] * (a[i] - p[i]) * v[i]
-        det = m00 * m11 - m01 * m01
-        expected = np.array([(m11 * b0 - m01 * b1) / det, (m00 * b1 - m01 * b0) / det])
+            e = a[i] - p[i]
+            for k in range(2):
+                b[k] += lam[i, k] * e * (v[i] - mean_v)
+                for l in range(2):
+                    m[k][l] += lam[i, k] * e * (a[i] * lam[i, l] - mean_al[l])
+        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        expected = np.array([(m[1][1] * b[0] - m[0][1] * b[1]) / det,
+                             (m[0][0] * b[1] - m[1][0] * b[0]) / det])
+        expected_beta = mean_v - (mean_al[0] * expected[0] + mean_al[1] * expected[1])
 
-        psi = solve_stage(lam, a, p, v)
+        psi, beta, _ = _fit_stage(lam, np.ones((6, 1)), a, p, a, v, stage=1)
         np.testing.assert_allclose(psi, expected, atol=1e-12)
+        np.testing.assert_allclose(beta, [expected_beta], atol=1e-12)
 
     def test_lambda_scaling_invariance(self):
         rng = np.random.default_rng(1)
         lam = np.column_stack([np.ones(50), rng.normal(size=50)])
+        tf = np.column_stack([np.ones(50), rng.normal(size=50)])
         a = rng.binomial(1, 0.5, 50).astype(float)
         p = np.full(50, 0.5)
         v = rng.normal(size=50)
-        base = solve_stage(lam, a, p, v)
-        scaled = solve_stage(3.7 * lam, a, p, v, contrast_design=lam)
-        np.testing.assert_allclose(scaled, base, atol=1e-12)
+        scale = np.array([3.7, 0.02])
+        psi, beta, _ = _fit_stage(lam, tf, a, p, a, v, stage=1)
+        psi_s, beta_s, _ = _fit_stage(lam * scale, tf, a, p, a, v, stage=1)
+        np.testing.assert_allclose(psi_s * scale, psi, atol=1e-12)
+        np.testing.assert_allclose(beta_s, beta, atol=1e-12)
 
     def test_singular_system_raises(self):
         lam = np.ones((10, 2))  # duplicated columns
         a = np.array([0.0, 1.0] * 5)
         p = np.full(10, 0.5)
         with pytest.raises(SingularSystemError):
-            solve_stage(lam, a, p, np.zeros(10))
+            _fit_stage(lam, np.ones((10, 1)), a, p, a, np.zeros(10), stage=1)
 
     def test_adherence_weight_equals_treatment_weight_under_truth(self):
+        # an adherence model saturated at the treatment taken weights the
+        # contrast exactly as the uncorrected equations do
         rng = np.random.default_rng(2)
         lam = np.column_stack([np.ones(40), rng.normal(size=40)])
+        tf = np.column_stack([np.ones(40), rng.normal(size=40)])
         a = rng.binomial(1, 0.5, 40).astype(float)
         p = np.full(40, 0.5)
         v = rng.normal(size=40)
-        np.testing.assert_array_equal(
-            solve_stage(lam, a, p, v), solve_stage(lam, a, p, v, adherence_prob=a)
+        pinned = expit(2000.0 * a - 1000.0)
+        for got, want in zip(_fit_stage(lam, tf, a, p, pinned, v, stage=1),
+                             _fit_stage(lam, tf, a, p, a, v, stage=1)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_strongly_coupled_blocks_solve_jointly(self):
+        # A constant assignment model for a treatment that tracks the
+        # treatment-free covariate couples the blocks strongly: alternating
+        # the two block solves contracts by only ~0.8 per sweep.  The joint
+        # solve still zeroes both blocks.
+        rng = np.random.default_rng(0)
+        n = 60
+        x = rng.normal(size=n)
+        a = (x + 0.3 * rng.normal(size=n) > 0).astype(float)
+        p = np.full(n, 0.5)
+        lam = tf = np.column_stack([np.ones(n), x])
+        v = 1.0 + x + a * (0.5 + x) + rng.normal(size=n)
+        e = a - p
+        m = (lam * (e * a)[:, None]).T @ lam
+        sweep = np.linalg.solve(tf.T @ tf, tf.T @ (a[:, None] * lam)) @ np.linalg.solve(
+            m, (lam * e[:, None]).T @ tf
         )
+        assert np.max(np.abs(np.linalg.eigvals(sweep))) > 0.8
+
+        psi, beta, _ = _fit_stage(lam, tf, a, p, a, v, stage=1)
+        for block in stage_equations(lam, tf, a, p, a, v, psi, beta):
+            np.testing.assert_allclose(block, 0.0, atol=1e-10)
+
+    def test_rank_deficient_treatment_free_raises(self):
+        rng = np.random.default_rng(4)
+        lam = np.column_stack([np.ones(30), rng.normal(size=30)])
+        a = rng.binomial(1, 0.5, 30).astype(float)
+        tf = np.column_stack([np.ones(30), np.ones(30)])
+        with pytest.raises(RankDeficiencyError):
+            _fit_stage(lam, tf, a, np.full(30, 0.5), a, rng.normal(size=30), stage=1)
+
+    def test_jointly_singular_raises(self):
+        # each block is well posed, but the treatment-free design spans the
+        # weighted contrast, so the stacked system is singular
+        rng = np.random.default_rng(5)
+        lam = np.column_stack([np.ones(30), rng.normal(size=30)])
+        a = rng.binomial(1, 0.5, 30).astype(float)
+        w = rng.uniform(0.2, 0.9, 30)
+        with pytest.raises(EstimationError, match="jointly singular") as err:
+            _fit_stage(lam, w[:, None] * lam, a, np.full(30, 0.5), w, rng.normal(size=30),
+                       stage=2)
+        assert not isinstance(err.value, SingularSystemError)
+        assert err.value.stage == 2
 
 
 class TestFitAdherence:
@@ -134,8 +205,9 @@ class TestFitAdherence:
         spec = parse_feature_spec("1 + X[1] + Astar[1]")
         fit = fit_adherence(data, 1, spec, "prescribed")
         design = build_design_matrix(spec, data, 1, "use-proxy", proxy_kind="prescribed")
-        mask = data.validation[:, 0]
-        se = np.sqrt(np.diag(logistic_covariance(fit, design[mask])))
+        x = design[data.validation[:, 0]]
+        mu = expit(x @ fit.coefficients)
+        se = np.sqrt(np.diag(np.linalg.inv((x * (mu * (1.0 - mu))[:, None]).T @ x)))
         truth = np.array([-4.6, -0.83, 7.5])
         assert np.all(np.abs(fit.coefficients - truth) < 3 * se)
 
@@ -315,7 +387,8 @@ class TestEstimateRegime:
         np.testing.assert_array_equal(fit.psi[1], approx.psi[1])
         assert not np.allclose(fit.pseudo_outcomes[:, 1], approx.pseudo_outcomes[:, 1])
 
-    def test_exact_pseudo_outcomes_reject_two_lags(self):
+    @staticmethod
+    def two_lag_problem():
         rng = np.random.default_rng(9)
         n = 500
         x = [rng.normal(size=n) for _ in range(3)]
@@ -338,9 +411,26 @@ class TestEstimateRegime:
                 "1 + A[1] + A[2]", "1 + X[1]", "1 + X[3]", "1 + Astar[3]"
             ),
         ]
+        return data, specs
+
+    def test_exact_pseudo_outcomes_reject_two_lags(self):
+        data, specs = self.two_lag_problem()
         with pytest.raises(Exception, match="one lagged treatment"):
             estimate_regime(data, specs, "modified-prescribed", AdherenceSource.fitted(),
                             exact_pseudo_outcomes=True)
+
+    def test_stacked_score_rejects_two_lags(self):
+        # the score evaluates the same pseudo outcomes as estimation, so it
+        # cannot fall back to the modified pseudo outcome either
+        data, specs = self.two_lag_problem()
+        plan = EstimationPlan(specs=tuple(specs), mode="modified-prescribed",
+                              adherence=AdherenceSource.fitted())
+        fit = plan.estimate(data)
+        exact = EstimationPlan(specs=plan.specs, mode=plan.mode, adherence=plan.adherence,
+                               exact_pseudo_outcomes=True)
+        score = StackedScore(data, exact, fit)
+        with pytest.raises(EstimationError, match="one lagged treatment"):
+            score.per_individual(score.theta_hat)
 
     def test_stage_validation_rejects_future_references(self):
         specs = [
@@ -403,6 +493,82 @@ class TestRecommend:
         bad = Trajectory(id="b", stages=(StageRecord(covariates={}),), outcome=None)
         with pytest.raises(DesignError):
             recommend(fit, bad, 1)
+
+
+class TestRulesMatchMatrix:
+    """``recommend`` on one history and ``recommendations_matrix`` on the
+    whole dataset evaluate the same rules."""
+
+    CASES = [
+        ("s1", "standard-actual"),
+        ("s1", "naive-proxy"),
+        ("s1", "modified-fitted"),
+        ("s1", "modified-known"),  # known coefficients
+        ("s4", "standard-actual"),
+        ("s4", "modified-fitted"),
+        ("s4", "modified-known"),  # known probability function
+    ]
+
+    @pytest.mark.parametrize("scenario,estimator", CASES)
+    def test_recommend_equals_matrix_row(self, scenario, estimator):
+        rng = np.random.default_rng(41)
+        generate = generate_s1 if scenario == "s1" else generate_s4
+        data = generate(600, 1.0, rng, validation_fraction=0.3)
+        fit = scenario_plan(scenario, estimator).estimate(data)
+        matrix = recommendations_matrix(fit, data)
+        assert matrix.shape == (600, 2)
+        for i in range(40):
+            history = data.trajectory(i)
+            for j in (1, 2):
+                assert recommend(fit, history, j) == matrix[i, j - 1]
+
+    @pytest.mark.parametrize("scenario", ["s1", "s4"])
+    def test_history_without_proxy_raises(self, scenario):
+        rng = np.random.default_rng(42)
+        generate = generate_s1 if scenario == "s1" else generate_s4
+        data = generate(400, 1.0, rng, validation_fraction=0.3)
+        fit = scenario_plan(scenario, "modified-known").estimate(data)
+        history = data.trajectory(0)
+        stripped = Trajectory(
+            id=history.id,
+            stages=tuple(StageRecord(covariates=s.covariates, actual=s.actual)
+                         for s in history.stages),
+        )
+        with pytest.raises(DesignError):
+            recommend(fit, stripped, 2)
+
+
+def _score_dataset(scenario):
+    rng = np.random.default_rng(99)
+    if scenario == "s1":
+        return generate_s1(1000, 1.0, rng, validation_fraction=0.3)
+    if scenario == "s3":
+        return generate_s3(1000, rng, validation_fraction=0.3)
+    return generate_s4(1000, 1.0, rng, validation_fraction=0.3)
+
+
+class TestStackedScore:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "source", ["standard-actual", "naive-proxy", "fitted", "known", "external"]
+    )
+    @pytest.mark.parametrize("scenario", ["s1", "s3", "s4"])
+    def test_mean_vanishes_at_fit(self, scenario, source, exact):
+        # The fit solves every block of the stacked system, so the score the
+        # sandwich differentiates must have mean zero at the fitted theta.
+        data = _score_dataset(scenario)
+        standard = source in ("standard-actual", "naive-proxy")
+        base = scenario_plan(scenario, source if standard else "modified-fitted")
+        adherence = base.adherence
+        if source == "known":
+            adherence = known_adherence(scenario)
+        elif source == "external":
+            alpha = [nuis["alpha"] for nuis in base.estimate(data).nuisance]
+            adherence = AdherenceSource.external(alpha)
+        plan = EstimationPlan(specs=base.specs, mode=base.mode, adherence=adherence,
+                              exact_pseudo_outcomes=exact)
+        score = StackedScore(data, plan, plan.estimate(data))
+        assert np.max(np.abs(score.mean(score.theta_hat))) <= 1e-9
 
 
 class TestSensitivitySweep:

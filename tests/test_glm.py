@@ -1,4 +1,4 @@
-"""Logistic/linear fitting against closed forms and independent oracles."""
+"""Logistic fitting against closed forms and independent oracles."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,7 @@ from dtr_adhere.glm import (
     NonConvergenceError,
     RankDeficiencyError,
     expit,
-    fit_linear,
     fit_logistic,
-    logistic_covariance,
-    score_rows,
 )
 
 
@@ -73,7 +70,9 @@ class TestFitLogistic:
             center, width = np.array([b0, b1]), width * 0.2
         np.testing.assert_allclose(fit.coefficients, center, atol=1e-4)
 
-        se = np.sqrt(np.diag(logistic_covariance(fit, design)))
+        mu = expit(design @ fit.coefficients)
+        info = (design * (mu * (1.0 - mu))[:, None]).T @ design
+        se = np.sqrt(np.diag(np.linalg.inv(info)))
         assert abs(fit.coefficients[0] - 0.3) < 3 * se[0]
         assert abs(fit.coefficients[1] - 0.9) < 3 * se[1]
 
@@ -107,77 +106,11 @@ class TestFitLogistic:
         )
 
 
-class TestFitLinear:
-    def test_mean(self):
-        fit = fit_linear(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))
-        assert fit.coefficients[0] == pytest.approx(2.0)
-
-    def test_exact_line(self):
-        x = np.array([0.0, 1.0, 4.0])
-        design = np.column_stack([np.ones(3), x])
-        fit = fit_linear(design, 2.0 + 3.0 * x)
-        np.testing.assert_allclose(fit.coefficients, [2.0, 3.0], atol=1e-12)
-
-    def test_normal_equations_oracle(self):
-        rng = np.random.default_rng(7)
-        design = rng.normal(size=(50, 3))
-        y = rng.normal(size=50)
-        fit = fit_linear(design, y)
-        residuals = y - design @ fit.coefficients
-        np.testing.assert_allclose(design.T @ residuals, np.zeros(3), atol=1e-9)
-
-    def test_rank_deficiency(self):
-        design = np.column_stack([np.ones(10), np.ones(10)])
-        with pytest.raises(RankDeficiencyError):
-            fit_linear(design, np.arange(10.0))
-
-    def test_column_rescaling_invariance(self):
-        rng = np.random.default_rng(9)
-        design = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
-        y = rng.normal(size=40)
-        scale = np.array([2.0, 0.25, 40.0])
-        fit = fit_linear(design, y)
-        fit_scaled = fit_linear(design * scale, y)
-        np.testing.assert_allclose(fit_scaled.coefficients * scale, fit.coefficients, atol=1e-8)
-
-
 class TestScoreRows:
     def test_columns_sum_to_zero_at_fit(self):
         rng = np.random.default_rng(5)
         design = np.column_stack([np.ones(400), rng.normal(size=(400, 2))])
         y = rng.binomial(1, expit(design @ np.array([0.1, -0.4, 0.8]))).astype(float)
         fit = fit_logistic(design, y)
-        np.testing.assert_allclose(
-            score_rows(fit, design, y).sum(axis=0), np.zeros(3), atol=1e-6
-        )
-        y_lin = rng.normal(size=400)
-        lin = fit_linear(design, y_lin)
-        np.testing.assert_allclose(
-            score_rows(lin, design, y_lin).sum(axis=0), np.zeros(3), atol=1e-8
-        )
-
-    def test_single_logistic_row(self):
-        from dtr_adhere.glm import GlmFit
-
-        fit = GlmFit(coefficients=np.array([0.0]), converged=True, iterations=0, family="logistic")
-        rows = score_rows(fit, np.array([[1.0]]), np.array([1.0]))
-        assert rows[0, 0] == pytest.approx(0.5)
-
-    def test_exact_linear_fit_scores_vanish(self):
-        x = np.array([0.0, 1.0, 2.0])
-        design = np.column_stack([np.ones(3), x])
-        fit = fit_linear(design, 1.0 + 2.0 * x)
-        np.testing.assert_allclose(
-            score_rows(fit, design, 1.0 + 2.0 * x), np.zeros((3, 2)), atol=1e-12
-        )
-
-    def test_weights_scale_scores(self):
-        rng = np.random.default_rng(8)
-        design = np.column_stack([np.ones(50), rng.normal(size=50)])
-        y = rng.binomial(1, 0.5, 50).astype(float)
-        fit = fit_logistic(design, y)
-        w = rng.uniform(0.5, 2.0, 50)
-        np.testing.assert_allclose(
-            score_rows(fit, design, y, weights=w),
-            score_rows(fit, design, y) * w[:, None],
-        )
+        rows = design * (y - expit(design @ fit.coefficients))[:, None]
+        np.testing.assert_allclose(rows.sum(axis=0), np.zeros(3), atol=1e-6)

@@ -13,7 +13,7 @@ from dtr_adhere.inference import (
     sandwich,
     wald_intervals,
 )
-from dtr_adhere.gest import build_stacked_score, psi_flat
+from dtr_adhere.gest import StackedScore, psi_flat
 from dtr_adhere.simulation import generate_s1, scenario_plan
 
 
@@ -33,7 +33,7 @@ class TestNumericalJacobian:
         data = generate_s1(50, 0.0, rng, validation_fraction=0.5)
         plan = scenario_plan("s1", "modified-fitted")
         fit = plan.estimate(data)
-        score = build_stacked_score(data, plan, fit)
+        score = StackedScore(data, plan, fit)
         coarse = numerical_jacobian(score.mean, score.theta_hat, step=1e-6)
         fine = numerical_jacobian(score.mean, score.theta_hat, step=1e-7)
         scale = np.linalg.norm(fine)

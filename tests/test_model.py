@@ -14,7 +14,6 @@ from dtr_adhere.model import (
     Trajectory,
     TreatmentRef,
     build_design_matrix,
-    build_design_row,
     parse_feature_spec,
 )
 
@@ -191,43 +190,49 @@ class TestDataset:
         assert t.stages[1].reported is None
 
 
+def design_row(spec, trajectory, stage, mode, **kwargs):
+    """Design row of one trajectory: the design matrix of a one-row dataset."""
+    data = Dataset.from_trajectories([trajectory])
+    return build_design_matrix(spec, data, stage, mode, **kwargs)[0]
+
+
 class TestDesignRows:
     def test_constant_and_covariate(self):
-        row = build_design_row(parse_feature_spec("1 + X[1]"), traj(2.5, 0.0), 1, "use-actual")
+        row = design_row(parse_feature_spec("1 + X[1]"), traj(2.5, 0.0), 1, "use-actual")
         np.testing.assert_allclose(row, [1.0, 2.5])
 
     def test_expected_substitution(self):
         spec = parse_feature_spec("1 + X[2] + A[1]")
-        row = build_design_row(
-            spec, traj(1.0, -0.3), 2, "use-expected", expected={1: 0.95}
+        row = design_row(
+            spec, traj(1.0, -0.3), 2, "use-expected", expected={1: np.array([0.95])}
         )
         np.testing.assert_allclose(row, [1.0, -0.3, 0.95])
 
     def test_actual_resolution(self):
         spec = parse_feature_spec("1 + X[2] + A[1]")
-        row = build_design_row(spec, traj(1.0, -0.3, actual=(1, 0)), 2, "use-actual")
+        row = design_row(spec, traj(1.0, -0.3, actual=(1, 0)), 2, "use-actual")
         np.testing.assert_allclose(row, [1.0, -0.3, 1.0])
 
     def test_missing_actual_raises(self):
         spec = parse_feature_spec("A[1]")
         t = traj(1.0, 2.0, actual=(None, None))
         with pytest.raises(DesignError):
-            build_design_row(spec, t, 2, "use-actual")
+            design_row(spec, t, 2, "use-actual")
 
     def test_log_of_nonpositive_raises(self):
         spec = parse_feature_spec("log(X[1])")
         with pytest.raises(DesignError):
-            build_design_row(spec, traj(-1.0, 2.0), 1, "use-actual")
+            design_row(spec, traj(-1.0, 2.0), 1, "use-actual")
 
     def test_unknown_covariate_raises(self):
         spec = parse_feature_spec("Z[1]")
         with pytest.raises(DesignError):
-            build_design_row(spec, traj(1.0, 2.0), 1, "use-actual")
+            design_row(spec, traj(1.0, 2.0), 1, "use-actual")
 
     def test_missing_adherence_model_raises(self):
         spec = parse_feature_spec("EA[1]")
         with pytest.raises(DesignError):
-            build_design_row(spec, traj(1.0, 2.0), 2, "use-proxy")
+            design_row(spec, traj(1.0, 2.0), 2, "use-proxy")
 
     def test_matrix_matches_rows_and_is_order_free(self):
         spec = parse_feature_spec("1 + X[2] + A[1]*X[1]")
@@ -235,7 +240,7 @@ class TestDesignRows:
         data = Dataset.from_trajectories(trajectories)
         matrix = build_design_matrix(spec, data, 2, "use-actual")
         for i, t in enumerate(trajectories):
-            row = build_design_row(spec, t, 2, "use-actual")
+            row = design_row(spec, t, 2, "use-actual")
             np.testing.assert_allclose(matrix[i], row)
         flipped = build_design_matrix(spec, data.subset([1, 0]), 2, "use-actual")
         np.testing.assert_allclose(flipped, matrix[::-1])
@@ -263,3 +268,10 @@ class TestDesignRows:
             spec, data, 2, "use-actual", treatment_override={1: 1.0}
         )
         np.testing.assert_allclose(forced, [[1.0, 2.0]])
+
+
+def test_public_names_resolve():
+    import dtr_adhere
+
+    missing = [name for name in dtr_adhere.__all__ if not hasattr(dtr_adhere, name)]
+    assert missing == []
