@@ -20,7 +20,6 @@ from .gest import (
     RegimeFit,
     SingularSystemError,
     StageModelSpec,
-    estimate_regime,
     fit_adherence,
     pseudo_outcome_exact,
     pseudo_outcome_modified,
@@ -89,7 +88,6 @@ __all__ = [
     "Trajectory",
     "bootstrap",
     "build_design_matrix",
-    "estimate_regime",
     "expit",
     "fit_adherence",
     "fit_logistic",

@@ -244,15 +244,11 @@ class AnalysisConfig:
     stages: int
     outcome: str
     stage_columns: list
-    models: list  # StageModelSpec
-    mode: str
-    adherence: Optional[AdherenceSource]
+    plan: EstimationPlan
     inference_method: str  # "none" | "wald-sandwich" | "bootstrap"
     bootstrap_replicates: int
     level: float
     seed: int
-    exact_pseudo_outcomes: bool
-    proxy_kind: Optional[str]
     jobs: int = 1
 
 
@@ -271,10 +267,14 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
             raise ConfigError(f"config is missing '{key}'")
         return raw[key]
 
-    try:
-        stages = int(need("stages"))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"stages must be an integer, got {raw['stages']!r}") from err
+    def number(kind, value, field):
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as err:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{field} must be {what}, got {value!r}") from err
+
+    stages = number(int, need("stages"), "stages")
     if stages < 1:
         raise ConfigError("stages must be >= 1")
 
@@ -350,6 +350,26 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
     method = inference_raw.get("method", "none")
     if method not in ("none", "wald-sandwich", "bootstrap"):
         raise ConfigError(f"unknown inference method {method!r}")
+    level = number(float, inference_raw.get("level", 0.95), "inference.level")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"inference.level must be in (0, 1), got {level!r}")
+    replicates = number(int, inference_raw.get("replicates", 1000), "inference.replicates")
+    if method == "bootstrap" and replicates < 2:
+        raise ConfigError(f"inference.replicates must be >= 2 for bootstrap, got {replicates}")
+    seed = number(int, raw.get("seed", _default_seed(None)), "seed")
+    jobs = number(int, raw.get("jobs", 1), "jobs")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    try:
+        plan = EstimationPlan(
+            specs=tuple(models),
+            mode=mode,
+            adherence=adherence,
+            exact_pseudo_outcomes=bool(raw.get("exact_pseudo_outcomes", False)),
+            proxy_kind=raw.get("proxy_kind"),
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
     input_path = Path(raw.get("input", ""))
     if not input_path.is_absolute():
@@ -360,16 +380,12 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
         stages=stages,
         outcome=need("outcome"),
         stage_columns=bindings,
-        models=models,
-        mode=mode,
-        adherence=adherence,
+        plan=plan,
         inference_method=method,
-        bootstrap_replicates=int(inference_raw.get("replicates", 1000)),
-        level=float(inference_raw.get("level", 0.95)),
-        seed=int(raw.get("seed", _default_seed(None))),
-        exact_pseudo_outcomes=bool(raw.get("exact_pseudo_outcomes", False)),
-        proxy_kind=raw.get("proxy_kind"),
-        jobs=int(raw.get("jobs", 1)),
+        bootstrap_replicates=replicates,
+        level=level,
+        seed=seed,
+        jobs=jobs,
     )
 
 
@@ -472,9 +488,7 @@ def read_dataset_csv(config: AnalysisConfig):
         elif actuals[j] is not None:
             validation[:, j] = ~np.isnan(actuals[j])
 
-    proxy_kind = config.proxy_kind
-    if proxy_kind is None:
-        proxy_kind = "reported" if config.mode == "modified-reported" else "prescribed"
+    proxy_kind = config.plan.proxy_kind or "prescribed"
     prescribed = proxies if proxy_kind == "prescribed" else [None] * k
     reported = proxies if proxy_kind == "reported" else [None] * k
 
@@ -499,19 +513,6 @@ def read_dataset_csv(config: AnalysisConfig):
     return data, diagnostics
 
 
-def _analysis_plan(config: AnalysisConfig) -> EstimationPlan:
-    try:
-        return EstimationPlan(
-            specs=tuple(config.models),
-            mode=config.mode,
-            adherence=config.adherence,
-            exact_pseudo_outcomes=config.exact_pseudo_outcomes,
-            proxy_kind=config.proxy_kind,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
 def _add_analyze_parser(subparsers):
     p = subparsers.add_parser("analyze", help="fit a regime to a CSV dataset")
     p.add_argument("config")
@@ -522,13 +523,13 @@ def _add_analyze_parser(subparsers):
 def cmd_analyze(args) -> int:
     config = load_analysis_config(Path(args.config))
     data, diagnostics = read_dataset_csv(config)
-    plan = _analysis_plan(config)
+    plan = config.plan
 
     fit = plan.estimate(data)  # estimation failures -> exit 3 in main()
 
     intervals = None
     if config.inference_method == "wald-sandwich":
-        intervals = regime_wald_intervals(data, plan, fit, config.level)
+        intervals = regime_wald_intervals(data, fit, config.level)
     elif config.inference_method == "bootstrap":
         names = [f"psi{j}.{label}" for j, label in fit.parameter_labels()]
         intervals = bootstrap(
@@ -549,8 +550,9 @@ def cmd_analyze(args) -> int:
 
 
 def _fit_payload(config, fit, intervals, diagnostics) -> dict:
+    plan = fit.plan
     stages = []
-    for j, spec in enumerate(fit.specs, start=1):
+    for j, spec in enumerate(plan.specs, start=1):
         nuis = fit.nuisance[j - 1]
         stage = {
             "stage": j,
@@ -574,9 +576,9 @@ def _fit_payload(config, fit, intervals, diagnostics) -> dict:
             }
         stages.append(stage)
     payload = {
-        "mode": fit.mode,
-        "proxy_kind": fit.proxy_kind,
-        "exact_pseudo_outcomes": fit.exact_pseudo_outcomes,
+        "mode": plan.mode,
+        "proxy_kind": plan.proxy_kind,
+        "exact_pseudo_outcomes": plan.exact_pseudo_outcomes,
         "stages": stages,
         "recommendation_rule": [
             {
@@ -584,7 +586,7 @@ def _fit_payload(config, fit, intervals, diagnostics) -> dict:
                 "terms": spec.contrast.term_labels(),
                 "coefficients": list(fit.psi[j - 1]),
             }
-            for j, spec in enumerate(fit.specs, start=1)
+            for j, spec in enumerate(plan.specs, start=1)
         ],
         "diagnostics": {**diagnostics, **fit.diagnostics},
     }
@@ -646,20 +648,13 @@ def read_grid_csv(path: Path, models) -> list:
 
 def cmd_sensitivity(args) -> int:
     config = load_analysis_config(Path(args.config))
-    if not config.mode.startswith("modified"):
+    plan = config.plan
+    if not plan.is_modified:
         raise ConfigError("sensitivity sweeps require a modified mode")
-    grid = read_grid_csv(Path(args.grid), config.models)
+    grid = read_grid_csv(Path(args.grid), plan.specs)
     data, diagnostics = read_dataset_csv(config)
-    _analysis_plan(config)  # validates mode/spec compatibility
 
-    points = sensitivity_sweep(
-        data,
-        config.models,
-        grid,
-        config.mode,
-        exact_pseudo_outcomes=config.exact_pseudo_outcomes,
-        proxy_kind=config.proxy_kind,
-    )
+    points = sensitivity_sweep(data, plan, grid)
     reference = next((p for p in points if p.fit is not None), None)
     if reference is None:
         print("sensitivity: every grid point failed", file=sys.stderr)
@@ -677,7 +672,7 @@ def cmd_sensitivity(args) -> int:
                 continue
             recs = recommendations_matrix(point.fit, data)
             agreement = float(np.mean(recs == ref_recs))
-            for j, spec in enumerate(config.models, start=1):
+            for j, spec in enumerate(plan.specs, start=1):
                 for label, value in zip(spec.contrast.term_labels(), point.fit.psi[j - 1]):
                     writer.writerow(
                         [idx, j, label, _float_repr(value), _float_repr(agreement)]

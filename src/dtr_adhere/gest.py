@@ -22,7 +22,7 @@ the effect of treatment actually taken rather than of its proxy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,6 +49,10 @@ _SUBSTITUTION = {
     "modified-reported": MODE_USE_EXPECTED,
 }
 MODES = tuple(_SUBSTITUTION)
+# The proxy each corrected mode is built for; the standard modes use the
+# plan's kind or, failing that, the one the dataset records.
+_MODE_PROXY_KIND = {"modified-prescribed": "prescribed", "modified-reported": "reported"}
+_PROXY_KINDS = tuple(_MODE_PROXY_KIND.values())
 
 CONDITION_LIMIT = 1e12
 POSITIVITY_EPS = 1e-12
@@ -271,7 +275,9 @@ def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray) -> GlmFi
 
 @dataclass(frozen=True)
 class EstimationPlan:
-    """Bundle of everything needed to fit a regime on a dataset."""
+    """One estimator: stage models, mode, adherence source, pseudo-outcome
+    form and proxy kind.  The corrected modes fix the proxy kind; the
+    standard modes leave it ``None`` to use the dataset's."""
 
     specs: tuple
     mode: str
@@ -282,20 +288,25 @@ class EstimationPlan:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown estimation mode '{self.mode}'")
+        if self.proxy_kind not in (None, *_PROXY_KINDS):
+            raise ValueError(f"proxy_kind must be one of {_PROXY_KINDS}, got {self.proxy_kind!r}")
+        implied = _MODE_PROXY_KIND.get(self.mode)
+        if implied is not None:
+            if self.proxy_kind not in (None, implied):
+                raise ValueError(
+                    f"proxy_kind {self.proxy_kind!r} conflicts with mode '{self.mode}'"
+                )
+            object.__setattr__(self, "proxy_kind", implied)
         object.__setattr__(self, "specs", tuple(self.specs))
 
     @property
     def is_modified(self) -> bool:
         return self.mode.startswith("modified")
 
-    def resolve_proxy_kind(self, data: Dataset) -> Optional[str]:
-        if self.mode == "modified-prescribed":
-            return "prescribed"
-        if self.mode == "modified-reported":
-            return "reported"
-        if self.proxy_kind is not None:
-            return self.proxy_kind
-        return data.default_proxy_kind()
+    @property
+    def fits_adherence(self) -> bool:
+        """Whether the adherence model is fitted from validation rows."""
+        return self.is_modified and self.adherence is not None and self.adherence.kind == "fitted"
 
     def estimate(self, data: Dataset) -> "RegimeFit":
         return _fit_regime(self, data)
@@ -309,17 +320,11 @@ class EstimationPlan:
 class RegimeFit:
     """Fitted regime: contrast estimates with nuisances and diagnostics."""
 
-    mode: str
+    plan: EstimationPlan  # the fitted plan, its proxy kind resolved on the data
     psi: tuple
     nuisance: tuple  # per stage: {"alpha": array|None, "beta": array, "gamma": array}
     pseudo_outcomes: np.ndarray  # (n, K); column j-1 holds the stage-j pseudo outcome
     diagnostics: dict
-    specs: tuple
-    proxy_kind: Optional[str]
-    # The adherence model the rules evaluate: the plan's own source, or the
-    # fitted coefficients as a known source (unused in the standard modes).
-    adherence: Optional[AdherenceSource]
-    exact_pseudo_outcomes: bool
 
     @property
     def n_stages(self) -> int:
@@ -328,34 +333,13 @@ class RegimeFit:
     def parameter_labels(self) -> list:
         return [
             (j, label)
-            for j, spec in enumerate(self.specs, start=1)
+            for j, spec in enumerate(self.plan.specs, start=1)
             for label in spec.contrast.term_labels()
         ]
-
-    def plan(self) -> EstimationPlan:
-        """A plan that re-evaluates this fit's stage system on other data."""
-        return EstimationPlan(specs=self.specs, mode=self.mode, adherence=self.adherence,
-                              exact_pseudo_outcomes=self.exact_pseudo_outcomes,
-                              proxy_kind=self.proxy_kind)
 
 
 def psi_flat(fit: RegimeFit) -> np.ndarray:
     return np.concatenate(fit.psi)
-
-
-def estimate_regime(
-    data: Dataset,
-    specs: Sequence[StageModelSpec],
-    mode: str,
-    adherence: Optional[AdherenceSource] = None,
-    *,
-    exact_pseudo_outcomes: bool = False,
-    proxy_kind: Optional[str] = None,
-) -> RegimeFit:
-    """Fit all stage contrasts by backward induction.  See module docstring."""
-    return EstimationPlan(specs=tuple(specs), mode=mode, adherence=adherence,
-                          exact_pseudo_outcomes=exact_pseudo_outcomes,
-                          proxy_kind=proxy_kind).estimate(data)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +370,7 @@ class _StageSystem:
         self.plan = plan
         self.data = data
         self.k = data.n_stages
-        self.proxy_kind = plan.resolve_proxy_kind(data)
+        self.proxy_kind = plan.proxy_kind or data.default_proxy_kind()
         self.design_mode = _SUBSTITUTION[plan.mode]
         self.assign_mode = MODE_USE_ACTUAL if plan.mode == "standard-actual" else MODE_USE_PROXY
 
@@ -487,7 +471,8 @@ class _StageSystem:
 
     def rules(self, fit: RegimeFit, stages) -> list:
         """Rule outputs (1 iff the contrast is strictly positive) per stage."""
-        _, pi = self.adherence(max(stages) - 1)
+        fitted = (lambda j, _: fit.nuisance[j - 1]["alpha"]) if self.plan.fits_adherence else None
+        _, pi = self.adherence(max(stages) - 1, fitted)
         return [
             (self.design(self.plan.specs[j - 1].contrast, j, pi) @ fit.psi[j - 1] > 0.0)
             .astype(int)
@@ -550,8 +535,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset) -> RegimeFit:
         alpha[j] = _fit_validation_rows(data, j, design).coefficients
         return alpha[j]
 
-    fitted = plan.is_modified and plan.adherence.kind == "fitted"
-    _, pi = system.adherence(k, fit_alpha if fitted else None)
+    _, pi = system.adherence(k, fit_alpha if plan.fits_adherence else None)
 
     gammas = {}
 
@@ -585,11 +569,8 @@ def _fit_regime(plan: EstimationPlan, data: Dataset) -> RegimeFit:
 
     _, pseudo = system.backward(pi, solve)
     stages = range(1, k + 1)
-    adherence = plan.adherence
-    if fitted:
-        adherence = AdherenceSource.known(coefficients=[alpha[j] for j in stages])
     return RegimeFit(
-        mode=plan.mode,
+        plan=replace(plan, proxy_kind=system.proxy_kind),
         psi=tuple(psis[j] for j in stages),
         nuisance=tuple(
             {"alpha": alpha.get(j), "beta": betas[j], "gamma": gammas[j].coefficients}
@@ -603,10 +584,6 @@ def _fit_regime(plan: EstimationPlan, data: Dataset) -> RegimeFit:
             "positivity_violations": positivity,
             "assignment_iterations": [gammas[j].iterations for j in stages],
         },
-        specs=plan.specs,
-        proxy_kind=system.proxy_kind,
-        adherence=adherence,
-        exact_pseudo_outcomes=plan.exact_pseudo_outcomes,
     )
 
 
@@ -624,12 +601,12 @@ def recommend(fit: RegimeFit, history: Trajectory, stage: int) -> int:
     # The rule needs no outcome; a placeholder makes the history a dataset.
     cut = Trajectory(id=history.id, stages=history.stages[:stage], outcome=0.0)
     data = Dataset.from_trajectories([cut])
-    return int(_StageSystem(fit.plan(), data).rules(fit, [stage])[0][0])
+    return int(_StageSystem(fit.plan, data).rules(fit, [stage])[0][0])
 
 
 def recommendations_matrix(fit: RegimeFit, data: Dataset) -> np.ndarray:
     """(n, K) matrix of rule outputs for every individual and stage."""
-    rules = _StageSystem(fit.plan(), data).rules(fit, range(1, data.n_stages + 1))
+    rules = _StageSystem(fit.plan, data).rules(fit, range(1, data.n_stages + 1))
     return np.column_stack(rules)
 
 
@@ -644,33 +621,18 @@ class SweepPoint:
     error: Optional[str]
 
 
-def sensitivity_sweep(
-    data: Dataset,
-    specs: Sequence[StageModelSpec],
-    grid: Sequence,
-    mode: str,
-    *,
-    exact_pseudo_outcomes: bool = False,
-    proxy_kind: Optional[str] = None,
-) -> list:
-    """Re-estimate once per grid point with adherence pinned to the given
-    coefficients (no adherence uncertainty).  A flat vector is applied to
-    every stage; a sequence of vectors maps stage by stage.  Failed points
-    are collected, not fatal.
+def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> list:
+    """Re-estimate ``plan`` once per grid point with adherence pinned to the
+    point's coefficient vector at every stage (no adherence uncertainty).
+    Failed points are collected, not fatal.
     """
     if not grid:
         raise ValueError("sensitivity grid is empty")
-    k = data.n_stages
     points = []
     for entry in grid:
-        arr = np.asarray(entry, dtype=float)
-        per_stage = tuple(arr for _ in range(k)) if arr.ndim == 1 else tuple(arr)
-        plan = EstimationPlan(specs=tuple(specs), mode=mode,
-                              adherence=AdherenceSource.sensitivity(per_stage),
-                              exact_pseudo_outcomes=exact_pseudo_outcomes,
-                              proxy_kind=proxy_kind)
+        per_stage = (np.asarray(entry, dtype=float),) * data.n_stages
         try:
-            fit = plan.estimate(data)
+            fit = replace(plan, adherence=AdherenceSource.sensitivity(per_stage)).estimate(data)
             points.append(SweepPoint(coefficients=per_stage, fit=fit, error=None))
         except Exception as err:  # noqa: BLE001 - per-point failures are data
             points.append(SweepPoint(coefficients=per_stage, fit=None, error=str(err)))
@@ -681,9 +643,8 @@ def sensitivity_sweep(
 # Stacked per-individual scores (for sandwich variance estimation)
 
 
-# Parameter symbol of each block; also the nuisance keys of a RegimeFit.
-_SYMBOL = {"treatment_free": "beta", "adherence": "alpha", "assignment": "gamma",
-           "contrast": "psi"}
+# The RegimeFit nuisance key of each non-contrast block.
+_NUISANCE_KEY = {"treatment_free": "beta", "adherence": "alpha", "assignment": "gamma"}
 
 
 @dataclass(frozen=True)
@@ -700,18 +661,19 @@ class StackedScore:
 
     Parameters are packed stage K down to stage 1; within a stage the order is
     treatment-free, adherence (only when fitted from validation rows),
-    assignment, contrast.  The forward pass re-evaluates the stage system --
-    adherence and assignment probabilities, substituted designs and pseudo
-    outcomes -- at the supplied parameters, so derivatives propagate nuisance
-    uncertainty into the contrast blocks.
+    assignment, contrast.  The forward pass re-evaluates the stage system of
+    ``fit.plan`` -- adherence and assignment probabilities, substituted
+    designs and pseudo outcomes -- at the supplied parameters, so derivatives
+    propagate nuisance uncertainty into the contrast blocks.  ``theta_hat``
+    packs the fit's own estimates, so the score is the system the fit solved.
     """
 
-    def __init__(self, data: Dataset, plan: EstimationPlan, fit: RegimeFit):
+    def __init__(self, data: Dataset, fit: RegimeFit):
+        plan = fit.plan
         self.data = data
-        self.plan = plan
         self.k = data.n_stages
         self.system = _StageSystem(plan, data)
-        self.adherence_fitted = plan.is_modified and plan.adherence.kind == "fitted"
+        self.adherence_fitted = plan.fits_adherence
         # Fixed adherence (known, external, sensitivity) has no parameters.
         self.fixed_adherence = None if self.adherence_fitted else self.system.adherence(self.k)
 
@@ -737,7 +699,7 @@ class StackedScore:
             j = block.stage
             theta[block.start : block.start + block.size] = (
                 fit.psi[j - 1] if block.kind == "contrast"
-                else fit.nuisance[j - 1][_SYMBOL[block.kind]]
+                else fit.nuisance[j - 1][_NUISANCE_KEY[block.kind]]
             )
         return theta
 
@@ -749,13 +711,6 @@ class StackedScore:
         """Indices of contrast parameters in theta, ordered stage 1..K."""
         contrast = sorted((b.stage, b.start, b.size) for b in self.blocks if b.kind == "contrast")
         return np.concatenate([np.arange(start, start + size) for _, start, size in contrast])
-
-    def parameter_names(self) -> list:
-        return [
-            f"{_SYMBOL[b.kind]}{b.stage}.{label}"
-            for b in self.blocks
-            for label in getattr(self.plan.specs[b.stage - 1], b.kind).term_labels()
-        ]
 
     def per_individual(self, theta: np.ndarray) -> np.ndarray:
         params = self._unpack(np.asarray(theta, dtype=float))

@@ -12,11 +12,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .gest import EstimationPlan, RegimeFit, StackedScore, psi_flat
+from .gest import RegimeFit, StackedScore, psi_flat
 from .model import Dataset
 
 
@@ -33,8 +33,6 @@ class SandwichResult:
     sigma_theta: np.ndarray
     sigma_psi: np.ndarray
     bread_condition: float
-    theta_names: Optional[tuple] = None
-    psi_names: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,6 @@ def sandwich(
     *,
     psi_index=None,
     step: float = 1e-6,
-    theta_names=None,
 ) -> SandwichResult:
     """Sandwich covariance for a stacked estimating equation.
 
@@ -120,75 +117,53 @@ def sandwich(
     meat = s_hat.T @ s_hat / n
     sigma = bread @ meat @ bread.T / n
     sigma = 0.5 * (sigma + sigma.T)
-    if psi_index is None:
-        sigma_psi = sigma
-        psi_names = tuple(theta_names) if theta_names is not None else None
-    else:
-        idx = np.asarray(psi_index, dtype=int)
-        sigma_psi = sigma[np.ix_(idx, idx)]
-        psi_names = (
-            tuple(np.asarray(theta_names, dtype=object)[idx]) if theta_names is not None else None
-        )
-    return SandwichResult(
-        sigma_theta=sigma,
-        sigma_psi=sigma_psi,
-        bread_condition=cond,
-        theta_names=None if theta_names is None else tuple(theta_names),
-        psi_names=psi_names,
-    )
+    sigma_psi = sigma if psi_index is None else sigma[np.ix_(psi_index, psi_index)]
+    return SandwichResult(sigma_theta=sigma, sigma_psi=sigma_psi, bread_condition=cond)
 
 
-def regime_sandwich(
-    data: Dataset, plan: EstimationPlan, fit: RegimeFit, *, step: float = 1e-6
-) -> SandwichResult:
-    """Sandwich covariance for a fitted regime.
+def regime_sandwich(data: Dataset, fit: RegimeFit, *, step: float = 1e-6) -> SandwichResult:
+    """Sandwich covariance for a fitted regime, from the stacked score of
+    the system ``fit.plan`` solved on ``data``.
 
     Known, external, and sensitivity adherence parameters are held fixed
     (their blocks are not part of the stacked parameter); when an external
     source supplies a coefficient covariance, the contrast covariance is
     inflated by the delta-method term for that fixed plug-in.
     """
-    stacked = StackedScore(data, plan, fit)
-    result = sandwich(
-        stacked.per_individual,
-        stacked.theta_hat,
-        psi_index=stacked.psi_index,
-        step=step,
-        theta_names=stacked.parameter_names(),
-    )
-    source = plan.adherence
+    stacked = StackedScore(data, fit)
+    result = sandwich(stacked.per_individual, stacked.theta_hat,
+                      psi_index=stacked.psi_index, step=step)
+    source = fit.plan.adherence
     if source is not None and source.kind == "external" and source.covariance is not None:
-        extra = _external_adjustment(data, plan, source)
+        extra = _external_adjustment(data, fit)
         result = replace(result, sigma_psi=result.sigma_psi + extra)
     return result
 
 
-def _external_adjustment(data: Dataset, plan: EstimationPlan, source) -> np.ndarray:
+def _external_adjustment(data: Dataset, fit: RegimeFit) -> np.ndarray:
     """Delta-method inflation for externally estimated adherence coefficients:
     G Sigma_alpha G^T with G the derivative of the contrast estimates with
-    respect to the plugged-in coefficients, by re-estimation."""
-    base = plan.psi_estimator(data)
-    grads = []
-    sigmas = []
-    for stage_idx, coef in enumerate(source.coefficients):
-        cov = source.covariance[stage_idx] if stage_idx < len(source.covariance) else None
-        if cov is None:
-            continue
-        coef = np.asarray(coef, dtype=float)
-        for k in range(coef.shape[0]):
-            h = 1e-5 * max(1.0, abs(coef[k]))
-            cols = []
-            for sign in (+1.0, -1.0):
-                shifted = [np.array(c, dtype=float) for c in source.coefficients]
-                shifted[stage_idx][k] += sign * h
-                perturbed = replace(plan, adherence=replace(source, coefficients=tuple(shifted)))
-                cols.append(perturbed.psi_estimator(data))
-            grads.append((cols[0] - cols[1]) / (2.0 * h))
-        sigmas.append(np.asarray(cov, dtype=float))
-    if not grads:
-        return np.zeros((base.shape[0], base.shape[0]))
-    g = np.column_stack(grads)
-    sigma_alpha = _block_diag(sigmas)
+    respect to the plugged-in coefficients of the stages that carry a
+    covariance, by re-estimation."""
+    source = fit.plan.adherence
+    stages = [j for j, cov in enumerate(source.covariance[: len(source.coefficients)])
+              if cov is not None]
+    if not stages:
+        size = psi_flat(fit).shape[0]
+        return np.zeros((size, size))
+
+    def psi_at(alpha):
+        coefficients = list(source.coefficients)
+        at = 0
+        for j in stages:
+            coefficients[j] = alpha[at : at + coefficients[j].shape[0]]
+            at += coefficients[j].shape[0]
+        adherence = replace(source, coefficients=tuple(coefficients))
+        return replace(fit.plan, adherence=adherence).psi_estimator(data)
+
+    alpha = np.concatenate([source.coefficients[j] for j in stages])
+    g = numerical_jacobian(psi_at, alpha, step=1e-5)
+    sigma_alpha = _block_diag([np.asarray(source.covariance[j], dtype=float) for j in stages])
     return g @ sigma_alpha @ g.T
 
 
@@ -297,11 +272,10 @@ def bootstrap(
 
 
 def regime_wald_intervals(
-    data: Dataset, plan: EstimationPlan, fit: RegimeFit, level: float = 0.95,
-    *, step: float = 1e-6
+    data: Dataset, fit: RegimeFit, level: float = 0.95, *, step: float = 1e-6
 ) -> IntervalSet:
     """Convenience wrapper: sandwich covariance then Wald intervals for the
     flattened contrast parameters (stage 1 first)."""
-    result = regime_sandwich(data, plan, fit, step=step)
+    result = regime_sandwich(data, fit, step=step)
     names = [f"psi{j}.{label}" for j, label in fit.parameter_labels()]
     return wald_intervals(psi_flat(fit), result.sigma_psi, level, names=names)

@@ -355,7 +355,7 @@ def _replicate(config: ScenarioConfig, index: int):
             estimates = psi_flat(fit)
             hits = None
             if config.coverage:
-                intervals = regime_wald_intervals(data, plan, fit, config.coverage_level)
+                intervals = regime_wald_intervals(data, fit, config.coverage_level)
                 hits = ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
             out[name] = (estimates, hits, None)
         except Exception as err:  # noqa: BLE001 - failures are tallied

@@ -20,7 +20,6 @@ from dtr_adhere.gest import (
     AdherenceSource,
     EstimationPlan,
     StageModelSpec,
-    estimate_regime,
     pseudo_outcome_exact,
     psi_flat,
 )
@@ -207,8 +206,8 @@ def test_criterion_5_reduction_identity():
     worst = 0.0
     for _ in range(50):
         data = _random_perfect_adherence_dataset(rng)
-        modified = estimate_regime(data, specs, "modified-prescribed", pinned)
-        standard = estimate_regime(data, specs, "standard-actual")
+        modified = EstimationPlan(specs, "modified-prescribed", pinned).estimate(data)
+        standard = EstimationPlan(specs, "standard-actual").estimate(data)
         gap = max(
             float(np.max(np.abs(a - b))) for a, b in zip(modified.psi, standard.psi)
         )

@@ -275,6 +275,22 @@ class TestMalformedConfig:
             lambda c: c.update(stages="two"), "stages must be an integer"),
         "models not a list": (
             lambda c: c.update(models=5), "models must be a list"),
+        "level outside (0, 1)": (
+            lambda c: c.update(inference={"method": "bootstrap", "replicates": 20, "level": 2}),
+            "inference.level must be in (0, 1)"),
+        "bootstrap replicates below 2": (
+            lambda c: c.update(inference={"method": "bootstrap", "replicates": 1}),
+            "inference.replicates must be >= 2"),
+        "seed not an integer": (
+            lambda c: c.update(seed="five"), "seed must be an integer"),
+        "jobs below 1": (
+            lambda c: c.update(jobs=0, inference={"method": "bootstrap", "replicates": 20}),
+            "jobs must be >= 1"),
+        "unknown proxy_kind": (
+            lambda c: c.update(proxy_kind="nope"), "proxy_kind must be one of"),
+        "proxy_kind conflicting with the mode": (
+            lambda c: c.update(proxy_kind="reported"),
+            "proxy_kind 'reported' conflicts with mode 'modified-prescribed'"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -1,5 +1,7 @@
 """Estimation core: pseudo outcomes, stage solves, adherence fits, full fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from dtr_adhere.gest import (
     StackedScore,
     StageModelSpec,
     _fit_stage,
-    estimate_regime,
     fit_adherence,
     pseudo_outcome_exact,
     pseudo_outcome_modified,
@@ -296,8 +297,8 @@ class TestEstimateRegime:
     def test_psi_shapes(self):
         rng = np.random.default_rng(0)
         data = generate_s1(300, 0.0, rng)
-        fit = estimate_regime(data, scenario_models("s1"), "modified-prescribed",
-                              AdherenceSource.fitted())
+        fit = EstimationPlan(scenario_models("s1"), "modified-prescribed",
+                             AdherenceSource.fitted()).estimate(data)
         assert [len(p) for p in fit.psi] == [2, 3]
         assert fit.pseudo_outcomes.shape == (300, 2)
         assert np.all(np.isfinite(fit.pseudo_outcomes))
@@ -310,8 +311,8 @@ class TestEstimateRegime:
         pinned = AdherenceSource.known(
             coefficients=(np.array([-1000.0, 2000.0]), np.array([-1000.0, 2000.0]))
         )
-        modified = estimate_regime(data, specs, "modified-prescribed", pinned)
-        standard = estimate_regime(data, specs, "standard-actual")
+        modified = EstimationPlan(specs, "modified-prescribed", pinned).estimate(data)
+        standard = EstimationPlan(specs, "standard-actual").estimate(data)
         for a, b in zip(modified.psi, standard.psi):
             np.testing.assert_allclose(a, b, atol=1e-10)
         np.testing.assert_allclose(
@@ -327,8 +328,8 @@ class TestEstimateRegime:
             return np.asarray(proxy, dtype=float)
 
         known = AdherenceSource.known(probability=proxy_is_truth)
-        modified = estimate_regime(data, specs, "modified-prescribed", known)
-        standard = estimate_regime(data, specs, "standard-actual")
+        modified = EstimationPlan(specs, "modified-prescribed", known).estimate(data)
+        standard = EstimationPlan(specs, "standard-actual").estimate(data)
         for a, b in zip(modified.psi, standard.psi):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
@@ -357,14 +358,27 @@ class TestEstimateRegime:
         rng = np.random.default_rng(0)
         data = generate_s1(100, 0.0, rng)
         with pytest.raises(Exception, match="AdherenceSource"):
-            estimate_regime(data, scenario_models("s1"), "modified-prescribed")
+            EstimationPlan(scenario_models("s1"), "modified-prescribed").estimate(data)
 
     def test_mode_field_compatibility(self):
         rng = np.random.default_rng(0)
         data = generate_s4(100, 0.0, rng)  # reported proxies only
         with pytest.raises(Exception, match="prescribed"):
-            estimate_regime(data, scenario_models("s4"), "modified-prescribed",
-                            AdherenceSource.fitted())
+            EstimationPlan(scenario_models("s4"), "modified-prescribed",
+                           AdherenceSource.fitted()).estimate(data)
+
+    def test_plan_resolves_proxy_kind(self):
+        specs = scenario_models("s4")
+        assert EstimationPlan(specs, "modified-reported").proxy_kind == "reported"
+        with pytest.raises(ValueError, match="conflicts"):
+            EstimationPlan(specs, "modified-reported", proxy_kind="prescribed")
+        with pytest.raises(ValueError, match="proxy_kind"):
+            EstimationPlan(specs, "standard-naive-proxy", proxy_kind="nope")
+        # a standard mode takes the dataset's kind; the fit records it
+        data = generate_s4(300, 0.0, np.random.default_rng(0))
+        plan = EstimationPlan(specs, "standard-naive-proxy")
+        assert plan.proxy_kind is None
+        assert plan.estimate(data).plan.proxy_kind == "reported"
 
     def test_determinism(self):
         rng = np.random.default_rng(55)
@@ -381,7 +395,7 @@ class TestEstimateRegime:
         data = generate_s1(2000, 1.0, rng)
         plan = scenario_plan("s1", "modified-fitted", exact_pseudo_outcomes=True)
         fit = plan.estimate(data)
-        assert fit.exact_pseudo_outcomes
+        assert fit.plan.exact_pseudo_outcomes
         approx = scenario_plan("s1", "modified-fitted").estimate(data)
         # same stage-2 solve; only the handed-back pseudo outcome differs
         np.testing.assert_array_equal(fit.psi[1], approx.psi[1])
@@ -416,8 +430,8 @@ class TestEstimateRegime:
     def test_exact_pseudo_outcomes_reject_two_lags(self):
         data, specs = self.two_lag_problem()
         with pytest.raises(Exception, match="one lagged treatment"):
-            estimate_regime(data, specs, "modified-prescribed", AdherenceSource.fitted(),
-                            exact_pseudo_outcomes=True)
+            EstimationPlan(specs, "modified-prescribed", AdherenceSource.fitted(),
+                           exact_pseudo_outcomes=True).estimate(data)
 
     def test_stacked_score_rejects_two_lags(self):
         # the score evaluates the same pseudo outcomes as estimation, so it
@@ -426,9 +440,8 @@ class TestEstimateRegime:
         plan = EstimationPlan(specs=tuple(specs), mode="modified-prescribed",
                               adherence=AdherenceSource.fitted())
         fit = plan.estimate(data)
-        exact = EstimationPlan(specs=plan.specs, mode=plan.mode, adherence=plan.adherence,
-                               exact_pseudo_outcomes=True)
-        score = StackedScore(data, exact, fit)
+        exact = dataclasses.replace(plan, exact_pseudo_outcomes=True)
+        score = StackedScore(data, dataclasses.replace(fit, plan=exact))
         with pytest.raises(EstimationError, match="one lagged treatment"):
             score.per_individual(score.theta_hat)
 
@@ -567,7 +580,7 @@ class TestStackedScore:
             adherence = AdherenceSource.external(alpha)
         plan = EstimationPlan(specs=base.specs, mode=base.mode, adherence=adherence,
                               exact_pseudo_outcomes=exact)
-        score = StackedScore(data, plan, plan.estimate(data))
+        score = StackedScore(data, plan.estimate(data))
         assert np.max(np.abs(score.mean(score.theta_hat))) <= 1e-9
 
 
@@ -575,9 +588,9 @@ class TestSensitivitySweep:
     def test_true_coefficients_match_known_estimation(self):
         rng = np.random.default_rng(14)
         data = generate_s1(2000, 0.0, rng)
-        specs = scenario_models("s1")
+        plan = scenario_plan("s1", "modified-fitted")
         grid = [np.array([-4.6, -0.83, 7.5])]
-        points = sensitivity_sweep(data, specs, grid, "modified-prescribed")
+        points = sensitivity_sweep(data, plan, grid)
         assert points[0].error is None
         known_fit = scenario_plan("s1", "modified-known").estimate(data)
         for a, b in zip(points[0].fit.psi, known_fit.psi):
@@ -586,10 +599,8 @@ class TestSensitivitySweep:
     def test_perfect_adherence_point_matches_naive(self):
         rng = np.random.default_rng(15)
         data = generate_s1(2000, 0.0, rng)
-        specs = scenario_models("s1")
-        points = sensitivity_sweep(
-            data, specs, [np.array([-1000.0, 0.0, 2000.0])], "modified-prescribed"
-        )
+        plan = scenario_plan("s1", "modified-fitted")
+        points = sensitivity_sweep(data, plan, [np.array([-1000.0, 0.0, 2000.0])])
         naive = scenario_plan("s1", "naive-proxy").estimate(data)
         for a, b in zip(points[0].fit.psi, naive.psi):
             np.testing.assert_allclose(a, b, atol=1e-10)
@@ -597,9 +608,9 @@ class TestSensitivitySweep:
     def test_five_point_sweep_collects_results(self):
         rng = np.random.default_rng(16)
         data = generate_s1(3000, 0.0, rng)
-        specs = scenario_models("s1")
+        plan = scenario_plan("s1", "modified-fitted")
         grid = [np.array([-4.6, -0.83, c]) for c in (5.5, 6.5, 7.5, 8.5, 9.5)]
-        points = sensitivity_sweep(data, specs, grid, "modified-prescribed")
+        points = sensitivity_sweep(data, plan, grid)
         assert len(points) == 5
         assert all(p.error is None for p in points)
         intercepts = [p.fit.psi[1][0] for p in points]
@@ -608,8 +619,8 @@ class TestSensitivitySweep:
     def test_failures_collected_not_fatal(self):
         rng = np.random.default_rng(17)
         data = generate_s1(500, 0.0, rng)
-        specs = scenario_models("s1")
+        plan = scenario_plan("s1", "modified-fitted")
         grid = [np.array([0.0, 0.0, 0.0]), np.array([-4.6, -0.83, 7.5])]
-        points = sensitivity_sweep(data, specs, grid, "modified-prescribed")
+        points = sensitivity_sweep(data, plan, grid)
         assert points[0].error is not None  # uninformative proxy: singular system
         assert points[1].error is None

@@ -33,7 +33,7 @@ class TestNumericalJacobian:
         data = generate_s1(50, 0.0, rng, validation_fraction=0.5)
         plan = scenario_plan("s1", "modified-fitted")
         fit = plan.estimate(data)
-        score = StackedScore(data, plan, fit)
+        score = StackedScore(data, fit)
         coarse = numerical_jacobian(score.mean, score.theta_hat, step=1e-6)
         fine = numerical_jacobian(score.mean, score.theta_hat, step=1e-7)
         scale = np.linalg.norm(fine)
@@ -78,7 +78,7 @@ class TestSandwich:
         data = generate_s1(800, 1.0, rng)
         plan = scenario_plan("s1", "modified-fitted")
         fit = plan.estimate(data)
-        result = regime_sandwich(data, plan, fit)
+        result = regime_sandwich(data, fit)
         sym_err = np.max(np.abs(result.sigma_theta - result.sigma_theta.T))
         assert sym_err <= 1e-8 * max(1.0, np.max(np.abs(result.sigma_theta)))
         eigs = np.linalg.eigvalsh(result.sigma_theta)
@@ -95,7 +95,7 @@ class TestSandwich:
                 rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(n, seed)))
                 data = generate_s1(n, 0.0, rng)
                 fit = plan.estimate(data)
-                acc.append(np.diag(regime_sandwich(data, plan, fit).sigma_psi))
+                acc.append(np.diag(regime_sandwich(data, fit).sigma_psi))
             diags[n] = np.mean(acc, axis=0)
         ratio = diags[1000] / diags[2000]
         assert np.all(np.abs(ratio - 2.0) < 0.4)  # halving within 20%
@@ -116,8 +116,8 @@ class TestExternalAdherenceCovariance:
         inflated = EstimationPlan(specs=specs, mode="modified-prescribed",
                                   adherence=AdherenceSource.external(coef, covariance=cov))
         fit = bare.estimate(data)
-        base = regime_sandwich(data, bare, fit)
-        adjusted = regime_sandwich(data, inflated, inflated.estimate(data))
+        base = regime_sandwich(data, fit)
+        adjusted = regime_sandwich(data, inflated.estimate(data))
         base_d = np.diag(base.sigma_psi)
         adj_d = np.diag(adjusted.sigma_psi)
         assert np.all(adj_d >= base_d - 1e-12)
@@ -226,7 +226,7 @@ class TestDualMethodCoverage:
             data = generate_s1(300, 1.0, rng, validation_fraction=0.3)
             try:
                 fit = plan.estimate(data)
-                wald = regime_wald_intervals(data, plan, fit, 0.95)
+                wald = regime_wald_intervals(data, fit, 0.95)
                 boot = bootstrap(data, plan.psi_estimator, inner, level=0.95,
                                  seed=100 + i, point_estimates=psi_flat(fit))
             except Exception:
