@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .gest import (
+    ESTIMATION_FAILURES,
     AdherenceSource,
     EstimationPlan,
     StageModelSpec,
@@ -29,9 +31,9 @@ from .gest import (
     sensitivity_sweep,
     validate_stage_models,
 )
-from .inference import bootstrap, regime_wald_intervals
+from .inference import BootstrapError, bootstrap, regime_wald_intervals
 from .model import DataError, Dataset, DesignError, FormulaError
-from .simulation import ESTIMATORS, SCENARIOS, ScenarioConfig, run_replications
+from .simulation import ESTIMATORS, ReplicationError, ScenarioConfig, run_replications
 
 SEED_ENV_VAR = "DTR_ADHERE_SEED"
 
@@ -44,24 +46,16 @@ class ConfigError(ValueError):
 # Serialization helpers
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _json_default(obj):
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload):
-    text = json.dumps(_plain(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -75,44 +69,35 @@ def _open_csv_writer(path: Path):
     return fh, csv.writer(fh, lineterminator="\n")
 
 
+def _csv_cells(values) -> list:
+    """A float column as CSV cells; a missing value (NaN) is an empty cell."""
+    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
+
+
 def write_dataset_csv(data: Dataset, path) -> dict:
     """Export a dataset with conventional column names; returns the per-stage
     column bindings in the shape the analyze config expects."""
-    k = data.n_stages
     kind = data.default_proxy_kind() or "prescribed"
     suffix = "star" if kind == "prescribed" else "rep"
-    header, bindings = ["id"], []
-    for j in range(1, k + 1):
-        entry = {"covariates": {}, "proxy": f"A{j}{suffix}", "actual": f"A{j}",
+    header, columns, bindings = ["id"], [], []
+    absent = np.full(data.n, np.nan)
+    for j in range(1, data.n_stages + 1):
+        covariates = {name: f"{name}{j}" for name in data.covariate_names}
+        entry = {"covariates": covariates, "proxy": f"A{j}{suffix}", "actual": f"A{j}",
                  "validation": f"V{j}"}
-        for name in data.covariate_names:
-            column = f"{name}{j}"
-            header.append(column)
-            entry["covariates"][name] = column
-        header.extend([f"A{j}{suffix}", f"A{j}", f"V{j}"])
+        header.extend([*covariates.values(), entry["proxy"], entry["actual"], entry["validation"]])
+        columns.extend(data.covariate(name, j) for name in data.covariate_names)
+        for col in (data.proxy(j, kind), data.actual(j)):
+            columns.append(absent if col is None else col)
+        columns.append(data.validation[:, j - 1] * 1.0)
         bindings.append(entry)
     header.append("Y")
-
-    def fmt(value):
-        if value is None or (isinstance(value, float) and np.isnan(value)):
-            return ""
-        return _float_repr(value)
+    columns.append(data.outcome)
 
     fh, writer = _open_csv_writer(Path(path))
     with fh:
         writer.writerow(header)
-        for i in range(data.n):
-            row = [str(data.ids[i])]
-            for j in range(1, k + 1):
-                for name in data.covariate_names:
-                    row.append(fmt(data.covariate(name, j)[i]))
-                proxy = data.proxy(j, kind)
-                row.append(fmt(proxy[i] if proxy is not None else None))
-                actual = data.actual(j)
-                row.append(fmt(actual[i] if actual is not None else None))
-                row.append(_float_repr(1.0 if data.validation[i, j - 1] else 0.0))
-            row.append(fmt(data.outcome[i]))
-            writer.writerow(row)
+        writer.writerows(zip([str(i) for i in data.ids], *map(_csv_cells, columns)))
     return {"stage_columns": bindings, "outcome": "Y", "proxy_kind": kind}
 
 
@@ -149,16 +134,6 @@ def _default_seed(explicit: Optional[int]) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {args.scenario!r}")
-    estimators = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ConfigError(f"unknown estimator {est!r}")
-    if not estimators:
-        raise ConfigError("no estimators requested")
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     try:
         config = ScenarioConfig(
             scenario=args.scenario,
@@ -167,7 +142,7 @@ def cmd_simulate(args) -> int:
             seed=_default_seed(args.seed),
             validation_fraction=args.validation,
             varied_param=args.param,
-            estimators=estimators,
+            estimators=tuple(e.strip() for e in args.estimators.split(",") if e.strip()),
             coverage=args.coverage,
             exact_pseudo_outcomes=args.exact_pseudo_outcomes,
             jobs=args.jobs,
@@ -196,21 +171,10 @@ def cmd_simulate(args) -> int:
 
 
 def _config_payload(config: ScenarioConfig) -> dict:
-    payload = {
-        "scenario": config.scenario,
-        "n": config.n,
-        "replications": config.replications,
-        "seed": config.seed,
-        "validation_fraction": config.validation_fraction,
-        "varied_param": config.varied_param,
-        "estimators": list(config.estimators),
-        "coverage": config.coverage,
-        "coverage_level": config.coverage_level,
-        "exact_pseudo_outcomes": config.exact_pseudo_outcomes,
-        "s3_treatment_free_indicator": config.s3_treatment_free_indicator,
-        "version": __version__,
-    }
-    return payload
+    payload = asdict(config)
+    # jobs is left out: outputs must not depend on the worker count
+    del payload["jobs"]
+    return {**payload, "version": __version__}
 
 
 def _summary_payload(summary) -> dict:
@@ -237,6 +201,10 @@ class StageBinding:
     actual: Optional[str] = None
     validation: Optional[str] = None
 
+    def columns(self) -> list:
+        """Every CSV column this stage reads."""
+        return [*self.covariates.values(), self.proxy, *filter(None, (self.actual, self.validation))]
+
 
 @dataclass
 class AnalysisConfig:
@@ -252,35 +220,44 @@ class AnalysisConfig:
     jobs: int = 1
 
 
+# How messages name each JSON type a config field may be required to have.
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+               list: "a list"}
+
+
+def _typed(value, kind, field: str):
+    """``value`` if it is a JSON value of ``kind``: ``int`` takes a JSON
+    integer, ``float`` any JSON number (returned as a float); a boolean is
+    neither."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> AnalysisConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # invalid JSON or not UTF-8
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    raw = _typed(raw, dict, "config")
     base = base_dir if base_dir is not None else Path(path).parent
 
-    def need(key):
+    def need(key, kind):
         if key not in raw:
             raise ConfigError(f"config is missing '{key}'")
-        return raw[key]
+        return _typed(raw[key], kind, key)
 
-    def number(kind, value, field):
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as err:
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{field} must be {what}, got {value!r}") from err
-
-    stages = number(int, need("stages"), "stages")
+    stages = need("stages", int)
     if stages < 1:
         raise ConfigError("stages must be >= 1")
 
     def per_stage(key):
-        value = need(key)
-        if not isinstance(value, list) or len(value) != stages:
+        value = need(key, list)
+        if len(value) != stages:
             raise ConfigError(f"{key} must be a list with one entry per stage")
         return value
 
@@ -288,17 +265,20 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
     for j, entry in enumerate(per_stage("stage_columns"), start=1):
         if not isinstance(entry, dict) or "proxy" not in entry:
             raise ConfigError(f"stage_columns entry {j} has no 'proxy' column")
-        bindings.append(
-            StageBinding(
-                covariates=dict(entry.get("covariates", {})),
-                proxy=entry["proxy"],
-                actual=entry.get("actual"),
-                validation=entry.get("validation"),
-            )
+        binding = StageBinding(
+            covariates=_typed(entry.get("covariates", {}), dict,
+                              f"stage_columns entry {j} covariates"),
+            proxy=entry["proxy"],
+            actual=entry.get("actual"),
+            validation=entry.get("validation"),
         )
+        if not all(isinstance(column, str) for column in binding.columns()):
+            raise ConfigError(f"stage_columns entry {j}: column names must be strings")
+        bindings.append(binding)
 
     models = []
     for j, entry in enumerate(per_stage("models"), start=1):
+        entry = _typed(entry, dict, f"models entry {j}")
         try:
             models.append(
                 StageModelSpec.from_strings(
@@ -317,47 +297,39 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
     except DesignError as err:
         raise ConfigError(f"stage out of range or invalid model: {err}") from err
 
-    mode = need("mode")
-    adherence_raw = raw.get("adherence", {"kind": "fitted"})
+    mode = need("mode", str)
+    adherence_raw = _typed(raw.get("adherence", {}), dict, "adherence")
     adherence = None
     if mode.startswith("modified"):
         kind = adherence_raw.get("kind", "fitted")
+        if kind not in ("fitted", "external", "sensitivity"):
+            raise ConfigError(f"unsupported adherence kind {kind!r} in a config file")
         try:
             if kind == "fitted":
                 adherence = AdherenceSource.fitted()
             elif kind == "external":
                 adherence = AdherenceSource.external(
-                    [np.asarray(c, dtype=float) for c in adherence_raw["coefficients"]],
-                    covariance=[
-                        None if c is None else np.asarray(c, dtype=float)
-                        for c in adherence_raw["covariance"]
-                    ]
-                    if adherence_raw.get("covariance") is not None
-                    else None,
-                )
-            elif kind == "sensitivity":
-                adherence = AdherenceSource.sensitivity(
-                    [np.asarray(c, dtype=float) for c in adherence_raw["coefficients"]]
+                    adherence_raw["coefficients"], covariance=adherence_raw.get("covariance")
                 )
             else:
-                raise ConfigError(f"unsupported adherence kind {kind!r} in a config file")
-        except (KeyError, ValueError) as err:
-            if isinstance(err, ConfigError):
-                raise
+                adherence = AdherenceSource.sensitivity(adherence_raw["coefficients"])
+        except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad adherence block: {err}") from err
 
-    inference_raw = raw.get("inference", {"method": "none"})
+    inference_raw = _typed(raw.get("inference", {}), dict, "inference")
     method = inference_raw.get("method", "none")
     if method not in ("none", "wald-sandwich", "bootstrap"):
         raise ConfigError(f"unknown inference method {method!r}")
-    level = number(float, inference_raw.get("level", 0.95), "inference.level")
+    level = _typed(inference_raw.get("level", 0.95), float, "inference.level")
     if not 0.0 < level < 1.0:
         raise ConfigError(f"inference.level must be in (0, 1), got {level!r}")
-    replicates = number(int, inference_raw.get("replicates", 1000), "inference.replicates")
+    replicates = _typed(inference_raw.get("replicates", 1000), int, "inference.replicates")
     if method == "bootstrap" and replicates < 2:
         raise ConfigError(f"inference.replicates must be >= 2 for bootstrap, got {replicates}")
-    seed = number(int, raw.get("seed", _default_seed(None)), "seed")
-    jobs = number(int, raw.get("jobs", 1), "jobs")
+    seed = _typed(raw.get("seed", _default_seed(None)), int, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    jobs = _typed(raw.get("jobs", 1), int, "jobs")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     try:
@@ -371,14 +343,14 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
-    input_path = Path(raw.get("input", ""))
+    input_path = Path(need("input", str))
     if not input_path.is_absolute():
         input_path = base / input_path
 
     return AnalysisConfig(
         input=str(input_path),
         stages=stages,
-        outcome=need("outcome"),
+        outcome=need("outcome", str),
         stage_columns=bindings,
         plan=plan,
         inference_method=method,
@@ -387,6 +359,25 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
         seed=seed,
         jobs=jobs,
     )
+
+
+def _parse_column(path: Path, name: str, cells) -> np.ndarray:
+    """One CSV column as floats.  An empty cell is missing (NaN); any other
+    cell must be a finite number."""
+    try:
+        values = np.array([float(text) if text.strip() else np.nan for text in cells])
+        suspects = np.flatnonzero(~np.isfinite(values))
+    except ValueError:  # a non-numeric cell: look at every cell for it
+        suspects = range(len(cells))
+    for i in suspects:
+        text = cells[i].strip()
+        try:
+            if not text or math.isfinite(float(text)):
+                continue
+        except ValueError:
+            pass
+        raise ConfigError(f"{path}: row {i + 2}, column '{name}': not a finite number: {text!r}")
+    return values
 
 
 def read_dataset_csv(config: AnalysisConfig):
@@ -400,115 +391,67 @@ def read_dataset_csv(config: AnalysisConfig):
     if not path.exists():
         raise ConfigError(f"input CSV not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty CSV") from None
-        rows = list(reader)
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ConfigError(f"{path}: empty CSV")
+    header, rows = rows[0], rows[1:]
     col_index = {name: i for i, name in enumerate(header)}
-
-    bound = [config.outcome]
-    for j, binding in enumerate(config.stage_columns, start=1):
-        bound.extend(binding.covariates.values())
-        bound.append(binding.proxy)
-        if binding.actual:
-            bound.append(binding.actual)
-        if binding.validation:
-            bound.append(binding.validation)
+    bound = [config.outcome] + [c for b in config.stage_columns for c in b.columns()]
     for name in bound:
         if name not in col_index:
             raise ConfigError(f"{path}: bound column '{name}' not in header")
-
-    def cell(row, row_num, name):
-        i = col_index[name]
-        if i >= len(row):
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    width = 1 + max(col_index[name] for name in bound)
+    for row_num, row in enumerate(rows, start=2):
+        if len(row) < width:
             raise ConfigError(f"{path}: row {row_num} has too few fields")
-        text = row[i].strip()
-        if text == "":
-            return None
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(
-                f"{path}: row {row_num}, column '{name}': not a number: {text!r}"
-            ) from None
+    cells = list(zip(*rows))
+    values = {name: _parse_column(path, name, cells[col_index[name]]) for name in bound}
 
     required = [config.outcome]
     for binding in config.stage_columns:
-        required.extend(binding.covariates.values())
-        required.append(binding.proxy)
-
-    kept, dropped = [], 0
-    for row_num, row in enumerate(rows, start=2):
-        values = {name: cell(row, row_num, name) for name in set(bound)}
-        if any(values[name] is None for name in required):
-            dropped += 1
-            continue
-        kept.append(values)
-    if not kept:
+        required.extend([*binding.covariates.values(), binding.proxy])
+    keep = ~np.any([np.isnan(values[name]) for name in required], axis=0)
+    n, k = int(keep.sum()), config.stages
+    if n == 0:
         raise ConfigError(f"{path}: no complete-case rows")
+    kept = {name: column[keep] for name, column in values.items()}
 
-    n = len(kept)
-    k = config.stages
-
-    def column(name):
-        return np.array(
-            [np.nan if r[name] is None else r[name] for r in kept], dtype=float
-        )
-
-    stage_covariates, proxies, actuals, validations = [], [], [], []
-    for binding in config.stage_columns:
-        stage_covariates.append({fname: column(col) for fname, col in binding.covariates.items()})
-        proxies.append(column(binding.proxy))
-        actuals.append(column(binding.actual) if binding.actual else None)
-        if binding.validation:
-            flags = column(binding.validation)
-            flags = np.where(np.isnan(flags), 0.0, flags)
-            if np.any((flags != 0.0) & (flags != 1.0)):
-                raise ConfigError(f"validation column '{binding.validation}' must be 0/1")
-            validations.append(flags.astype(bool))
-        else:
-            validations.append(None)
-
+    stage_covariates, proxies, actuals = [], [], []
     validation = np.zeros((n, k), dtype=bool)
-    for j in range(k):
-        if validations[j] is not None:
-            validation[:, j] = validations[j]
-            has_actual = (
-                np.zeros(n, dtype=bool) if actuals[j] is None else ~np.isnan(actuals[j])
-            )
-            bad = validation[:, j] & ~has_actual
+    for j, binding in enumerate(config.stage_columns):
+        stage_covariates.append({f: kept[c] for f, c in binding.covariates.items()})
+        proxies.append(kept[binding.proxy])
+        actuals.append(kept[binding.actual] if binding.actual else None)
+        if binding.validation:
+            flags = values[binding.validation]
+            bad = ~np.isnan(flags) & (flags != 0.0) & (flags != 1.0)
             if np.any(bad):
-                row = int(np.argmax(bad))
-                raise ConfigError(
-                    f"validation flag set but actual treatment missing at stage "
-                    f"{j + 1} (first offending data row {row + 1})"
-                )
-        elif actuals[j] is not None:
+                raise ConfigError(f"{path}: row {int(np.argmax(bad)) + 2}, column "
+                                  f"'{binding.validation}': validation flag must be 0/1")
+            validation[:, j] = kept[binding.validation] == 1.0
+        elif binding.actual:
             validation[:, j] = ~np.isnan(actuals[j])
 
     proxy_kind = config.plan.proxy_kind or "prescribed"
-    prescribed = proxies if proxy_kind == "prescribed" else [None] * k
-    reported = proxies if proxy_kind == "reported" else [None] * k
-
     try:
         data = Dataset(
             ids=range(n),
             stage_covariates=stage_covariates,
-            prescribed=prescribed,
+            prescribed=proxies if proxy_kind == "prescribed" else [None] * k,
             actual=actuals,
-            reported=reported,
+            reported=proxies if proxy_kind == "reported" else [None] * k,
             validation=validation,
-            outcome=column(config.outcome),
+            outcome=kept[config.outcome],
         )
     except DataError as err:
         raise ConfigError(f"{path}: {err}") from err
     diagnostics = {
         "rows_total": len(rows),
         "rows_used": n,
-        "rows_dropped_incomplete": dropped,
-        "validation_rows_per_stage": [int(validation[:, j].sum()) for j in range(k)],
+        "rows_dropped_incomplete": len(rows) - n,
+        "validation_rows_per_stage": validation.sum(axis=0).tolist(),
     }
     return data, diagnostics
 
@@ -552,28 +495,14 @@ def cmd_analyze(args) -> int:
 def _fit_payload(config, fit, intervals, diagnostics) -> dict:
     plan = fit.plan
     stages = []
-    for j, spec in enumerate(plan.specs, start=1):
-        nuis = fit.nuisance[j - 1]
-        stage = {
-            "stage": j,
-            "contrast": {
-                "terms": spec.contrast.term_labels(),
-                "estimates": list(fit.psi[j - 1]),
-            },
-            "treatment_free": {
-                "terms": spec.treatment_free.term_labels(),
-                "estimates": list(nuis["beta"]),
-            },
-            "assignment": {
-                "terms": spec.assignment.term_labels(),
-                "estimates": list(nuis["gamma"]),
-            },
-        }
-        if nuis["alpha"] is not None:
-            stage["adherence"] = {
-                "terms": spec.adherence.term_labels(),
-                "estimates": list(nuis["alpha"]),
-            }
+    for j, (spec, psi, nuis) in enumerate(zip(plan.specs, fit.psi, fit.nuisance), start=1):
+        blocks = {"contrast": psi, "treatment_free": nuis["beta"],
+                  "assignment": nuis["gamma"], "adherence": nuis["alpha"]}
+        stage = {"stage": j}
+        for kind, estimates in blocks.items():
+            if estimates is not None:
+                stage[kind] = {"terms": getattr(spec, kind).term_labels(),
+                               "estimates": list(estimates)}
         stages.append(stage)
     payload = {
         "mode": plan.mode,
@@ -705,13 +634,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, FormulaError, DesignError, DataError, OSError, UnicodeError,
+            csv.Error) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (FormulaError, DesignError, DataError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except Exception as err:  # estimation / numerical failures
+    except ESTIMATION_FAILURES + (BootstrapError, ReplicationError) as err:
         print(f"estimation failed: {err}", file=sys.stderr)
         return 3
 

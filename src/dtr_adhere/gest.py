@@ -72,6 +72,13 @@ class SingularSystemError(EstimationError):
     """The stage linear system is singular or numerically unusable."""
 
 
+# Every way an estimation can fail on data it accepts.  The replication,
+# bootstrap and sweep loops tally these and let any other exception (a
+# programming error) propagate.  inference.SandwichError is an EstimationError.
+ESTIMATION_FAILURES = (EstimationError, NonConvergenceError, RankDeficiencyError,
+                       DataError, DesignError, np.linalg.LinAlgError)
+
+
 # ---------------------------------------------------------------------------
 # Specifications
 
@@ -634,7 +641,7 @@ def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> li
         try:
             fit = replace(plan, adherence=AdherenceSource.sensitivity(per_stage)).estimate(data)
             points.append(SweepPoint(coefficients=per_stage, fit=fit, error=None))
-        except Exception as err:  # noqa: BLE001 - per-point failures are data
+        except ESTIMATION_FAILURES as err:  # per-point failures are data
             points.append(SweepPoint(coefficients=per_stage, fit=None, error=str(err)))
     return points
 

@@ -16,11 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .gest import RegimeFit, StackedScore, psi_flat
+from .gest import ESTIMATION_FAILURES, EstimationError, RegimeFit, StackedScore, psi_flat
 from .model import Dataset
 
 
-class SandwichError(RuntimeError):
+class SandwichError(EstimationError):
     """Sandwich assembly failed (non-finite scores or singular bread)."""
 
 
@@ -206,7 +206,7 @@ def _bootstrap_one(args):
     idx = rng.integers(0, data.n, size=data.n)
     try:
         return replicate, np.asarray(estimator(data.subset(idx)), dtype=float), None
-    except Exception as err:  # noqa: BLE001 - failures are counted, not fatal
+    except ESTIMATION_FAILURES as err:  # failures are counted, not fatal
         return replicate, None, str(err)
 
 

@@ -243,7 +243,9 @@ def parse_feature_spec(text: str) -> FeatureSpec:
     Term order defines parameter order.  Raises FormulaError with a character
     position on malformed input.
     """
-    if not text or not text.strip():
+    if not isinstance(text, str):
+        raise FormulaError(f"formula must be a string, got {text!r}")
+    if not text.strip():
         raise FormulaError("empty formula", position=0)
     return _Parser(text).parse_spec()
 
@@ -357,10 +359,11 @@ class Dataset:
         for j in range(k):
             col = self._actual[j]
             has_actual = np.zeros(n, dtype=bool) if col is None else ~np.isnan(col)
-            if np.any(flags[:, j] & ~has_actual):
+            bad = flags[:, j] & ~has_actual
+            if np.any(bad):
                 raise DataError(
-                    f"validation flag set at stage {j + 1} for a row without "
-                    "an actual treatment"
+                    f"validation flag set but actual treatment missing at stage {j + 1} "
+                    f"(first offending row {int(np.argmax(bad)) + 1})"
                 )
         self._validation = flags
         self._covariates = tuple(covs)

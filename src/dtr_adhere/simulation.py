@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gest import AdherenceSource, EstimationPlan, StageModelSpec, psi_flat
+from .gest import ESTIMATION_FAILURES, AdherenceSource, EstimationPlan, StageModelSpec, psi_flat
 from .glm import expit
 from .inference import regime_wald_intervals
 from .model import Dataset
@@ -314,12 +314,18 @@ class ScenarioConfig:
             raise ValueError("replications must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (0.0 < self.validation_fraction <= 1.0):
             raise ValueError("validation fraction must be in (0, 1]")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator '{est}'")
+        if not self.estimators:
+            raise ValueError("no estimators requested")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.scenario == "s2" and self.varied_param != 0.0:
             raise ValueError("scenario s2 pins the varied parameter to 0")
 
@@ -358,7 +364,7 @@ def _replicate(config: ScenarioConfig, index: int):
                 intervals = regime_wald_intervals(data, fit, config.coverage_level)
                 hits = ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
             out[name] = (estimates, hits, None)
-        except Exception as err:  # noqa: BLE001 - failures are tallied
+        except ESTIMATION_FAILURES as err:  # failures are tallied
             out[name] = (None, None, str(err))
     return index, out
 

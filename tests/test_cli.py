@@ -93,6 +93,22 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         rows = summary["estimators"]["modified-fitted"]["parameters"]
         assert all("coverage" in r for r in rows)
+        config = json.loads((out / "config.json").read_text())
+        assert config["coverage"] is True
+        assert config["exact_pseudo_outcomes"] is False
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "jobs must be >= 1"),
+        ("--estimators", ",", "no estimators requested"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ])
+    def test_invalid_scenario_config_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        code = run_cli("simulate", "--scenario", "s1", "--n", "10", "--reps", "1",
+                       "--seed", "1", "--out", out, flag, value)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -145,6 +161,7 @@ class TestAnalyze:
         assert payload["diagnostics"]["rows_used"] == 500
         assert payload["diagnostics"]["validation_rows_per_stage"] == [200, 200]
         assert payload["recommendation_rule"][0]["terms"] == ["1", "X[1]"]
+        assert payload["exact_pseudo_outcomes"] is False
 
     def test_stage_out_of_range_exits_2(self, analysis_setup, capsys):
         _, config, config_path, tmp_path = analysis_setup
@@ -291,6 +308,33 @@ class TestMalformedConfig:
         "proxy_kind conflicting with the mode": (
             lambda c: c.update(proxy_kind="reported"),
             "proxy_kind 'reported' conflicts with mode 'modified-prescribed'"),
+        "mode not a string": (
+            lambda c: c.update(mode=5), "mode must be a string"),
+        "inference not an object": (
+            lambda c: c.update(inference="bootstrap"), "inference must be an object"),
+        "adherence not an object": (
+            lambda c: c.update(adherence="fitted"), "adherence must be an object"),
+        "seed not integral": (
+            lambda c: c.update(seed=1.7), "seed must be an integer"),
+        "seed a boolean": (
+            lambda c: c.update(seed=True), "seed must be an integer"),
+        "stages not integral": (
+            lambda c: c.update(stages=2.0), "stages must be an integer"),
+        "jobs not integral": (
+            lambda c: c.update(jobs=1.5), "jobs must be an integer"),
+        "replicates not integral": (
+            lambda c: c.update(inference={"method": "bootstrap", "replicates": 20.5}),
+            "inference.replicates must be an integer"),
+        "level a string": (
+            lambda c: c.update(inference={"method": "wald-sandwich", "level": "0.9"}),
+            "inference.level must be a number"),
+        "level a boolean": (
+            lambda c: c.update(inference={"method": "wald-sandwich", "level": True}),
+            "inference.level must be a number"),
+        "models entry not an object": (
+            lambda c: c["models"].__setitem__(0, "1 + X[1]"), "models entry 1 must be an object"),
+        "formula not a string": (
+            lambda c: c["models"][0].update(contrast=5), "formula must be a string"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -299,6 +343,50 @@ class TestMalformedConfig:
         corrupt, message = self.CASES[case]
         corrupt(config)
         config_path.write_text(json.dumps(config))
+        out = tmp_path / "bad"
+        assert run_cli("analyze", config_path, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def set_cell(row, column, value):
+    """A CSV edit: put ``value`` in ``column`` of data row ``row`` (row 1 is
+    the first line after the header)."""
+    def edit(lines):
+        header = lines[0].split(",")
+        fields = lines[row].split(",")
+        fields[header.index(column)] = value
+        lines[row] = ",".join(fields)
+        return lines
+    return edit
+
+
+class TestCsvErrors:
+    CASES = {
+        "empty file": (lambda lines: [], "empty CSV"),
+        "header only": (lambda lines: lines[:1], "no data rows"),
+        "short row": (
+            lambda lines: lines[:3] + [lines[3][:5]] + lines[4:], "row 4 has too few fields"),
+        "flag neither 0 nor 1": (
+            set_cell(2, "V1", "2.0"), "row 3, column 'V1': validation flag must be 0/1"),
+        "nan covariate": (
+            set_cell(3, "X1", "nan"), "row 4, column 'X1': not a finite number: 'nan'"),
+        "infinite proxy": (
+            set_cell(6, "A2star", "inf"), "row 7, column 'A2star': not a finite number: 'inf'"),
+        "non-numeric outcome": (
+            set_cell(2, "Y", "abc"), "row 3, column 'Y': not a finite number: 'abc'"),
+        "flagged row without actual": (
+            lambda lines: set_cell(4, "A1", "")(set_cell(4, "V1", "1.0")(lines)),
+            "validation flag set but actual treatment missing at stage 1"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_naming_the_fault(self, analysis_setup, capsys, case):
+        _, _, config_path, tmp_path = analysis_setup
+        corrupt, message = self.CASES[case]
+        csv_path = tmp_path / "data.csv"
+        lines = corrupt(csv_path.read_text().splitlines())
+        csv_path.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "bad"
         assert run_cli("analyze", config_path, "--out", out) == 2
         assert message in capsys.readouterr().err

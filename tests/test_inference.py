@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dtr_adhere.glm import expit, fit_logistic
+from dtr_adhere.glm import NonConvergenceError, expit, fit_logistic
 from dtr_adhere.inference import (
     BootstrapError,
     bootstrap,
@@ -13,8 +13,8 @@ from dtr_adhere.inference import (
     sandwich,
     wald_intervals,
 )
-from dtr_adhere.gest import StackedScore, psi_flat
-from dtr_adhere.simulation import generate_s1, scenario_plan
+from dtr_adhere.gest import EstimationPlan, StackedScore, psi_flat, sensitivity_sweep
+from dtr_adhere.simulation import ScenarioConfig, generate_s1, run_replications, scenario_plan
 
 
 class TestNumericalJacobian:
@@ -190,7 +190,7 @@ class TestBootstrap:
         def flaky(d):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
-                raise RuntimeError("boom")
+                raise NonConvergenceError("boom")
             return np.array([d.outcome.mean()])
 
         with pytest.raises(BootstrapError):
@@ -207,6 +207,34 @@ class TestBootstrap:
         assert iv.names[0] == "psi1.1"
         assert np.all(iv.lower <= iv.estimate) and np.all(iv.estimate <= iv.upper)
         assert iv.n_failed <= 3
+
+
+class TestProgrammingErrorsPropagate:
+    """Only estimation failures are tallied; any other exception is a bug and
+    escapes the bootstrap, replication and sweep loops."""
+
+    @staticmethod
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    def test_bootstrap(self):
+        data = generate_s1(50, 0.0, np.random.default_rng(27))
+        with pytest.raises(TypeError, match="a programming error"):
+            bootstrap(data, self.broken, 10, point_estimates=np.zeros(1))
+
+    def test_run_replications(self, monkeypatch):
+        monkeypatch.setattr(EstimationPlan, "estimate", self.broken)
+        config = ScenarioConfig(scenario="s1", n=100, replications=2, seed=0,
+                                estimators=("naive-proxy",))
+        with pytest.raises(TypeError, match="a programming error"):
+            run_replications(config)
+
+    def test_sensitivity_sweep(self, monkeypatch):
+        data = generate_s1(100, 0.0, np.random.default_rng(28))
+        plan = scenario_plan("s1", "modified-fitted")
+        monkeypatch.setattr(EstimationPlan, "estimate", self.broken)
+        with pytest.raises(TypeError, match="a programming error"):
+            sensitivity_sweep(data, plan, [np.array([-4.6, -0.83, 7.5])])
 
 
 class TestDualMethodCoverage:
