@@ -21,9 +21,8 @@ from .gest import (
     SingularSystemError,
     StageModelSpec,
     fit_adherence,
+    pseudo_outcome,
     pseudo_outcome_exact,
-    pseudo_outcome_modified,
-    pseudo_outcome_standard,
     psi_flat,
     recommend,
     sensitivity_sweep,
@@ -96,9 +95,8 @@ __all__ = [
     "generate_s4",
     "numerical_jacobian",
     "parse_feature_spec",
+    "pseudo_outcome",
     "pseudo_outcome_exact",
-    "pseudo_outcome_modified",
-    "pseudo_outcome_standard",
     "psi_flat",
     "recommend",
     "regime_sandwich",

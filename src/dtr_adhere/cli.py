@@ -222,15 +222,15 @@ class AnalysisConfig:
 
 # How messages name each JSON type a config field may be required to have.
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", dict: "an object",
-               list: "a list"}
+               list: "a list", bool: "a boolean"}
 
 
 def _typed(value, kind, field: str):
     """``value`` if it is a JSON value of ``kind``: ``int`` takes a JSON
-    integer, ``float`` any JSON number (returned as a float); a boolean is
-    neither."""
+    integer, ``float`` any JSON number (returned as a float), ``bool`` only
+    ``true``/``false``; a boolean is no other kind."""
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
     return float(value) if kind is float else value
 
@@ -337,7 +337,8 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
             specs=tuple(models),
             mode=mode,
             adherence=adherence,
-            exact_pseudo_outcomes=bool(raw.get("exact_pseudo_outcomes", False)),
+            exact_pseudo_outcomes=_typed(raw.get("exact_pseudo_outcomes", False), bool,
+                                         "exact_pseudo_outcomes"),
             proxy_kind=raw.get("proxy_kind"),
         )
     except ValueError as err:
@@ -567,9 +568,13 @@ def read_grid_csv(path: Path, models) -> list:
         if len(row) != width:
             raise ConfigError(f"{path}: row {row_num} has {len(row)} fields, expected {width}")
         try:
-            grid.append(np.array([float(v) for v in row], dtype=float))
+            point = np.array([float(v) for v in row], dtype=float)
+            if not np.all(np.isfinite(point)):
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"{path}: row {row_num}: non-numeric entry") from None
+            raise ConfigError(f"{path}: row {row_num}: every cell must be a finite number, "
+                              f"got {row}") from None
+        grid.append(point)
     if not grid:
         raise ConfigError(f"{path}: grid has no rows")
     return grid

@@ -22,6 +22,7 @@ the effect of treatment actually taken rather than of its proxy.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -77,6 +78,27 @@ class SingularSystemError(EstimationError):
 # programming error) propagate.  inference.SandwichError is an EstimationError.
 ESTIMATION_FAILURES = (EstimationError, NonConvergenceError, RankDeficiencyError,
                        DataError, DesignError, np.linalg.LinAlgError)
+# The share of bootstrap or simulation replicates that may fail before the
+# whole run is an error.
+MAX_FAILURE_FRACTION = 0.05
+
+
+def tally(fn, *args):
+    """``(fn(*args), None)``, or ``(None, message)`` when the call fails with
+    one of ESTIMATION_FAILURES; any other exception propagates."""
+    try:
+        return fn(*args), None
+    except ESTIMATION_FAILURES as err:
+        return None, str(err)
+
+
+def ordered_map(fn, *iterables, jobs: int, chunksize: int) -> list:
+    """``list(map(fn, *iterables))``, spread over ``jobs`` worker processes
+    when ``jobs > 1``; the results keep the input order either way."""
+    if jobs <= 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *iterables, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +176,23 @@ class AdherenceSource:
                 )
         elif self.coefficients is None:
             raise ValueError(f"{self.kind} adherence requires coefficients")
+        # Each covariance entry is None or a finite, symmetric, positive
+        # semidefinite matrix sized to its stage's coefficient vector.
+        covariance, coefficients = self.covariance or (), self.coefficients or ()
+        if len(covariance) > len(coefficients):
+            raise ValueError(f"{len(covariance)} adherence covariance entries for "
+                             f"{len(coefficients)} coefficient vectors")
+        for j, (cov, coef) in enumerate(zip(covariance, coefficients), start=1):
+            if cov is None:
+                continue
+            size = coef.size
+            tol = 1e-12 * np.max(np.abs(cov), initial=0.0)
+            if (cov.shape != (size, size) or not np.all(np.isfinite(cov))
+                    or np.any(np.abs(cov - cov.T) > tol)):
+                raise ValueError(f"adherence covariance at stage {j} must be a finite, "
+                                 f"symmetric {size}x{size} matrix")
+            if np.linalg.eigvalsh(cov)[0] < -tol:
+                raise ValueError(f"adherence covariance at stage {j} is not positive semidefinite")
 
     @classmethod
     def fitted(cls):
@@ -192,15 +231,13 @@ def _coef_tuple(coefficients):
 # Pseudo outcomes
 
 
-def pseudo_outcome_standard(v_next, a, a_opt, contrast_value):
-    """Next-stage pseudo outcome plus the regret of the taken treatment."""
-    return v_next + (np.asarray(a_opt, dtype=float) - a) * contrast_value
+def pseudo_outcome(v_next, a_opt, weight, contrast):
+    """Next-stage pseudo outcome plus the regret ``(a_opt - weight) * contrast``.
 
-
-def pseudo_outcome_modified(v_next, a_opt, pi_star, contrast_star):
-    """Proxy-corrected pseudo outcome: the adherence probability stands in
-    for the unobserved treatment indicator."""
-    return v_next + (np.asarray(a_opt, dtype=float) - pi_star) * contrast_star
+    ``weight`` is the treatment taken in the standard modes; in the corrected
+    modes the adherence probability stands in for that unobserved indicator.
+    """
+    return v_next + (np.asarray(a_opt, dtype=float) - weight) * contrast
 
 
 def pseudo_outcome_exact(v_next, pi_prev, contrast_when_treated, contrast_when_untreated):
@@ -456,13 +493,11 @@ class _StageSystem:
         return terms, pseudo
 
     def _advance(self, j, psi, contrast, weight, v, pi):
-        a_opt = contrast > 0.0
-        if not self.plan.is_modified:
-            return pseudo_outcome_standard(v, self.response(j), a_opt, contrast)
         spec = self.plan.specs[j - 1].contrast
-        lagged = spec.treatment_stages()
-        if not (self.plan.exact_pseudo_outcomes and lagged):
-            return pseudo_outcome_modified(v, a_opt, weight, contrast)
+        exact = self.plan.is_modified and self.plan.exact_pseudo_outcomes
+        lagged = spec.treatment_stages() if exact else ()
+        if not lagged:
+            return pseudo_outcome(v, contrast > 0.0, weight, contrast)
         if len(lagged) > 1:
             raise EstimationError(
                 "exact pseudo-outcome correction supports exactly one lagged "
@@ -638,11 +673,8 @@ def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> li
     points = []
     for entry in grid:
         per_stage = (np.asarray(entry, dtype=float),) * data.n_stages
-        try:
-            fit = replace(plan, adherence=AdherenceSource.sensitivity(per_stage)).estimate(data)
-            points.append(SweepPoint(coefficients=per_stage, fit=fit, error=None))
-        except ESTIMATION_FAILURES as err:  # per-point failures are data
-            points.append(SweepPoint(coefficients=per_stage, fit=None, error=str(err)))
+        pinned = replace(plan, adherence=AdherenceSource.sensitivity(per_stage))
+        points.append(SweepPoint(per_stage, *tally(pinned.estimate, data)))
     return points
 
 

@@ -8,6 +8,12 @@ from typing import Optional
 import numpy as np
 
 
+# Newton scoring's convergence thresholds and its step limit (see fit_logistic).
+MAX_ITER = 100
+SCORE_TOL = 1e-8
+STEP_TOL = 1e-10
+
+
 class RankDeficiencyError(ValueError):
     """Design (or working) matrix does not have full column rank."""
 
@@ -23,16 +29,11 @@ class GlmFit:
 
 
 def expit(x):
-    """Inverse logit, 1 / (1 + exp(-x)), evaluated in a stable branch.
+    """Inverse logit, 1 / (1 + exp(-x)), as 0.5 * (1 + tanh(x / 2)).
 
     Saturates to 0.0 / 1.0 in floating point for large |x|; never overflows.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -45,19 +46,11 @@ def _as_matrix(design) -> np.ndarray:
     return x
 
 
-def fit_logistic(
-    design,
-    response,
-    weights: Optional[np.ndarray] = None,
-    *,
-    max_iter: int = 100,
-    score_tol: float = 1e-8,
-    step_tol: float = 1e-10,
-) -> GlmFit:
+def fit_logistic(design, response, weights: Optional[np.ndarray] = None) -> GlmFit:
     """Maximize the weighted Bernoulli log-likelihood by Newton scoring.
 
-    Converged when the score sup-norm drops below ``score_tol`` or the
-    parameter step sup-norm below ``step_tol``.  Complete separation shows up
+    Converged when the score sup-norm drops below ``SCORE_TOL`` or the
+    parameter step sup-norm below ``STEP_TOL``.  Complete separation shows up
     as non-convergence with a diverging coefficient norm and is raised, not
     silently accepted.
     """
@@ -86,7 +79,7 @@ def fit_logistic(
         return GlmFit(coefficients=beta, iterations=iteration)
 
     beta = np.zeros(p)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         mu = expit(x @ beta)
         score = x.T @ (w * (y - mu))
         working = w * mu * (1.0 - mu)
@@ -97,7 +90,7 @@ def fit_logistic(
             raise RankDeficiencyError(
                 "rank-deficient working matrix in logistic fit"
             ) from None
-        if np.max(np.abs(score)) < score_tol:
+        if np.max(np.abs(score)) < SCORE_TOL:
             return finish(beta, iteration)
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, score))
         beta = beta + step
@@ -106,9 +99,9 @@ def fit_logistic(
                 f"diverging logistic coefficients (norm {np.linalg.norm(beta):.3g}; "
                 "possible separation)"
             )
-        if np.max(np.abs(step)) < step_tol:
+        if np.max(np.abs(step)) < STEP_TOL:
             return finish(beta, iteration)
     raise NonConvergenceError(
-        f"logistic fit did not converge in {max_iter} iterations "
+        f"logistic fit did not converge in {MAX_ITER} iterations "
         f"(coefficient norm {np.linalg.norm(beta):.3g}; possible separation)"
     )

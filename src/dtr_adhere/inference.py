@@ -9,15 +9,19 @@ included, per replicate.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 
-from .gest import ESTIMATION_FAILURES, EstimationError, RegimeFit, StackedScore, psi_flat
+from .gest import (MAX_FAILURE_FRACTION, EstimationError, RegimeFit, StackedScore,
+                   ordered_map, psi_flat, tally)
 from .model import Dataset
+
+# Relative central-difference step of the sandwich bread.
+JACOBIAN_STEP = 1e-6
 
 
 class SandwichError(EstimationError):
@@ -57,16 +61,14 @@ class IntervalSet:
         ]
 
 
-def numerical_jacobian(f: Callable, theta, step: float = 1e-6) -> np.ndarray:
+def numerical_jacobian(f: Callable, theta, step: float = JACOBIAN_STEP) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued function.
 
-    Column k uses step ``h = step * max(1, |theta_k|)``.
+    Column k uses step ``h = step * max(1, |theta_k|)``.  ``f`` is never
+    evaluated at ``theta`` itself.
     """
     theta = np.asarray(theta, dtype=float)
-    base = np.asarray(f(theta), dtype=float)
-    if not np.all(np.isfinite(base)):
-        raise SandwichError("function is not finite at the expansion point")
-    jac = np.empty((base.shape[0], theta.shape[0]))
+    columns = []
     for k in range(theta.shape[0]):
         h = step * max(1.0, abs(theta[k]))
         up, down = theta.copy(), theta.copy()
@@ -76,17 +78,11 @@ def numerical_jacobian(f: Callable, theta, step: float = 1e-6) -> np.ndarray:
         f_down = np.asarray(f(down), dtype=float)
         if not (np.all(np.isfinite(f_up)) and np.all(np.isfinite(f_down))):
             raise SandwichError(f"non-finite evaluation while differentiating component {k}")
-        jac[:, k] = (f_up - f_down) / (2.0 * h)
-    return jac
+        columns.append((f_up - f_down) / (2.0 * h))
+    return np.column_stack(columns)
 
 
-def sandwich(
-    score: Callable,
-    theta_hat,
-    *,
-    psi_index=None,
-    step: float = 1e-6,
-) -> SandwichResult:
+def sandwich(score: Callable, theta_hat, *, psi_index=None) -> SandwichResult:
     """Sandwich covariance for a stacked estimating equation.
 
     ``score(theta)`` must return the (n, P) matrix of per-individual score
@@ -103,7 +99,7 @@ def sandwich(
     def mean_score(theta):
         return np.asarray(score(theta), dtype=float).mean(axis=0)
 
-    jac = numerical_jacobian(mean_score, theta_hat, step=step)
+    jac = numerical_jacobian(mean_score, theta_hat)
     cond = float(np.linalg.cond(jac))
     if not np.isfinite(cond):
         raise SandwichError("bread Jacobian is not finite")
@@ -121,7 +117,7 @@ def sandwich(
     return SandwichResult(sigma_theta=sigma, sigma_psi=sigma_psi, bread_condition=cond)
 
 
-def regime_sandwich(data: Dataset, fit: RegimeFit, *, step: float = 1e-6) -> SandwichResult:
+def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     """Sandwich covariance for a fitted regime, from the stacked score of
     the system ``fit.plan`` solved on ``data``.
 
@@ -131,8 +127,7 @@ def regime_sandwich(data: Dataset, fit: RegimeFit, *, step: float = 1e-6) -> San
     inflated by the delta-method term for that fixed plug-in.
     """
     stacked = StackedScore(data, fit)
-    result = sandwich(stacked.per_individual, stacked.theta_hat,
-                      psi_index=stacked.psi_index, step=step)
+    result = sandwich(stacked.per_individual, stacked.theta_hat, psi_index=stacked.psi_index)
     source = fit.plan.adherence
     if source is not None and source.kind == "external" and source.covariance is not None:
         extra = _external_adjustment(data, fit)
@@ -146,8 +141,7 @@ def _external_adjustment(data: Dataset, fit: RegimeFit) -> np.ndarray:
     respect to the plugged-in coefficients of the stages that carry a
     covariance, by re-estimation."""
     source = fit.plan.adherence
-    stages = [j for j, cov in enumerate(source.covariance[: len(source.coefficients)])
-              if cov is not None]
+    stages = [j for j, cov in enumerate(source.covariance) if cov is not None]
     if not stages:
         size = psi_flat(fit).shape[0]
         return np.zeros((size, size))
@@ -199,15 +193,10 @@ def wald_intervals(psi_hat, sigma_psi, level: float, names=None) -> IntervalSet:
     )
 
 
-def _bootstrap_one(args):
-    estimator, data, seed_entropy, replicate = args
+def _bootstrap_one(estimator, data, seed_entropy, replicate):
     child = np.random.SeedSequence(entropy=seed_entropy, spawn_key=(replicate,))
-    rng = np.random.default_rng(child)
-    idx = rng.integers(0, data.n, size=data.n)
-    try:
-        return replicate, np.asarray(estimator(data.subset(idx)), dtype=float), None
-    except ESTIMATION_FAILURES as err:  # failures are counted, not fatal
-        return replicate, None, str(err)
+    idx = np.random.default_rng(child).integers(0, data.n, size=data.n)
+    return tally(estimator, data.subset(idx))
 
 
 def bootstrap(
@@ -220,7 +209,6 @@ def bootstrap(
     names=None,
     point_estimates=None,
     jobs: int = 1,
-    max_failure_fraction: float = 0.05,
 ) -> IntervalSet:
     """Percentile bootstrap over trajectories.
 
@@ -228,7 +216,7 @@ def bootstrap(
     should refit the entire pipeline) per replicate.  Replicate streams are
     spawned from ``seed`` by replicate index, so results do not depend on
     ``jobs``.  Failed replicates are dropped and counted; more than
-    ``max_failure_fraction`` failing is an error.
+    ``MAX_FAILURE_FRACTION`` failing is an error.
     """
     if n_replicates < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
@@ -238,18 +226,12 @@ def bootstrap(
         point_estimates = estimator(data)
     point_estimates = np.asarray(point_estimates, dtype=float)
 
-    tasks = [(estimator, data, seed, b) for b in range(n_replicates)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bootstrap_one, tasks, chunksize=8))
-    else:
-        results = [_bootstrap_one(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-
-    draws = [est for _, est, err in results if err is None]
+    results = ordered_map(partial(_bootstrap_one, estimator, data, seed), range(n_replicates),
+                          jobs=jobs, chunksize=8)
+    draws = [est for est, err in results if err is None]
     n_failed = n_replicates - len(draws)
-    if n_failed > max_failure_fraction * n_replicates:
-        first = next(err for _, _, err in results if err is not None)
+    if n_failed > MAX_FAILURE_FRACTION * n_replicates:
+        first = next(err for _, err in results if err is not None)
         raise BootstrapError(
             f"{n_failed}/{n_replicates} bootstrap replicates failed "
             f"(first failure: {first})"
@@ -271,11 +253,9 @@ def bootstrap(
     )
 
 
-def regime_wald_intervals(
-    data: Dataset, fit: RegimeFit, level: float = 0.95, *, step: float = 1e-6
-) -> IntervalSet:
+def regime_wald_intervals(data: Dataset, fit: RegimeFit, level: float = 0.95) -> IntervalSet:
     """Convenience wrapper: sandwich covariance then Wald intervals for the
     flattened contrast parameters (stage 1 first)."""
-    result = regime_sandwich(data, fit, step=step)
+    result = regime_sandwich(data, fit)
     names = [f"psi{j}.{label}" for j, label in fit.parameter_labels()]
     return wald_intervals(psi_flat(fit), result.sigma_psi, level, names=names)

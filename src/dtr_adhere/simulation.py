@@ -23,12 +23,13 @@ Scenarios:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .gest import ESTIMATION_FAILURES, AdherenceSource, EstimationPlan, StageModelSpec, psi_flat
+from .gest import (MAX_FAILURE_FRACTION, AdherenceSource, EstimationPlan, StageModelSpec,
+                   ordered_map, psi_flat, tally)
 from .glm import expit
 from .inference import regime_wald_intervals
 from .model import Dataset
@@ -78,27 +79,7 @@ def generate_s1(n: int, psi22: float, rng: np.random.Generator,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    x1 = rng.normal(1.0, 1.0, n)
-    astar1 = rng.binomial(1, expit(x1)).astype(float)
-    a1 = rng.binomial(1, expit(-4.6 - 0.83 * x1 + 7.5 * astar1)).astype(float)
-    x2 = rng.normal(1.0, 2.0, n)
-    astar2 = rng.binomial(1, expit(x2)).astype(float)
-    a2 = rng.binomial(1, expit(-4.6 - 0.83 * x2 + 7.5 * astar2)).astype(float)
-    eps = rng.normal(0.0, np.sqrt(2.0), n)
-
-    c1 = 1.0 + x1
-    c2 = 1.0 + x2 + psi22 * a1
-    y = _regret_outcome(x1, eps, (c1, c2), (a1, a2))
-    flags = _validation_flags(n, validation_fraction, rng, 2)
-    return Dataset(
-        ids=range(n),
-        stage_covariates=[{"X": x1}, {"X": x2}],
-        prescribed=[astar1, astar2],
-        actual=[a1, a2],
-        reported=[None, None],
-        validation=flags,
-        outcome=y,
-    )
+    return _prescribed_scenario(n, rng, validation_fraction, shifts=(0.0, 0.0), lag=psi22)
 
 
 def generate_s3(n: int, rng: np.random.Generator, validation_fraction: float = 0.2,
@@ -115,18 +96,26 @@ def generate_s3(n: int, rng: np.random.Generator, validation_fraction: float = 0
     """
     if treatment_free_indicator not in ("actual", "prescribed"):
         raise ValueError("treatment_free_indicator must be 'actual' or 'prescribed'")
+    return _prescribed_scenario(n, rng, validation_fraction, shifts=(0.5, -0.5), lag=-1.0,
+                                direct=treatment_free_indicator)
+
+
+def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct=None) -> Dataset:
+    """The s1/s3 mechanism: prescriptions follow expit(shift_j + X_j), the
+    stage-2 contrast is 1 + X2 + lag * A1, and with ``direct`` ("actual" or
+    "prescribed") that stage-1 treatment adds 0.5 to the treatment-free part."""
     x1 = rng.normal(1.0, 1.0, n)
-    astar1 = rng.binomial(1, expit(0.5 + x1)).astype(float)
+    astar1 = rng.binomial(1, expit(shifts[0] + x1)).astype(float)
     a1 = rng.binomial(1, expit(-4.6 - 0.83 * x1 + 7.5 * astar1)).astype(float)
     x2 = rng.normal(1.0, 2.0, n)
-    astar2 = rng.binomial(1, expit(-0.5 + x2)).astype(float)
+    astar2 = rng.binomial(1, expit(shifts[1] + x2)).astype(float)
     a2 = rng.binomial(1, expit(-4.6 - 0.83 * x2 + 7.5 * astar2)).astype(float)
     eps = rng.normal(0.0, np.sqrt(2.0), n)
 
-    direct = a1 if treatment_free_indicator == "actual" else astar1
+    direct_effect = {"actual": a1, "prescribed": astar1}.get(direct, 0.0)
     c1 = 1.0 + x1
-    c2 = 1.0 + x2 - a1
-    y = _regret_outcome(x1 + 0.5 * direct, eps, (c1, c2), (a1, a2))
+    c2 = 1.0 + x2 + lag * a1
+    y = _regret_outcome(x1 + 0.5 * direct_effect, eps, (c1, c2), (a1, a2))
     flags = _validation_flags(n, validation_fraction, rng, 2)
     return Dataset(
         ids=range(n),
@@ -346,31 +335,28 @@ def scenario_dataset(config: ScenarioConfig, rng: np.random.Generator) -> Datase
                        validation_fraction=config.validation_fraction)
 
 
-def _replicate(config: ScenarioConfig, index: int):
-    """One replicate: generate a dataset and run every requested estimator on it."""
+def _replicate(config: ScenarioConfig, index: int) -> dict:
+    """One replicate: generate a dataset and run every requested estimator on
+    it.  Maps each estimator to ``tally``'s ``((estimates, hits), error)``."""
     seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-    rng = np.random.default_rng(seq)
-    data = scenario_dataset(config, rng)
+    data = scenario_dataset(config, np.random.default_rng(seq))
+    return {
+        name: tally(_estimate, config, data,
+                    scenario_plan(config.scenario, name,
+                                  exact_pseudo_outcomes=config.exact_pseudo_outcomes))
+        for name in config.estimators
+    }
+
+
+def _estimate(config: ScenarioConfig, data: Dataset, plan: EstimationPlan):
+    """Contrast estimates and, when coverage is requested, the 0/1 per-parameter
+    hits of their Wald intervals."""
+    fit = plan.estimate(data)
+    if not config.coverage:
+        return psi_flat(fit), None
     truth = scenario_truth(config.scenario, config.effective_param)
-    out = {}
-    for name in config.estimators:
-        plan = scenario_plan(config.scenario, name,
-                             exact_pseudo_outcomes=config.exact_pseudo_outcomes)
-        try:
-            fit = plan.estimate(data)
-            estimates = psi_flat(fit)
-            hits = None
-            if config.coverage:
-                intervals = regime_wald_intervals(data, fit, config.coverage_level)
-                hits = ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
-            out[name] = (estimates, hits, None)
-        except ESTIMATION_FAILURES as err:  # failures are tallied
-            out[name] = (None, None, str(err))
-    return index, out
-
-
-def _replicate_star(args):
-    return _replicate(*args)
+    intervals = regime_wald_intervals(data, fit, config.coverage_level)
+    return psi_flat(fit), ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
 
 
 @dataclass
@@ -414,7 +400,7 @@ class ReplicationSummary:
         return stats
 
 
-def run_replications(config: ScenarioConfig, *, max_failure_fraction: float = 0.05) -> ReplicationSummary:
+def run_replications(config: ScenarioConfig) -> ReplicationSummary:
     """Run independently seeded replicates and aggregate estimator behavior.
 
     Each replicate generates one dataset and runs all requested estimators on
@@ -422,13 +408,8 @@ def run_replications(config: ScenarioConfig, *, max_failure_fraction: float = 0.
     index, so individual replicates are reproducible and results do not
     depend on the worker count.
     """
-    tasks = [(config, i) for i in range(config.replications)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_replicate_star, tasks, chunksize=4))
-    else:
-        results = [_replicate(config, i) for i in range(config.replications)]
-    results.sort(key=lambda r: r[0])
+    results = ordered_map(partial(_replicate, config), range(config.replications),
+                          jobs=config.jobs, chunksize=4)
 
     specs = scenario_models(config.scenario)
     parameters = [
@@ -438,40 +419,29 @@ def run_replications(config: ScenarioConfig, *, max_failure_fraction: float = 0.
     ]
     truth = scenario_truth(config.scenario, config.effective_param)
 
-    indices = {name: [] for name in config.estimators}
-    estimates = {name: [] for name in config.estimators}
-    hits = {name: [] for name in config.estimators}
-    failures = {name: 0 for name in config.estimators}
-    first_error = {}
-    for index, replicate_out in results:
-        for name in config.estimators:
-            est, hit, err = replicate_out[name]
-            if err is not None:
-                failures[name] += 1
-                first_error.setdefault(name, err)
-                continue
-            indices[name].append(index)
-            estimates[name].append(est)
-            if hit is not None:
-                hits[name].append(hit)
-
+    indices, estimates, coverage, failures = {}, {}, {}, {}
     for name in config.estimators:
-        if failures[name] > max_failure_fraction * config.replications:
+        runs = [out[name] for out in results]
+        ok = [i for i, (_, err) in enumerate(runs) if err is None]
+        failures[name] = config.replications - len(ok)
+        if failures[name] > MAX_FAILURE_FRACTION * config.replications:
+            first = next(err for _, err in runs if err is not None)
             raise ReplicationError(
                 f"estimator '{name}' failed {failures[name]}/{config.replications} "
-                f"replicates (first failure: {first_error[name]})"
+                f"replicates (first failure: {first})"
             )
-        if not estimates[name]:
-            raise ReplicationError(f"estimator '{name}' produced no estimates")
+        values = [runs[i][0] for i in ok]
+        indices[name] = np.asarray(ok, dtype=int)
+        estimates[name] = np.vstack([est for est, _ in values])
+        coverage[name] = (np.vstack([hit for _, hit in values]).mean(axis=0)
+                          if config.coverage else None)
 
     return ReplicationSummary(
         config=config,
         parameters=parameters,
         truth=truth,
-        replicate_indices={n: np.asarray(v, dtype=int) for n, v in indices.items()},
-        estimates={n: np.vstack(v) for n, v in estimates.items()},
-        coverage={
-            n: (np.vstack(v).mean(axis=0) if v else None) for n, v in hits.items()
-        },
+        replicate_indices=indices,
+        estimates=estimates,
+        coverage=coverage,
         failures=failures,
     )

@@ -335,6 +335,22 @@ class TestMalformedConfig:
             lambda c: c["models"].__setitem__(0, "1 + X[1]"), "models entry 1 must be an object"),
         "formula not a string": (
             lambda c: c["models"][0].update(contrast=5), "formula must be a string"),
+        "exact_pseudo_outcomes a string": (
+            lambda c: c.update(exact_pseudo_outcomes="false"),
+            "exact_pseudo_outcomes must be a boolean"),
+        "exact_pseudo_outcomes an integer": (
+            lambda c: c.update(exact_pseudo_outcomes=1),
+            "exact_pseudo_outcomes must be a boolean"),
+        "external covariance of the wrong shape": (
+            lambda c: c.update(adherence={"kind": "external",
+                                          "coefficients": [[-4.6, -0.83, 7.5]] * 2,
+                                          "covariance": [[[1.0]], None]}),
+            "adherence covariance at stage 1 must be a finite, symmetric 3x3 matrix"),
+        "external covariance not positive semidefinite": (
+            lambda c: c.update(adherence={"kind": "external",
+                                          "coefficients": [[-4.6, -0.83, 7.5]] * 2,
+                                          "covariance": [None, [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]}),
+            "adherence covariance at stage 2 is not positive semidefinite"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -447,6 +463,9 @@ class TestSensitivity:
         path.write_text("1,X\n0.0,1.0\n")  # wrong width for 3-term adherence
         assert run_cli("sensitivity", config_path, path, "--out", tmp_path / "s") == 2
         assert "3 terms" in capsys.readouterr().err
+        path.write_text("1,X,Astar\n-4.6,-0.83,7.5\n-4.6,nan,7.5\n")
+        assert run_cli("sensitivity", config_path, path, "--out", tmp_path / "s") == 2
+        assert "row 3: every cell must be a finite number" in capsys.readouterr().err
 
     def test_reruns_byte_identical(self, analysis_setup):
         _, config, config_path, tmp_path = analysis_setup

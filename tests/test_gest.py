@@ -14,9 +14,8 @@ from dtr_adhere.gest import (
     StageModelSpec,
     _fit_stage,
     fit_adherence,
+    pseudo_outcome,
     pseudo_outcome_exact,
-    pseudo_outcome_modified,
-    pseudo_outcome_standard,
     psi_flat,
     recommend,
     recommendations_matrix,
@@ -44,15 +43,17 @@ from dtr_adhere.simulation import (
 
 class TestPseudoOutcomes:
     def test_standard(self):
-        assert pseudo_outcome_standard(5.0, a=1, a_opt=1, contrast_value=3.0) == 5.0
-        assert pseudo_outcome_standard(5.0, a=0, a_opt=1, contrast_value=3.0) == 8.0
-        assert pseudo_outcome_standard(5.0, a=1, a_opt=0, contrast_value=-2.0) == 7.0
+        # the weight is the treatment taken
+        assert pseudo_outcome(5.0, a_opt=1, weight=1, contrast=3.0) == 5.0
+        assert pseudo_outcome(5.0, a_opt=1, weight=0, contrast=3.0) == 8.0
+        assert pseudo_outcome(5.0, a_opt=0, weight=1, contrast=-2.0) == 7.0
 
     def test_modified(self):
-        assert pseudo_outcome_modified(5.0, a_opt=1, pi_star=0.3, contrast_star=0.0) == 5.0
-        assert pseudo_outcome_modified(5.0, a_opt=1, pi_star=0.9, contrast_star=2.0) == pytest.approx(5.2)
-        assert pseudo_outcome_modified(5.0, a_opt=1, pi_star=1.0, contrast_star=7.0) == 5.0
-        assert pseudo_outcome_modified(5.0, a_opt=0, pi_star=0.0, contrast_star=7.0) == 5.0
+        # the weight is the adherence probability
+        assert pseudo_outcome(5.0, a_opt=1, weight=0.3, contrast=0.0) == 5.0
+        assert pseudo_outcome(5.0, a_opt=1, weight=0.9, contrast=2.0) == pytest.approx(5.2)
+        assert pseudo_outcome(5.0, a_opt=1, weight=1.0, contrast=7.0) == 5.0
+        assert pseudo_outcome(5.0, a_opt=0, weight=0.0, contrast=7.0) == 5.0
 
     def test_exact_direct_values(self):
         assert pseudo_outcome_exact(0.0, 0.5, 2.0, -1.0) == pytest.approx(1.0)

@@ -37,6 +37,22 @@ class TestExpit:
     def test_vector_and_scalar(self):
         np.testing.assert_allclose(expit(np.array([0.0, 1.0])), [0.5, expit(1.0)])
 
+    def test_zero_dimensional_input_returns_float(self):
+        assert type(expit(np.float64(1.5))) is float
+        assert type(expit(np.array(-2.0))) is float
+
+    def test_matches_two_branch_reference(self):
+        def reference(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        x = np.concatenate([np.linspace(-40.0, 40.0, 16001), [-1e3, -745.0, 745.0, 1e3]])
+        assert np.max(np.abs(expit(x) - reference(x))) <= 2.3e-16
+
 
 class TestFitLogistic:
     def test_intercept_only_half(self):

@@ -86,6 +86,21 @@ class TestSandwich:
         assert result.sigma_psi.shape == (5, 5)
         assert np.all(np.diag(result.sigma_psi) >= 0)
 
+    def test_one_score_pass_per_jacobian_step_plus_the_meat(self, monkeypatch):
+        data = generate_s1(300, 1.0, np.random.default_rng(15))
+        fit = scenario_plan("s1", "modified-fitted").estimate(data)
+        size = StackedScore(data, fit).size
+        original = StackedScore.per_individual
+        calls = []
+
+        def counted(self, theta):
+            calls.append(1)
+            return original(self, theta)
+
+        monkeypatch.setattr(StackedScore, "per_individual", counted)
+        regime_sandwich(data, fit)
+        assert len(calls) == 2 * size + 1
+
     def test_variance_shrinks_linearly(self):
         plan = scenario_plan("s1", "modified-fitted")
         diags = {}
@@ -122,6 +137,23 @@ class TestExternalAdherenceCovariance:
         adj_d = np.diag(adjusted.sigma_psi)
         assert np.all(adj_d >= base_d - 1e-12)
         assert adj_d.sum() > base_d.sum()
+
+    def test_malformed_covariance_rejected(self):
+        from dtr_adhere.gest import AdherenceSource
+
+        coef = ([-4.6, -0.83, 7.5], [-4.6, -0.83, 7.5])
+        good = np.diag([0.2, 0.05, 0.4])
+        # rounding-level negative eigenvalues are accepted
+        AdherenceSource.external(coef, covariance=(good, np.diag([1.0, -1e-14, 1.0])))
+        for covariance, message in [
+            ((good, good, good), "3 adherence covariance entries for 2 coefficient vectors"),
+            ((np.eye(2), None), "stage 1 must be a finite, symmetric 3x3 matrix"),
+            ((None, np.triu(np.ones((3, 3)))), "stage 2 must be a finite, symmetric"),
+            ((np.diag([1.0, np.nan, 1.0]), None), "stage 1 must be a finite, symmetric"),
+            ((None, np.diag([1.0, -1e-3, 1.0])), "stage 2 is not positive semidefinite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                AdherenceSource.external(coef, covariance=covariance)
 
 
 class TestWaldIntervals:

@@ -198,6 +198,9 @@ class TestRunReplications:
         parallel = run_replications(self.config(jobs=2))
         for name in serial.estimates:
             np.testing.assert_array_equal(serial.estimates[name], parallel.estimates[name])
+            np.testing.assert_array_equal(serial.replicate_indices[name],
+                                          parallel.replicate_indices[name])
+        assert serial.failures == parallel.failures
 
     def test_mse_decomposition(self):
         summary = run_replications(self.config())
