@@ -342,6 +342,14 @@ class EstimationPlan:
                 )
             object.__setattr__(self, "proxy_kind", implied)
         object.__setattr__(self, "specs", tuple(self.specs))
+        for field in ("adherence", "exact_pseudo_outcomes"):
+            if getattr(self, field) and not self.is_modified:
+                raise ValueError(f"{field} applies to the modified modes only, not '{self.mode}'")
+        for j, spec in enumerate(self.specs if self.exact_pseudo_outcomes else (), start=1):
+            lagged = sorted(spec.contrast.treatment_stages())
+            if len(lagged) > 1:
+                raise ValueError(f"stage {j}: exact pseudo-outcome correction supports exactly "
+                                 f"one lagged treatment in the contrast, found stages {lagged}")
 
     @property
     def is_modified(self) -> bool:
@@ -350,7 +358,7 @@ class EstimationPlan:
     @property
     def fits_adherence(self) -> bool:
         """Whether the adherence model is fitted from validation rows."""
-        return self.is_modified and self.adherence is not None and self.adherence.kind == "fitted"
+        return self.adherence is not None and self.adherence.kind == "fitted"
 
     def estimate(self, data: Dataset) -> "RegimeFit":
         return _fit_regime(self, data)
@@ -494,17 +502,10 @@ class _StageSystem:
 
     def _advance(self, j, psi, contrast, weight, v, pi):
         spec = self.plan.specs[j - 1].contrast
-        exact = self.plan.is_modified and self.plan.exact_pseudo_outcomes
-        lagged = spec.treatment_stages() if exact else ()
+        lagged = spec.treatment_stages() if self.plan.exact_pseudo_outcomes else ()
         if not lagged:
             return pseudo_outcome(v, contrast > 0.0, weight, contrast)
-        if len(lagged) > 1:
-            raise EstimationError(
-                "exact pseudo-outcome correction supports exactly one lagged "
-                f"treatment in the contrast, found stages {sorted(lagged)}",
-                stage=j,
-            )
-        (lag,) = lagged
+        (lag,) = lagged  # the plan admits at most one
         c1 = self.design(spec, j, pi, override={lag: 1.0}) @ psi
         c0 = self.design(spec, j, pi, override={lag: 0.0}) @ psi
         # The expected optimal payoff replaces a_opt * contrast; the
@@ -699,12 +700,14 @@ class StackedScore:
     of the full parameter vector.
 
     Parameters are packed stage K down to stage 1; within a stage the order is
-    treatment-free, adherence (only when fitted from validation rows),
-    assignment, contrast.  The forward pass re-evaluates the stage system of
-    ``fit.plan`` -- adherence and assignment probabilities, substituted
-    designs and pseudo outcomes -- at the supplied parameters, so derivatives
-    propagate nuisance uncertainty into the contrast blocks.  ``theta_hat``
-    packs the fit's own estimates, so the score is the system the fit solved.
+    treatment-free, adherence (when fitted from validation rows, or external
+    with a covariance: its score ``alpha_ext - alpha`` holds it at the supplied
+    value), assignment, contrast.  The forward pass re-evaluates the stage
+    system of ``fit.plan`` -- adherence and assignment probabilities,
+    substituted designs and pseudo outcomes -- at the supplied parameters, so
+    derivatives propagate nuisance uncertainty into the contrast blocks.
+    ``theta_hat`` packs the fit's own estimates, so the score is the system
+    the fit solved.
     """
 
     def __init__(self, data: Dataset, fit: RegimeFit):
@@ -712,16 +715,19 @@ class StackedScore:
         self.data = data
         self.k = data.n_stages
         self.system = _StageSystem(plan, data)
-        self.adherence_fitted = plan.fits_adherence
-        # Fixed adherence (known, external, sensitivity) has no parameters.
-        self.fixed_adherence = None if self.adherence_fitted else self.system.adherence(self.k)
+        source = plan.adherence
+        # Stage -> the supplied covariance of external coefficients that carry one.
+        self.external = {} if source is None or source.kind != "external" else {
+            j: cov for j, cov in enumerate(source.covariance or (), start=1) if cov is not None
+        }
+        stacked_alpha = range(1, self.k + 1) if plan.fits_adherence else self.external
 
         blocks, start = [], 0
         for j in range(self.k, 0, -1):
             spec = plan.specs[j - 1]
             for kind, size in (
                 ("treatment_free", len(spec.treatment_free.terms)),
-                ("adherence", len(spec.adherence.terms) if self.adherence_fitted else 0),
+                ("adherence", len(spec.adherence.terms) if j in stacked_alpha else 0),
                 ("assignment", len(spec.assignment.terms)),
                 ("contrast", len(spec.contrast.terms)),
             ):
@@ -736,10 +742,13 @@ class StackedScore:
         theta = np.empty(self.size)
         for block in self.blocks:
             j = block.stage
-            theta[block.start : block.start + block.size] = (
-                fit.psi[j - 1] if block.kind == "contrast"
-                else fit.nuisance[j - 1][_NUISANCE_KEY[block.kind]]
-            )
+            if block.kind == "contrast":
+                value = fit.psi[j - 1]
+            elif block.kind == "adherence" and j in self.external:
+                value = fit.plan.adherence.coefficients[j - 1]
+            else:
+                value = fit.nuisance[j - 1][_NUISANCE_KEY[block.kind]]
+            theta[block.start : block.start + block.size] = value
         return theta
 
     def _unpack(self, theta: np.ndarray) -> dict:
@@ -758,10 +767,13 @@ class StackedScore:
         def given(kind):
             return lambda j, *_: params[(j, kind)]
 
-        if self.adherence_fitted:
-            adherence_designs, pi = system.adherence(self.k, given("adherence"))
-        else:
-            adherence_designs, pi = self.fixed_adherence
+        source = system.plan.adherence
+
+        def alpha(j, _):
+            block = params.get((j, "adherence"))
+            return source.coefficients[j - 1] if block is None else block
+
+        adherence_designs, pi = system.adherence(self.k, alpha)
         assign_designs, p_cols = system.assignment(pi, given("assignment"))
         terms, _ = system.backward(pi, given("contrast"))
 
@@ -775,6 +787,8 @@ class StackedScore:
             j, t = block.stage, terms[block.stage - 1]
             if block.kind == "treatment_free":
                 rows = t.tf_design * resid[j][:, None]
+            elif block.kind == "adherence" and j in self.external:
+                rows = source.coefficients[j - 1] - params[(j, "adherence")]  # every row
             elif block.kind == "adherence":
                 mask = self.data.validation[:, j - 1]
                 target = mask * (np.where(mask, self.data.actual(j), 0.0) - pi[j])

@@ -37,6 +37,7 @@ class SandwichResult:
     sigma_theta: np.ndarray
     sigma_psi: np.ndarray
     bread_condition: float
+    bread: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,16 @@ class IntervalSet:
         ]
 
 
-def numerical_jacobian(f: Callable, theta, step: float = JACOBIAN_STEP) -> np.ndarray:
+def numerical_jacobian(f: Callable, theta) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued function.
 
-    Column k uses step ``h = step * max(1, |theta_k|)``.  ``f`` is never
-    evaluated at ``theta`` itself.
+    Column k uses step ``h = JACOBIAN_STEP * max(1, |theta_k|)``.  ``f`` is
+    never evaluated at ``theta`` itself.
     """
     theta = np.asarray(theta, dtype=float)
     columns = []
     for k in range(theta.shape[0]):
-        h = step * max(1.0, abs(theta[k]))
+        h = JACOBIAN_STEP * max(1.0, abs(theta[k]))
         up, down = theta.copy(), theta.copy()
         up[k] += h
         down[k] -= h
@@ -82,7 +83,7 @@ def numerical_jacobian(f: Callable, theta, step: float = JACOBIAN_STEP) -> np.nd
     return np.column_stack(columns)
 
 
-def sandwich(score: Callable, theta_hat, *, psi_index=None) -> SandwichResult:
+def sandwich(score: Callable, theta_hat) -> SandwichResult:
     """Sandwich covariance for a stacked estimating equation.
 
     ``score(theta)`` must return the (n, P) matrix of per-individual score
@@ -113,62 +114,28 @@ def sandwich(score: Callable, theta_hat, *, psi_index=None) -> SandwichResult:
     meat = s_hat.T @ s_hat / n
     sigma = bread @ meat @ bread.T / n
     sigma = 0.5 * (sigma + sigma.T)
-    sigma_psi = sigma if psi_index is None else sigma[np.ix_(psi_index, psi_index)]
-    return SandwichResult(sigma_theta=sigma, sigma_psi=sigma_psi, bread_condition=cond)
+    return SandwichResult(sigma_theta=sigma, sigma_psi=sigma, bread_condition=cond, bread=bread)
 
 
 def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     """Sandwich covariance for a fitted regime, from the stacked score of
     the system ``fit.plan`` solved on ``data``.
 
-    Known, external, and sensitivity adherence parameters are held fixed
-    (their blocks are not part of the stacked parameter); when an external
-    source supplies a coefficient covariance, the contrast covariance is
-    inflated by the delta-method term for that fixed plug-in.
+    Known and sensitivity adherence coefficients, and external ones without a
+    covariance, are held fixed.  External coefficients with a covariance
+    ``Sigma_j`` are stacked parameters whose score holds them at the supplied
+    value; the bread's columns ``B_j`` for them give the delta-method term
+    ``B_j Sigma_j B_j^T``, added to the whole covariance.
     """
     stacked = StackedScore(data, fit)
-    result = sandwich(stacked.per_individual, stacked.theta_hat, psi_index=stacked.psi_index)
-    source = fit.plan.adherence
-    if source is not None and source.kind == "external" and source.covariance is not None:
-        extra = _external_adjustment(data, fit)
-        result = replace(result, sigma_psi=result.sigma_psi + extra)
-    return result
-
-
-def _external_adjustment(data: Dataset, fit: RegimeFit) -> np.ndarray:
-    """Delta-method inflation for externally estimated adherence coefficients:
-    G Sigma_alpha G^T with G the derivative of the contrast estimates with
-    respect to the plugged-in coefficients of the stages that carry a
-    covariance, by re-estimation."""
-    source = fit.plan.adherence
-    stages = [j for j, cov in enumerate(source.covariance) if cov is not None]
-    if not stages:
-        size = psi_flat(fit).shape[0]
-        return np.zeros((size, size))
-
-    def psi_at(alpha):
-        coefficients = list(source.coefficients)
-        at = 0
-        for j in stages:
-            coefficients[j] = alpha[at : at + coefficients[j].shape[0]]
-            at += coefficients[j].shape[0]
-        adherence = replace(source, coefficients=tuple(coefficients))
-        return replace(fit.plan, adherence=adherence).psi_estimator(data)
-
-    alpha = np.concatenate([source.coefficients[j] for j in stages])
-    g = numerical_jacobian(psi_at, alpha, step=1e-5)
-    sigma_alpha = _block_diag([np.asarray(source.covariance[j], dtype=float) for j in stages])
-    return g @ sigma_alpha @ g.T
-
-
-def _block_diag(blocks) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total))
-    at = 0
-    for b in blocks:
-        out[at : at + b.shape[0], at : at + b.shape[0]] = b
-        at += b.shape[0]
-    return out
+    result = sandwich(stacked.per_individual, stacked.theta_hat)
+    sigma = result.sigma_theta
+    for block in stacked.blocks:
+        if block.kind == "adherence" and block.stage in stacked.external:
+            b = result.bread[:, block.start : block.start + block.size]
+            sigma = sigma + b @ stacked.external[block.stage] @ b.T
+    psi = stacked.psi_index
+    return replace(result, sigma_theta=sigma, sigma_psi=sigma[np.ix_(psi, psi)])
 
 
 def wald_intervals(psi_hat, sigma_psi, level: float, names=None) -> IntervalSet:

@@ -118,14 +118,6 @@ class FeatureSpec:
                     out.add(f.stage)
         return out
 
-    def covariate_names(self) -> set:
-        return {
-            f.name
-            for term in self.terms
-            for f in term.factors
-            if isinstance(f, Covariate)
-        }
-
     def validate_stage(self, stage: int, *, allow_current_treatment: bool = False) -> None:
         """Check stage references against the stage the spec is used at."""
         for term in self.terms:

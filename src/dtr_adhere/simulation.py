@@ -36,6 +36,8 @@ from .model import Dataset
 
 SCENARIOS = ("s1", "s2", "s3", "s4")
 ESTIMATORS = ("modified-known", "modified-fitted", "naive-proxy", "standard-actual")
+# Nominal level of the Wald intervals whose coverage a study records.
+COVERAGE_LEVEL = 0.95
 
 # Nonadherence mechanism shared by s1/s2/s3: the chance the treatment was
 # actually taken, given the stage covariate and the prescription.
@@ -291,10 +293,8 @@ class ScenarioConfig:
     varied_param: float = 0.0
     estimators: tuple = ESTIMATORS
     coverage: bool = False
-    coverage_level: float = 0.95
     exact_pseudo_outcomes: bool = False
     jobs: int = 1
-    s3_treatment_free_indicator: str = "actual"
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -328,9 +328,7 @@ def scenario_dataset(config: ScenarioConfig, rng: np.random.Generator) -> Datase
         return generate_s1(config.n, config.effective_param, rng,
                            validation_fraction=config.validation_fraction)
     if config.scenario == "s3":
-        return generate_s3(config.n, rng,
-                           validation_fraction=config.validation_fraction,
-                           treatment_free_indicator=config.s3_treatment_free_indicator)
+        return generate_s3(config.n, rng, validation_fraction=config.validation_fraction)
     return generate_s4(config.n, config.effective_param, rng,
                        validation_fraction=config.validation_fraction)
 
@@ -355,7 +353,7 @@ def _estimate(config: ScenarioConfig, data: Dataset, plan: EstimationPlan):
     if not config.coverage:
         return psi_flat(fit), None
     truth = scenario_truth(config.scenario, config.effective_param)
-    intervals = regime_wald_intervals(data, fit, config.coverage_level)
+    intervals = regime_wald_intervals(data, fit, COVERAGE_LEVEL)
     return psi_flat(fit), ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
 
 

@@ -284,6 +284,14 @@ class TestAnalyze:
         assert read_bytes(out1 / "fit.json") == read_bytes(out2 / "fit.json")
 
 
+def three_stages_with_two_lags(config):
+    """Exact pseudo outcomes with a stage-3 contrast in two lagged treatments."""
+    config.update(stages=3, exact_pseudo_outcomes=True)
+    config["stage_columns"].append({"covariates": {"X": "X2"}, "proxy": "A2star"})
+    config["models"].append({"contrast": "1 + A[1] + A[2]", "treatment_free": "1",
+                             "assignment": "1", "adherence": "1 + Astar[3]"})
+
+
 class TestMalformedConfig:
     CASES = {
         "stage_columns entry without proxy": (
@@ -351,6 +359,13 @@ class TestMalformedConfig:
                                           "coefficients": [[-4.6, -0.83, 7.5]] * 2,
                                           "covariance": [None, [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]}),
             "adherence covariance at stage 2 is not positive semidefinite"),
+        "exact_pseudo_outcomes with a standard mode": (
+            lambda c: c.update(mode="standard-naive-proxy", exact_pseudo_outcomes=True),
+            "exact_pseudo_outcomes applies to the modified modes only"),
+        "exact_pseudo_outcomes with two lagged treatments": (
+            three_stages_with_two_lags,
+            "stage 3: exact pseudo-outcome correction supports exactly one lagged "
+            "treatment in the contrast, found stages [1, 2]"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -435,16 +435,28 @@ class TestEstimateRegime:
                            exact_pseudo_outcomes=True).estimate(data)
 
     def test_stacked_score_rejects_two_lags(self):
-        # the score evaluates the same pseudo outcomes as estimation, so it
-        # cannot fall back to the modified pseudo outcome either
-        data, specs = self.two_lag_problem()
+        # the plan refuses the form, so no fit, score or rule can fall back to
+        # the modified pseudo outcome
+        _, specs = self.two_lag_problem()
         plan = EstimationPlan(specs=tuple(specs), mode="modified-prescribed",
                               adherence=AdherenceSource.fitted())
-        fit = plan.estimate(data)
-        exact = dataclasses.replace(plan, exact_pseudo_outcomes=True)
-        score = StackedScore(data, dataclasses.replace(fit, plan=exact))
-        with pytest.raises(EstimationError, match="one lagged treatment"):
-            score.per_individual(score.theta_hat)
+        with pytest.raises(ValueError, match="stage 3: .*one lagged treatment.*stages \\[1, 2\\]"):
+            dataclasses.replace(plan, exact_pseudo_outcomes=True)
+
+    @pytest.mark.parametrize("mode,fields,message", [
+        ("standard-naive-proxy", {"exact_pseudo_outcomes": True},
+         "exact_pseudo_outcomes applies to the modified modes only, not 'standard-naive-proxy'"),
+        ("standard-actual", {"adherence": AdherenceSource.fitted()},
+         "adherence applies to the modified modes only, not 'standard-actual'"),
+        ("modified-prescribed", {"adherence": AdherenceSource.fitted(),
+                                 "exact_pseudo_outcomes": True},
+         "stage 3: exact pseudo-outcome correction supports exactly one lagged treatment"),
+    ], ids=["standard-exact", "standard-adherence", "modified-two-lags"])
+    def test_plan_rejects_what_it_cannot_honour(self, mode, fields, message):
+        # rejected when built, before any data is seen
+        _, specs = self.two_lag_problem()
+        with pytest.raises(ValueError, match=message):
+            EstimationPlan(specs=tuple(specs), mode=mode, **fields)
 
     def test_stage_validation_rejects_future_references(self):
         specs = [
@@ -580,7 +592,7 @@ class TestStackedScore:
             alpha = [nuis["alpha"] for nuis in base.estimate(data).nuisance]
             adherence = AdherenceSource.external(alpha)
         plan = EstimationPlan(specs=base.specs, mode=base.mode, adherence=adherence,
-                              exact_pseudo_outcomes=exact)
+                              exact_pseudo_outcomes=exact and not standard)
         score = StackedScore(data, plan.estimate(data))
         assert np.max(np.abs(score.mean(score.theta_hat))) <= 1e-9
 
@@ -625,3 +637,11 @@ class TestSensitivitySweep:
         points = sensitivity_sweep(data, plan, grid)
         assert points[0].error is not None  # uninformative proxy: singular system
         assert points[1].error is None
+
+    def test_standard_plan_rejected(self):
+        # a standard mode has no adherence model to pin, so every point would
+        # repeat the same fit
+        data = generate_s1(200, 0.0, np.random.default_rng(18))
+        plan = scenario_plan("s1", "naive-proxy")
+        with pytest.raises(ValueError, match="adherence applies to the modified modes only"):
+            sensitivity_sweep(data, plan, [np.zeros(3), np.array([-4.6, -0.83, 7.5])])

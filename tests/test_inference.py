@@ -1,8 +1,11 @@
 """Jacobians, sandwich covariance, Wald intervals, and the bootstrap engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dtr_adhere import inference
 from dtr_adhere.glm import NonConvergenceError, expit, fit_logistic
 from dtr_adhere.inference import (
     BootstrapError,
@@ -13,7 +16,8 @@ from dtr_adhere.inference import (
     sandwich,
     wald_intervals,
 )
-from dtr_adhere.gest import EstimationPlan, StackedScore, psi_flat, sensitivity_sweep
+from dtr_adhere.gest import (AdherenceSource, EstimationPlan, StackedScore, psi_flat,
+                             sensitivity_sweep)
 from dtr_adhere.simulation import ScenarioConfig, generate_s1, run_replications, scenario_plan
 
 
@@ -28,14 +32,16 @@ class TestNumericalJacobian:
         jac = numerical_jacobian(lambda t: np.array([t[0] ** 2, t[0] * t[1]]), np.array([1.0, 2.0]))
         np.testing.assert_allclose(jac, [[2.0, 0.0], [2.0, 1.0]], atol=1e-6)
 
-    def test_step_halving_consistency_on_stacked_score(self):
+    def test_step_halving_consistency_on_stacked_score(self, monkeypatch):
         rng = np.random.default_rng(31)
         data = generate_s1(50, 0.0, rng, validation_fraction=0.5)
         plan = scenario_plan("s1", "modified-fitted")
         fit = plan.estimate(data)
         score = StackedScore(data, fit)
-        coarse = numerical_jacobian(score.mean, score.theta_hat, step=1e-6)
-        fine = numerical_jacobian(score.mean, score.theta_hat, step=1e-7)
+        monkeypatch.setattr(inference, "JACOBIAN_STEP", 1e-6)
+        coarse = numerical_jacobian(score.mean, score.theta_hat)
+        monkeypatch.setattr(inference, "JACOBIAN_STEP", 1e-7)
+        fine = numerical_jacobian(score.mean, score.theta_hat)
         scale = np.linalg.norm(fine)
         assert np.linalg.norm(coarse - fine) / scale < 1e-4
 
@@ -88,8 +94,10 @@ class TestSandwich:
 
     def test_one_score_pass_per_jacobian_step_plus_the_meat(self, monkeypatch):
         data = generate_s1(300, 1.0, np.random.default_rng(15))
-        fit = scenario_plan("s1", "modified-fitted").estimate(data)
-        size = StackedScore(data, fit).size
+        fitted = scenario_plan("s1", "modified-fitted").estimate(data)
+        # external coefficients with a covariance add their blocks to theta
+        # instead of refitting the regime
+        external = _external_plan(fitted, (0, 1)).estimate(data)
         original = StackedScore.per_individual
         calls = []
 
@@ -98,8 +106,11 @@ class TestSandwich:
             return original(self, theta)
 
         monkeypatch.setattr(StackedScore, "per_individual", counted)
-        regime_sandwich(data, fit)
-        assert len(calls) == 2 * size + 1
+        for fit in (fitted, external):
+            size = StackedScore(data, fit).size
+            calls.clear()
+            regime_sandwich(data, fit)
+            assert len(calls) == 2 * size + 1
 
     def test_variance_shrinks_linearly(self):
         plan = scenario_plan("s1", "modified-fitted")
@@ -116,7 +127,84 @@ class TestSandwich:
         assert np.all(np.abs(ratio - 2.0) < 0.4)  # halving within 20%
 
 
+def _external_plan(fit, stages):
+    """``fit``'s plan with its fitted adherence coefficients supplied as
+    external ones, carrying a covariance at ``stages`` (0-based)."""
+    alpha = [nuis["alpha"] for nuis in fit.nuisance]
+    covariance = [np.diag(np.full(a.size, 0.05)) + 0.01 if j in stages else None
+                  for j, a in enumerate(alpha)]
+    return replace(fit.plan, adherence=AdherenceSource.external(alpha, covariance))
+
+
 class TestExternalAdherenceCovariance:
+    @staticmethod
+    def refit_delta_method(data, plan):
+        """The covariance term by re-estimation: G Sigma_alpha G^T with G the
+        central-difference derivative of the contrast estimates over the
+        external coefficients of every stage with a covariance."""
+        source = plan.adherence
+        stages = [j for j, cov in enumerate(source.covariance) if cov is not None]
+        sizes = [source.coefficients[j].size for j in stages]
+
+        def psi_at(alpha):
+            coefficients = list(source.coefficients)
+            for j, part in zip(stages, np.split(alpha, np.cumsum(sizes)[:-1])):
+                coefficients[j] = part
+            return replace(plan, adherence=AdherenceSource.external(coefficients)
+                           ).psi_estimator(data)
+
+        alpha = np.concatenate([source.coefficients[j] for j in stages])
+        columns = []
+        for k in range(alpha.size):
+            h = 1e-5 * max(1.0, abs(alpha[k]))
+            step = np.zeros(alpha.size)
+            step[k] = h
+            columns.append((psi_at(alpha + step) - psi_at(alpha - step)) / (2.0 * h))
+        g = np.column_stack(columns)
+        sigma_alpha = np.zeros((alpha.size, alpha.size))
+        at = 0
+        for j, size in zip(stages, sizes):
+            sigma_alpha[at : at + size, at : at + size] = source.covariance[j]
+            at += size
+        return g @ sigma_alpha @ g.T
+
+    @pytest.mark.parametrize("stages", [(0, 1), (1,)], ids=["both-stages", "stage-2"])
+    def test_matches_refit_delta_method(self, stages):
+        data = generate_s1(1000, 1.0, np.random.default_rng(43))
+        fitted = scenario_plan("s1", "modified-fitted").estimate(data)
+        plan = _external_plan(fitted, stages)
+        fit = plan.estimate(data)
+        bare = replace(plan, adherence=AdherenceSource.external(plan.adherence.coefficients))
+        base = regime_sandwich(data, bare.estimate(data)).sigma_psi
+        expected = base + self.refit_delta_method(data, plan)
+        sigma_psi = regime_sandwich(data, fit).sigma_psi
+        assert not np.allclose(sigma_psi, base)
+        np.testing.assert_allclose(sigma_psi, expected, rtol=0,
+                                   atol=1e-6 * np.max(np.abs(expected)))
+
+    def test_no_refits(self, monkeypatch):
+        data = generate_s1(400, 1.0, np.random.default_rng(44))
+        fitted = scenario_plan("s1", "modified-fitted").estimate(data)
+        fit = _external_plan(fitted, (0, 1)).estimate(data)
+        calls = []
+        original = EstimationPlan.estimate
+
+        def counted(self, data):
+            calls.append(1)
+            return original(self, data)
+
+        monkeypatch.setattr(EstimationPlan, "estimate", counted)
+        regime_sandwich(data, fit)
+        assert calls == []
+
+    def test_sigma_psi_is_the_contrast_block_of_sigma_theta(self):
+        data = generate_s1(400, 1.0, np.random.default_rng(45))
+        fitted = scenario_plan("s1", "modified-fitted").estimate(data)
+        fit = _external_plan(fitted, (0, 1)).estimate(data)
+        result = regime_sandwich(data, fit)
+        psi = StackedScore(data, fit).psi_index
+        np.testing.assert_array_equal(result.sigma_psi, result.sigma_theta[np.ix_(psi, psi)])
+
     def test_supplied_covariance_inflates_contrast_variance(self):
         from dtr_adhere.gest import AdherenceSource, EstimationPlan
         from dtr_adhere.simulation import scenario_models
