@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -300,7 +301,8 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
     mode = need("mode", str)
     adherence_raw = _typed(raw.get("adherence", {}), dict, "adherence")
     adherence = None
-    if mode.startswith("modified"):
+    # A standard mode takes no adherence block; the plan rejects one it is given.
+    if mode.startswith("modified") or "adherence" in raw:
         kind = adherence_raw.get("kind", "fitted")
         if kind not in ("fitted", "external", "sensitivity"):
             raise ConfigError(f"unsupported adherence kind {kind!r} in a config file")
@@ -362,9 +364,16 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
     )
 
 
-def _parse_column(path: Path, name: str, cells) -> np.ndarray:
-    """One CSV column as floats.  An empty cell is missing (NaN); any other
-    cell must be a finite number."""
+# Rows read and parsed at a time.  Holding every cell of a large file as a
+# Python string at once fragments the interpreter's small-object arenas, and a
+# process that reads many files then grows by about a megabyte per n=50000 read.
+CSV_CHUNK_ROWS = 4096
+
+
+def _parse_column(path: Path, name: str, cells, first_row: int) -> np.ndarray:
+    """One CSV column, whose first cell is on file row ``first_row``, as
+    floats.  An empty cell is missing (NaN); any other cell must be a finite
+    number."""
     try:
         values = np.array([float(text) if text.strip() else np.nan for text in cells])
         suspects = np.flatnonzero(~np.isfinite(values))
@@ -377,7 +386,8 @@ def _parse_column(path: Path, name: str, cells) -> np.ndarray:
                 continue
         except ValueError:
             pass
-        raise ConfigError(f"{path}: row {i + 2}, column '{name}': not a finite number: {text!r}")
+        raise ConfigError(f"{path}: row {i + first_row}, column '{name}': "
+                          f"not a finite number: {text!r}")
     return values
 
 
@@ -392,23 +402,30 @@ def read_dataset_csv(config: AnalysisConfig):
     if not path.exists():
         raise ConfigError(f"input CSV not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ConfigError(f"{path}: empty CSV")
-    header, rows = rows[0], rows[1:]
-    col_index = {name: i for i, name in enumerate(header)}
-    bound = [config.outcome] + [c for b in config.stage_columns for c in b.columns()]
-    for name in bound:
-        if name not in col_index:
-            raise ConfigError(f"{path}: bound column '{name}' not in header")
-    if not rows:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"{path}: empty CSV")
+        col_index = {name: i for i, name in enumerate(header)}
+        bound = [config.outcome] + [c for b in config.stage_columns for c in b.columns()]
+        for name in bound:
+            if name not in col_index:
+                raise ConfigError(f"{path}: bound column '{name}' not in header")
+        width = 1 + max(col_index[name] for name in bound)
+        parts = {name: [] for name in bound}
+        first_row = 2  # the file row of the chunk's first data row
+        while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+            for row_num, row in enumerate(rows, start=first_row):
+                if len(row) < width:
+                    raise ConfigError(f"{path}: row {row_num} has too few fields")
+            cells = list(zip(*rows))
+            for name, chunks in parts.items():
+                chunks.append(_parse_column(path, name, cells[col_index[name]], first_row))
+            first_row += len(rows)
+    rows_total = first_row - 2
+    if not rows_total:
         raise ConfigError(f"{path}: no data rows")
-    width = 1 + max(col_index[name] for name in bound)
-    for row_num, row in enumerate(rows, start=2):
-        if len(row) < width:
-            raise ConfigError(f"{path}: row {row_num} has too few fields")
-    cells = list(zip(*rows))
-    values = {name: _parse_column(path, name, cells[col_index[name]]) for name in bound}
+    values = {name: np.concatenate(chunks) for name, chunks in parts.items()}
 
     required = [config.outcome]
     for binding in config.stage_columns:
@@ -449,9 +466,9 @@ def read_dataset_csv(config: AnalysisConfig):
     except DataError as err:
         raise ConfigError(f"{path}: {err}") from err
     diagnostics = {
-        "rows_total": len(rows),
+        "rows_total": rows_total,
         "rows_used": n,
-        "rows_dropped_incomplete": len(rows) - n,
+        "rows_dropped_incomplete": rows_total - n,
         "validation_rows_per_stage": validation.sum(axis=0).tolist(),
     }
     return data, diagnostics
@@ -526,6 +543,7 @@ def _fit_payload(config, fit, intervals, diagnostics) -> dict:
             "level": intervals.level,
             "failed_replicates": intervals.n_failed,
             "parameters": intervals.rows(),
+            **intervals.diagnostics,
         }
     return payload
 

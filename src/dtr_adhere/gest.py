@@ -37,8 +37,10 @@ from .model import (
     MODE_USE_ACTUAL,
     MODE_USE_EXPECTED,
     MODE_USE_PROXY,
+    CompiledDesign,
     Trajectory,
     build_design_matrix,
+    compile_design,
     parse_feature_spec,
 )
 
@@ -408,6 +410,68 @@ class _StageTerms(NamedTuple):
     contrast: np.ndarray
 
 
+class _Tangent:
+    """The derivative of an n-vector over the stacked parameter, kept as a sum
+    of terms ``(start, x, a)``: the rows of a design ``x`` scaled by ``a`` (an
+    n-vector or a scalar) are the derivative over the theta block of
+    ``x.shape[1]`` columns at ``start``.  Terms are never summed into an
+    (n, P) array; ``contract`` forms each one's product directly.  Tangents
+    add and subtract, and an n-vector on the left scales each row."""
+
+    __array_ufunc__ = None  # ``vector * tangent`` scales instead of broadcasting
+
+    def __init__(self, terms=()):
+        self.terms = tuple(terms)
+
+    def __add__(self, other: "_Tangent") -> "_Tangent":
+        return _Tangent(self.terms + other.terms)
+
+    def __sub__(self, other: "_Tangent") -> "_Tangent":
+        return self + (-1.0) * other
+
+    def __rmul__(self, vector) -> "_Tangent":
+        vector = np.asarray(vector, dtype=float)
+        return _Tangent((start, x, vector * a) for start, x, a in self.terms)
+
+    def contract(self, y: np.ndarray, out: np.ndarray) -> None:
+        """``out += y^T d`` for an (n, p) ``y``, with ``d`` the (n, P) derivative."""
+        for start, x, a in self.terms:
+            out[:, start : start + x.shape[1]] += (y * a[..., None]).T @ x
+
+
+class _Tangents:
+    """Forward-mode derivatives over the stacked parameter of the quantities
+    a pass of ``_StageSystem`` evaluates: the adherence and assignment
+    probabilities, and per stage the contrast weight, the contrast and the
+    pseudo outcome carried into it.  ``starts`` maps ``(stage, kind)`` to the
+    start of that coefficient block in theta; coefficients without a block
+    are held fixed."""
+
+    def __init__(self, starts: Mapping[tuple, int]):
+        self.starts = starts
+        self.pi, self.p, self.weight, self.contrast, self.v = {}, {}, {}, {}, {}
+
+    def linear(self, form: CompiledDesign, x: np.ndarray, pi: dict, coef: np.ndarray,
+               key: tuple) -> _Tangent:
+        """The derivative of ``x @ coef``, ``x = form.evaluate(pi)``, where
+        ``coef`` is the theta block ``key``: ``x`` over that block, plus the
+        design's dependence on the expected treatments through ``pi``."""
+        start = self.starts.get(key)
+        out = _Tangent(() if start is None else ((start, x, np.asarray(1.0)),))
+        slopes = {}
+        for stage, term, column in form.partials(pi):
+            slopes[stage] = slopes.get(stage, 0.0) + coef[term] * column
+        for stage, slope in slopes.items():
+            out = out + slope * self.pi[stage]
+        return out
+
+    def design_rows(self, form: CompiledDesign, pi: dict, s: np.ndarray, out: np.ndarray) -> None:
+        """``out += (dX)^T s`` for the design ``X = form.evaluate(pi)``: each
+        term's derivative through the expected treatments it multiplies in."""
+        for stage, term, column in form.partials(pi):
+            self.pi[stage].contract((column * s)[:, None], out[term : term + 1])
+
+
 class _StageSystem:
     """The stage estimating system of one plan on one dataset, written once.
 
@@ -415,7 +479,9 @@ class _StageSystem:
     the pseudo outcomes for whatever parameter values its caller supplies,
     through callbacks ``coefficients(stage, design)``: values fitted stage by
     stage (estimation), blocks of a stacked parameter vector (the sandwich
-    score) or a finished fit (the recommendation rules).
+    score) or a finished fit (the recommendation rules).  Given ``tangents``,
+    a pass also records the derivatives of what it evaluates over the stacked
+    parameter.  Each design is compiled once per system.
     """
 
     def __init__(self, plan: EstimationPlan, data: Dataset):
@@ -425,20 +491,28 @@ class _StageSystem:
         self.proxy_kind = plan.proxy_kind or data.default_proxy_kind()
         self.design_mode = _SUBSTITUTION[plan.mode]
         self.assign_mode = MODE_USE_ACTUAL if plan.mode == "standard-actual" else MODE_USE_PROXY
+        self._compiled = {}
 
     def response(self, stage: int) -> np.ndarray:
         if self.plan.mode == "standard-actual":
             return self.data.actual(stage)
         return self.data.proxy(stage, self.proxy_kind)
 
-    def design(self, spec: FeatureSpec, stage: int, pi: dict, mode: Optional[str] = None,
-               override: Optional[Mapping[int, float]] = None) -> np.ndarray:
-        return build_design_matrix(
-            spec, self.data, stage, mode or self.design_mode,
-            proxy_kind=self.proxy_kind, expected=pi, treatment_override=override,
-        )
+    def compiled(self, spec: FeatureSpec, stage: int, mode: Optional[str] = None,
+                 override: Optional[tuple] = None) -> CompiledDesign:
+        """``spec`` compiled at ``stage``; ``override`` is a ``(stage, value)``
+        pair pinning one treatment."""
+        key = (spec, stage, mode or self.design_mode, override)
+        form = self._compiled.get(key)
+        if form is None:
+            form = self._compiled[key] = compile_design(
+                spec, self.data, stage, key[2], proxy_kind=self.proxy_kind,
+                treatment_override=None if override is None else dict([override]),
+            )
+        return form
 
-    def adherence(self, upto: int, coefficients: Optional[Callable] = None):
+    def adherence(self, upto: int, coefficients: Optional[Callable] = None,
+                  tangents: Optional[_Tangents] = None):
         """Adherence designs and probabilities for stages 1..``upto``, built in
         stage order so each design can use the earlier stages' expected
         treatments.  Without ``coefficients`` the plan's fixed source supplies
@@ -451,11 +525,17 @@ class _StageSystem:
         for j in range(1, upto + 1):
             if source.probability is not None:
                 pi[j] = self._known_probability(source.probability, j)
+                if tangents is not None:
+                    tangents.pi[j] = _Tangent()
                 continue
-            designs[j] = self.design(self.plan.specs[j - 1].adherence, j, pi, MODE_USE_PROXY)
+            form = self.compiled(self.plan.specs[j - 1].adherence, j, MODE_USE_PROXY)
+            designs[j] = form.evaluate(pi)
             coef = (coefficients(j, designs[j]) if coefficients is not None
                     else source.coefficients[j - 1])
             pi[j] = expit(designs[j] @ coef)
+            if tangents is not None:
+                tangents.pi[j] = (pi[j] * (1.0 - pi[j])) * tangents.linear(
+                    form, designs[j], pi, coef, (j, "adherence"))
         return designs, pi
 
     def _known_probability(self, probability: Callable, stage: int) -> np.ndarray:
@@ -467,16 +547,22 @@ class _StageSystem:
             raise DesignError("adherence probability function returned invalid values")
         return probs
 
-    def assignment(self, pi: dict, coefficients: Callable):
+    def assignment(self, pi: dict, coefficients: Callable,
+                   tangents: Optional[_Tangents] = None):
         """Assignment designs and probabilities, stage 1 first."""
         designs, probs = [], []
         for j in range(1, self.k + 1):
-            design = self.design(self.plan.specs[j - 1].assignment, j, pi, self.assign_mode)
+            form = self.compiled(self.plan.specs[j - 1].assignment, j, self.assign_mode)
+            design = form.evaluate(pi)
+            coef = coefficients(j, design)
             designs.append(design)
-            probs.append(expit(design @ coefficients(j, design)))
+            probs.append(expit(design @ coef))
+            if tangents is not None:
+                tangents.p[j] = (probs[-1] * (1.0 - probs[-1])) * tangents.linear(
+                    form, design, pi, coef, (j, "assignment"))
         return designs, probs
 
-    def backward(self, pi: dict, solve: Callable):
+    def backward(self, pi: dict, solve: Callable, tangents: Optional[_Tangents] = None):
         """Backward induction from stage K to stage 1.
 
         ``solve(j, contrast_design, tf_design, weight, v)`` returns the stage-j
@@ -486,28 +572,53 @@ class _StageSystem:
         terms = [None] * self.k
         pseudo = np.empty((self.data.n, self.k))
         v = self.data.outcome
+        if tangents is not None:
+            tangents.v[self.k] = _Tangent()
         for j in range(self.k, 0, -1):
             spec = self.plan.specs[j - 1]
-            lam = self.design(spec.contrast, j, pi)
-            tf = self.design(spec.treatment_free, j, pi)
+            form = self.compiled(spec.contrast, j)
+            lam = form.evaluate(pi)
+            tf = self.compiled(spec.treatment_free, j).evaluate(pi)
             weight = pi[j] if self.plan.is_modified else self.response(j)
             psi = solve(j, lam, tf, weight, v)
             contrast = lam @ psi
             terms[j - 1] = _StageTerms(lam, tf, weight, v, contrast)
-            v = self._advance(j, psi, contrast, weight, v, pi)
+            if tangents is not None:
+                tangents.weight[j] = tangents.pi[j] if self.plan.is_modified else _Tangent()
+                tangents.contrast[j] = tangents.linear(form, lam, pi, psi, (j, "contrast"))
+            v = self._advance(j, psi, contrast, weight, v, pi, tangents)
             if not np.all(np.isfinite(v)):
                 raise EstimationError("pseudo outcomes are not finite", stage=j)
             pseudo[:, j - 1] = v
         return terms, pseudo
 
-    def _advance(self, j, psi, contrast, weight, v, pi):
+    def _advance(self, j, psi, contrast, weight, v, pi, tangents=None):
+        """The pseudo outcome carried into stage ``j - 1``.  Given
+        ``tangents``, also its derivative (almost everywhere: the rule's
+        indicators are held fixed) for ``j > 1``; the stage-1 pseudo outcome
+        feeds no score."""
         spec = self.plan.specs[j - 1].contrast
         lagged = spec.treatment_stages() if self.plan.exact_pseudo_outcomes else ()
+        tangents = tangents if j > 1 else None
+        if tangents is not None:
+            dv, dc, dw = tangents.v[j], tangents.contrast[j], tangents.weight[j]
         if not lagged:
-            return pseudo_outcome(v, contrast > 0.0, weight, contrast)
+            treat = contrast > 0.0
+            if tangents is not None:
+                tangents.v[j - 1] = dv + (treat - weight) * dc - contrast * dw
+            return pseudo_outcome(v, treat, weight, contrast)
         (lag,) = lagged  # the plan admits at most one
-        c1 = self.design(spec, j, pi, override={lag: 1.0}) @ psi
-        c0 = self.design(spec, j, pi, override={lag: 0.0}) @ psi
+        # the contrast with the lagged treatment pinned to 1, then to 0
+        forms = [self.compiled(spec, j, override=(lag, value)) for value in (1.0, 0.0)]
+        x1, x0 = (form.evaluate(pi) for form in forms)
+        c1, c0 = x1 @ psi, x0 @ psi
+        if tangents is not None:
+            dc1, dc0 = (tangents.linear(form, x, pi, psi, (j, "contrast"))
+                        for form, x in zip(forms, (x1, x0)))
+            gain = np.where(c1 > 0.0, c1, 0.0) - np.where(c0 > 0.0, c0, 0.0)
+            tangents.v[j - 1] = (dv + gain * tangents.pi[lag] + (pi[lag] * (c1 > 0.0)) * dc1
+                                 + ((1.0 - pi[lag]) * (c0 > 0.0)) * dc0
+                                 - weight * dc - contrast * dw)
         # The expected optimal payoff replaces a_opt * contrast; the
         # adherence-weighted contrast is still subtracted as usual.
         return pseudo_outcome_exact(v, pi[lag], c1, c0) - weight * contrast
@@ -517,8 +628,8 @@ class _StageSystem:
         fitted = (lambda j, _: fit.nuisance[j - 1]["alpha"]) if self.plan.fits_adherence else None
         _, pi = self.adherence(max(stages) - 1, fitted)
         return [
-            (self.design(self.plan.specs[j - 1].contrast, j, pi) @ fit.psi[j - 1] > 0.0)
-            .astype(int)
+            (self.compiled(self.plan.specs[j - 1].contrast, j).evaluate(pi) @ fit.psi[j - 1]
+             > 0.0).astype(int)
             for j in stages
         ]
 
@@ -760,9 +871,17 @@ class StackedScore:
         contrast = sorted((b.stage, b.start, b.size) for b in self.blocks if b.kind == "contrast")
         return np.concatenate([np.arange(start, start + size) for _, start, size in contrast])
 
-    def per_individual(self, theta: np.ndarray) -> np.ndarray:
+    def evaluate(self, theta: np.ndarray, *, jacobian: bool = False):
+        """The (n, P) per-individual scores at ``theta`` and, with
+        ``jacobian``, the P x P derivative of their mean over theta, from one
+        pass of the stage system that carries tangents; otherwise ``None``.
+
+        Each score block is a design times an n-vector, ``X * s[:, None]``,
+        so its rows of the Jacobian are ``(X^T ds + (dX)^T s) / n``, formed
+        block by block without an (n, p, P) array."""
         params = self._unpack(np.asarray(theta, dtype=float))
         system = self.system
+        tangents = _Tangents({(b.stage, b.kind): b.start for b in self.blocks}) if jacobian else None
 
         def given(kind):
             return lambda j, *_: params[(j, kind)]
@@ -773,14 +892,17 @@ class StackedScore:
             block = params.get((j, "adherence"))
             return source.coefficients[j - 1] if block is None else block
 
-        adherence_designs, pi = system.adherence(self.k, alpha)
-        assign_designs, p_cols = system.assignment(pi, given("assignment"))
-        terms, _ = system.backward(pi, given("contrast"))
+        adherence_designs, pi = system.adherence(self.k, alpha, tangents)
+        assign_designs, p_cols = system.assignment(pi, given("assignment"), tangents)
+        terms, _ = system.backward(pi, given("contrast"), tangents)
 
-        e, resid = {}, {}
+        e, resid, target = {}, {}, {}
         for j, t in enumerate(terms, start=1):
             e[j] = system.response(j) - p_cols[j - 1]
             resid[j] = t.v - t.weight * t.contrast - t.tf_design @ params[(j, "treatment_free")]
+            if (j, "adherence") in params and j not in self.external:
+                mask = self.data.validation[:, j - 1]
+                target[j] = mask * (np.where(mask, self.data.actual(j), 0.0) - pi[j])
 
         out = np.empty((self.data.n, self.size))
         for block in self.blocks:
@@ -790,15 +912,52 @@ class StackedScore:
             elif block.kind == "adherence" and j in self.external:
                 rows = source.coefficients[j - 1] - params[(j, "adherence")]  # every row
             elif block.kind == "adherence":
-                mask = self.data.validation[:, j - 1]
-                target = mask * (np.where(mask, self.data.actual(j), 0.0) - pi[j])
-                rows = adherence_designs[j] * target[:, None]
+                rows = adherence_designs[j] * target[j][:, None]
             elif block.kind == "assignment":
                 rows = assign_designs[j - 1] * e[j][:, None]
             else:
                 rows = t.contrast_design * (e[j] * resid[j])[:, None]
             out[:, block.start : block.start + block.size] = rows
-        return out
+        if tangents is None:
+            return out, None
+
+        jac = np.zeros((self.size, self.size))
+        at = {(b.stage, b.kind): slice(b.start, b.start + b.size) for b in self.blocks}
+        for j, (t, spec) in enumerate(zip(terms, system.plan.specs), start=1):
+            if j in target:
+                rows = jac[at[(j, "adherence")]]
+                mask = self.data.validation[:, j - 1]
+                tangents.pi[j].contract(-(adherence_designs[j] * mask[:, None]), rows)
+                tangents.design_rows(system.compiled(spec.adherence, j, MODE_USE_PROXY), pi,
+                                     target[j], rows)
+            elif (j, "adherence") in at:  # external: alpha_ext - alpha, so -I after the 1/n
+                block = at[(j, "adherence")]
+                jac[block, block] = -self.data.n * np.eye(block.stop - block.start)
+            rows = jac[at[(j, "assignment")]]
+            tangents.p[j].contract(-assign_designs[j - 1], rows)
+            tangents.design_rows(system.compiled(spec.assignment, j, system.assign_mode), pi,
+                                 e[j], rows)
+            # the residual's derivative: dv - w dc - c dw - d(T beta)
+            tf_form = system.compiled(spec.treatment_free, j)
+            d_resid = (tangents.v[j] - t.weight * tangents.contrast[j]
+                       - t.contrast * tangents.weight[j]
+                       - tangents.linear(tf_form, t.tf_design, pi,
+                                         params[(j, "treatment_free")], (j, "treatment_free")))
+            rows = jac[at[(j, "treatment_free")]]
+            d_resid.contract(t.tf_design, rows)
+            tangents.design_rows(tf_form, pi, resid[j], rows)
+            rows = jac[at[(j, "contrast")]]
+            d_resid.contract(t.contrast_design * e[j][:, None], rows)
+            tangents.p[j].contract(t.contrast_design * -resid[j][:, None], rows)
+            tangents.design_rows(system.compiled(spec.contrast, j), pi, e[j] * resid[j], rows)
+        return out, jac / self.data.n
+
+    def per_individual(self, theta: np.ndarray) -> np.ndarray:
+        return self.evaluate(theta)[0]
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """The derivative of the mean score over theta, in closed form."""
+        return self.evaluate(theta, jacobian=True)[1]
 
     def mean(self, theta: np.ndarray) -> np.ndarray:
         return self.per_individual(theta).mean(axis=0)

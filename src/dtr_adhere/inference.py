@@ -1,15 +1,17 @@
 """Variance estimation for the stacked estimator and bootstrap intervals.
 
-The sandwich estimator differentiates the mean stacked score numerically
-(central differences), inverts it as the bread, and uses the mean outer
-product of per-individual scores as the meat.  The nonparametric bootstrap
-resamples whole trajectories and refits the entire pipeline, adherence models
-included, per replicate.
+The sandwich estimator inverts the Jacobian of the mean stacked score as the
+bread and uses the mean outer product of per-individual scores as the meat.
+For a fitted regime the Jacobian comes in closed form from the same pass of
+the stage system that gives the scores; ``numerical_jacobian`` (central
+differences) serves any other estimating function.  The nonparametric
+bootstrap resamples whole trajectories and refits the entire pipeline,
+adherence models included, per replicate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from statistics import NormalDist
 from typing import Callable
@@ -20,8 +22,11 @@ from .gest import (MAX_FAILURE_FRACTION, EstimationError, RegimeFit, StackedScor
                    ordered_map, psi_flat, tally)
 from .model import Dataset
 
-# Relative central-difference step of the sandwich bread.
+# Relative central-difference step of numerical_jacobian.
 JACOBIAN_STEP = 1e-6
+# Singular values of the Jacobian at or below this fraction of the largest are
+# dropped from the bread (``pinv``'s ``rcond``).
+BREAD_RCOND = 1e-12
 
 
 class SandwichError(EstimationError):
@@ -38,6 +43,7 @@ class SandwichResult:
     sigma_psi: np.ndarray
     bread_condition: float
     bread: np.ndarray
+    truncated_directions: int  # Jacobian directions the bread's pinv dropped
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,7 @@ class IntervalSet:
     level: float
     method: str  # "wald-sandwich" | "bootstrap-percentile"
     n_failed: int = 0
+    diagnostics: dict = field(default_factory=dict)  # written beside the intervals
 
     def rows(self) -> list:
         return [
@@ -83,43 +90,46 @@ def numerical_jacobian(f: Callable, theta) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def sandwich(score: Callable, theta_hat) -> SandwichResult:
+def sandwich(scores, jacobian) -> SandwichResult:
     """Sandwich covariance for a stacked estimating equation.
 
-    ``score(theta)`` must return the (n, P) matrix of per-individual score
-    contributions.  The bread inverts the mean-score Jacobian; the meat is
-    the mean outer product at ``theta_hat``; the result carries the 1/n
-    finite-sample scaling.
+    ``scores`` is the (n, P) matrix of per-individual score contributions at
+    the estimate and ``jacobian`` the P x P derivative of their mean there.
+    The bread inverts the Jacobian; the meat is the mean outer product of the
+    scores; the result carries the 1/n finite-sample scaling.  A generic
+    estimating function can supply ``numerical_jacobian(mean_score, theta)``.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    s_hat = np.asarray(score(theta_hat), dtype=float)
-    if not np.all(np.isfinite(s_hat)):
+    scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
         raise SandwichError("per-individual scores are not finite at theta_hat")
-    n = s_hat.shape[0]
-
-    def mean_score(theta):
-        return np.asarray(score(theta), dtype=float).mean(axis=0)
-
-    jac = numerical_jacobian(mean_score, theta_hat)
+    n = scores.shape[0]
+    jac = np.asarray(jacobian, dtype=float)
+    if not np.all(np.isfinite(jac)):
+        raise SandwichError("bread Jacobian is not finite")
     cond = float(np.linalg.cond(jac))
     if not np.isfinite(cond):
         raise SandwichError("bread Jacobian is not finite")
     # A quasi-separated nuisance fit (e.g. an adherence model with a pure
     # validation cell) leaves an information-free direction in the bread.
     # Invert through a truncated SVD so dead directions are pinned instead of
-    # exploding; the raw condition number is reported for diagnostics.
-    bread = -np.linalg.pinv(jac, rcond=1e-12)
+    # exploding; the raw condition number and the number of pinned
+    # directions are reported for diagnostics.
+    bread = -np.linalg.pinv(jac, rcond=BREAD_RCOND)
     if not np.all(np.isfinite(bread)):
         raise SandwichError(f"singular bread (condition number {cond:.3g})")
-    meat = s_hat.T @ s_hat / n
+    singular = np.linalg.svd(jac, compute_uv=False)
+    truncated = int(np.sum(singular <= BREAD_RCOND * singular[0]))
+    meat = scores.T @ scores / n
     sigma = bread @ meat @ bread.T / n
     sigma = 0.5 * (sigma + sigma.T)
-    return SandwichResult(sigma_theta=sigma, sigma_psi=sigma, bread_condition=cond, bread=bread)
+    return SandwichResult(sigma_theta=sigma, sigma_psi=sigma, bread_condition=cond, bread=bread,
+                          truncated_directions=truncated)
 
 
 def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     """Sandwich covariance for a fitted regime, from the stacked score of
-    the system ``fit.plan`` solved on ``data``.
+    the system ``fit.plan`` solved on ``data`` and its closed-form Jacobian,
+    both from one pass.
 
     Known and sensitivity adherence coefficients, and external ones without a
     covariance, are held fixed.  External coefficients with a covariance
@@ -128,7 +138,7 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     ``B_j Sigma_j B_j^T``, added to the whole covariance.
     """
     stacked = StackedScore(data, fit)
-    result = sandwich(stacked.per_individual, stacked.theta_hat)
+    result = sandwich(*stacked.evaluate(stacked.theta_hat, jacobian=True))
     sigma = result.sigma_theta
     for block in stacked.blocks:
         if block.kind == "adherence" and block.stage in stacked.external:
@@ -225,4 +235,8 @@ def regime_wald_intervals(data: Dataset, fit: RegimeFit, level: float = 0.95) ->
     flattened contrast parameters (stage 1 first)."""
     result = regime_sandwich(data, fit)
     names = [f"psi{j}.{label}" for j, label in fit.parameter_labels()]
-    return wald_intervals(psi_flat(fit), result.sigma_psi, level, names=names)
+    intervals = wald_intervals(psi_flat(fit), result.sigma_psi, level, names=names)
+    return replace(intervals, diagnostics={
+        "bread_condition": result.bread_condition,
+        "truncated_directions": result.truncated_directions,
+    })

@@ -523,31 +523,78 @@ def _resolve_source(source: str, mode: str) -> str:
     }[mode]
 
 
-def build_design_matrix(
+@dataclass(frozen=True)
+class CompiledDesign:
+    """A FeatureSpec evaluated on one dataset up to its expected treatments.
+
+    Column ``t`` of the design is ``base[:, t]`` times ``expected[l]`` for each
+    stage ``l`` in ``expected_stages[t]``, a multiset (``EA[1]*EA[1]`` lists
+    stage 1 twice).  The base columns, the product of a term's covariate,
+    proxy, actual and override factors, do not depend on the adherence model,
+    so a design compiled once is evaluated at any expected treatments.
+    """
+
+    base: np.ndarray  # (n, p), read-only
+    expected_stages: tuple  # per term, a tuple of stages
+
+    def evaluate(self, expected: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
+        """The design matrix at ``expected``; the read-only base itself when
+        no term multiplies in an expected treatment."""
+        if not any(self.expected_stages):
+            return self.base
+        out = self.base.copy()
+        for t, stages in enumerate(self.expected_stages):
+            for stage in stages:
+                if expected is None or stage not in expected:
+                    raise DesignError(
+                        f"no adherence model available for expected treatment at "
+                        f"stage {stage}"
+                    )
+                out[:, t] *= expected[stage]
+        return out
+
+    def partials(self, expected: Mapping[int, np.ndarray]) -> list:
+        """``(stage, term, column)`` for each expected treatment a term
+        multiplies in, ``column`` being the derivative of the design's column
+        ``term`` over ``expected[stage]`` (the product rule, so a repeated
+        stage contributes its multiplicity)."""
+        out = []
+        for t, stages in enumerate(self.expected_stages):
+            for stage in sorted(set(stages)):
+                rest = list(stages)
+                rest.remove(stage)
+                column = stages.count(stage) * self.base[:, t]
+                for other in rest:
+                    column = column * expected[other]
+                out.append((stage, t, column))
+        return out
+
+
+def compile_design(
     spec: FeatureSpec,
     data: Dataset,
     stage: int,
     mode: str,
     *,
     proxy_kind: Optional[str] = None,
-    expected: Optional[Mapping[int, np.ndarray]] = None,
     treatment_override: Optional[Mapping[int, float]] = None,
-) -> np.ndarray:
-    """Evaluate a FeatureSpec over every trajectory, one row per individual.
+) -> CompiledDesign:
+    """Compile a FeatureSpec on ``data`` at ``stage`` under a substitution mode.
 
-    ``expected`` supplies the modeled probability that each past treatment was
-    taken, keyed by stage; it is required whenever a reference resolves to the
-    expected-treatment source.  ``treatment_override`` pins the treatment at
-    given stages to a fixed value regardless of source.
+    Every reference that resolves to the expected-treatment source is left
+    for ``CompiledDesign.evaluate``; everything else is checked and
+    multiplied into the base columns here.  ``treatment_override`` pins the
+    treatment at given stages to a fixed value regardless of source.
     """
     if mode not in SUBSTITUTION_MODES:
         raise ValueError(f"unknown substitution mode '{mode}'")
     if proxy_kind is None:
         proxy_kind = data.default_proxy_kind()
     n = data.n
-    cols = []
+    cols, expected_stages = [], []
     for term in spec.terms:
         value = np.ones(n)
+        stages = []
         for f in term.factors:
             if isinstance(f, Constant):
                 continue
@@ -586,13 +633,35 @@ def build_design_matrix(
                     raise DesignError(
                         f"{proxy_kind} treatment missing at stage {f.stage}"
                     )
-            else:  # expected
-                if expected is None or f.stage not in expected:
-                    raise DesignError(
-                        f"no adherence model available for expected treatment at "
-                        f"stage {f.stage}"
-                    )
-                col = expected[f.stage]
+            else:  # expected: multiplied in when the design is evaluated
+                stages.append(f.stage)
+                continue
             value = value * col
         cols.append(value)
-    return np.column_stack(cols)
+        expected_stages.append(tuple(stages))
+    base = np.column_stack(cols)
+    base.flags.writeable = False
+    return CompiledDesign(base=base, expected_stages=tuple(expected_stages))
+
+
+def build_design_matrix(
+    spec: FeatureSpec,
+    data: Dataset,
+    stage: int,
+    mode: str,
+    *,
+    proxy_kind: Optional[str] = None,
+    expected: Optional[Mapping[int, np.ndarray]] = None,
+    treatment_override: Optional[Mapping[int, float]] = None,
+) -> np.ndarray:
+    """Evaluate a FeatureSpec over every trajectory, one row per individual.
+
+    ``expected`` supplies the modeled probability that each past treatment was
+    taken, keyed by stage; it is required whenever a reference resolves to the
+    expected-treatment source.  ``treatment_override`` pins the treatment at
+    given stages to a fixed value regardless of source.  The result may be
+    read-only.
+    """
+    return compile_design(
+        spec, data, stage, mode, proxy_kind=proxy_kind, treatment_override=treatment_override
+    ).evaluate(expected)

@@ -23,7 +23,7 @@ from dtr_adhere.gest import (
     pseudo_outcome_exact,
     psi_flat,
 )
-from dtr_adhere.inference import sandwich
+from dtr_adhere.inference import numerical_jacobian, sandwich
 from dtr_adhere.model import Dataset
 from dtr_adhere.simulation import (
     ScenarioConfig,
@@ -329,7 +329,9 @@ def test_criterion_8_double_robustness():
 def test_criterion_9_sandwich_oracles():
     rng = np.random.default_rng(909)
     x = rng.normal(1.5, 3.0, 700)
-    result = sandwich(lambda t: (x - t[0])[:, None], np.array([x.mean()]))
+    theta = np.array([x.mean()])
+    result = sandwich((x - theta[0])[:, None],
+                      numerical_jacobian(lambda t: (x - t[0])[:, None].mean(axis=0), theta))
     mean_gap = abs(result.sigma_theta[0, 0] - np.var(x) / x.size)
 
     n = 5000
@@ -340,7 +342,8 @@ def test_criterion_9_sandwich_oracles():
     def score(theta):
         return design * (y - expit(design @ theta))[:, None]
 
-    robust = sandwich(score, fit.coefficients)
+    robust = sandwich(score(fit.coefficients),
+                      numerical_jacobian(lambda t: score(t).mean(axis=0), fit.coefficients))
     mu = expit(design @ fit.coefficients)
     info = (design * (mu * (1 - mu))[:, None]).T @ design
     ratio = np.diag(robust.sigma_theta) / np.diag(np.linalg.inv(info))

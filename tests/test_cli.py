@@ -9,6 +9,7 @@ import pytest
 
 from dtr_adhere.cli import main, write_dataset_csv
 from dtr_adhere.gest import psi_flat
+from dtr_adhere.inference import regime_sandwich
 from dtr_adhere.simulation import generate_s1, scenario_plan
 
 
@@ -233,6 +234,23 @@ class TestAnalyze:
         for row in rows:
             assert row["lower"] <= row["estimate"] <= row["upper"]
 
+    def test_bread_diagnostics_written_for_wald_only(self, analysis_setup):
+        data, config, config_path, tmp_path = analysis_setup
+        blocks = {}
+        for method in ("wald-sandwich", "bootstrap"):
+            config["inference"] = {"method": method, "replicates": 20, "level": 0.95}
+            config_path.write_text(json.dumps(config))
+            assert run_cli("analyze", config_path, "--out", tmp_path / method) == 0
+            blocks[method] = json.loads((tmp_path / method / "fit.json").read_text())["intervals"]
+        fit = scenario_plan("s1", "modified-fitted").estimate(data)
+        expected = regime_sandwich(data, fit)
+        wald = blocks["wald-sandwich"]
+        assert wald["bread_condition"] == pytest.approx(expected.bread_condition, rel=1e-6)
+        assert wald["bread_condition"] > 1.0
+        assert wald["truncated_directions"] == expected.truncated_directions == 0
+        assert "bread_condition" not in blocks["bootstrap"]
+        assert "truncated_directions" not in blocks["bootstrap"]
+
     def test_reported_mode_round_trip(self, tmp_path):
         from dtr_adhere.simulation import generate_s4
 
@@ -282,6 +300,13 @@ class TestAnalyze:
         assert run_cli("analyze", config_path, "--out", out1) == 0
         assert run_cli("analyze", config_path, "--out", out2) == 0
         assert read_bytes(out1 / "fit.json") == read_bytes(out2 / "fit.json")
+
+
+def standard_mode_with_exact_pseudo_outcomes(config):
+    """A standard mode with exact pseudo outcomes (and no adherence block,
+    which a standard mode rejects too)."""
+    del config["adherence"]
+    config.update(mode="standard-naive-proxy", exact_pseudo_outcomes=True)
 
 
 def three_stages_with_two_lags(config):
@@ -360,8 +385,13 @@ class TestMalformedConfig:
                                           "covariance": [None, [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]}),
             "adherence covariance at stage 2 is not positive semidefinite"),
         "exact_pseudo_outcomes with a standard mode": (
-            lambda c: c.update(mode="standard-naive-proxy", exact_pseudo_outcomes=True),
+            standard_mode_with_exact_pseudo_outcomes,
             "exact_pseudo_outcomes applies to the modified modes only"),
+        "adherence block with a standard mode": (
+            lambda c: c.update(mode="standard-naive-proxy",
+                               adherence={"kind": "external",
+                                          "coefficients": [[-4.6, -0.83, 7.5]] * 2}),
+            "adherence applies to the modified modes only"),
         "exact_pseudo_outcomes with two lagged treatments": (
             three_stages_with_two_lags,
             "stage 3: exact pseudo-outcome correction supports exactly one lagged "
@@ -422,6 +452,30 @@ class TestCsvErrors:
         assert run_cli("analyze", config_path, "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_chunked_read_matches_one_chunk(self, analysis_setup, monkeypatch):
+        # The file is read a chunk of rows at a time; the chunk size changes
+        # neither the dataset nor the row a fault is reported on.
+        from dtr_adhere import cli
+
+        _, _, config_path, tmp_path = analysis_setup
+        config = cli.load_analysis_config(config_path)
+        whole, diagnostics = cli.read_dataset_csv(config)
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+        chunked, chunked_diagnostics = cli.read_dataset_csv(config)
+        assert chunked_diagnostics == diagnostics
+        np.testing.assert_array_equal(chunked.outcome, whole.outcome)
+        np.testing.assert_array_equal(chunked.validation, whole.validation)
+        for j in (1, 2):
+            np.testing.assert_array_equal(chunked.covariate("X", j), whole.covariate("X", j))
+            np.testing.assert_array_equal(chunked.prescribed(j), whole.prescribed(j))
+            np.testing.assert_array_equal(chunked.actual(j), whole.actual(j))
+        csv_path = tmp_path / "data.csv"
+        lines = set_cell(19, "X2", "inf")(csv_path.read_text().splitlines())
+        csv_path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(cli.ConfigError, match="row 20, column 'X2': not a finite number"):
+            cli.read_dataset_csv(config)
 
 
 class TestSensitivity:

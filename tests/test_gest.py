@@ -23,6 +23,7 @@ from dtr_adhere.gest import (
     validate_stage_models,
 )
 from dtr_adhere.glm import NonConvergenceError, RankDeficiencyError, expit
+from dtr_adhere.inference import numerical_jacobian
 from dtr_adhere.model import (
     Dataset,
     DesignError,
@@ -32,6 +33,7 @@ from dtr_adhere.model import (
     parse_feature_spec,
 )
 from dtr_adhere.simulation import (
+    PRESCRIBED_ADHERENCE_COEF,
     generate_s1,
     generate_s3,
     generate_s4,
@@ -595,6 +597,73 @@ class TestStackedScore:
                               exact_pseudo_outcomes=exact and not standard)
         score = StackedScore(data, plan.estimate(data))
         assert np.max(np.abs(score.mean(score.theta_hat))) <= 1e-9
+
+    @staticmethod
+    def adherence_source(scenario, source, data):
+        """The adherence source named ``source``, built around the fitted
+        adherence coefficients of ``scenario`` on ``data``."""
+        alpha = [nuis["alpha"] for nuis in scenario_plan(scenario, "modified-fitted")
+                 .estimate(data).nuisance]
+        if source == "fitted":
+            return AdherenceSource.fitted()
+        if source == "known-coefficients":
+            return AdherenceSource.known(coefficients=alpha)
+        if source == "known-probability":
+            if scenario == "s4":
+                return known_adherence("s4")
+            c = PRESCRIBED_ADHERENCE_COEF
+            return AdherenceSource.known(
+                probability=lambda j, cov, proxy: expit(c[0] + c[1] * cov("X", j) + c[2] * proxy))
+        covariance = [np.diag(np.full(a.size, 0.05)) + 0.01 for a in alpha]
+        if source == "external-stage-2":
+            covariance[0] = None
+        return AdherenceSource.external(alpha, covariance)
+
+    @pytest.mark.parametrize("source", [
+        "standard-actual", "naive-proxy", "fitted", "known-coefficients", "known-probability",
+        "external-stage-2", "external-both-stages",
+    ])
+    @pytest.mark.parametrize("scenario", ["s1", "s3", "s4"])
+    def test_jacobian_matches_central_differences(self, scenario, source):
+        data = _score_dataset(scenario)
+        standard = source in ("standard-actual", "naive-proxy")
+        base = scenario_plan(scenario, source if standard else "modified-fitted")
+        for exact in (False,) if standard else (False, True):
+            plan = dataclasses.replace(base, exact_pseudo_outcomes=exact)
+            if not standard:
+                plan = dataclasses.replace(
+                    plan, adherence=self.adherence_source(scenario, source, data))
+            score = StackedScore(data, plan.estimate(data))
+            oracle = numerical_jacobian(score.mean, score.theta_hat)
+            gap = np.max(np.abs(score.jacobian(score.theta_hat) - oracle))
+            assert gap <= 1e-8 * np.max(np.abs(oracle)), (exact, gap)
+
+    def test_jacobian_through_expected_treatments_in_every_design(self):
+        # Stage-2 adherence and assignment depend on the stage-1 adherence
+        # model through EA[1], and a squared A[1] enters the treatment-free
+        # model, so every design carries tangents through the chain rule.
+        data = _score_dataset("s1")
+        specs = (
+            StageModelSpec.from_strings("1 + X[1]", "1 + X[1]", "1 + X[1]", "1 + X[1] + Astar[1]"),
+            StageModelSpec.from_strings(
+                "1 + X[2] + A[1]", "1 + X[1] + A[1] + A[1]*A[1] + X[2]", "1 + X[2] + EA[1]",
+                "1 + X[2] + Astar[2] + EA[1]"),
+        )
+        for exact in (False, True):
+            plan = EstimationPlan(specs=specs, mode="modified-prescribed",
+                                  adherence=AdherenceSource.fitted(), exact_pseudo_outcomes=exact)
+            score = StackedScore(data, plan.estimate(data))
+            oracle = numerical_jacobian(score.mean, score.theta_hat)
+            gap = np.max(np.abs(score.jacobian(score.theta_hat) - oracle))
+            assert gap <= 1e-8 * np.max(np.abs(oracle)), (exact, gap)
+
+    def test_one_pass_gives_the_scores_and_the_jacobian(self):
+        data = _score_dataset("s3")
+        score = StackedScore(data, scenario_plan("s3", "modified-fitted").estimate(data))
+        scores, jacobian = score.evaluate(score.theta_hat, jacobian=True)
+        np.testing.assert_array_equal(scores, score.per_individual(score.theta_hat))
+        np.testing.assert_array_equal(jacobian, score.jacobian(score.theta_hat))
+        assert score.evaluate(score.theta_hat)[1] is None
 
 
 class TestSensitivitySweep:

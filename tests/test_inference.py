@@ -58,7 +58,8 @@ class TestSandwich:
         def score(theta):
             return (x - theta[0])[:, None]
 
-        result = sandwich(score, np.array([x.mean()]))
+        theta = np.array([x.mean()])
+        result = sandwich(score(theta), numerical_jacobian(lambda t: score(t).mean(axis=0), theta))
         assert result.sigma_theta[0, 0] == pytest.approx(np.var(x) / x.size, abs=1e-10)
 
     def test_logistic_stack_matches_inverse_information(self):
@@ -72,7 +73,8 @@ class TestSandwich:
             mu = expit(design @ theta)
             return design * (y - mu)[:, None]
 
-        result = sandwich(score, fit.coefficients)
+        theta = fit.coefficients
+        result = sandwich(score(theta), numerical_jacobian(lambda t: score(t).mean(axis=0), theta))
         mu = expit(design @ fit.coefficients)
         info = (design * (mu * (1 - mu))[:, None]).T @ design
         model_based = np.linalg.inv(info)
@@ -92,25 +94,43 @@ class TestSandwich:
         assert result.sigma_psi.shape == (5, 5)
         assert np.all(np.diag(result.sigma_psi) >= 0)
 
-    def test_one_score_pass_per_jacobian_step_plus_the_meat(self, monkeypatch):
+    def test_one_stage_system_pass_and_no_numerical_jacobian(self, monkeypatch):
         data = generate_s1(300, 1.0, np.random.default_rng(15))
         fitted = scenario_plan("s1", "modified-fitted").estimate(data)
         # external coefficients with a covariance add their blocks to theta
         # instead of refitting the regime
         external = _external_plan(fitted, (0, 1)).estimate(data)
-        original = StackedScore.per_individual
         calls = []
 
-        def counted(self, theta):
-            calls.append(1)
-            return original(self, theta)
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(StackedScore, "per_individual", counted)
+        monkeypatch.setattr(StackedScore, "evaluate", counting("pass", StackedScore.evaluate))
+        monkeypatch.setattr(StackedScore, "per_individual",
+                            counting("per_individual", StackedScore.per_individual))
+        monkeypatch.setattr(EstimationPlan, "estimate", counting("estimate", EstimationPlan.estimate))
+        monkeypatch.setattr(inference, "numerical_jacobian",
+                            counting("numerical_jacobian", inference.numerical_jacobian))
         for fit in (fitted, external):
-            size = StackedScore(data, fit).size
             calls.clear()
             regime_sandwich(data, fit)
-            assert len(calls) == 2 * size + 1
+            assert calls.count("pass") == 1
+            assert calls.count("per_individual") <= 1
+            assert "numerical_jacobian" not in calls and "estimate" not in calls
+
+    def test_truncated_directions_counts_what_the_bread_drops(self):
+        rng = np.random.default_rng(16)
+        scores = rng.normal(size=(200, 3))
+        jacobian = np.diag([2.0, 1.0, 1.0])
+        assert sandwich(scores, jacobian).truncated_directions == 0
+        jacobian[2, 2] = 1e-13  # below 1e-12 of the largest singular value
+        result = sandwich(scores, jacobian)
+        assert result.truncated_directions == 1
+        assert result.bread_condition == pytest.approx(2e13)
+        assert np.all(result.bread[2] == 0.0)
 
     def test_variance_shrinks_linearly(self):
         plan = scenario_plan("s1", "modified-fitted")

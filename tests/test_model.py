@@ -14,6 +14,7 @@ from dtr_adhere.model import (
     Trajectory,
     TreatmentRef,
     build_design_matrix,
+    compile_design,
     parse_feature_spec,
 )
 
@@ -268,6 +269,62 @@ class TestDesignRows:
             spec, data, 2, "use-actual", treatment_override={1: 1.0}
         )
         np.testing.assert_allclose(forced, [[1.0, 2.0]])
+
+
+class TestCompiledDesign:
+    SPEC = "1 + X[2] + A[1] + A[1]*A[1] + A[1]*X[1] + A[1]*A[2]*X[2] + Astar[1]*X[2]"
+
+    @staticmethod
+    def dataset():
+        rng = np.random.default_rng(7)
+        n = 6
+        return Dataset(
+            ids=range(n),
+            stage_covariates=[{"X": rng.normal(size=n)}, {"X": rng.normal(size=n)}],
+            prescribed=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
+            actual=[None, None],
+            reported=[None, None],
+            validation=None,
+            outcome=np.zeros(n),
+        )
+
+    def test_evaluation_is_build_design_matrix(self):
+        data, spec = self.dataset(), parse_feature_spec(self.SPEC)
+        expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
+        form = compile_design(spec, data, 2, "use-expected")
+        np.testing.assert_array_equal(
+            form.evaluate(expected), build_design_matrix(spec, data, 2, "use-expected",
+                                                         expected=expected))
+        assert form.expected_stages == ((), (), (1,), (1, 1), (1,), (1, 2), ())
+        assert not form.base.flags.writeable
+        # without an expected-treatment reference the base is the design
+        proxy = compile_design(spec, data, 2, "use-proxy")
+        assert proxy.evaluate() is proxy.base
+
+    def test_partials_match_finite_differences(self):
+        data, spec = self.dataset(), parse_feature_spec(self.SPEC)
+        expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
+        form = compile_design(spec, data, 2, "use-expected")
+        for stage in (1, 2):
+            analytic = np.zeros((data.n, len(spec)))
+            for l, term, column in form.partials(expected):
+                if l == stage:
+                    analytic[:, term] += column
+            h = 1e-6
+            up = {**expected, stage: expected[stage] + h}
+            down = {**expected, stage: expected[stage] - h}
+            numeric = (build_design_matrix(spec, data, 2, "use-expected", expected=up)
+                       - build_design_matrix(spec, data, 2, "use-expected", expected=down)) / (2 * h)
+            np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-8)
+        # the squared term's derivative is 2 * pi_1
+        squared = [column for l, term, column in form.partials(expected) if term == 3]
+        np.testing.assert_allclose(squared[0], 2.0 * expected[1])
+
+    def test_missing_expected_treatment_raises_at_evaluation(self):
+        form = compile_design(parse_feature_spec("1 + A[1]"), self.dataset(), 2, "use-expected")
+        with pytest.raises(DesignError, match="no adherence model available for expected "
+                                              "treatment at stage 1"):
+            form.evaluate({2: np.ones(6)})
 
 
 def test_public_names_resolve():
