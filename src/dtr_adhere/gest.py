@@ -22,13 +22,15 @@ the effect of treatment actually taken rather than of its proxy.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .glm import GlmFit, NonConvergenceError, RankDeficiencyError, expit, fit_logistic
+from .glm import (BatchFit, GlmFit, NonConvergenceError, RankDeficiencyError, check_weights,
+                  expit, fit_logistic, fit_logistic_batch, linear)
 from .model import (
     Dataset,
     DataError,
@@ -86,12 +88,23 @@ MAX_FAILURE_FRACTION = 0.05
 
 
 def tally(fn, *args):
-    """``(fn(*args), None)``, or ``(None, message)`` when the call fails with
+    """``(fn(*args), None)``, or ``(None, error)`` when the call fails with
     one of ESTIMATION_FAILURES; any other exception propagates."""
     try:
         return fn(*args), None
     except ESTIMATION_FAILURES as err:
-        return None, str(err)
+        return None, err
+
+
+def failure_counts(errors) -> list:
+    """Failures counted by exception class and stage (``None`` for a failure
+    tied to no stage), as ``{"class", "stage", "count"}`` records sorted by
+    class and then stage; ``None`` entries are successes and are skipped."""
+    counts = Counter((type(err).__name__, getattr(err, "stage", None))
+                     for err in errors if err is not None)
+    return [{"class": name, "stage": stage, "count": count}
+            for (name, stage), count in sorted(counts.items(),
+                                               key=lambda item: (item[0][0], item[0][1] or 0))]
 
 
 def ordered_map(fn, *iterables, jobs: int, chunksize: int) -> list:
@@ -260,42 +273,99 @@ def pseudo_outcome_exact(v_next, pi_prev, contrast_when_treated, contrast_when_u
 # The stage solve and the adherence fit
 
 
-def _fit_stage(lam, tf_design, treatment, assignment_prob, weight, v_next, *, stage: int):
-    """Solve one stage's stacked [treatment-free; contrast] equations jointly.
+class _StageSolve(NamedTuple):
+    """One stage solved for a block of members: (b, q) contrast and (b, r)
+    treatment-free coefficients, the (b,) condition numbers of the contrast
+    blocks and each member's failure (``None`` when it solved)."""
 
-    With ``e = treatment - assignment_prob`` and ``w`` the contrast weight
-    (the adherence probability, or the treatment itself in the uncorrected
-    modes), the rows are the treatment-free normal equations
-    ``T^T (v - w * lam psi - T beta) = 0`` and the contrast equations
-    ``lam^T e (v - w * lam psi - T beta) = 0``.  Returns ``(psi, beta, cond)``
-    with ``cond`` the condition number of the contrast block.
+    psi: np.ndarray
+    beta: np.ndarray
+    cond: np.ndarray
+    errors: list
+
+
+def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weights,
+                active=None, *, stage: int) -> _StageSolve:
+    """Solve one stage's stacked [treatment-free; contrast] equations jointly,
+    for each member of a block.
+
+    With ``e = treatment - assignment_prob``, ``w`` the contrast weight (the
+    adherence probability, or the treatment itself in the uncorrected modes)
+    and ``U`` a member's row weights, the rows are the treatment-free normal
+    equations ``T^T U (v - w * lam psi - T beta) = 0`` and the contrast
+    equations ``lam^T U e (v - w * lam psi - T beta) = 0``.  Designs are
+    shared (n, p) or per member (b, n, p), the n-vectors (n,) or (b, n), and
+    ``weights`` is (b, n); ``active`` marks the members to solve (default
+    all).  Each member is checked as a fit of its rows repeated by their
+    weights would be: the contrast block's condition, the rank of the
+    treatment-free design over the rows it weights, and the joint condition.
     """
-    e = np.asarray(treatment, dtype=float) - assignment_prob
-    m = (lam * (e * weight)[:, None]).T @ lam
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularSystemError(f"stage system condition number {cond:.3g} exceeds "
-                                  f"{CONDITION_LIMIT:.0e}", stage=stage)
-    diag = np.abs(np.diag(np.linalg.qr(tf_design, mode="r")))
-    if diag.size == 0 or np.min(diag) <= 1e-12 * max(np.max(diag), 1.0):
-        raise RankDeficiencyError(f"treatment-free design at stage {stage} is rank deficient")
+    b, n = weights.shape
+    p_tf, p_psi = tf_design.shape[-1], lam.shape[-1]
+    ue = weights * (treatment - assignment_prob)
+    weight, v_next = np.asarray(weight, dtype=float), np.asarray(v_next, dtype=float)
 
-    p_tf, p_psi = tf_design.shape[1], lam.shape[1]
-    joint = np.empty((p_tf + p_psi, p_tf + p_psi))
-    joint[:p_tf, :p_tf] = tf_design.T @ tf_design
-    joint[:p_tf, p_tf:] = tf_design.T @ (weight[:, None] * lam)
-    joint[p_tf:, :p_tf] = (lam * e[:, None]).T @ tf_design
-    joint[p_tf:, p_tf:] = m
-    rhs = np.concatenate([tf_design.T @ v_next, lam.T @ (e * v_next)])
-    joint_cond = float(np.linalg.cond(joint))
-    if not np.isfinite(joint_cond) or joint_cond > CONDITION_LIMIT:
-        raise EstimationError(
-            "contrast/treatment-free equations are jointly singular "
-            f"(condition {joint_cond:.3g})",
-            stage=stage,
-        )
-    solution = np.linalg.solve(joint, rhs)
-    return solution[p_tf:], solution[:p_tf], cond
+    def member(a, i, shared=2):
+        return a if a.ndim == shared else a[i]
+
+    # Member by member, so no (b, p, n) temporary: joint = left [T, w lam]
+    # and rhs = left v, with left's rows [u T, u e lam].
+    joint = np.empty((b, p_tf + p_psi, p_tf + p_psi))
+    rhs = np.empty((b, p_tf + p_psi))
+    left = np.empty((p_tf + p_psi, n))
+    for i in range(b):
+        tf_i, lam_i = member(tf_design, i), member(lam, i)
+        np.multiply(tf_i.T, weights[i], out=left[:p_tf])
+        np.multiply(lam_i.T, ue[i], out=left[p_tf:])
+        joint[i, :, :p_tf] = left @ tf_i
+        rhs[i] = left @ member(v_next, i, shared=1)
+        left *= member(weight, i, shared=1)
+        joint[i, :, p_tf:] = left @ lam_i
+    cond = np.linalg.cond(joint[:, p_tf:, p_tf:])
+    joint_cond = np.linalg.cond(joint)
+    # The eigenvalues of T^T U T = R^T R bound R's diagonal, |r_jj| between
+    # sqrt of the smallest and the largest; a member whose smallest is clear
+    # of rounding passes the rank check below without a QR.
+    eig = np.linalg.eigvalsh(joint[:, :p_tf, :p_tf])
+    full_rank = (eig[:, 0] > 1e-10 * eig[:, -1]) & (eig[:, 0] > 1e-20)
+
+    def deficient(i):
+        """Whether member i's treatment-free design, over the rows it
+        weights, is rank deficient: R's smallest diagonal entry at or below
+        1e-12 of its largest (or of 1)."""
+        if full_rank[i]:
+            return False
+        rows = np.sqrt(weights[i])[:, None] * member(tf_design, i)
+        diag = np.abs(np.diag(np.linalg.qr(rows, mode="r")))
+        return np.min(diag) <= 1e-12 * max(np.max(diag), 1.0)
+
+    errors = [None] * b
+    for i in np.flatnonzero(np.ones(b, dtype=bool) if active is None else active):
+        if not np.isfinite(cond[i]) or cond[i] > CONDITION_LIMIT:
+            errors[i] = SingularSystemError(f"stage system condition number {cond[i]:.3g} "
+                                            f"exceeds {CONDITION_LIMIT:.0e}", stage=stage)
+        elif deficient(i):
+            errors[i] = RankDeficiencyError(
+                f"treatment-free design at stage {stage} is rank deficient")
+        elif not np.isfinite(joint_cond[i]) or joint_cond[i] > CONDITION_LIMIT:
+            errors[i] = EstimationError("contrast/treatment-free equations are jointly "
+                                        f"singular (condition {joint_cond[i]:.3g})", stage=stage)
+    solved = np.array([error is None for error in errors])
+    if active is not None:
+        solved &= active
+    joint[~solved] = np.eye(p_tf + p_psi)  # placeholders for the members left unsolved
+    solution = np.linalg.solve(joint, rhs[..., None])[..., 0]
+    return _StageSolve(solution[:, p_tf:], solution[:, :p_tf], cond, errors)
+
+
+def _fit_stage(lam, tf_design, treatment, assignment_prob, weight, v_next, *, stage: int):
+    """``_fit_stages`` for one member at unit weights: ``(psi, beta, cond)``,
+    or its failure raised."""
+    out = _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next,
+                      np.ones((1, len(v_next))), stage=stage)
+    if out.errors[0] is not None:
+        raise out.errors[0]
+    return out.psi[0], out.beta[0], float(out.cond[0])
 
 
 def fit_adherence(data: Dataset, stage: int, spec: FeatureSpec, proxy_kind: str,
@@ -305,14 +375,29 @@ def fit_adherence(data: Dataset, stage: int, spec: FeatureSpec, proxy_kind: str,
     design = build_design_matrix(
         spec, data, stage, MODE_USE_PROXY, proxy_kind=proxy_kind, expected=expected
     )
-    return _fit_validation_rows(data, stage, design)
+    mask = _validation_rows(data, stage)
+    return fit_logistic(design[mask], data.actual(stage)[mask])
 
 
-def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray) -> GlmFit:
+def _validation_rows(data: Dataset, stage: int) -> np.ndarray:
     mask = data.validation[:, stage - 1]
     if not mask.any():
         raise DataError(f"no validation rows at stage {stage}")
-    return fit_logistic(design[mask], data.actual(stage)[mask])
+    return mask
+
+
+def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray, weights: np.ndarray,
+                         active: Optional[np.ndarray] = None) -> BatchFit:
+    """The adherence fit of each member of a block, on the validation rows
+    its (b, n) ``weights`` keep; a member that keeps none fails."""
+    mask = _validation_rows(data, stage)
+    w = np.compress(mask, weights, axis=1)
+    kept = (w > 0.0).any(axis=1)
+    fit = fit_logistic_batch(np.compress(mask, design, axis=-2), data.actual(stage)[mask], w,
+                             kept if active is None else kept & active)
+    for i in np.flatnonzero(~kept):
+        fit.errors[i] = DataError(f"no validation rows at stage {stage}")
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +447,34 @@ class EstimationPlan:
         """Whether the adherence model is fitted from validation rows."""
         return self.adherence is not None and self.adherence.kind == "fitted"
 
-    def estimate(self, data: Dataset) -> "RegimeFit":
-        return _fit_regime(self, data)
+    def estimate(self, data: Dataset, weights=None) -> "RegimeFit":
+        """Fit the plan to ``data``, raising any estimation failure.
 
-    def psi_estimator(self, data: Dataset) -> np.ndarray:
-        """Flattened contrast estimates, stage 1 first; used by the bootstrap."""
-        return psi_flat(self.estimate(data))
+        ``weights`` (default 1) are nonnegative frequency weights, one per
+        row: a row of weight 2 counts as two copies of it and a row of
+        weight 0 as absent.  This is the one-member case of the batched fit.
+        """
+        w = np.ones(data.n) if weights is None else check_weights(weights, (data.n,))
+        ((fit, error),) = _fit_regime(self, data, w[None])
+        if error is not None:
+            raise error
+        for j, n_extreme in enumerate(fit.diagnostics["positivity_violations"], start=1):
+            if n_extreme:
+                warnings.warn(
+                    f"stage {j}: {n_extreme} fitted assignment probabilities are "
+                    "numerically 0 or 1 (positivity violation)",
+                    stacklevel=2,
+                )
+        return fit
+
+    def psi_estimator(self, data: Dataset, weights) -> list:
+        """One batched fit per row of the (b, n) frequency ``weights``, as b
+        ``(estimates, error)`` pairs: the flattened contrast estimates (stage
+        1 first) and ``None``, or ``None`` and the member's estimation
+        failure.  The bootstrap's estimator."""
+        weights = check_weights(weights, (len(weights), data.n))
+        return [(None if fit is None else psi_flat(fit), error)
+                for fit, error in _fit_regime(self, data, weights)]
 
 
 @dataclass(frozen=True)
@@ -532,7 +639,7 @@ class _StageSystem:
             designs[j] = form.evaluate(pi)
             coef = (coefficients(j, designs[j]) if coefficients is not None
                     else source.coefficients[j - 1])
-            pi[j] = expit(designs[j] @ coef)
+            pi[j] = expit(linear(designs[j], coef))
             if tangents is not None:
                 tangents.pi[j] = (pi[j] * (1.0 - pi[j])) * tangents.linear(
                     form, designs[j], pi, coef, (j, "adherence"))
@@ -556,21 +663,23 @@ class _StageSystem:
             design = form.evaluate(pi)
             coef = coefficients(j, design)
             designs.append(design)
-            probs.append(expit(design @ coef))
+            probs.append(expit(linear(design, coef)))
             if tangents is not None:
                 tangents.p[j] = (probs[-1] * (1.0 - probs[-1])) * tangents.linear(
                     form, design, pi, coef, (j, "assignment"))
         return designs, probs
 
-    def backward(self, pi: dict, solve: Callable, tangents: Optional[_Tangents] = None):
+    def backward(self, pi: dict, solve: Callable, tangents: Optional[_Tangents] = None,
+                 fail: Optional[Callable] = None):
         """Backward induction from stage K to stage 1.
 
         ``solve(j, contrast_design, tf_design, weight, v)`` returns the stage-j
-        contrast coefficients.  Returns the per-stage terms (stage 1 first)
-        and the (n, K) pseudo outcomes each stage hands back.
+        contrast coefficients, (q,) or one row per member.  Returns the
+        (n, K), or (b, n, K), pseudo outcomes each stage hands back.
+        Non-finite pseudo outcomes raise, or with ``fail`` are passed to
+        ``fail(members, error)``, and those members carry zeros on.
         """
-        terms = [None] * self.k
-        pseudo = np.empty((self.data.n, self.k))
+        columns = []
         v = self.data.outcome
         if tangents is not None:
             tangents.v[self.k] = _Tangent()
@@ -581,16 +690,21 @@ class _StageSystem:
             tf = self.compiled(spec.treatment_free, j).evaluate(pi)
             weight = pi[j] if self.plan.is_modified else self.response(j)
             psi = solve(j, lam, tf, weight, v)
-            contrast = lam @ psi
-            terms[j - 1] = _StageTerms(lam, tf, weight, v, contrast)
+            contrast = linear(lam, psi)
             if tangents is not None:
                 tangents.weight[j] = tangents.pi[j] if self.plan.is_modified else _Tangent()
                 tangents.contrast[j] = tangents.linear(form, lam, pi, psi, (j, "contrast"))
+            del lam, tf  # a stage's designs, (b, n, p) when per member, are done with
             v = self._advance(j, psi, contrast, weight, v, pi, tangents)
-            if not np.all(np.isfinite(v)):
-                raise EstimationError("pseudo outcomes are not finite", stage=j)
-            pseudo[:, j - 1] = v
-        return terms, pseudo
+            finite = np.all(np.isfinite(v), axis=-1)
+            if not np.all(finite):
+                error = EstimationError("pseudo outcomes are not finite", stage=j)
+                if fail is None:
+                    raise error
+                fail(~finite, error)
+                v = np.where(finite[..., None], v, 0.0)
+            columns.append(v)
+        return np.stack(columns[::-1], axis=-1)
 
     def _advance(self, j, psi, contrast, weight, v, pi, tangents=None):
         """The pseudo outcome carried into stage ``j - 1``.  Given
@@ -611,7 +725,7 @@ class _StageSystem:
         # the contrast with the lagged treatment pinned to 1, then to 0
         forms = [self.compiled(spec, j, override=(lag, value)) for value in (1.0, 0.0)]
         x1, x0 = (form.evaluate(pi) for form in forms)
-        c1, c0 = x1 @ psi, x0 @ psi
+        c1, c0 = linear(x1, psi), linear(x0, psi)
         if tangents is not None:
             dc1, dc0 = (tangents.linear(form, x, pi, psi, (j, "contrast"))
                         for form, x in zip(forms, (x1, x0)))
@@ -678,67 +792,96 @@ def _check_inputs(system: _StageSystem) -> None:
             )
 
 
-def _fit_regime(plan: EstimationPlan, data: Dataset) -> RegimeFit:
-    system = _StageSystem(plan, data)
-    _check_inputs(system)
-    k = system.k
+class _Members:
+    """The members of a batched pass that still stand: each keeps the first
+    estimation failure it meets, which is the failure a fit of that member
+    alone would raise."""
 
-    alpha = {}
+    def __init__(self, count: int):
+        self.errors = [None] * count
+        self.alive = np.ones(count, dtype=bool)
+
+    def fail(self, which, error: Exception) -> None:
+        for i in np.flatnonzero(which & self.alive):
+            self.errors[i], self.alive[i] = error, False
+
+    def record(self, errors) -> None:
+        for i, error in enumerate(errors):
+            if error is not None and self.alive[i]:
+                self.errors[i], self.alive[i] = error, False
+
+
+def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> list:
+    """Fit ``plan`` once per row of the (b, n) frequency ``weights``, in one
+    pass of the stage system with a leading member axis.  Member ``i`` is a
+    fit of the rows repeated by ``weights[i]``: its nuisance fits, stage
+    solves and checks see only the rows it weights.  A failing member drops
+    out and the others carry on.  Returns b tally-style pairs,
+    ``(RegimeFit, None)`` or ``(None, error)``."""
+    system = _StageSystem(plan, data)
+    k = system.k
+    members = _Members(len(weights))
+    alpha, gammas, solved = {}, {}, {}
 
     def fit_alpha(j, design):
-        alpha[j] = _fit_validation_rows(data, j, design).coefficients
+        fit = _fit_validation_rows(data, j, design, weights, members.alive)
+        members.record(fit.errors)
+        alpha[j] = fit.coefficients
         return alpha[j]
 
-    _, pi = system.adherence(k, fit_alpha if plan.fits_adherence else None)
-
-    gammas = {}
-
     def fit_gamma(j, design):
-        try:
-            gammas[j] = fit_logistic(design, system.response(j))
-        except (NonConvergenceError, RankDeficiencyError) as err:
-            raise EstimationError(f"assignment model failed: {err}", stage=j) from err
+        gammas[j] = fit_logistic_batch(design, system.response(j), weights, members.alive)
+        members.record(None if err is None else
+                       EstimationError(f"assignment model failed: {err}", stage=j)
+                       for err in gammas[j].errors)
         return gammas[j].coefficients
 
-    _, p_cols = system.assignment(pi, fit_gamma)
-    positivity = [int(np.sum((p < POSITIVITY_EPS) | (p > 1.0 - POSITIVITY_EPS))) for p in p_cols]
-    for j, n_extreme in enumerate(positivity, start=1):
-        if n_extreme:
-            warnings.warn(
-                f"stage {j}: {n_extreme} fitted assignment probabilities are "
-                "numerically 0 or 1 (positivity violation)",
-                stacklevel=2,
-            )
-
-    psis, betas, conds = {}, {}, {}
-
     def solve(j, lam, tf, weight, v):
-        try:
-            psis[j], betas[j], conds[j] = _fit_stage(
-                lam, tf, system.response(j), p_cols[j - 1], weight, v, stage=j
-            )
-        except RankDeficiencyError as err:
-            raise EstimationError(str(err), stage=j) from err
-        return psis[j]
+        solved[j] = _fit_stages(lam, tf, system.response(j), p_cols[j - 1], weight, v,
+                                weights, members.alive, stage=j)
+        members.record(EstimationError(str(err), stage=j)
+                       if isinstance(err, RankDeficiencyError) else err
+                       for err in solved[j].errors)
+        return solved[j].psi
 
-    _, pseudo = system.backward(pi, solve)
+    try:
+        _check_inputs(system)
+        pi = system.adherence(k, fit_alpha if plan.fits_adherence else None)[1]
+        p_cols = system.assignment(pi, fit_gamma)[1]
+        pseudo = system.backward(pi, solve, fail=members.fail)
+    except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member
+        members.fail(members.alive, err)
+        return [(None, error) for error in members.errors]
+
     stages = range(1, k + 1)
-    return RegimeFit(
-        plan=replace(plan, proxy_kind=system.proxy_kind),
-        psi=tuple(psis[j] for j in stages),
-        nuisance=tuple(
-            {"alpha": alpha.get(j), "beta": betas[j], "gamma": gammas[j].coefficients}
-            for j in stages
-        ),
-        pseudo_outcomes=pseudo,
-        diagnostics={
-            "stage_condition": [conds[j] for j in stages],
-            # one joint solve per stage; the key is kept for schema stability
-            "outer_iterations": [1] * k,
-            "positivity_violations": positivity,
-            "assignment_iterations": [gammas[j].iterations for j in stages],
-        },
-    )
+    positivity = np.column_stack([
+        np.sum(weights * ((p < POSITIVITY_EPS) | (p > 1.0 - POSITIVITY_EPS)), axis=-1)
+        for p in p_cols])
+    fitted_plan = replace(plan, proxy_kind=system.proxy_kind)
+    out = []
+    for i, error in enumerate(members.errors):
+        if error is not None:
+            out.append((None, error))
+            continue
+        out.append((RegimeFit(
+            plan=fitted_plan,
+            psi=tuple(solved[j].psi[i] for j in stages),
+            nuisance=tuple(
+                {"alpha": alpha[j][i] if j in alpha else None, "beta": solved[j].beta[i],
+                 "gamma": gammas[j].coefficients[i]}
+                for j in stages
+            ),
+            pseudo_outcomes=pseudo[i],
+            diagnostics={
+                "stage_condition": [float(solved[j].cond[i]) for j in stages],
+                # one joint solve per stage; the key is kept for schema stability
+                "outer_iterations": [1] * k,
+                # rows counted by their weights
+                "positivity_violations": [int(np.rint(c)) for c in positivity[i]],
+                "assignment_iterations": [int(gammas[j].iterations[i]) for j in stages],
+            },
+        ), None))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +915,7 @@ def recommendations_matrix(fit: RegimeFit, data: Dataset) -> np.ndarray:
 class SweepPoint:
     coefficients: tuple
     fit: Optional[RegimeFit]
-    error: Optional[str]
+    error: Optional[Exception]
 
 
 def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> list:
@@ -894,7 +1037,14 @@ class StackedScore:
 
         adherence_designs, pi = system.adherence(self.k, alpha, tangents)
         assign_designs, p_cols = system.assignment(pi, given("assignment"), tangents)
-        terms, _ = system.backward(pi, given("contrast"), tangents)
+        terms = [None] * self.k
+
+        def contrast(j, lam, tf, weight, v):
+            psi = params[(j, "contrast")]
+            terms[j - 1] = _StageTerms(lam, tf, weight, v, lam @ psi)
+            return psi
+
+        system.backward(pi, contrast, tangents)
 
         e, resid, target = {}, {}, {}
         for j, t in enumerate(terms, start=1):

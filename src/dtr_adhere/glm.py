@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,62 +46,176 @@ def _as_matrix(design) -> np.ndarray:
     return x
 
 
-def fit_logistic(design, response, weights: Optional[np.ndarray] = None) -> GlmFit:
-    """Maximize the weighted Bernoulli log-likelihood by Newton scoring.
+def check_weights(weights, shape: tuple) -> np.ndarray:
+    """``weights`` as a float array of ``shape``, every entry finite and
+    nonnegative; otherwise a ValueError."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != shape:
+        raise ValueError(f"weights have shape {w.shape}, expected {shape}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
+    return w
 
-    Converged when the score sup-norm drops below ``SCORE_TOL`` or the
-    parameter step sup-norm below ``STEP_TOL``.  Complete separation shows up
-    as non-convergence with a diverging coefficient norm and is raised, not
-    silently accepted.
+
+def linear(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``x @ coef`` for a shared (n, p) or per-member (b, n, p) design and
+    shared (p,) or per-member (b, p) coefficients."""
+    if coef.ndim == 1:
+        return x @ coef
+    if x.ndim == 2:
+        return coef @ x.T
+    return (x @ coef[..., None])[..., 0]
+
+
+def _cross(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x^T v`` per member: (b, p) for a (b, n) ``v`` and a shared or
+    per-member design."""
+    if x.ndim == 2:
+        return v @ x
+    return (v[..., None, :] @ x)[..., 0, :]
+
+
+def _information(x: np.ndarray):
+    """``a -> x^T diag(a) x`` per member for (b, n) row weights ``a``.  A
+    shared design keeps its row outer products, so each call is one (b, n)
+    by (n, p^2) product."""
+    p = x.shape[-1]
+    if x.ndim == 3:
+        return lambda a: np.swapaxes(x * a[..., None], -1, -2) @ x
+    xt = np.ascontiguousarray(x.T)
+    outer = (xt[:, None, :] * xt[None, :, :]).reshape(p * p, -1).T  # row k: x_k x_k^T
+    return lambda a: (a @ outer).reshape(len(a), p, p)
+
+
+class BatchFit(NamedTuple):
+    """Member-wise results of ``fit_logistic_batch``: (b, p) coefficients,
+    (b,) Newton iterations and each member's failure, ``None`` for a member
+    that converged.  A failed or skipped member's coefficients are zero."""
+
+    coefficients: np.ndarray
+    iterations: np.ndarray
+    errors: list
+
+
+def fit_logistic(design, response, weights: Optional[np.ndarray] = None) -> GlmFit:
+    """Maximize the weighted Bernoulli log-likelihood by Newton scoring: the
+    one-member call of ``fit_logistic_batch``.
+
+    ``weights`` (default 1) must have the response's shape and be finite and
+    nonnegative.  Complete separation shows up as non-convergence with a
+    diverging coefficient norm and is raised, not silently accepted.
     """
     x = _as_matrix(design)
     y = np.asarray(response, dtype=float)
-    n, p = x.shape
-    if y.shape != (n,):
+    if y.shape != (x.shape[0],):
         raise ValueError("response length does not match design rows")
-    if n < p:
-        raise RankDeficiencyError("fewer rows than columns")
+    w = np.ones(y.shape) if weights is None else check_weights(weights, y.shape)
+    fit = fit_logistic_batch(x, y, w[None])
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    return GlmFit(coefficients=fit.coefficients[0], iterations=int(fit.iterations[0]))
+
+
+def _cholesky(info: np.ndarray):
+    """Cholesky factors of a (b, p, p) stack and a mask of the members whose
+    matrix has none (their factor is the identity)."""
+    try:
+        return np.linalg.cholesky(info), np.zeros(len(info), dtype=bool)
+    except np.linalg.LinAlgError:
+        chol, bad = np.empty_like(info), np.zeros(len(info), dtype=bool)
+        for k, matrix in enumerate(info):
+            try:
+                chol[k] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                chol[k], bad[k] = np.eye(matrix.shape[0]), True
+        return chol, bad
+
+
+def fit_logistic_batch(design, response, weights: np.ndarray,
+                       active: Optional[np.ndarray] = None) -> BatchFit:
+    """Newton scoring for b weighted fits of one response at once.
+
+    ``design`` is (n, p), shared, or (b, n, p); ``weights`` is (b, n), one
+    row per member, finite and nonnegative (``check_weights``), and
+    ``active`` (b,) marks the members to fit (default all).  Each member
+    iterates on its own until the score sup-norm drops below ``SCORE_TOL``
+    or the step sup-norm below ``STEP_TOL``, exactly as a fit of the rows
+    repeated by their weights would; rows of weight 0 take no part, the
+    separation check included.  A member that fails keeps its exception in
+    ``errors`` and the others carry on.
+    """
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(response, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    p = x.shape[-1]
+    if y.shape != x.shape[-2:-1]:
+        raise ValueError("response length does not match design rows")
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("logistic response must be 0/1")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    b = len(w)
+    coefficients, iterations, errors = np.zeros((b, p)), np.zeros(b, dtype=int), [None] * b
+    short = w.sum(axis=1) < p
+    todo = ~short if active is None else active & ~short
+    for i in np.flatnonzero(short if active is None else active & short):
+        errors[i] = RankDeficiencyError("fewer rows than columns")
+    idx = np.flatnonzero(todo)  # the members still iterating
+    if idx.size < b:
+        w = w[idx]
+        x = x[idx] if x.ndim == 3 else x
+    beta = np.zeros((idx.size, p))
+    information = _information(x)
 
-    def finish(beta, iteration):
-        mu = expit(x @ beta)
-        if np.max(np.abs(y - mu)) < 1e-4:
-            # every observation classified perfectly: the likelihood has no
-            # interior maximum and the coefficients are off to infinity
-            raise NonConvergenceError(
-                "complete separation in logistic fit "
-                f"(coefficient norm {np.linalg.norm(beta):.3g})"
-            )
-        return GlmFit(coefficients=beta, iterations=iteration)
-
-    beta = np.zeros(p)
     for iteration in range(1, MAX_ITER + 1):
-        mu = expit(x @ beta)
-        score = x.T @ (w * (y - mu))
-        working = w * mu * (1.0 - mu)
-        info = (x * working[:, None]).T @ x
-        try:
-            chol = np.linalg.cholesky(info)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                "rank-deficient working matrix in logistic fit"
-            ) from None
-        if np.max(np.abs(score)) < SCORE_TOL:
-            return finish(beta, iteration)
-        step = np.linalg.solve(chol.T, np.linalg.solve(chol, score))
+        if idx.size == 0:
+            break
+        mu = expit(linear(x, beta))
+        score = _cross(x, w * (y - mu))
+        chol, singular = _cholesky(information(w * mu * (1.0 - mu)))
+        stop = singular | (np.abs(score).max(axis=1) < SCORE_TOL)
+        if stop.all():
+            step = np.zeros_like(beta)
+        else:
+            # through the factor, which exists for every member; a numerically
+            # singular information matrix gives a huge step, not an error
+            inverse = np.linalg.inv(chol)
+            step = (np.swapaxes(inverse, -1, -2) @ (inverse @ score[..., None]))[..., 0]
+            step[stop] = 0.0
         beta = beta + step
-        if np.max(np.abs(beta)) > 1e6:
-            raise NonConvergenceError(
-                f"diverging logistic coefficients (norm {np.linalg.norm(beta):.3g}; "
-                "possible separation)"
-            )
-        if np.max(np.abs(step)) < STEP_TOL:
-            return finish(beta, iteration)
-    raise NonConvergenceError(
-        f"logistic fit did not converge in {MAX_ITER} iterations "
-        f"(coefficient norm {np.linalg.norm(beta):.3g}; possible separation)"
-    )
+        diverged = np.abs(beta).max(axis=1) > 1e6
+        done = stop | diverged | (np.abs(step).max(axis=1) < STEP_TOL)
+        if not done.any():
+            continue
+        for k in np.flatnonzero(done):
+            i, moved = idx[k], not stop[k]
+            iterations[i] = iteration
+            if singular[k]:
+                errors[i] = RankDeficiencyError("rank-deficient working matrix in logistic fit")
+            elif moved and diverged[k]:
+                errors[i] = NonConvergenceError(
+                    f"diverging logistic coefficients (norm {np.linalg.norm(beta[k]):.3g}; "
+                    "possible separation)")
+            else:
+                # converged; if every observation is classified perfectly,
+                # the likelihood has no interior maximum and the
+                # coefficients are off to infinity
+                fitted = expit(linear(x[k] if x.ndim == 3 else x, beta[k])) if moved else mu[k]
+                if np.max(np.abs(y - fitted), where=w[k] > 0.0, initial=0.0) < 1e-4:
+                    errors[i] = NonConvergenceError(
+                        "complete separation in logistic fit "
+                        f"(coefficient norm {np.linalg.norm(beta[k]):.3g})")
+                else:
+                    coefficients[i] = beta[k]
+        if done.all():
+            break
+        keep = ~done
+        idx, w, beta = idx[keep], w[keep], beta[keep]
+        if x.ndim == 3:
+            x = x[keep]
+            information = _information(x)
+    else:  # MAX_ITER iterations and some members still moving
+        for k, i in enumerate(idx):
+            errors[i] = NonConvergenceError(
+                f"logistic fit did not converge in {MAX_ITER} iterations "
+                f"(coefficient norm {np.linalg.norm(beta[k]):.3g}; possible separation)")
+            iterations[i] = MAX_ITER
+    return BatchFit(coefficients, iterations, errors)

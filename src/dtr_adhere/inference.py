@@ -5,8 +5,9 @@ bread and uses the mean outer product of per-individual scores as the meat.
 For a fitted regime the Jacobian comes in closed form from the same pass of
 the stage system that gives the scores; ``numerical_jacobian`` (central
 differences) serves any other estimating function.  The nonparametric
-bootstrap resamples whole trajectories and refits the entire pipeline,
-adherence models included, per replicate.
+bootstrap resamples whole trajectories as multinomial frequency weights and
+refits the entire pipeline, adherence models included, for a fixed-size block
+of replicates at a time: one batched pass of the stage system per block.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .gest import (MAX_FAILURE_FRACTION, EstimationError, RegimeFit, StackedScore,
-                   ordered_map, psi_flat, tally)
+                   failure_counts, ordered_map, psi_flat)
 from .model import Dataset
 
 # Relative central-difference step of numerical_jacobian.
@@ -27,6 +28,9 @@ JACOBIAN_STEP = 1e-6
 # Singular values of the Jacobian at or below this fraction of the largest are
 # dropped from the bread (``pinv``'s ``rcond``).
 BREAD_RCOND = 1e-12
+# Bootstrap replicates per call of the estimator.  Fixed, so that which
+# replicates share a batched pass, and so every result, never depends on jobs.
+BOOTSTRAP_BLOCK = 20
 
 
 class SandwichError(EstimationError):
@@ -170,15 +174,20 @@ def wald_intervals(psi_hat, sigma_psi, level: float, names=None) -> IntervalSet:
     )
 
 
-def _bootstrap_one(estimator, data, seed_entropy, replicate):
-    child = np.random.SeedSequence(entropy=seed_entropy, spawn_key=(replicate,))
-    idx = np.random.default_rng(child).integers(0, data.n, size=data.n)
-    return tally(estimator, data.subset(idx))
+def _bootstrap_block(estimator, data, seed_entropy, replicates):
+    """The estimator's ``(estimate, error)`` pairs for a block of replicates,
+    each a resample of the rows given as counts."""
+    counts = np.empty((len(replicates), data.n))
+    for row, replicate in zip(counts, replicates):
+        child = np.random.SeedSequence(entropy=seed_entropy, spawn_key=(replicate,))
+        idx = np.random.default_rng(child).integers(0, data.n, size=data.n)
+        row[:] = np.bincount(idx, minlength=data.n)
+    return estimator(data, counts)
 
 
 def bootstrap(
     data: Dataset,
-    estimator: Callable[[Dataset], np.ndarray],
+    estimator: Callable[[Dataset, np.ndarray], list],
     n_replicates: int,
     level: float = 0.95,
     seed: int = 0,
@@ -189,10 +198,16 @@ def bootstrap(
 ) -> IntervalSet:
     """Percentile bootstrap over trajectories.
 
-    Resamples individuals with replacement and reruns ``estimator`` (which
-    should refit the entire pipeline) per replicate.  Replicate streams are
-    spawned from ``seed`` by replicate index, so results do not depend on
-    ``jobs``.  Failed replicates are dropped and counted; more than
+    Replicate ``r`` resamples the individuals with replacement from a stream
+    spawned from ``seed`` by ``r`` and hands the resample to ``estimator`` as
+    frequency weights: the number of times each row was drawn.
+    ``estimator(data, weights)`` maps a (b, n) block of such counts to b
+    ``(estimate, error)`` pairs, ``error`` being ``None`` or the estimation
+    failure of that replicate (``EstimationPlan.psi_estimator`` refits the
+    whole pipeline in one batched pass).  Replicates go to the estimator in
+    blocks of ``BOOTSTRAP_BLOCK``, spread over ``jobs`` worker processes, so
+    results do not depend on ``jobs``.  Failed replicates are dropped and
+    counted by class and stage in ``diagnostics["failures"]``; more than
     ``MAX_FAILURE_FRACTION`` failing is an error.
     """
     if n_replicates < 2:
@@ -200,11 +215,16 @@ def bootstrap(
     if not (0.0 < level < 1.0):
         raise ValueError("confidence level must be in (0, 1)")
     if point_estimates is None:
-        point_estimates = estimator(data)
+        ((point_estimates, error),) = estimator(data, np.ones((1, data.n)))
+        if error is not None:
+            raise error
     point_estimates = np.asarray(point_estimates, dtype=float)
 
-    results = ordered_map(partial(_bootstrap_one, estimator, data, seed), range(n_replicates),
-                          jobs=jobs, chunksize=8)
+    blocks = [range(start, min(start + BOOTSTRAP_BLOCK, n_replicates))
+              for start in range(0, n_replicates, BOOTSTRAP_BLOCK)]
+    results = [pair for block in ordered_map(partial(_bootstrap_block, estimator, data, seed),
+                                             blocks, jobs=jobs, chunksize=1)
+               for pair in block]
     draws = [est for est, err in results if err is None]
     n_failed = n_replicates - len(draws)
     if n_failed > MAX_FAILURE_FRACTION * n_replicates:
@@ -227,6 +247,7 @@ def bootstrap(
         level=level,
         method="bootstrap-percentile",
         n_failed=n_failed,
+        diagnostics={"failures": failure_counts(err for _, err in results)},
     )
 
 

@@ -539,18 +539,23 @@ class CompiledDesign:
 
     def evaluate(self, expected: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
         """The design matrix at ``expected``; the read-only base itself when
-        no term multiplies in an expected treatment."""
+        no term multiplies in an expected treatment.  Expected treatments
+        given per member, (b, n), make the design per member, (b, n, p)."""
         if not any(self.expected_stages):
             return self.base
-        out = self.base.copy()
+        used = [stage for stages in self.expected_stages for stage in stages]
+        for stage in used:
+            if expected is None or stage not in expected:
+                raise DesignError(
+                    f"no adherence model available for expected treatment at "
+                    f"stage {stage}"
+                )
+        lead = np.broadcast_shapes(*(np.shape(expected[stage])[:-1] for stage in used))
+        out = np.empty(lead + self.base.shape)
+        out[...] = self.base
         for t, stages in enumerate(self.expected_stages):
             for stage in stages:
-                if expected is None or stage not in expected:
-                    raise DesignError(
-                        f"no adherence model available for expected treatment at "
-                        f"stage {stage}"
-                    )
-                out[:, t] *= expected[stage]
+                out[..., t] *= expected[stage]
         return out
 
     def partials(self, expected: Mapping[int, np.ndarray]) -> list:

@@ -9,7 +9,7 @@ import pytest
 
 from dtr_adhere.cli import main, write_dataset_csv
 from dtr_adhere.gest import psi_flat
-from dtr_adhere.inference import regime_sandwich
+from dtr_adhere.inference import BOOTSTRAP_BLOCK, regime_sandwich
 from dtr_adhere.simulation import generate_s1, scenario_plan
 
 
@@ -300,6 +300,21 @@ class TestAnalyze:
         assert run_cli("analyze", config_path, "--out", out1) == 0
         assert run_cli("analyze", config_path, "--out", out2) == 0
         assert read_bytes(out1 / "fit.json") == read_bytes(out2 / "fit.json")
+
+    def test_bootstrap_jobs_do_not_change_fit_json(self, analysis_setup):
+        # 30 replicates: a full block and a partial one
+        _, config, config_path, tmp_path = analysis_setup
+        assert 30 % BOOTSTRAP_BLOCK
+        outputs = []
+        for jobs in (1, 2):
+            config.update(jobs=jobs, inference={"method": "bootstrap", "replicates": 30,
+                                                "level": 0.9})
+            config_path.write_text(json.dumps(config))
+            outputs.append(tmp_path / f"jobs{jobs}")
+            assert run_cli("analyze", config_path, "--out", outputs[-1]) == 0
+        assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
+        block = json.loads((outputs[0] / "fit.json").read_text())["intervals"]
+        assert sum(f["count"] for f in block["failures"]) == block["failed_replicates"]
 
 
 def standard_mode_with_exact_pseudo_outcomes(config):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from dtr_adhere import glm
 from dtr_adhere.glm import (
     NonConvergenceError,
     RankDeficiencyError,
     expit,
     fit_logistic,
+    fit_logistic_batch,
 )
 
 
@@ -120,6 +122,64 @@ class TestFitLogistic:
             expit((design * scale) @ fit_scaled.coefficients),
             atol=1e-8,
         )
+
+
+class TestWeights:
+    @staticmethod
+    def problem(n=120, seed=8):
+        rng = np.random.default_rng(seed)
+        design = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = rng.binomial(1, expit(design @ np.array([0.2, 0.9]))).astype(float)
+        return design, y
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_weight_rejected_before_any_iteration(self, monkeypatch, bad):
+        design, y = self.problem()
+        weights = np.ones(y.size)
+        weights[3] = bad
+
+        def no_iteration(x):
+            raise AssertionError("Newton iterated on invalid weights")
+
+        monkeypatch.setattr(glm, "expit", no_iteration)
+        with pytest.raises(ValueError, match="weights"):
+            fit_logistic(design, y, weights)
+
+    def test_weights_of_the_wrong_length_rejected(self):
+        design, y = self.problem()
+        with pytest.raises(ValueError, match="weights"):
+            fit_logistic(design, y, np.ones(y.size - 1))
+
+    def test_integer_weights_equal_repeated_rows(self):
+        design, y = self.problem()
+        counts = np.random.default_rng(9).integers(0, 4, y.size)
+        rows = np.repeat(np.arange(y.size), counts)
+        weighted = fit_logistic(design, y, counts.astype(float))
+        repeated = fit_logistic(design[rows], y[rows])
+        np.testing.assert_allclose(weighted.coefficients, repeated.coefficients, atol=1e-10)
+
+    def test_batch_members_equal_one_member_fits(self):
+        # converging members, a separated one and one with a single row: each
+        # member of the batch is the fit of its weights alone
+        design, y = self.problem()
+        rng = np.random.default_rng(10)
+        weights = rng.integers(0, 3, (4, y.size)).astype(float)
+        weights[1] = (y == (design[:, 1] > 0))
+        weights[2] = np.eye(y.size)[0]
+        batch = fit_logistic_batch(design, y, weights)
+        failures = 0
+        for i, w in enumerate(weights):
+            try:
+                alone = fit_logistic(design, y, w)
+            except (NonConvergenceError, RankDeficiencyError) as err:
+                assert type(batch.errors[i]) is type(err)
+                assert str(batch.errors[i]) == str(err)
+                failures += 1
+                continue
+            assert batch.errors[i] is None
+            np.testing.assert_allclose(batch.coefficients[i], alone.coefficients, atol=1e-12)
+            assert batch.iterations[i] == alone.iterations
+        assert failures == 2
 
 
 class TestScoreRows:

@@ -1,5 +1,6 @@
 """Jacobians, sandwich covariance, Wald intervals, and the bootstrap engine."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,8 @@ from dtr_adhere.inference import (
     sandwich,
     wald_intervals,
 )
-from dtr_adhere.gest import (AdherenceSource, EstimationPlan, StackedScore, psi_flat,
-                             sensitivity_sweep)
+from dtr_adhere.gest import (AdherenceSource, EstimationError, EstimationPlan, StackedScore,
+                             psi_flat, sensitivity_sweep, tally)
 from dtr_adhere.simulation import ScenarioConfig, generate_s1, run_replications, scenario_plan
 
 
@@ -170,8 +171,8 @@ class TestExternalAdherenceCovariance:
             coefficients = list(source.coefficients)
             for j, part in zip(stages, np.split(alpha, np.cumsum(sizes)[:-1])):
                 coefficients[j] = part
-            return replace(plan, adherence=AdherenceSource.external(coefficients)
-                           ).psi_estimator(data)
+            return psi_flat(replace(plan, adherence=AdherenceSource.external(coefficients)
+                                    ).estimate(data))
 
         alpha = np.concatenate([source.coefficients[j] for j in stages])
         columns = []
@@ -287,8 +288,13 @@ class TestWaldIntervals:
         assert np.all(iv.estimate <= iv.upper)
 
 
-def _mean_outcome(data):
-    return np.array([data.outcome.mean()])
+def _resample_mean(data, counts):
+    return np.array([np.repeat(data.outcome, counts.astype(int)).mean()])
+
+
+def _mean_outcome(data, weights):
+    """The mean outcome of each replicate's resample, as estimator pairs."""
+    return [(_resample_mean(data, w), None) for w in weights]
 
 
 class TestBootstrap:
@@ -327,14 +333,41 @@ class TestBootstrap:
         data = generate_s1(50, 0.0, rng)
         calls = {"n": 0}
 
-        def flaky(d):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise NonConvergenceError("boom")
-            return np.array([d.outcome.mean()])
+        def flaky(d, weights):
+            pairs = []
+            for w in weights:
+                calls["n"] += 1
+                if calls["n"] % 3 == 0:
+                    pairs.append((None, NonConvergenceError("boom")))
+                else:
+                    pairs.append((_resample_mean(d, w), None))
+            return pairs
 
         with pytest.raises(BootstrapError):
             bootstrap(data, flaky, 30, seed=1)
+
+    def test_failures_counted_by_class_and_stage(self):
+        data = generate_s1(60, 0.0, np.random.default_rng(29))
+        planted = {7: EstimationError("singular", stage=2), 19: NonConvergenceError("boom"),
+                   23: EstimationError("singular", stage=1), 51: NonConvergenceError("boom")}
+
+        def estimator(d, weights):
+            pairs = _mean_outcome(d, weights)
+            if len(weights) == 1:  # the point estimate
+                return pairs
+            start = estimator.seen
+            estimator.seen += len(weights)
+            return [(None, planted[start + k]) if start + k in planted else pair
+                    for k, pair in enumerate(pairs)]
+
+        estimator.seen = 0
+        iv = bootstrap(data, estimator, 100, seed=2)
+        assert iv.n_failed == 4
+        assert iv.diagnostics["failures"] == [
+            {"class": "EstimationError", "stage": 1, "count": 1},
+            {"class": "EstimationError", "stage": 2, "count": 1},
+            {"class": "NonConvergenceError", "stage": None, "count": 2},
+        ]
 
     def test_regime_estimator_end_to_end(self):
         rng = np.random.default_rng(26)
@@ -347,6 +380,53 @@ class TestBootstrap:
         assert iv.names[0] == "psi1.1"
         assert np.all(iv.lower <= iv.estimate) and np.all(iv.estimate <= iv.upper)
         assert iv.n_failed <= 3
+
+
+def _resamples(n, seed, count):
+    """The bootstrap's row draws for replicates 0..count-1 of ``seed``."""
+    return [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+            .integers(0, n, size=n) for r in range(count)]
+
+
+def _digits_masked(message):
+    return re.sub(r"[0-9][0-9.e+-]*", "#", message)
+
+
+class TestBatchedReplicatesMatchSubsetFits:
+    """Each member of a batched pass is the fit of its resample: psi, and for
+    a failing replicate the exception class, stage and message, as a fit of
+    ``data.subset(idx)`` gives them.  Numbers inside messages (a condition
+    number, a coefficient norm) are compared with their digits masked: the
+    condition number of a numerically singular system is rounding noise, and
+    no two summation orders need print it alike."""
+
+    @pytest.mark.parametrize("n", [30, 60, 120])
+    @pytest.mark.parametrize("estimator", ["modified-fitted", "naive-proxy"])
+    def test_members_match_per_replicate_fits(self, n, estimator):
+        data = generate_s1(n, 1.0, np.random.default_rng(900 + n), validation_fraction=0.3)
+        plan = scenario_plan("s1", estimator)
+        draws = _resamples(n, 31, 60)
+        # one resample that keeps no stage-1 validation row
+        outside = np.flatnonzero(~data.validation[:, 0])
+        draws.append(np.random.default_rng(1).choice(outside, size=n))
+        counts = np.array([np.bincount(idx, minlength=n) for idx in draws], dtype=float)
+        got = []
+        for start in range(0, len(draws), inference.BOOTSTRAP_BLOCK):
+            got += plan.psi_estimator(data, counts[start : start + inference.BOOTSTRAP_BLOCK])
+        want = [tally(lambda d: psi_flat(plan.estimate(d)), data.subset(idx)) for idx in draws]
+
+        assert [err is None for _, err in got] == [err is None for _, err in want]
+        for (psi, err), (ref_psi, ref_err) in zip(got, want):
+            if ref_err is None:
+                np.testing.assert_allclose(psi, ref_psi, rtol=0, atol=1e-8)
+                continue
+            assert type(err) is type(ref_err)
+            assert getattr(err, "stage", None) == getattr(ref_err, "stage", None)
+            assert _digits_masked(str(err)) == _digits_masked(str(ref_err))
+        if plan.fits_adherence:
+            assert str(got[-1][1]) == "no validation rows at stage 1"
+        else:
+            assert got[-1][1] is None
 
 
 class TestProgrammingErrorsPropagate:
