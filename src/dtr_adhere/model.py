@@ -595,10 +595,10 @@ def compile_design(
         raise ValueError(f"unknown substitution mode '{mode}'")
     if proxy_kind is None:
         proxy_kind = data.default_proxy_kind()
-    n = data.n
-    cols, expected_stages = [], []
-    for term in spec.terms:
-        value = np.ones(n)
+    base = np.ones((data.n, len(spec.terms)))
+    expected_stages = []
+    for t, term in enumerate(spec.terms):
+        value = base[:, t]  # a view: each factor multiplies in place
         stages = []
         for f in term.factors:
             if isinstance(f, Constant):
@@ -613,7 +613,7 @@ def compile_design(
                     if np.any(col <= 0.0):
                         raise DesignError(f"log of non-positive value in {f.label()}")
                     col = np.log(col)
-                value = value * col
+                value *= col
                 continue
             # treatment reference
             if f.stage > stage:
@@ -621,7 +621,7 @@ def compile_design(
                     f"treatment reference {f.label()} beyond stage {stage}"
                 )
             if treatment_override is not None and f.stage in treatment_override:
-                value = value * float(treatment_override[f.stage])
+                value *= float(treatment_override[f.stage])
                 continue
             resolved = _resolve_source(f.source, mode)
             if resolved == "actual":
@@ -641,10 +641,8 @@ def compile_design(
             else:  # expected: multiplied in when the design is evaluated
                 stages.append(f.stage)
                 continue
-            value = value * col
-        cols.append(value)
+            value *= col
         expected_stages.append(tuple(stages))
-    base = np.column_stack(cols)
     base.flags.writeable = False
     return CompiledDesign(base=base, expected_stages=tuple(expected_stages))
 
