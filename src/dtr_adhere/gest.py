@@ -21,7 +21,6 @@ the effect of treatment actually taken rather than of its proxy.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -61,6 +60,8 @@ _PROXY_KINDS = tuple(_MODE_PROXY_KIND.values())
 
 CONDITION_LIMIT = 1e12
 POSITIVITY_EPS = 1e-12
+# A condition number at or beyond 1/eps has no significant digit left.
+_NOISE_CONDITION = 1.0 / np.finfo(float).eps
 
 
 class EstimationError(RuntimeError):
@@ -339,17 +340,26 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
         diag = np.abs(np.diag(np.linalg.qr(rows, mode="r")))
         return np.min(diag) <= 1e-12 * max(np.max(diag), 1.0)
 
+    def noise(c):
+        """Whether a condition number's digits are rounding noise, so that a
+        message printing them would depend on the summation order."""
+        return not np.isfinite(c) or c >= _NOISE_CONDITION
+
     errors = [None] * b
     for i in np.flatnonzero(np.ones(b, dtype=bool) if active is None else active):
-        if not np.isfinite(cond[i]) or cond[i] > CONDITION_LIMIT:
+        if noise(cond[i]):
+            errors[i] = SingularSystemError("stage system is numerically singular", stage=stage)
+        elif cond[i] > CONDITION_LIMIT:
             errors[i] = SingularSystemError(f"stage system condition number {cond[i]:.3g} "
                                             f"exceeds {CONDITION_LIMIT:.0e}", stage=stage)
         elif deficient(i):
             errors[i] = RankDeficiencyError(
                 f"treatment-free design at stage {stage} is rank deficient")
-        elif not np.isfinite(joint_cond[i]) or joint_cond[i] > CONDITION_LIMIT:
+        elif noise(joint_cond[i]) or joint_cond[i] > CONDITION_LIMIT:
+            condition = ("numerically singular" if noise(joint_cond[i])
+                         else f"condition {joint_cond[i]:.3g}")
             errors[i] = EstimationError("contrast/treatment-free equations are jointly "
-                                        f"singular (condition {joint_cond[i]:.3g})", stage=stage)
+                                        f"singular ({condition})", stage=stage)
     solved = np.array([error is None for error in errors])
     if active is not None:
         solved &= active
@@ -389,12 +399,24 @@ def _validation_rows(data: Dataset, stage: int) -> np.ndarray:
 def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray, weights: np.ndarray,
                          active: Optional[np.ndarray] = None) -> BatchFit:
     """The adherence fit of each member of a block, on the validation rows
-    its (b, n) ``weights`` keep; a member that keeps none fails."""
-    mask = _validation_rows(data, stage)
-    w = np.compress(mask, weights, axis=1)
-    kept = (w > 0.0).any(axis=1)
-    fit = fit_logistic_batch(np.compress(mask, design, axis=-2), data.actual(stage)[mask], w,
-                             kept if active is None else kept & active)
+    its (b, n) ``weights`` keep; a member that keeps none fails.  Shared
+    validation rows are cut out.  A stacked dataset's differ by member: each
+    member's come first, in row order, and a member with fewer than the
+    most is padded with rows of weight 0."""
+    actual = data.actual(stage)
+    if data.validation.ndim == 2:
+        mask = _validation_rows(data, stage)
+        design, actual = np.compress(mask, design, axis=-2), actual[mask]
+        weights = np.compress(mask, weights, axis=1)
+    else:
+        mask = data.validation[..., stage - 1]
+        rows = np.argsort(~mask, axis=1, kind="stable")[:, :np.max(mask.sum(axis=1))]
+        design = np.swapaxes(np.take_along_axis(np.swapaxes(design, -1, -2), rows[:, None, :],
+                                                axis=-1), -1, -2)  # keeps the column layout
+        actual = np.take_along_axis(np.where(mask, actual, 0.0), rows, axis=1)
+        weights = np.take_along_axis(weights * mask, rows, axis=1)
+    kept = (weights > 0.0).any(axis=1)
+    fit = fit_logistic_batch(design, actual, weights, kept if active is None else kept & active)
     for i in np.flatnonzero(~kept):
         fit.errors[i] = DataError(f"no validation rows at stage {stage}")
     return fit
@@ -458,23 +480,23 @@ class EstimationPlan:
         ((fit, error),) = _fit_regime(self, data, w[None])
         if error is not None:
             raise error
-        for j, n_extreme in enumerate(fit.diagnostics["positivity_violations"], start=1):
-            if n_extreme:
-                warnings.warn(
-                    f"stage {j}: {n_extreme} fitted assignment probabilities are "
-                    "numerically 0 or 1 (positivity violation)",
-                    stacklevel=2,
-                )
         return fit
 
+    def fit_members(self, data: Dataset, weights) -> list:
+        """One batched fit per member, as b ``(RegimeFit, None)`` or
+        ``(None, error)`` pairs.  The members are the rows of the (b, n)
+        frequency ``weights``: on a dataset, b weightings of its rows; on a
+        stacked dataset (``Dataset.stack``), one row of weights per stacked
+        dataset."""
+        shape = data.outcome.shape if data.outcome.ndim == 2 else (len(weights), data.n)
+        return _fit_regime(self, data, check_weights(weights, shape))
+
     def psi_estimator(self, data: Dataset, weights) -> list:
-        """One batched fit per row of the (b, n) frequency ``weights``, as b
-        ``(estimates, error)`` pairs: the flattened contrast estimates (stage
-        1 first) and ``None``, or ``None`` and the member's estimation
-        failure.  The bootstrap's estimator."""
-        weights = check_weights(weights, (len(weights), data.n))
+        """``fit_members`` as b ``(estimates, error)`` pairs: the flattened
+        contrast estimates (stage 1 first) and ``None``, or ``None`` and the
+        member's estimation failure.  The bootstrap's estimator."""
         return [(None if fit is None else psi_flat(fit), error)
-                for fit, error in _fit_regime(self, data, weights)]
+                for fit, error in self.fit_members(data, weights)]
 
 
 @dataclass(frozen=True)
@@ -588,7 +610,8 @@ class _StageSystem:
     stage (estimation), blocks of a stacked parameter vector (the sandwich
     score) or a finished fit (the recommendation rules).  Given ``tangents``,
     a pass also records the derivatives of what it evaluates over the stacked
-    parameter.  Each design is compiled once per system.
+    parameter.  Designs are compiled where a pass uses them and not kept, so
+    a stacked dataset's (b, n, p) bases are freed as soon as they are used.
     """
 
     def __init__(self, plan: EstimationPlan, data: Dataset):
@@ -598,7 +621,6 @@ class _StageSystem:
         self.proxy_kind = plan.proxy_kind or data.default_proxy_kind()
         self.design_mode = _SUBSTITUTION[plan.mode]
         self.assign_mode = MODE_USE_ACTUAL if plan.mode == "standard-actual" else MODE_USE_PROXY
-        self._compiled = {}
 
     def response(self, stage: int) -> np.ndarray:
         if self.plan.mode == "standard-actual":
@@ -609,14 +631,9 @@ class _StageSystem:
                  override: Optional[tuple] = None) -> CompiledDesign:
         """``spec`` compiled at ``stage``; ``override`` is a ``(stage, value)``
         pair pinning one treatment."""
-        key = (spec, stage, mode or self.design_mode, override)
-        form = self._compiled.get(key)
-        if form is None:
-            form = self._compiled[key] = compile_design(
-                spec, self.data, stage, key[2], proxy_kind=self.proxy_kind,
-                treatment_override=None if override is None else dict([override]),
-            )
-        return form
+        return compile_design(spec, self.data, stage, mode or self.design_mode,
+                              proxy_kind=self.proxy_kind,
+                              treatment_override=None if override is None else dict([override]))
 
     def adherence(self, upto: int, coefficients: Optional[Callable] = None,
                   tangents: Optional[_Tangents] = None):
@@ -650,7 +667,7 @@ class _StageSystem:
         if proxy is None or np.any(np.isnan(proxy)):
             raise DesignError(f"proxy treatment missing at stage {stage}")
         probs = np.asarray(probability(stage, self.data.covariate, proxy), dtype=float)
-        if probs.shape != (self.data.n,) or np.any((probs < 0) | (probs > 1)):
+        if probs.shape != proxy.shape or np.any((probs < 0) | (probs > 1)):
             raise DesignError("adherence probability function returned invalid values")
         return probs
 
@@ -814,8 +831,9 @@ class _Members:
 def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> list:
     """Fit ``plan`` once per row of the (b, n) frequency ``weights``, in one
     pass of the stage system with a leading member axis.  Member ``i`` is a
-    fit of the rows repeated by ``weights[i]``: its nuisance fits, stage
-    solves and checks see only the rows it weights.  A failing member drops
+    fit of the rows repeated by ``weights[i]``, of ``data`` or, when ``data``
+    is stacked, of its member ``i``: its nuisance fits, stage solves and
+    checks see only the rows it weights.  A failing member drops
     out and the others carry on.  Returns b tally-style pairs,
     ``(RegimeFit, None)`` or ``(None, error)``."""
     system = _StageSystem(plan, data)

@@ -135,10 +135,11 @@ def _cholesky(info: np.ndarray):
 
 def fit_logistic_batch(design, response, weights: np.ndarray,
                        active: Optional[np.ndarray] = None) -> BatchFit:
-    """Newton scoring for b weighted fits of one response at once.
+    """Newton scoring for b weighted fits at once.
 
-    ``design`` is (n, p), shared, or (b, n, p); ``weights`` is (b, n), one
-    row per member, finite and nonnegative (``check_weights``), and
+    ``design`` is (n, p), shared, or (b, n, p); ``response`` is (n,), shared,
+    or (b, n); ``weights`` is (b, n), one row per member, finite and
+    nonnegative (``check_weights``), and
     ``active`` (b,) marks the members to fit (default all).  Each member
     iterates on its own until the score sup-norm drops below ``SCORE_TOL``
     or the step sup-norm below ``STEP_TOL``, exactly as a fit of the rows
@@ -150,7 +151,7 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
     y = np.asarray(response, dtype=float)
     w = np.asarray(weights, dtype=float)
     p = x.shape[-1]
-    if y.shape != x.shape[-2:-1]:
+    if y.shape[-1:] != x.shape[-2:-1]:
         raise ValueError("response length does not match design rows")
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("logistic response must be 0/1")
@@ -164,6 +165,7 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
     if idx.size < b:
         w = w[idx]
         x = x[idx] if x.ndim == 3 else x
+        y = y[idx] if y.ndim == 2 else y
     beta = np.zeros((idx.size, p))
     information = _information(x)
 
@@ -201,7 +203,8 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
                 # the likelihood has no interior maximum and the
                 # coefficients are off to infinity
                 fitted = expit(linear(x[k] if x.ndim == 3 else x, beta[k])) if moved else mu[k]
-                if np.max(np.abs(y - fitted), where=w[k] > 0.0, initial=0.0) < 1e-4:
+                y_k = y[k] if y.ndim == 2 else y
+                if np.max(np.abs(y_k - fitted), where=w[k] > 0.0, initial=0.0) < 1e-4:
                     errors[i] = NonConvergenceError(
                         "complete separation in logistic fit "
                         f"(coefficient norm {np.linalg.norm(beta[k]):.3g})")
@@ -211,6 +214,7 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
             break
         keep = ~done
         idx, w, beta = idx[keep], w[keep], beta[keep]
+        y = y[keep] if y.ndim == 2 else y
         if x.ndim == 3:
             x = x[keep]
             information = _information(x)

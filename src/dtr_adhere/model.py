@@ -274,7 +274,9 @@ class Dataset:
     Treatment columns are float arrays with NaN marking absent values;
     ``validation`` is an (n, K) boolean mask of rows where the actual
     treatment is recorded.  Instances are immutable after construction and
-    safe to share across workers.
+    safe to share across workers.  ``Dataset.stack`` holds equal-size
+    datasets as the members of a batched fit, with a leading member axis on
+    every column.
     """
 
     def __init__(
@@ -490,6 +492,38 @@ class Dataset:
             )
         return Trajectory(id=self._ids[i], stages=tuple(stages), outcome=float(self._outcome[i]))
 
+    @classmethod
+    def stack(cls, datasets: Sequence["Dataset"]) -> "Dataset":
+        """Equal-size datasets of one schema as the members of one batched
+        fit: each column of the result is (b, n), member i's row r being row
+        r of ``datasets[i]``, and its validation flags are (b, n, K).  Only
+        the column accessors apply to it; it carries no ids."""
+        first = datasets[0]
+
+        def schema(data):
+            return data.n, data.covariate_names, [
+                col is None for cols in (data._prescribed, data._actual, data._reported)
+                for col in cols]
+
+        if any(schema(data) != schema(first) for data in datasets):
+            raise DataError("stacked datasets must share their size and schema")
+
+        def stacked(columns):
+            return None if columns[0] is None else np.stack(columns)
+
+        out = cls.__new__(cls)
+        out.__dict__.update(vars(first))  # the shape and the names
+        out._ids = None
+        out._outcome = np.stack([data._outcome for data in datasets])
+        out._validation = np.stack([data._validation for data in datasets])
+        for kind in ("_prescribed", "_actual", "_reported"):
+            columns = zip(*(getattr(data, kind) for data in datasets))  # stage by stage
+            setattr(out, kind, tuple(map(stacked, columns)))
+        out._covariates = tuple(
+            {name: np.stack([cols[name] for cols in stage]) for name in first._names}
+            for stage in zip(*(data._covariates for data in datasets)))
+        return out
+
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
 
@@ -534,13 +568,14 @@ class CompiledDesign:
     so a design compiled once is evaluated at any expected treatments.
     """
 
-    base: np.ndarray  # (n, p), read-only
+    base: np.ndarray  # (n, p), or (b, n, p) on a stacked dataset; read-only
     expected_stages: tuple  # per term, a tuple of stages
 
     def evaluate(self, expected: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
         """The design matrix at ``expected``; the read-only base itself when
         no term multiplies in an expected treatment.  Expected treatments
-        given per member, (b, n), make the design per member, (b, n, p)."""
+        given per member, (b, n), make the design per member, (b, n, p); a
+        base compiled on a stacked dataset is per member already."""
         if not any(self.expected_stages):
             return self.base
         used = [stage for stages in self.expected_stages for stage in stages]
@@ -550,8 +585,9 @@ class CompiledDesign:
                     f"no adherence model available for expected treatment at "
                     f"stage {stage}"
                 )
-        lead = np.broadcast_shapes(*(np.shape(expected[stage])[:-1] for stage in used))
-        out = np.empty(lead + self.base.shape)
+        rows = np.broadcast_shapes(self.base.shape[:-1],
+                                   *(np.shape(expected[stage]) for stage in used))
+        out = np.empty(rows + self.base.shape[-1:])
         out[...] = self.base
         for t, stages in enumerate(self.expected_stages):
             for stage in stages:
@@ -595,10 +631,14 @@ def compile_design(
         raise ValueError(f"unknown substitution mode '{mode}'")
     if proxy_kind is None:
         proxy_kind = data.default_proxy_kind()
-    base = np.ones((data.n, len(spec.terms)))
+    rows, p = data.outcome.shape, len(spec.terms)
+    if len(rows) == 1:
+        base = np.ones((*rows, p))
+    else:  # stored column by column within each member, the layout the batched products favour
+        base = np.swapaxes(np.ones((*rows[:-1], p, rows[-1])), -1, -2)
     expected_stages = []
     for t, term in enumerate(spec.terms):
-        value = base[:, t]  # a view: each factor multiplies in place
+        value = base[..., t]  # a view: each factor multiplies in place
         stages = []
         for f in term.factors:
             if isinstance(f, Constant):

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gest import (MAX_FAILURE_FRACTION, AdherenceSource, EstimationPlan, StageModelSpec,
-                   ordered_map, psi_flat, tally)
+from .gest import (MAX_FAILURE_FRACTION, AdherenceSource, EstimationPlan, RegimeFit,
+                   StageModelSpec, failure_counts, ordered_map, psi_flat, tally)
 from .glm import expit
 from .inference import regime_wald_intervals
 from .model import Dataset
@@ -38,6 +39,9 @@ SCENARIOS = ("s1", "s2", "s3", "s4")
 ESTIMATORS = ("modified-known", "modified-fitted", "naive-proxy", "standard-actual")
 # Nominal level of the Wald intervals whose coverage a study records.
 COVERAGE_LEVEL = 0.95
+# Replicates fitted in one batched pass.  Fixed, so that which replicates
+# share a pass, and so every result, never depends on jobs.
+REPLICATION_BLOCK = 10
 
 # Nonadherence mechanism shared by s1/s2/s3: the chance the treatment was
 # actually taken, given the stage covariate and the prescription.
@@ -333,28 +337,37 @@ def scenario_dataset(config: ScenarioConfig, rng: np.random.Generator) -> Datase
                        validation_fraction=config.validation_fraction)
 
 
-def _replicate(config: ScenarioConfig, index: int) -> dict:
-    """One replicate: generate a dataset and run every requested estimator on
-    it.  Maps each estimator to ``tally``'s ``((estimates, hits), error)``."""
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-    data = scenario_dataset(config, np.random.default_rng(seq))
-    return {
-        name: tally(_estimate, config, data,
-                    scenario_plan(config.scenario, name,
-                                  exact_pseudo_outcomes=config.exact_pseudo_outcomes))
-        for name in config.estimators
-    }
+class _Replicate(NamedTuple):
+    """What one successful replicate of an estimator yields."""
+
+    estimates: np.ndarray  # the flattened contrast estimates, stage 1 first
+    hits: Optional[np.ndarray]  # 0/1 per parameter: the Wald interval covers the truth
+    positivity: list  # per stage, rows with an assignment probability of 0 or 1
 
 
-def _estimate(config: ScenarioConfig, data: Dataset, plan: EstimationPlan):
-    """Contrast estimates and, when coverage is requested, the 0/1 per-parameter
-    hits of their Wald intervals."""
-    fit = plan.estimate(data)
-    if not config.coverage:
-        return psi_flat(fit), None
-    truth = scenario_truth(config.scenario, config.effective_param)
-    intervals = regime_wald_intervals(data, fit, COVERAGE_LEVEL)
-    return psi_flat(fit), ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
+def _replicate_block(config: ScenarioConfig, plans: dict, replicates: range) -> dict:
+    """Generate the datasets of a block of replicates and fit each estimator
+    on all of them in one batched pass.  Maps each estimator to one
+    ``tally``-style ``(_Replicate, error)`` pair per replicate."""
+    datasets = [scenario_dataset(config, np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(r,)))) for r in replicates]
+    stack, weights = Dataset.stack(datasets), np.broadcast_to(1.0, (len(datasets), config.n))
+    if not config.coverage:  # only the coverage intervals need a replicate's own dataset
+        datasets = [None] * len(datasets)
+    return {name: [(None, error) if error is not None else tally(_replicate, config, data, fit)
+                   for data, (fit, error) in zip(datasets, plan.fit_members(stack, weights))]
+            for name, plan in plans.items()}
+
+
+def _replicate(config: ScenarioConfig, data: Dataset, fit: RegimeFit) -> _Replicate:
+    """A replicate's fit and, when coverage is requested, the hits of the Wald
+    intervals computed on its own dataset."""
+    hits = None
+    if config.coverage:
+        truth = scenario_truth(config.scenario, config.effective_param)
+        intervals = regime_wald_intervals(data, fit, COVERAGE_LEVEL)
+        hits = ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
+    return _Replicate(psi_flat(fit), hits, fit.diagnostics["positivity_violations"])
 
 
 @dataclass
@@ -366,6 +379,8 @@ class ReplicationSummary:
     estimates: dict  # estimator -> (n_ok, P) array
     coverage: dict  # estimator -> per-parameter coverage (or None)
     failures: dict  # estimator -> count
+    failure_counts: dict  # estimator -> gest.failure_counts records
+    positivity: dict  # estimator -> per stage, violations summed over successful replicates
 
     def statistics(self) -> dict:
         """Per-estimator, per-parameter mean, bias, variance, and 100 x MSE.
@@ -394,20 +409,30 @@ class ReplicationSummary:
                 if cov is not None:
                     row["coverage"] = float(cov[p])
                 rows.append(row)
-            stats[name] = {"failures": self.failures[name], "parameters": rows}
+            stats[name] = {"failures": self.failures[name],
+                           "failure_counts": self.failure_counts[name],
+                           "positivity_violations": self.positivity[name],
+                           "parameters": rows}
         return stats
 
 
 def run_replications(config: ScenarioConfig) -> ReplicationSummary:
     """Run independently seeded replicates and aggregate estimator behavior.
 
-    Each replicate generates one dataset and runs all requested estimators on
-    it.  Replicate seed streams derive from the master seed by replicate
-    index, so individual replicates are reproducible and results do not
-    depend on the worker count.
+    Each replicate generates one dataset from a seed stream derived from the
+    master seed by replicate index, so individual replicates are
+    reproducible.  Blocks of ``REPLICATION_BLOCK`` replicates are stacked,
+    and each estimator fits a block in one batched pass; ``jobs`` worker
+    processes share out the blocks, so results do not depend on the worker
+    count.
     """
-    results = ordered_map(partial(_replicate, config), range(config.replications),
-                          jobs=config.jobs, chunksize=4)
+    plans = {name: scenario_plan(config.scenario, name,
+                                 exact_pseudo_outcomes=config.exact_pseudo_outcomes)
+             for name in config.estimators}
+    blocks = [range(start, min(start + REPLICATION_BLOCK, config.replications))
+              for start in range(0, config.replications, REPLICATION_BLOCK)]
+    results = ordered_map(partial(_replicate_block, config, plans), blocks,
+                          jobs=config.jobs, chunksize=1)
 
     specs = scenario_models(config.scenario)
     parameters = [
@@ -417,9 +442,9 @@ def run_replications(config: ScenarioConfig) -> ReplicationSummary:
     ]
     truth = scenario_truth(config.scenario, config.effective_param)
 
-    indices, estimates, coverage, failures = {}, {}, {}, {}
+    indices, estimates, coverage, failures, counts, positivity = {}, {}, {}, {}, {}, {}
     for name in config.estimators:
-        runs = [out[name] for out in results]
+        runs = [pair for block in results for pair in block[name]]
         ok = [i for i, (_, err) in enumerate(runs) if err is None]
         failures[name] = config.replications - len(ok)
         if failures[name] > MAX_FAILURE_FRACTION * config.replications:
@@ -430,9 +455,12 @@ def run_replications(config: ScenarioConfig) -> ReplicationSummary:
             )
         values = [runs[i][0] for i in ok]
         indices[name] = np.asarray(ok, dtype=int)
-        estimates[name] = np.vstack([est for est, _ in values])
-        coverage[name] = (np.vstack([hit for _, hit in values]).mean(axis=0)
+        estimates[name] = np.vstack([value.estimates for value in values])
+        coverage[name] = (np.vstack([value.hits for value in values]).mean(axis=0)
                           if config.coverage else None)
+        counts[name] = failure_counts(err for _, err in runs)
+        positivity[name] = [int(total) for total in
+                            np.sum([value.positivity for value in values], axis=0)]
 
     return ReplicationSummary(
         config=config,
@@ -442,4 +470,6 @@ def run_replications(config: ScenarioConfig) -> ReplicationSummary:
         estimates=estimates,
         coverage=coverage,
         failures=failures,
+        failure_counts=counts,
+        positivity=positivity,
     )

@@ -79,6 +79,25 @@ class TestSimulate:
         for name in ("summary.json", "estimates.csv"):
             assert read_bytes(out1 / name) == read_bytes(out3 / name)
 
+    def test_blocks_jobs_and_summary_counts(self, tmp_path):
+        # three replication blocks, the last one partial, spread over two
+        # workers; one modified-fitted replicate fails and the as-treated
+        # assignment fits reach probabilities of 0 or 1
+        args = ["simulate", "--scenario", "s1", "--n", "120", "--reps", "23", "--param", "1",
+                "--seed", "2", "--estimators", "modified-fitted,standard-actual"]
+        assert run_cli(*args, "--out", tmp_path / "a") == 0
+        assert run_cli(*args, "--out", tmp_path / "b", "--jobs", "2") == 0
+        for name in ("summary.json", "estimates.csv"):
+            assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
+        stats = json.loads((tmp_path / "a" / "summary.json").read_text())["estimators"]
+        fitted, as_treated = stats["modified-fitted"], stats["standard-actual"]
+        assert fitted["failures"] == 1
+        assert [r["count"] for r in fitted["failure_counts"]] == [1]
+        assert set(fitted["failure_counts"][0]) == {"class", "stage", "count"}
+        assert as_treated["failures"] == 0 and as_treated["failure_counts"] == []
+        assert as_treated["positivity_violations"] == [0, 10]
+        assert fitted["positivity_violations"] == [0, 0]
+
     def test_seed_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DTR_ADHERE_SEED", "123")
         out = tmp_path / "env"

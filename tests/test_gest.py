@@ -1,6 +1,8 @@
 """Estimation core: pseudo outcomes, stage solves, adherence fits, full fits."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +202,24 @@ class TestSolveStage:
                        stage=2)
         assert not isinstance(err.value, SingularSystemError)
         assert err.value.stage == 2
+        # exactly singular: the printed condition number would be rounding noise
+        assert str(err.value) == ("stage 2: contrast/treatment-free equations are jointly "
+                                  "singular (numerically singular)")
+
+    @pytest.mark.parametrize("offset,message", [
+        (0.0, r"stage 1: stage system is numerically singular"),
+        (1e-7, r"stage 1: stage system condition number [1-9]\.[0-9]+e\+1[2-5] exceeds 1e\+12"),
+    ])
+    def test_singular_contrast_block_message(self, offset, message):
+        # the digits of a condition number are printed only below 1/eps
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=30)
+        tf = np.column_stack([np.ones(30), rng.normal(size=30)])
+        lam = np.column_stack([np.ones(30), x, x + offset * rng.normal(size=30)])
+        a = np.random.default_rng(5).binomial(1, 0.5, 30).astype(float)
+        with pytest.raises(SingularSystemError) as err:
+            _fit_stage(lam, tf, a, np.full(30, 0.5), a, rng.normal(size=30), stage=1)
+        assert re.fullmatch(message, str(err.value))
 
 
 class TestFitAdherence:
@@ -714,3 +734,12 @@ class TestSensitivitySweep:
         plan = scenario_plan("s1", "naive-proxy")
         with pytest.raises(ValueError, match="adherence applies to the modified modes only"):
             sensitivity_sweep(data, plan, [np.zeros(3), np.array([-4.6, -0.83, 7.5])])
+
+
+class TestPositivity:
+    def test_counted_in_diagnostics_without_a_warning(self):
+        data = generate_s1(60, 1.0, np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = scenario_plan("s1", "standard-actual").estimate(data)
+        assert fit.diagnostics["positivity_violations"] == [0, 17]

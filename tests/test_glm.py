@@ -181,6 +181,29 @@ class TestWeights:
             assert batch.iterations[i] == alone.iterations
         assert failures == 2
 
+    def test_members_with_their_own_rows(self):
+        # per-member designs and responses: each member, the separated one
+        # included, is the fit of its own rows
+        design, y = self.problem()
+        rng = np.random.default_rng(11)
+        perms = [rng.permutation(y.size) for _ in range(3)]
+        designs = np.stack([design[p] for p in perms])
+        responses = np.stack([y[p] for p in perms])
+        responses[1] = designs[1, :, 1] > 0
+        batch = fit_logistic_batch(designs, responses, np.ones(responses.shape))
+        failed = []
+        for i in range(3):
+            try:
+                alone = fit_logistic(designs[i], responses[i])
+            except NonConvergenceError as err:
+                assert str(batch.errors[i]) == str(err)
+                failed.append(i)
+                continue
+            assert batch.errors[i] is None
+            np.testing.assert_allclose(batch.coefficients[i], alone.coefficients, atol=1e-12)
+            assert batch.iterations[i] == alone.iterations
+        assert failed == [1]
+
 
 class TestScoreRows:
     def test_columns_sum_to_zero_at_fit(self):

@@ -320,6 +320,22 @@ class TestCompiledDesign:
         squared = [column for l, term, column in form.partials(expected) if term == 3]
         np.testing.assert_allclose(squared[0], 2.0 * expected[1])
 
+    def test_stacked_dataset_compiles_per_member(self):
+        """On a stacked dataset the base, and so the design, is (b, n, p),
+        member i's being the design of dataset i."""
+        data, spec = self.dataset(), parse_feature_spec(self.SPEC)
+        perms = [np.random.default_rng(k).permutation(data.n) for k in range(3)]
+        members = [data.subset(p) for p in perms]
+        expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
+        form = compile_design(spec, Dataset.stack(members), 2, "use-expected")
+        assert form.base.shape == (3, data.n, len(spec)) and not form.base.flags.writeable
+        stacked = form.evaluate({stage: np.stack([col[p] for p in perms])
+                                 for stage, col in expected.items()})
+        for member, p, got in zip(members, perms, stacked):
+            want = build_design_matrix(spec, member, 2, "use-expected",
+                                       expected={s: col[p] for s, col in expected.items()})
+            np.testing.assert_array_equal(got, want)
+
     def test_missing_expected_treatment_raises_at_evaluation(self):
         form = compile_design(parse_feature_spec("1 + A[1]"), self.dataset(), 2, "use-expected")
         with pytest.raises(DesignError, match="no adherence model available for expected "

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from dtr_adhere import simulation
 from dtr_adhere.glm import expit
-from dtr_adhere.gest import psi_flat
+from dtr_adhere.gest import psi_flat, tally
+from dtr_adhere.model import Dataset
 from dtr_adhere.simulation import (
+    ESTIMATORS,
+    SCENARIOS,
     ReplicationError,
     ScenarioConfig,
     generate_s1,
     generate_s3,
     generate_s4,
     run_replications,
+    scenario_dataset,
     scenario_plan,
     scenario_truth,
 )
@@ -251,3 +256,128 @@ class TestRunReplications:
             rows = stats[name]["parameters"]
             se = summary.estimates[name].std(axis=0, ddof=1) / np.sqrt(40)
             assert all(abs(r["bias"]) < 4 * s for r, s in zip(rows, se))
+
+
+def _replicates(scenario, n, count, seed):
+    """The datasets of replicates 0..count-1 of a run, as the engine draws them."""
+    config = ScenarioConfig(scenario=scenario, n=n, replications=count, seed=seed,
+                            varied_param=0.0 if scenario == "s2" else 1.0)
+    return [scenario_dataset(config, np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(r,)))) for r in range(count)]
+
+
+def _without_validation(data, stage):
+    """``data`` with no validation row at ``stage``."""
+    stages = range(1, data.n_stages + 1)
+    validation = data.validation.copy()
+    validation[:, stage - 1] = False
+    return Dataset(
+        ids=data.ids,
+        stage_covariates=[{name: data.covariate(name, j) for name in data.covariate_names}
+                          for j in stages],
+        prescribed=[data.prescribed(j) for j in stages],
+        actual=[data.actual(j) for j in stages],
+        reported=[data.reported(j) for j in stages],
+        validation=validation,
+        outcome=data.outcome,
+    )
+
+
+class TestStackedReplicatesMatchSerialFits:
+    """Each member of a stacked dataset is the fit of its own dataset: psi
+    and the pseudo outcomes to 1e-10, the positivity counts exactly, and for
+    a failing member the exception class, stage and message."""
+
+    @pytest.mark.parametrize("scenario,estimator,exact", [
+        (s, e, x) for s in SCENARIOS for e in ESTIMATORS
+        for x in ((False, True) if e.startswith("modified") else (False,))])
+    def test_members_match_serial_fits(self, scenario, estimator, exact):
+        plan = scenario_plan(scenario, estimator, exact_pseudo_outcomes=exact)
+        regular = _replicates(scenario, 300, 5, 11)
+        blocks = [
+            regular + [_without_validation(regular[0], 1), _without_validation(regular[1], 2)],
+            _replicates(scenario, 16, 10, 12),  # small enough that some fits fail
+            _replicates(scenario, 2, 3, 13),  # two rows support no stage model
+        ]
+        outcomes = []
+        for datasets in blocks:
+            got = plan.fit_members(Dataset.stack(datasets), np.ones((len(datasets),
+                                                                      datasets[0].n)))
+            for data, (fit, error) in zip(datasets, got):
+                ref, ref_error = tally(plan.estimate, data)
+                outcomes.append(ref_error)
+                if ref_error is not None:
+                    assert fit is None
+                    assert type(error) is type(ref_error)
+                    assert getattr(error, "stage", None) == getattr(ref_error, "stage", None)
+                    assert str(error) == str(ref_error)
+                    continue
+                assert error is None
+                np.testing.assert_allclose(psi_flat(fit), psi_flat(ref), rtol=0, atol=1e-10)
+                np.testing.assert_allclose(fit.pseudo_outcomes, ref.pseudo_outcomes,
+                                           rtol=0, atol=1e-10)
+                assert (fit.diagnostics["positivity_violations"]
+                        == ref.diagnostics["positivity_violations"])
+        assert all(error is None for error in outcomes[:5])
+        assert all(error is not None for error in outcomes[-3:])
+        if plan.fits_adherence:
+            assert [str(error) for error in outcomes[5:7]] == [
+                f"no validation rows at stage {j}" for j in (1, 2)]
+
+    def test_stacking_needs_one_size_and_schema(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="share their size and schema"):
+            Dataset.stack([generate_s1(20, 0.0, rng), generate_s1(21, 0.0, rng)])
+        with pytest.raises(ValueError, match="share their size and schema"):
+            Dataset.stack([generate_s1(20, 0.0, rng), generate_s4(20, 0.0, rng)])
+
+
+class TestReplicationBlocks:
+    """Blocks of stacked replicates, and the failures and positivity counts
+    the summary reports.  The failure threshold is lifted so that small
+    datasets can fail freely."""
+
+    @pytest.fixture(autouse=True)
+    def tolerate_failures(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_FAILURE_FRACTION", 1.0)
+
+    def config(self, **kw):
+        base = dict(scenario="s4", n=150, replications=23, seed=5, varied_param=1.0)
+        base.update(kw)
+        return ScenarioConfig(**base)
+
+    def test_blocks_match_one_replicate_at_a_time(self, monkeypatch):
+        """Which replicates share a batched pass does not change a result."""
+        assert self.config().replications > 2 * simulation.REPLICATION_BLOCK  # a partial block
+        blocked = run_replications(self.config())
+        monkeypatch.setattr(simulation, "REPLICATION_BLOCK", 1)
+        single = run_replications(self.config())
+        assert blocked.failures == single.failures
+        assert blocked.failure_counts == single.failure_counts
+        assert blocked.positivity == single.positivity
+        for name in blocked.estimates:
+            np.testing.assert_array_equal(blocked.replicate_indices[name],
+                                          single.replicate_indices[name])
+            np.testing.assert_allclose(blocked.estimates[name], single.estimates[name],
+                                       rtol=0, atol=1e-10)
+
+    def test_summary_counts_failures_and_positivity(self):
+        summary = run_replications(self.config(scenario="s1", n=60, replications=40,
+                                               estimators=ESTIMATORS))
+        stats = summary.statistics()
+        datasets = _replicates("s1", 60, 40, 5)
+        for name in ESTIMATORS:
+            plan = scenario_plan("s1", name)
+            fits = [tally(plan.estimate, data) for data in datasets]
+            records = stats[name]["failure_counts"]
+            assert sum(r["count"] for r in records) == stats[name]["failures"]
+            assert records == sorted(records, key=lambda r: (r["class"], r["stage"] or 0))
+            for record in records:
+                assert record["count"] == sum(
+                    type(err).__name__ == record["class"]
+                    and getattr(err, "stage", None) == record["stage"] for _, err in fits)
+            positivity = np.sum([fit.diagnostics["positivity_violations"]
+                                 for fit, err in fits if err is None], axis=0)
+            assert stats[name]["positivity_violations"] == positivity.tolist()
+        assert stats["modified-fitted"]["failures"] > 0
+        assert sum(stats["standard-actual"]["positivity_violations"]) > 0
