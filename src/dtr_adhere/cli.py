@@ -236,7 +236,7 @@ def _typed(value, kind, field: str):
     return float(value) if kind is float else value
 
 
-def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> AnalysisConfig:
+def load_analysis_config(path: Path) -> AnalysisConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -245,7 +245,6 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
     except ValueError as err:  # invalid JSON or not UTF-8
         raise ConfigError(f"config is not valid JSON: {err}") from err
     raw = _typed(raw, dict, "config")
-    base = base_dir if base_dir is not None else Path(path).parent
 
     def need(key, kind):
         if key not in raw:
@@ -346,9 +345,7 @@ def load_analysis_config(path: Path, *, base_dir: Optional[Path] = None) -> Anal
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
-    input_path = Path(need("input", str))
-    if not input_path.is_absolute():
-        input_path = base / input_path
+    input_path = Path(path).parent / need("input", str)  # an absolute input stays as it is
 
     return AnalysisConfig(
         input=str(input_path),
@@ -607,25 +604,25 @@ def cmd_sensitivity(args) -> int:
     data, diagnostics = read_dataset_csv(config)
 
     points = sensitivity_sweep(data, plan, grid)
-    reference = next((p for p in points if p.fit is not None), None)
+    reference = next((fit for fit, _ in points if fit is not None), None)
     if reference is None:
         print("sensitivity: every grid point failed", file=sys.stderr)
         return 3
-    ref_recs = recommendations_matrix(reference.fit, data)
+    ref_recs = recommendations_matrix(reference, data)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fh, writer = _open_csv_writer(out / "sweep.csv")
     with fh:
         writer.writerow(["point", "stage", "parameter", "estimate", "agreement"])
-        for idx, point in enumerate(points):
-            if point.fit is None:
-                print(f"sensitivity: point {idx} failed: {point.error}", file=sys.stderr)
+        for idx, (fit, error) in enumerate(points):
+            if fit is None:
+                print(f"sensitivity: point {idx} failed: {error}", file=sys.stderr)
                 continue
-            recs = recommendations_matrix(point.fit, data)
+            recs = recommendations_matrix(fit, data)
             agreement = float(np.mean(recs == ref_recs))
             for j, spec in enumerate(plan.specs, start=1):
-                for label, value in zip(spec.contrast.term_labels(), point.fit.psi[j - 1]):
+                for label, value in zip(spec.contrast.term_labels(), fit.psi[j - 1]):
                     writer.writerow(
                         [idx, j, label, _float_repr(value), _float_repr(agreement)]
                     )

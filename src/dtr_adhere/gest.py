@@ -108,13 +108,13 @@ def failure_counts(errors) -> list:
                                                key=lambda item: (item[0][0], item[0][1] or 0))]
 
 
-def ordered_map(fn, *iterables, jobs: int, chunksize: int) -> list:
-    """``list(map(fn, *iterables))``, spread over ``jobs`` worker processes
-    when ``jobs > 1``; the results keep the input order either way."""
+def ordered_map(fn, items, jobs: int) -> list:
+    """``list(map(fn, items))``, spread over ``jobs`` worker processes when
+    ``jobs > 1``; the results keep the input order either way."""
     if jobs <= 1:
-        return list(map(fn, *iterables))
+        return list(map(fn, items))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *iterables, chunksize=chunksize))
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,8 @@ class AdherenceSource:
                 )
         elif self.coefficients is None:
             raise ValueError(f"{self.kind} adherence requires coefficients")
+        if self.covariance is not None and self.kind != "external":
+            raise ValueError(f"{self.kind} adherence takes no covariance")
         # Each covariance entry is None or a finite, symmetric, positive
         # semidefinite matrix sized to its stage's coefficient vector.
         covariance, coefficients = self.covariance or (), self.coefficients or ()
@@ -286,7 +288,7 @@ class _StageSolve(NamedTuple):
 
 
 def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weights,
-                active=None, *, stage: int) -> _StageSolve:
+                active, *, stage: int) -> _StageSolve:
     """Solve one stage's stacked [treatment-free; contrast] equations jointly,
     for each member of a block.
 
@@ -296,10 +298,10 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
     equations ``T^T U (v - w * lam psi - T beta) = 0`` and the contrast
     equations ``lam^T U e (v - w * lam psi - T beta) = 0``.  Designs are
     shared (n, p) or per member (b, n, p), the n-vectors (n,) or (b, n), and
-    ``weights`` is (b, n); ``active`` marks the members to solve (default
-    all).  Each member is checked as a fit of its rows repeated by their
-    weights would be: the contrast block's condition, the rank of the
-    treatment-free design over the rows it weights, and the joint condition.
+    ``weights`` is (b, n); ``active`` marks the members to solve.  Each
+    member is checked as a fit of its rows repeated by their weights would
+    be: the contrast block's condition, the rank of the treatment-free design
+    over the rows it weights, and the joint condition.
     """
     b, n = weights.shape
     p_tf, p_psi = tf_design.shape[-1], lam.shape[-1]
@@ -346,7 +348,7 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
         return not np.isfinite(c) or c >= _NOISE_CONDITION
 
     errors = [None] * b
-    for i in np.flatnonzero(np.ones(b, dtype=bool) if active is None else active):
+    for i in np.flatnonzero(active):
         if noise(cond[i]):
             errors[i] = SingularSystemError("stage system is numerically singular", stage=stage)
         elif cond[i] > CONDITION_LIMIT:
@@ -360,22 +362,10 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
                          else f"condition {joint_cond[i]:.3g}")
             errors[i] = EstimationError("contrast/treatment-free equations are jointly "
                                         f"singular ({condition})", stage=stage)
-    solved = np.array([error is None for error in errors])
-    if active is not None:
-        solved &= active
+    solved = np.array([error is None for error in errors]) & active
     joint[~solved] = np.eye(p_tf + p_psi)  # placeholders for the members left unsolved
     solution = np.linalg.solve(joint, rhs[..., None])[..., 0]
     return _StageSolve(solution[:, p_tf:], solution[:, :p_tf], cond, errors)
-
-
-def _fit_stage(lam, tf_design, treatment, assignment_prob, weight, v_next, *, stage: int):
-    """``_fit_stages`` for one member at unit weights: ``(psi, beta, cond)``,
-    or its failure raised."""
-    out = _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next,
-                      np.ones((1, len(v_next))), stage=stage)
-    if out.errors[0] is not None:
-        raise out.errors[0]
-    return out.psi[0], out.beta[0], float(out.cond[0])
 
 
 def fit_adherence(data: Dataset, stage: int, spec: FeatureSpec, proxy_kind: str,
@@ -397,7 +387,7 @@ def _validation_rows(data: Dataset, stage: int) -> np.ndarray:
 
 
 def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray, weights: np.ndarray,
-                         active: Optional[np.ndarray] = None) -> BatchFit:
+                         active: np.ndarray) -> BatchFit:
     """The adherence fit of each member of a block, on the validation rows
     its (b, n) ``weights`` keep; a member that keeps none fails.  Shared
     validation rows are cut out.  A stacked dataset's differ by member: each
@@ -416,7 +406,7 @@ def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray, weights:
         actual = np.take_along_axis(np.where(mask, actual, 0.0), rows, axis=1)
         weights = np.take_along_axis(weights * mask, rows, axis=1)
     kept = (weights > 0.0).any(axis=1)
-    fit = fit_logistic_batch(design, actual, weights, kept if active is None else kept & active)
+    fit = fit_logistic_batch(design, actual, weights, kept & active)
     for i in np.flatnonzero(~kept):
         fit.errors[i] = DataError(f"no validation rows at stage {stage}")
     return fit
@@ -843,7 +833,9 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> lis
 
     def fit_alpha(j, design):
         fit = _fit_validation_rows(data, j, design, weights, members.alive)
-        members.record(fit.errors)
+        members.record(EstimationError(f"adherence model failed: {err}", stage=j)
+                       if isinstance(err, (NonConvergenceError, RankDeficiencyError)) else err
+                       for err in fit.errors)
         alpha[j] = fit.coefficients
         return alpha[j]
 
@@ -929,17 +921,11 @@ def recommendations_matrix(fit: RegimeFit, data: Dataset) -> np.ndarray:
 # Sensitivity sweeps
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    coefficients: tuple
-    fit: Optional[RegimeFit]
-    error: Optional[Exception]
-
-
 def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> list:
     """Re-estimate ``plan`` once per grid point with adherence pinned to the
     point's coefficient vector at every stage (no adherence uncertainty).
-    Failed points are collected, not fatal.
+    Returns one tally-style pair per point, ``(RegimeFit, None)`` or
+    ``(None, error)``: failed points are collected, not fatal.
     """
     if not grid:
         raise ValueError("sensitivity grid is empty")
@@ -947,7 +933,7 @@ def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> li
     for entry in grid:
         per_stage = (np.asarray(entry, dtype=float),) * data.n_stages
         pinned = replace(plan, adherence=AdherenceSource.sensitivity(per_stage))
-        points.append(SweepPoint(per_stage, *tally(pinned.estimate, data)))
+        points.append(tally(pinned.estimate, data))
     return points
 
 

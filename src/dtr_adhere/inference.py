@@ -110,9 +110,11 @@ def sandwich(scores, jacobian) -> SandwichResult:
     jac = np.asarray(jacobian, dtype=float)
     if not np.all(np.isfinite(jac)):
         raise SandwichError("bread Jacobian is not finite")
-    cond = float(np.linalg.cond(jac))
+    singular = np.linalg.svd(jac, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = float(singular[0] / singular[-1])  # as np.linalg.cond computes it
     if not np.isfinite(cond):
-        raise SandwichError("bread Jacobian is not finite")
+        raise SandwichError("bread Jacobian is singular")
     # A quasi-separated nuisance fit (e.g. an adherence model with a pure
     # validation cell) leaves an information-free direction in the bread.
     # Invert through a truncated SVD so dead directions are pinned instead of
@@ -121,7 +123,6 @@ def sandwich(scores, jacobian) -> SandwichResult:
     bread = -np.linalg.pinv(jac, rcond=BREAD_RCOND)
     if not np.all(np.isfinite(bread)):
         raise SandwichError(f"singular bread (condition number {cond:.3g})")
-    singular = np.linalg.svd(jac, compute_uv=False)
     truncated = int(np.sum(singular <= BREAD_RCOND * singular[0]))
     meat = scores.T @ scores / n
     sigma = bread @ meat @ bread.T / n
@@ -223,7 +224,7 @@ def bootstrap(
     blocks = [range(start, min(start + BOOTSTRAP_BLOCK, n_replicates))
               for start in range(0, n_replicates, BOOTSTRAP_BLOCK)]
     results = [pair for block in ordered_map(partial(_bootstrap_block, estimator, data, seed),
-                                             blocks, jobs=jobs, chunksize=1)
+                                             blocks, jobs)
                for pair in block]
     draws = [est for est, err in results if err is None]
     n_failed = n_replicates - len(draws)

@@ -85,31 +85,24 @@ def generate_s1(n: int, psi22: float, rng: np.random.Generator,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _prescribed_scenario(n, rng, validation_fraction, shifts=(0.0, 0.0), lag=psi22)
+    return _prescribed_scenario(n, rng, validation_fraction, shifts=(0.0, 0.0), lag=psi22,
+                                direct=0.0)
 
 
-def generate_s3(n: int, rng: np.random.Generator, validation_fraction: float = 0.2,
-                treatment_free_indicator: str = "actual") -> Dataset:
+def generate_s3(n: int, rng: np.random.Generator, validation_fraction: float = 0.2) -> Dataset:
     """Coverage-study variant: assignment expit(0.5 + X1) / expit(-0.5 + X2),
     stage-2 contrast 1 + X2 - A1, and a direct 0.5-per-unit effect of the
-    stage-1 treatment in the outcome.
-
-    ``treatment_free_indicator`` selects whether that direct effect rides on
-    the actual treatment (default) or on the prescription.  With "actual" the
-    effect folds into the stage-1 contrast, shifting its intercept to 1.5;
-    with "prescribed" the prescription affects the outcome outside the taken
-    treatment, which the proxy-corrected estimators do not model.
+    stage-1 treatment actually taken in the outcome, which folds into the
+    stage-1 contrast and shifts its intercept to 1.5.
     """
-    if treatment_free_indicator not in ("actual", "prescribed"):
-        raise ValueError("treatment_free_indicator must be 'actual' or 'prescribed'")
     return _prescribed_scenario(n, rng, validation_fraction, shifts=(0.5, -0.5), lag=-1.0,
-                                direct=treatment_free_indicator)
+                                direct=0.5)
 
 
-def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct=None) -> Dataset:
+def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct) -> Dataset:
     """The s1/s3 mechanism: prescriptions follow expit(shift_j + X_j), the
-    stage-2 contrast is 1 + X2 + lag * A1, and with ``direct`` ("actual" or
-    "prescribed") that stage-1 treatment adds 0.5 to the treatment-free part."""
+    stage-2 contrast is 1 + X2 + lag * A1, and the stage-1 treatment taken
+    adds ``direct`` to the treatment-free part."""
     x1 = rng.normal(1.0, 1.0, n)
     astar1 = rng.binomial(1, expit(shifts[0] + x1)).astype(float)
     a1 = rng.binomial(1, expit(-4.6 - 0.83 * x1 + 7.5 * astar1)).astype(float)
@@ -118,10 +111,9 @@ def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct=Non
     a2 = rng.binomial(1, expit(-4.6 - 0.83 * x2 + 7.5 * astar2)).astype(float)
     eps = rng.normal(0.0, np.sqrt(2.0), n)
 
-    direct_effect = {"actual": a1, "prescribed": astar1}.get(direct, 0.0)
     c1 = 1.0 + x1
     c2 = 1.0 + x2 + lag * a1
-    y = _regret_outcome(x1 + 0.5 * direct_effect, eps, (c1, c2), (a1, a2))
+    y = _regret_outcome(x1 + direct * a1, eps, (c1, c2), (a1, a2))
     flags = _validation_flags(n, validation_fraction, rng, 2)
     return Dataset(
         ids=range(n),
@@ -431,8 +423,7 @@ def run_replications(config: ScenarioConfig) -> ReplicationSummary:
              for name in config.estimators}
     blocks = [range(start, min(start + REPLICATION_BLOCK, config.replications))
               for start in range(0, config.replications, REPLICATION_BLOCK)]
-    results = ordered_map(partial(_replicate_block, config, plans), blocks,
-                          jobs=config.jobs, chunksize=1)
+    results = ordered_map(partial(_replicate_block, config, plans), blocks, config.jobs)
 
     specs = scenario_models(config.scenario)
     parameters = [

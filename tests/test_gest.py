@@ -14,7 +14,7 @@ from dtr_adhere.gest import (
     SingularSystemError,
     StackedScore,
     StageModelSpec,
-    _fit_stage,
+    _fit_stages,
     fit_adherence,
     pseudo_outcome,
     pseudo_outcome_exact,
@@ -91,6 +91,16 @@ def stage_equations(lam, tf, a, p, w, v, psi, beta):
     equations, then contrast equations."""
     resid = v - w * (lam @ psi) - tf @ beta
     return tf.T @ resid, lam.T @ ((a - p) * resid)
+
+
+def _fit_stage(lam, tf_design, treatment, assignment_prob, weight, v_next, *, stage):
+    """``_fit_stages`` for one member at unit weights: ``(psi, beta, cond)``,
+    or its failure raised."""
+    out = _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next,
+                      np.ones((1, len(v_next))), np.ones(1, dtype=bool), stage=stage)
+    if out.errors[0] is not None:
+        raise out.errors[0]
+    return out.psi[0], out.beta[0], float(out.cond[0])
 
 
 class TestSolveStage:
@@ -235,11 +245,12 @@ class TestFitAdherence:
         truth = np.array([-4.6, -0.83, 7.5])
         assert np.all(np.abs(fit.coefficients - truth) < 3 * se)
 
-    def test_perfect_adherence_raises_separation(self):
+    @staticmethod
+    def _perfectly_adhered():
         rng = np.random.default_rng(3)
         x = rng.normal(size=200)
         astar = rng.binomial(1, 0.5, 200).astype(float)
-        data = Dataset(
+        return Dataset(
             ids=range(200),
             stage_covariates=[{"X": x}],
             prescribed=[astar],
@@ -248,8 +259,19 @@ class TestFitAdherence:
             validation=np.ones((200, 1), dtype=bool),
             outcome=rng.normal(size=200),
         )
+
+    def test_perfect_adherence_raises_separation(self):
+        data = self._perfectly_adhered()
         with pytest.raises(NonConvergenceError):
             fit_adherence(data, 1, parse_feature_spec("1 + X[1] + Astar[1]"), "prescribed")
+
+    def test_failed_adherence_fit_fails_the_estimate_at_its_stage(self):
+        spec = StageModelSpec.from_strings("1 + X[1]", "1 + X[1]", "1 + X[1]",
+                                           "1 + X[1] + Astar[1]")
+        plan = EstimationPlan((spec,), "modified-prescribed", AdherenceSource.fitted())
+        with pytest.raises(EstimationError, match=r"^stage 1: adherence model failed: ") as err:
+            plan.estimate(self._perfectly_adhered())
+        assert err.value.stage == 1
 
     def test_reported_mechanism_recovery_at_design_points(self):
         rng = np.random.default_rng(11)
@@ -692,19 +714,19 @@ class TestSensitivitySweep:
         data = generate_s1(2000, 0.0, rng)
         plan = scenario_plan("s1", "modified-fitted")
         grid = [np.array([-4.6, -0.83, 7.5])]
-        points = sensitivity_sweep(data, plan, grid)
-        assert points[0].error is None
+        ((fit, error),) = sensitivity_sweep(data, plan, grid)
+        assert error is None
         known_fit = scenario_plan("s1", "modified-known").estimate(data)
-        for a, b in zip(points[0].fit.psi, known_fit.psi):
+        for a, b in zip(fit.psi, known_fit.psi):
             np.testing.assert_array_equal(a, b)
 
     def test_perfect_adherence_point_matches_naive(self):
         rng = np.random.default_rng(15)
         data = generate_s1(2000, 0.0, rng)
         plan = scenario_plan("s1", "modified-fitted")
-        points = sensitivity_sweep(data, plan, [np.array([-1000.0, 0.0, 2000.0])])
+        ((fit, _),) = sensitivity_sweep(data, plan, [np.array([-1000.0, 0.0, 2000.0])])
         naive = scenario_plan("s1", "naive-proxy").estimate(data)
-        for a, b in zip(points[0].fit.psi, naive.psi):
+        for a, b in zip(fit.psi, naive.psi):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_five_point_sweep_collects_results(self):
@@ -714,8 +736,8 @@ class TestSensitivitySweep:
         grid = [np.array([-4.6, -0.83, c]) for c in (5.5, 6.5, 7.5, 8.5, 9.5)]
         points = sensitivity_sweep(data, plan, grid)
         assert len(points) == 5
-        assert all(p.error is None for p in points)
-        intercepts = [p.fit.psi[1][0] for p in points]
+        assert all(error is None for _, error in points)
+        intercepts = [fit.psi[1][0] for fit, _ in points]
         assert len(set(np.round(intercepts, 6))) == 5  # sweep actually moves
 
     def test_failures_collected_not_fatal(self):
@@ -723,9 +745,9 @@ class TestSensitivitySweep:
         data = generate_s1(500, 0.0, rng)
         plan = scenario_plan("s1", "modified-fitted")
         grid = [np.array([0.0, 0.0, 0.0]), np.array([-4.6, -0.83, 7.5])]
-        points = sensitivity_sweep(data, plan, grid)
-        assert points[0].error is not None  # uninformative proxy: singular system
-        assert points[1].error is None
+        (_, first), (_, second) = sensitivity_sweep(data, plan, grid)
+        assert first is not None  # uninformative proxy: singular system
+        assert second is None
 
     def test_standard_plan_rejected(self):
         # a standard mode has no adherence model to pin, so every point would

@@ -10,6 +10,7 @@ from dtr_adhere import inference
 from dtr_adhere.glm import NonConvergenceError, expit, fit_logistic
 from dtr_adhere.inference import (
     BootstrapError,
+    SandwichError,
     bootstrap,
     numerical_jacobian,
     regime_sandwich,
@@ -133,6 +134,17 @@ class TestSandwich:
         assert result.truncated_directions == 1
         assert result.bread_condition == pytest.approx(2e13)
         assert np.all(result.bread[2] == 0.0)
+
+    def test_exactly_singular_jacobian_is_named_singular(self):
+        scores = np.random.default_rng(16).normal(size=(50, 2))
+        with pytest.raises(SandwichError, match="^bread Jacobian is singular$"):
+            sandwich(scores, np.diag([1.0, 0.0]))
+        # a nearly singular one keeps its dead direction pinned, and its
+        # condition number is np.linalg.cond's to the bit
+        jacobian = np.diag([1.0, 1e-14])
+        result = sandwich(scores, jacobian)
+        assert result.truncated_directions == 1
+        assert result.bread_condition == np.linalg.cond(jacobian)
 
     def test_variance_shrinks_linearly(self):
         plan = scenario_plan("s1", "modified-fitted")
@@ -264,6 +276,17 @@ class TestExternalAdherenceCovariance:
         ]:
             with pytest.raises(ValueError, match=message):
                 AdherenceSource.external(coef, covariance=covariance)
+
+    def test_covariance_only_on_external_sources(self):
+        # the sandwich holds known and sensitivity coefficients fixed, so a
+        # covariance there would be silently ignored
+        coef = (np.array([-4.6, -0.83, 7.5]),) * 2
+        covariance = (np.diag([0.2, 0.05, 0.4]), None)
+        for kind in ("known", "sensitivity"):
+            with pytest.raises(ValueError, match=f"^{kind} adherence takes no covariance"):
+                AdherenceSource(kind, coefficients=coef, covariance=covariance)
+        source = AdherenceSource("external", coefficients=coef, covariance=covariance)
+        assert source.covariance is covariance
 
 
 class TestWaldIntervals:
