@@ -312,8 +312,8 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
                 adherence = AdherenceSource.external(
                     adherence_raw["coefficients"], covariance=adherence_raw.get("covariance")
                 )
-            else:
-                adherence = AdherenceSource.sensitivity(adherence_raw["coefficients"])
+            else:  # "sensitivity": fixed coefficients carrying no uncertainty
+                adherence = AdherenceSource.known(coefficients=adherence_raw["coefficients"])
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad adherence block: {err}") from err
 
@@ -441,10 +441,16 @@ def read_dataset_csv(config: AnalysisConfig):
         actuals.append(kept[binding.actual] if binding.actual else None)
         if binding.validation:
             flags = values[binding.validation]
-            bad = ~np.isnan(flags) & (flags != 0.0) & (flags != 1.0)
-            if np.any(bad):
-                raise ConfigError(f"{path}: row {int(np.argmax(bad)) + 2}, column "
-                                  f"'{binding.validation}': validation flag must be 0/1")
+            missing = np.isnan(values[binding.actual]) if binding.actual else True
+            # checked on the file's rows, so the error names the file row
+            for bad, fault in (
+                (~np.isnan(flags) & (flags != 0.0) & (flags != 1.0), "validation flag must be 0/1"),
+                (keep & (flags == 1.0) & missing,
+                 f"validation flag set but actual treatment missing at stage {j + 1}"),
+            ):
+                if np.any(bad):
+                    raise ConfigError(f"{path}: row {int(np.argmax(bad)) + 2}, column "
+                                      f"'{binding.validation}': {fault}")
             validation[:, j] = kept[binding.validation] == 1.0
         elif binding.actual:
             validation[:, j] = ~np.isnan(actuals[j])

@@ -170,8 +170,7 @@ class AdherenceSource:
     ``f(stage, cov, proxy)`` (``cov(name, stage)`` returns a column) or as
     fixed coefficients for the stage adherence specs; ``external`` provides
     fixed coefficients from outside the sample, optionally with their
-    covariance for variance adjustment; ``sensitivity`` is a fixed-coefficient
-    grid point carrying no uncertainty.
+    covariance for variance adjustment.
     """
 
     kind: str
@@ -180,7 +179,7 @@ class AdherenceSource:
     covariance: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("known", "fitted", "external", "sensitivity"):
+        if self.kind not in ("known", "fitted", "external"):
             raise ValueError(f"unknown adherence source kind '{self.kind}'")
         if self.kind == "fitted":
             if self.probability is not None or self.coefficients is not None:
@@ -233,10 +232,6 @@ class AdherenceSource:
             if covariance is None
             else tuple(None if c is None else np.asarray(c, dtype=float) for c in covariance),
         )
-
-    @classmethod
-    def sensitivity(cls, coefficients):
-        return cls(kind="sensitivity", coefficients=_coef_tuple(coefficients))
 
 
 def _coef_tuple(coefficients):
@@ -562,12 +557,12 @@ class _Tangents:
     """Forward-mode derivatives over the stacked parameter of the quantities
     a pass of ``_StageSystem`` evaluates: the adherence and assignment
     probabilities, and per stage the contrast weight, the contrast and the
-    pseudo outcome carried into it.  ``starts`` maps ``(stage, kind)`` to the
-    start of that coefficient block in theta; coefficients without a block
-    are held fixed."""
+    pseudo outcome carried into it.  ``slices`` maps ``(stage, kind)`` to
+    that coefficient block's slice of theta; coefficients without a block are
+    held fixed."""
 
-    def __init__(self, starts: Mapping[tuple, int]):
-        self.starts = starts
+    def __init__(self, slices: Mapping[tuple, slice]):
+        self.slices = slices
         self.pi, self.p, self.weight, self.contrast, self.v = {}, {}, {}, {}, {}
 
     def linear(self, form: CompiledDesign, x: np.ndarray, pi: dict, coef: np.ndarray,
@@ -575,8 +570,8 @@ class _Tangents:
         """The derivative of ``x @ coef``, ``x = form.evaluate(pi)``, where
         ``coef`` is the theta block ``key``: ``x`` over that block, plus the
         design's dependence on the expected treatments through ``pi``."""
-        start = self.starts.get(key)
-        out = _Tangent(() if start is None else ((start, x, np.asarray(1.0)),))
+        block = self.slices.get(key)
+        out = _Tangent(() if block is None else ((block.start, x, np.asarray(1.0)),))
         slopes = {}
         for stage, term, column in form.partials(pi):
             slopes[stage] = slopes.get(stage, 0.0) + coef[term] * column
@@ -777,6 +772,9 @@ def _check_inputs(system: _StageSystem) -> None:
         raise DataError("modified modes require an AdherenceSource")
     if source.probability is not None:
         return
+    if source.kind != "fitted" and len(source.coefficients) != k:
+        raise DataError(f"{len(source.coefficients)} adherence coefficient vectors "
+                        f"for {k} stages")
     for j in range(1, k + 1):
         spec = plan.specs[j - 1].adherence
         if source.kind == "fitted":
@@ -787,16 +785,12 @@ def _check_inputs(system: _StageSystem) -> None:
                     f"adherence spec at stage {j} must include the stage-{j} proxy"
                 )
             continue
-        coefs = source.coefficients
-        if len(coefs) < j:
-            raise DataError(f"adherence coefficients missing for stage {j}")
         if spec is None:
             raise DesignError(f"no adherence spec at stage {j}")
-        if np.shape(coefs[j - 1]) != (len(spec.terms),):
-            raise DataError(
-                f"adherence coefficient vector at stage {j} has shape "
-                f"{np.shape(coefs[j - 1])}, spec has {len(spec.terms)} terms"
-            )
+        shape = np.shape(source.coefficients[j - 1])
+        if shape != (len(spec.terms),):
+            raise DataError(f"adherence coefficient vector at stage {j} has shape {shape}, "
+                            f"spec has {len(spec.terms)} terms")
 
 
 class _Members:
@@ -932,7 +926,7 @@ def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> li
     points = []
     for entry in grid:
         per_stage = (np.asarray(entry, dtype=float),) * data.n_stages
-        pinned = replace(plan, adherence=AdherenceSource.sensitivity(per_stage))
+        pinned = replace(plan, adherence=AdherenceSource.known(coefficients=per_stage))
         points.append(tally(pinned.estimate, data))
     return points
 
@@ -941,30 +935,19 @@ def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> li
 # Stacked per-individual scores (for sandwich variance estimation)
 
 
-# The RegimeFit nuisance key of each non-contrast block.
-_NUISANCE_KEY = {"treatment_free": "beta", "adherence": "alpha", "assignment": "gamma"}
-
-
-@dataclass(frozen=True)
-class ThetaBlock:
-    stage: int
-    kind: str  # "treatment_free" | "adherence" | "assignment" | "contrast"
-    start: int
-    size: int
-
-
 class StackedScore:
     """Per-individual stacked estimating-function contributions as a function
     of the full parameter vector.
 
-    Parameters are packed stage K down to stage 1; within a stage the order is
-    treatment-free, adherence (when fitted from validation rows, or external
-    with a covariance: its score ``alpha_ext - alpha`` holds it at the supplied
+    ``slices`` maps ``(stage, kind)`` to that block's slice of theta.  Blocks
+    run stage K down to stage 1; within a stage the order is treatment-free,
+    adherence (when fitted from validation rows, or external with a
+    covariance: its score ``alpha_ext - alpha`` holds it at the supplied
     value), assignment, contrast.  The forward pass re-evaluates the stage
     system of ``fit.plan`` -- adherence and assignment probabilities,
     substituted designs and pseudo outcomes -- at the supplied parameters, so
     derivatives propagate nuisance uncertainty into the contrast blocks.
-    ``theta_hat`` packs the fit's own estimates, so the score is the system
+    ``theta_hat`` holds the fit's own estimates, so the score is the system
     the fit solved.
     """
 
@@ -978,45 +961,25 @@ class StackedScore:
         self.external = {} if source is None or source.kind != "external" else {
             j: cov for j, cov in enumerate(source.covariance or (), start=1) if cov is not None
         }
-        stacked_alpha = range(1, self.k + 1) if plan.fits_adherence else self.external
-
-        blocks, start = [], 0
+        self.slices, values, start = {}, [], 0
         for j in range(self.k, 0, -1):
-            spec = plan.specs[j - 1]
-            for kind, size in (
-                ("treatment_free", len(spec.treatment_free.terms)),
-                ("adherence", len(spec.adherence.terms) if j in stacked_alpha else 0),
-                ("assignment", len(spec.assignment.terms)),
-                ("contrast", len(spec.contrast.terms)),
-            ):
-                if size:
-                    blocks.append(ThetaBlock(stage=j, kind=kind, start=start, size=size))
-                    start += size
-        self.blocks = tuple(blocks)
+            nuisance = fit.nuisance[j - 1]
+            alpha = (nuisance["alpha"] if plan.fits_adherence
+                     else source.coefficients[j - 1] if j in self.external else None)
+            for kind, value in (("treatment_free", nuisance["beta"]), ("adherence", alpha),
+                                ("assignment", nuisance["gamma"]), ("contrast", fit.psi[j - 1])):
+                if value is not None:
+                    self.slices[(j, kind)] = slice(start, start + value.size)
+                    values.append(value)
+                    start += value.size
         self.size = start
-        self.theta_hat = self._pack(fit)
-
-    def _pack(self, fit: RegimeFit) -> np.ndarray:
-        theta = np.empty(self.size)
-        for block in self.blocks:
-            j = block.stage
-            if block.kind == "contrast":
-                value = fit.psi[j - 1]
-            elif block.kind == "adherence" and j in self.external:
-                value = fit.plan.adherence.coefficients[j - 1]
-            else:
-                value = fit.nuisance[j - 1][_NUISANCE_KEY[block.kind]]
-            theta[block.start : block.start + block.size] = value
-        return theta
-
-    def _unpack(self, theta: np.ndarray) -> dict:
-        return {(b.stage, b.kind): theta[b.start : b.start + b.size] for b in self.blocks}
+        self.theta_hat = np.concatenate(values)
 
     @property
     def psi_index(self) -> np.ndarray:
         """Indices of contrast parameters in theta, ordered stage 1..K."""
-        contrast = sorted((b.stage, b.start, b.size) for b in self.blocks if b.kind == "contrast")
-        return np.concatenate([np.arange(start, start + size) for _, start, size in contrast])
+        index = np.arange(self.size)
+        return np.concatenate([index[self.slices[(j, "contrast")]] for j in range(1, self.k + 1)])
 
     def evaluate(self, theta: np.ndarray, *, jacobian: bool = False):
         """The (n, P) per-individual scores at ``theta`` and, with
@@ -1026,85 +989,65 @@ class StackedScore:
         Each score block is a design times an n-vector, ``X * s[:, None]``,
         so its rows of the Jacobian are ``(X^T ds + (dX)^T s) / n``, formed
         block by block without an (n, p, P) array."""
-        params = self._unpack(np.asarray(theta, dtype=float))
-        system = self.system
-        tangents = _Tangents({(b.stage, b.kind): b.start for b in self.blocks}) if jacobian else None
-
-        def given(kind):
-            return lambda j, *_: params[(j, kind)]
-
+        theta = np.asarray(theta, dtype=float)
+        system, data, slices = self.system, self.data, self.slices
+        tangents = _Tangents(slices) if jacobian else None
         source = system.plan.adherence
 
         def alpha(j, _):
-            block = params.get((j, "adherence"))
-            return source.coefficients[j - 1] if block is None else block
+            at = slices.get((j, "adherence"))
+            return source.coefficients[j - 1] if at is None else theta[at]
 
         adherence_designs, pi = system.adherence(self.k, alpha, tangents)
-        assign_designs, p_cols = system.assignment(pi, given("assignment"), tangents)
+        assign_designs, p_cols = system.assignment(
+            pi, lambda j, _: theta[slices[(j, "assignment")]], tangents)
         terms = [None] * self.k
 
         def contrast(j, lam, tf, weight, v):
-            psi = params[(j, "contrast")]
+            psi = theta[slices[(j, "contrast")]]
             terms[j - 1] = _StageTerms(lam, tf, weight, v, lam @ psi)
             return psi
 
         system.backward(pi, contrast, tangents)
 
-        e, resid, target = {}, {}, {}
-        for j, t in enumerate(terms, start=1):
-            e[j] = system.response(j) - p_cols[j - 1]
-            resid[j] = t.v - t.weight * t.contrast - t.tf_design @ params[(j, "treatment_free")]
-            if (j, "adherence") in params and j not in self.external:
-                mask = self.data.validation[:, j - 1]
-                target[j] = mask * (np.where(mask, self.data.actual(j), 0.0) - pi[j])
-
-        out = np.empty((self.data.n, self.size))
-        for block in self.blocks:
-            j, t = block.stage, terms[block.stage - 1]
-            if block.kind == "treatment_free":
-                rows = t.tf_design * resid[j][:, None]
-            elif block.kind == "adherence" and j in self.external:
-                rows = source.coefficients[j - 1] - params[(j, "adherence")]  # every row
-            elif block.kind == "adherence":
-                rows = adherence_designs[j] * target[j][:, None]
-            elif block.kind == "assignment":
-                rows = assign_designs[j - 1] * e[j][:, None]
-            else:
-                rows = t.contrast_design * (e[j] * resid[j])[:, None]
-            out[:, block.start : block.start + block.size] = rows
-        if tangents is None:
-            return out, None
-
-        jac = np.zeros((self.size, self.size))
-        at = {(b.stage, b.kind): slice(b.start, b.start + b.size) for b in self.blocks}
+        out = np.empty((data.n, self.size))
+        jac = None if tangents is None else np.zeros((self.size, self.size))
         for j, (t, spec) in enumerate(zip(terms, system.plan.specs), start=1):
-            if j in target:
-                rows = jac[at[(j, "adherence")]]
-                mask = self.data.validation[:, j - 1]
-                tangents.pi[j].contract(-(adherence_designs[j] * mask[:, None]), rows)
-                tangents.design_rows(system.compiled(spec.adherence, j, MODE_USE_PROXY), pi,
-                                     target[j], rows)
-            elif (j, "adherence") in at:  # external: alpha_ext - alpha, so -I after the 1/n
-                block = at[(j, "adherence")]
-                jac[block, block] = -self.data.n * np.eye(block.stop - block.start)
-            rows = jac[at[(j, "assignment")]]
-            tangents.p[j].contract(-assign_designs[j - 1], rows)
+            tf, adh, asg, con = (slices.get((j, kind)) for kind in
+                                 ("treatment_free", "adherence", "assignment", "contrast"))
+            e = system.response(j) - p_cols[j - 1]
+            resid = t.v - t.weight * t.contrast - t.tf_design @ theta[tf]
+            out[:, tf] = t.tf_design * resid[:, None]
+            if adh is not None and j in self.external:
+                out[:, adh] = source.coefficients[j - 1] - theta[adh]  # every row
+                if jac is not None:  # alpha_ext - alpha, so -I after the 1/n
+                    jac[adh, adh] = -data.n * np.eye(adh.stop - adh.start)
+            elif adh is not None:
+                mask = data.validation[:, j - 1]
+                target = mask * (np.where(mask, data.actual(j), 0.0) - pi[j])
+                out[:, adh] = adherence_designs[j] * target[:, None]
+                if jac is not None:
+                    tangents.pi[j].contract(-(adherence_designs[j] * mask[:, None]), jac[adh])
+                    tangents.design_rows(system.compiled(spec.adherence, j, MODE_USE_PROXY), pi,
+                                         target, jac[adh])
+            out[:, asg] = assign_designs[j - 1] * e[:, None]
+            out[:, con] = t.contrast_design * (e * resid)[:, None]
+            if jac is None:
+                continue
+            tangents.p[j].contract(-assign_designs[j - 1], jac[asg])
             tangents.design_rows(system.compiled(spec.assignment, j, system.assign_mode), pi,
-                                 e[j], rows)
+                                 e, jac[asg])
             # the residual's derivative: dv - w dc - c dw - d(T beta)
             tf_form = system.compiled(spec.treatment_free, j)
             d_resid = (tangents.v[j] - t.weight * tangents.contrast[j]
                        - t.contrast * tangents.weight[j]
-                       - tangents.linear(tf_form, t.tf_design, pi,
-                                         params[(j, "treatment_free")], (j, "treatment_free")))
-            rows = jac[at[(j, "treatment_free")]]
-            d_resid.contract(t.tf_design, rows)
-            tangents.design_rows(tf_form, pi, resid[j], rows)
-            rows = jac[at[(j, "contrast")]]
-            d_resid.contract(t.contrast_design * e[j][:, None], rows)
-            tangents.p[j].contract(t.contrast_design * -resid[j][:, None], rows)
-            tangents.design_rows(system.compiled(spec.contrast, j), pi, e[j] * resid[j], rows)
-        return out, jac / self.data.n
+                       - tangents.linear(tf_form, t.tf_design, pi, theta[tf], (j, "treatment_free")))
+            d_resid.contract(t.tf_design, jac[tf])
+            tangents.design_rows(tf_form, pi, resid, jac[tf])
+            d_resid.contract(t.contrast_design * e[:, None], jac[con])
+            tangents.p[j].contract(t.contrast_design * -resid[:, None], jac[con])
+            tangents.design_rows(system.compiled(spec.contrast, j), pi, e * resid, jac[con])
+        return out, None if jac is None else jac / data.n
 
     def per_individual(self, theta: np.ndarray) -> np.ndarray:
         return self.evaluate(theta)[0]

@@ -136,8 +136,8 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     the system ``fit.plan`` solved on ``data`` and its closed-form Jacobian,
     both from one pass.
 
-    Known and sensitivity adherence coefficients, and external ones without a
-    covariance, are held fixed.  External coefficients with a covariance
+    Known adherence coefficients, and external ones without a covariance, are
+    held fixed.  External coefficients with a covariance
     ``Sigma_j`` are stacked parameters whose score holds them at the supplied
     value; the bread's columns ``B_j`` for them give the delta-method term
     ``B_j Sigma_j B_j^T``, added to the whole covariance.
@@ -145,10 +145,9 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     stacked = StackedScore(data, fit)
     result = sandwich(*stacked.evaluate(stacked.theta_hat, jacobian=True))
     sigma = result.sigma_theta
-    for block in stacked.blocks:
-        if block.kind == "adherence" and block.stage in stacked.external:
-            b = result.bread[:, block.start : block.start + block.size]
-            sigma = sigma + b @ stacked.external[block.stage] @ b.T
+    for j in sorted(stacked.external, reverse=True):  # in theta order, stage K first
+        b = result.bread[:, stacked.slices[(j, "adherence")]]
+        sigma = sigma + b @ stacked.external[j] @ b.T
     psi = stacked.psi_index
     return replace(result, sigma_theta=sigma, sigma_psi=sigma[np.ix_(psi, psi)])
 

@@ -418,6 +418,14 @@ class TestMalformedConfig:
                                           "coefficients": [[-4.6, -0.83, 7.5]] * 2,
                                           "covariance": [None, [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]}),
             "adherence covariance at stage 2 is not positive semidefinite"),
+        "three adherence coefficient vectors for 2 stages": (
+            lambda c: c.update(adherence={"kind": "external",
+                                          "coefficients": [[-4.6, -0.83, 7.5]] * 2 + [[1.0, 2.0]]}),
+            "3 adherence coefficient vectors for 2 stages"),
+        "one adherence coefficient vector for 2 stages": (
+            lambda c: c.update(adherence={"kind": "sensitivity",
+                                          "coefficients": [[-4.6, -0.83, 7.5]]}),
+            "1 adherence coefficient vectors for 2 stages"),
         "exact_pseudo_outcomes with a standard mode": (
             standard_mode_with_exact_pseudo_outcomes,
             "exact_pseudo_outcomes applies to the modified modes only"),
@@ -472,7 +480,11 @@ class TestCsvErrors:
             set_cell(2, "Y", "abc"), "row 3, column 'Y': not a finite number: 'abc'"),
         "flagged row without actual": (
             lambda lines: set_cell(4, "A1", "")(set_cell(4, "V1", "1.0")(lines)),
-            "validation flag set but actual treatment missing at stage 1"),
+            "row 5, column 'V1': validation flag set but actual treatment missing at stage 1"),
+        "flagged row without actual after a dropped row": (
+            lambda lines: set_cell(6, "A1", "")(set_cell(6, "V1", "1.0")(
+                set_cell(3, "X1", "")(lines))),
+            "row 7, column 'V1': validation flag set but actual treatment missing at stage 1"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

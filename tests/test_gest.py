@@ -699,6 +699,36 @@ class TestStackedScore:
             gap = np.max(np.abs(score.jacobian(score.theta_hat) - oracle))
             assert gap <= 1e-8 * np.max(np.abs(oracle)), (exact, gap)
 
+    @pytest.mark.parametrize("scenario, source", [
+        ("s3", "fitted"), ("s1", "known-coefficients"), ("s1", "external-stage-2"),
+    ])
+    def test_slices_lay_out_the_stacked_parameter(self, scenario, source):
+        data = _score_dataset(scenario)
+        plan = dataclasses.replace(scenario_plan(scenario, "modified-fitted"),
+                                   adherence=self.adherence_source(scenario, source, data))
+        fit = plan.estimate(data)
+        score = StackedScore(data, fit)
+        # stage K first; an adherence block only for fitted alpha or a stage
+        # whose external coefficients carry a covariance
+        stacked_alpha = {"fitted": (1, 2), "known-coefficients": (), "external-stage-2": (2,)}
+        assert list(score.slices) == [
+            (j, kind) for j in (2, 1)
+            for kind in ("treatment_free", "adherence", "assignment", "contrast")
+            if kind != "adherence" or j in stacked_alpha[source]
+        ]
+        index = np.arange(score.size)
+        np.testing.assert_array_equal(
+            np.concatenate([index[at] for at in score.slices.values()]), index)
+        for (j, kind), at in score.slices.items():
+            nuisance = fit.nuisance[j - 1]
+            expected = {"treatment_free": nuisance["beta"], "assignment": nuisance["gamma"],
+                        "contrast": fit.psi[j - 1],
+                        "adherence": plan.adherence.coefficients[j - 1]
+                        if source != "fitted" else nuisance["alpha"]}[kind]
+            np.testing.assert_array_equal(score.theta_hat[at], expected)
+        np.testing.assert_array_equal(
+            score.psi_index, np.concatenate([index[score.slices[(j, "contrast")]] for j in (1, 2)]))
+
     def test_one_pass_gives_the_scores_and_the_jacobian(self):
         data = _score_dataset("s3")
         score = StackedScore(data, scenario_plan("s3", "modified-fitted").estimate(data))

@@ -278,13 +278,12 @@ class TestExternalAdherenceCovariance:
                 AdherenceSource.external(coef, covariance=covariance)
 
     def test_covariance_only_on_external_sources(self):
-        # the sandwich holds known and sensitivity coefficients fixed, so a
-        # covariance there would be silently ignored
+        # the sandwich holds known coefficients fixed, so a covariance there
+        # would be silently ignored
         coef = (np.array([-4.6, -0.83, 7.5]),) * 2
         covariance = (np.diag([0.2, 0.05, 0.4]), None)
-        for kind in ("known", "sensitivity"):
-            with pytest.raises(ValueError, match=f"^{kind} adherence takes no covariance"):
-                AdherenceSource(kind, coefficients=coef, covariance=covariance)
+        with pytest.raises(ValueError, match="^known adherence takes no covariance"):
+            AdherenceSource("known", coefficients=coef, covariance=covariance)
         source = AdherenceSource("external", coefficients=coef, covariance=covariance)
         assert source.covariance is covariance
 
