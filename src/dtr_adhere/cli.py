@@ -361,10 +361,41 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
     )
 
 
-# Rows read and parsed at a time.  Holding every cell of a large file as a
+# Rows read and parsed at a time by the validating reader, which reads every
+# file ``_read_complete`` does not.  Holding every cell of a large file as a
 # Python string at once fragments the interpreter's small-object arenas, and a
 # process that reads many files then grows by about a megabyte per n=50000 read.
 CSV_CHUNK_ROWS = 4096
+
+
+def _read_complete(path: Path, columns: list) -> Optional[np.ndarray]:
+    """The file ``columns`` of the CSV at ``path`` as a (rows, columns) array
+    read by numpy's C parser, or ``None`` unless that read is sure to equal
+    the validating reader's: one row per data line and a finite number in
+    every cell it reads.  A file with a quote, a carriage return that ends no
+    CRLF or a line over the csv module's field size limit is left to that
+    reader too, since ``csv.reader`` reads those differently from a split on
+    commas."""
+    raw = path.read_bytes()
+    data = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    crlf = data[ends - 1] == ord("\r")  # the header is not empty, so no LF is byte 0
+    lengths = np.diff(ends, prepend=-1, append=len(raw)) - 1  # the last: bytes after the last LF
+    lengths[:-1] -= crlf
+    if (b'"' in raw or np.count_nonzero(data == ord("\r")) != np.count_nonzero(crlf)
+            or lengths.max() > csv.field_size_limit()
+            or not lengths[1:].any()):  # no data line, or blank ones only: loadtxt would warn
+        return None
+    rows = len(ends) + (lengths[-1] > 0) - 1  # data lines, blank ones too
+    del raw, data
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns, ndmin=2,
+                           comments=None, encoding="utf-8")
+    except ValueError:  # a cell that is not a number, a short row, or bad UTF-8
+        return None
+    if len(table) != rows or not np.isfinite(table).all():  # loadtxt skips blank lines
+        return None
+    return table
 
 
 def _parse_column(path: Path, name: str, cells, first_row: int) -> np.ndarray:
@@ -388,12 +419,34 @@ def _parse_column(path: Path, name: str, cells, first_row: int) -> np.ndarray:
     return values
 
 
+def _read_validating(path: Path, reader, col_index: dict, names: list) -> dict:
+    """The ``names`` columns of the data rows left in ``reader``, read a chunk
+    of rows at a time and checked cell by cell; the place that names a bad
+    row or cell."""
+    width = 1 + max(col_index[name] for name in names)
+    parts = {name: [] for name in names}
+    first_row = 2  # the file row of the chunk's first data row
+    while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
+        for row_num, row in enumerate(rows, start=first_row):
+            if len(row) < width:
+                raise ConfigError(f"{path}: row {row_num} has too few fields")
+        cells = list(zip(*rows))
+        for name, chunks in parts.items():
+            chunks.append(_parse_column(path, name, cells[col_index[name]], first_row))
+        first_row += len(rows)
+    if first_row == 2:
+        raise ConfigError(f"{path}: no data rows")
+    return {name: np.concatenate(chunks) for name, chunks in parts.items()}
+
+
 def read_dataset_csv(config: AnalysisConfig):
     """Load and validate the bound CSV columns; complete-case filter.
 
     Rows missing any bound covariate, proxy, or the outcome are dropped (and
     counted); a missing actual treatment is allowed outside validation rows.
-    Returns (dataset, diagnostics dict).
+    A file whose bound cells are all filled is parsed in C; any other goes
+    through the validating reader, which accepts the same files with the same
+    values.  Returns (dataset, diagnostics dict).
     """
     path = Path(config.input)
     if not path.exists():
@@ -408,21 +461,11 @@ def read_dataset_csv(config: AnalysisConfig):
         for name in bound:
             if name not in col_index:
                 raise ConfigError(f"{path}: bound column '{name}' not in header")
-        width = 1 + max(col_index[name] for name in bound)
-        parts = {name: [] for name in bound}
-        first_row = 2  # the file row of the chunk's first data row
-        while rows := list(itertools.islice(reader, CSV_CHUNK_ROWS)):
-            for row_num, row in enumerate(rows, start=first_row):
-                if len(row) < width:
-                    raise ConfigError(f"{path}: row {row_num} has too few fields")
-            cells = list(zip(*rows))
-            for name, chunks in parts.items():
-                chunks.append(_parse_column(path, name, cells[col_index[name]], first_row))
-            first_row += len(rows)
-    rows_total = first_row - 2
-    if not rows_total:
-        raise ConfigError(f"{path}: no data rows")
-    values = {name: np.concatenate(chunks) for name, chunks in parts.items()}
+        names = list(dict.fromkeys(bound))
+        table = _read_complete(path, [col_index[name] for name in names])
+        values = (_read_validating(path, reader, col_index, names) if table is None
+                  else dict(zip(names, table.T)))
+    rows_total = len(values[config.outcome])
 
     required = [config.outcome]
     for binding in config.stage_columns:

@@ -823,15 +823,14 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> lis
     system = _StageSystem(plan, data)
     k = system.k
     members = _Members(len(weights))
-    alpha, gammas, solved = {}, {}, {}
+    alphas, gammas, solved = {}, {}, {}
 
     def fit_alpha(j, design):
-        fit = _fit_validation_rows(data, j, design, weights, members.alive)
+        alphas[j] = _fit_validation_rows(data, j, design, weights, members.alive)
         members.record(EstimationError(f"adherence model failed: {err}", stage=j)
                        if isinstance(err, (NonConvergenceError, RankDeficiencyError)) else err
-                       for err in fit.errors)
-        alpha[j] = fit.coefficients
-        return alpha[j]
+                       for err in alphas[j].errors)
+        return alphas[j].coefficients
 
     def fit_gamma(j, design):
         gammas[j] = fit_logistic_batch(design, system.response(j), weights, members.alive)
@@ -871,7 +870,8 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> lis
             plan=fitted_plan,
             psi=tuple(solved[j].psi[i] for j in stages),
             nuisance=tuple(
-                {"alpha": alpha[j][i] if j in alpha else None, "beta": solved[j].beta[i],
+                {"alpha": alphas[j].coefficients[i] if j in alphas else None,
+                 "beta": solved[j].beta[i],
                  "gamma": gammas[j].coefficients[i]}
                 for j in stages
             ),
@@ -883,6 +883,9 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> lis
                 # rows counted by their weights
                 "positivity_violations": [int(np.rint(c)) for c in positivity[i]],
                 "assignment_iterations": [int(gammas[j].iterations[i]) for j in stages],
+                # None where α is not fitted
+                "adherence_iterations": [int(alphas[j].iterations[i]) if j in alphas else None
+                                         for j in stages],
             },
         ), None))
     return out

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,23 @@ class TestAnalyze:
         assert payload["diagnostics"]["rows_dropped_incomplete"] == 1
         assert payload["diagnostics"]["rows_used"] == 499
 
+    def test_newton_iterations_written(self, analysis_setup):
+        _, config, config_path, tmp_path = analysis_setup
+        payload = {}
+        sources = {"fitted": {"kind": "fitted"},
+                   "sensitivity": {"kind": "sensitivity", "coefficients": [[0.5, 0.1, 2.0]] * 2}}
+        for kind, source in sources.items():
+            config["adherence"] = source
+            config_path.write_text(json.dumps(config))
+            assert run_cli("analyze", config_path, "--out", tmp_path / kind) == 0
+            payload[kind] = json.loads((tmp_path / kind / "fit.json").read_text())["diagnostics"]
+        for diagnostics in payload.values():
+            assert all(type(count) is int and count > 0
+                       for count in diagnostics["assignment_iterations"])
+        assert all(type(count) is int and count > 0
+                   for count in payload["fitted"]["adherence_iterations"])
+        assert payload["sensitivity"]["adherence_iterations"] == [None, None]
+
     def test_wald_intervals_written(self, analysis_setup):
         _, config, config_path, tmp_path = analysis_setup
         config["inference"] = {"method": "wald-sandwich", "level": 0.95}
@@ -464,6 +482,61 @@ def set_cell(row, column, value):
     return edit
 
 
+def edit_lines(edit):
+    """A whole-file edit from an edit of its lines (without line ends)."""
+    return lambda text: "".join(line + "\n" for line in edit(text.splitlines()))
+
+
+def edit_rows(edit):
+    """A whole-file edit applying ``edit(fields, header)`` to every data row."""
+    def apply(lines):
+        header = lines[0].split(",")
+        return lines[:1] + [",".join(edit(line.split(","), header)) for line in lines[1:]]
+    return edit_lines(apply)
+
+
+def blank_unvalidated_a1(fields, header):
+    if fields[header.index("V1")] == "0.0":
+        fields[header.index("A1")] = ""
+    return fields
+
+
+# Files the parser must accept, each with whether it is read in C (every bound
+# cell filled, nothing csv.reader reads differently from a split on commas).
+ACCEPTED_VARIANTS = {
+    "as written": (lambda text: text, True),
+    "CRLF line endings": (lambda text: text.replace("\n", "\r\n"), True),
+    "no final newline": (lambda text: text.rstrip("\n"), True),
+    "extra unbound trailing column": (
+        edit_lines(lambda lines: [lines[0] + ",note"] + [line + ",0.25" for line in lines[1:]]),
+        True),
+    "text ids": (
+        edit_rows(lambda fields, header: [f"p{int(fields[0]):03d}", *fields[1:]]), True),
+    "spaces around numbers": (edit_rows(lambda fields, header: [f" {f}\t" for f in fields]),
+                              True),
+    "quoted numeric cell": (edit_lines(set_cell(3, "X1", '"0.5"')), False),
+    # split on its commas, this cell would shift numbers into every bound column
+    "quoted unbound cell with commas": (
+        edit_lines(set_cell(2, "id", '"a,' + "1," * 9 + 'b"')), False),
+    "sparse A1": (edit_rows(blank_unvalidated_a1), False),
+}
+
+
+def assert_same_read(got, want):
+    """Two ``read_dataset_csv`` results: the same diagnostics and bit-identical
+    dataset columns."""
+    (got_data, got_diagnostics), (want_data, want_diagnostics) = got, want
+    assert got_diagnostics == want_diagnostics
+    columns = [lambda d: d.outcome, lambda d: d.validation]
+    for j in (1, 2):
+        columns += [lambda d, j=j: d.covariate("X", j), lambda d, j=j: d.prescribed(j),
+                    lambda d, j=j: d.actual(j)]
+    for column in columns:
+        mine, theirs = column(got_data), column(want_data)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+
+
 class TestCsvErrors:
     CASES = {
         "empty file": (lambda lines: [], "empty CSV"),
@@ -485,6 +558,23 @@ class TestCsvErrors:
             lambda lines: set_cell(6, "A1", "")(set_cell(6, "V1", "1.0")(
                 set_cell(3, "X1", "")(lines))),
             "row 7, column 'V1': validation flag set but actual treatment missing at stage 1"),
+        # Inputs numpy's C parser would read as valid data: it skips blank
+        # lines, treats '#' as a comment and a lone CR as a line end, and has
+        # no field size limit.
+        "blank line mid-file": (
+            lambda lines: lines[:4] + [""] + lines[4:], "row 5 has too few fields"),
+        "trailing blank line": (lambda lines: lines + [""], "row 502 has too few fields"),
+        "comment mark in a bound cell": (
+            set_cell(3, "X1", "#0.5"), "row 4, column 'X1': not a finite number: '#0.5'"),
+        "comment mark after a number in the last column": (
+            set_cell(3, "Y", "0.5#1"), "row 4, column 'Y': not a finite number: '0.5#1'"),
+        "whitespace-only line": (
+            lambda lines: lines[:4] + ["   "] + lines[4:], "row 5 has too few fields"),
+        "blank line after a lone CR": (
+            lambda lines: lines[:4] + [lines[4] + "\r\r"] + lines[5:], "row 6 has too few fields"),
+        "field over the csv size limit": (
+            set_cell(2, "id", "x" * (csv.field_size_limit() + 1)),
+            f"field larger than field limit ({csv.field_size_limit()})"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -501,27 +591,54 @@ class TestCsvErrors:
 
 
     def test_chunked_read_matches_one_chunk(self, analysis_setup, monkeypatch):
-        # The file is read a chunk of rows at a time; the chunk size changes
-        # neither the dataset nor the row a fault is reported on.
+        # The validating reader reads a chunk of rows at a time; the chunk size
+        # changes neither the dataset nor the row a fault is reported on.
         from dtr_adhere import cli
 
         _, _, config_path, tmp_path = analysis_setup
         config = cli.load_analysis_config(config_path)
-        whole, diagnostics = cli.read_dataset_csv(config)
+        monkeypatch.setattr(cli, "_read_complete", lambda path, columns: None)
+        whole = cli.read_dataset_csv(config)
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
-        chunked, chunked_diagnostics = cli.read_dataset_csv(config)
-        assert chunked_diagnostics == diagnostics
-        np.testing.assert_array_equal(chunked.outcome, whole.outcome)
-        np.testing.assert_array_equal(chunked.validation, whole.validation)
-        for j in (1, 2):
-            np.testing.assert_array_equal(chunked.covariate("X", j), whole.covariate("X", j))
-            np.testing.assert_array_equal(chunked.prescribed(j), whole.prescribed(j))
-            np.testing.assert_array_equal(chunked.actual(j), whole.actual(j))
+        assert_same_read(cli.read_dataset_csv(config), whole)
         csv_path = tmp_path / "data.csv"
         lines = set_cell(19, "X2", "inf")(csv_path.read_text().splitlines())
         csv_path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(cli.ConfigError, match="row 20, column 'X2': not a finite number"):
             cli.read_dataset_csv(config)
+
+    @pytest.mark.parametrize("variant", list(ACCEPTED_VARIANTS))
+    def test_fast_read_matches_validating_reader(self, analysis_setup, monkeypatch, variant):
+        # A file parsed in C gives the dataset the validating reader gives,
+        # bit for bit; a file that is not complete goes to that reader.
+        from dtr_adhere import cli
+
+        _, _, config_path, tmp_path = analysis_setup
+        edit, fast = ACCEPTED_VARIANTS[variant]
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(edit(csv_path.read_text()).encode("utf-8"))
+        config = cli.load_analysis_config(config_path)
+        parsed = []
+        parse_column = cli._parse_column
+        monkeypatch.setattr(cli, "_parse_column", lambda *args: parsed.append(args[1])
+                            or parse_column(*args))
+        read = cli.read_dataset_csv(config)
+        assert (not parsed) == fast  # no cell parsed in Python exactly when read in C
+        monkeypatch.setattr(cli, "_read_complete", lambda path, columns: None)
+        assert_same_read(read, cli.read_dataset_csv(config))
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n", "\r\n"])
+    def test_empty_body_raises_without_a_warning(self, analysis_setup, body):
+        from dtr_adhere import cli
+
+        _, _, config_path, tmp_path = analysis_setup
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n" + body)
+        config = cli.load_analysis_config(config_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cli.ConfigError, match="no data rows|row 2 has too few fields"):
+                cli.read_dataset_csv(config)
 
 
 class TestSensitivity:

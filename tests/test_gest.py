@@ -425,6 +425,17 @@ class TestEstimateRegime:
         assert plan.proxy_kind is None
         assert plan.estimate(data).plan.proxy_kind == "reported"
 
+    @pytest.mark.parametrize("estimator", ["modified-fitted", "modified-known"])
+    def test_adherence_iterations_per_stage(self, estimator):
+        data = generate_s3(1000, np.random.default_rng(12), validation_fraction=0.3)
+        diagnostics = scenario_plan("s3", estimator).estimate(data).diagnostics
+        iterations = diagnostics["adherence_iterations"]
+        assert len(iterations) == len(diagnostics["assignment_iterations"]) == 2
+        if estimator == "modified-fitted":
+            assert all(type(count) is int and count > 0 for count in iterations)
+        else:  # a known source fits no α
+            assert iterations == [None, None]
+
     def test_determinism(self):
         rng = np.random.default_rng(55)
         data = generate_s1(500, -1.0, rng)
