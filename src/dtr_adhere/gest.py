@@ -22,7 +22,6 @@ the effect of treatment actually taken rather than of its proxy.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -40,6 +39,7 @@ from .model import (
     MODE_USE_PROXY,
     CompiledDesign,
     Trajectory,
+    TreatmentRef,
     build_design_matrix,
     compile_design,
     parse_feature_spec,
@@ -113,6 +113,9 @@ def ordered_map(fn, items, jobs: int) -> list:
     ``jobs > 1``; the results keep the input order either way."""
     if jobs <= 1:
         return list(map(fn, items))
+    # Imported here: the process pool pulls in multiprocessing, socket and
+    # subprocess, which every start-up would otherwise pay for.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
@@ -274,11 +277,13 @@ def pseudo_outcome_exact(v_next, pi_prev, contrast_when_treated, contrast_when_u
 class _StageSolve(NamedTuple):
     """One stage solved for a block of members: (b, q) contrast and (b, r)
     treatment-free coefficients, the (b,) condition numbers of the contrast
-    blocks and each member's failure (``None`` when it solved)."""
+    blocks and of the joint systems, and each member's failure (``None``
+    when it solved)."""
 
     psi: np.ndarray
     beta: np.ndarray
     cond: np.ndarray
+    joint_cond: np.ndarray
     errors: list
 
 
@@ -360,7 +365,7 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
     solved = np.array([error is None for error in errors]) & active
     joint[~solved] = np.eye(p_tf + p_psi)  # placeholders for the members left unsolved
     solution = np.linalg.solve(joint, rhs[..., None])[..., 0]
-    return _StageSolve(solution[:, p_tf:], solution[:, :p_tf], cond, errors)
+    return _StageSolve(solution[:, p_tf:], solution[:, :p_tf], cond, joint_cond, errors)
 
 
 def fit_adherence(data: Dataset, stage: int, spec: FeatureSpec, proxy_kind: str,
@@ -467,14 +472,17 @@ class EstimationPlan:
             raise error
         return fit
 
-    def fit_members(self, data: Dataset, weights) -> list:
+    def fit_members(self, data: Dataset, weights, *,
+                    assignment_fits: Optional[dict] = None) -> list:
         """One batched fit per member, as b ``(RegimeFit, None)`` or
         ``(None, error)`` pairs.  The members are the rows of the (b, n)
         frequency ``weights``: on a dataset, b weightings of its rows; on a
         stacked dataset (``Dataset.stack``), one row of weights per stacked
-        dataset."""
+        dataset.  ``assignment_fits``, a dict handed to every plan fitted to
+        one stacked dataset with the same weights, lets them share their
+        assignment fits (see ``_fit_regime``)."""
         shape = data.outcome.shape if data.outcome.ndim == 2 else (len(weights), data.n)
-        return _fit_regime(self, data, check_weights(weights, shape))
+        return _fit_regime(self, data, check_weights(weights, shape), assignment_fits)
 
     def psi_estimator(self, data: Dataset, weights) -> list:
         """``fit_members`` as b ``(estimates, error)`` pairs: the flattened
@@ -812,14 +820,20 @@ class _Members:
                 self.errors[i], self.alive[i] = error, False
 
 
-def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> list:
+def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
+                assignment_fits: Optional[dict] = None) -> list:
     """Fit ``plan`` once per row of the (b, n) frequency ``weights``, in one
     pass of the stage system with a leading member axis.  Member ``i`` is a
     fit of the rows repeated by ``weights[i]``, of ``data`` or, when ``data``
     is stacked, of its member ``i``: its nuisance fits, stage solves and
     checks see only the rows it weights.  A failing member drops
     out and the others carry on.  Returns b tally-style pairs,
-    ``(RegimeFit, None)`` or ``(None, error)``."""
+    ``(RegimeFit, None)`` or ``(None, error)``.
+
+    ``assignment_fits``, when given, holds the assignment fits of the plans
+    already fitted to the same stacked ``data`` and ``weights``, keyed by
+    stage, assignment mode, proxy kind and spec; a stage whose key is there
+    reuses that fit, and one whose key is missing adds its own."""
     system = _StageSystem(plan, data)
     k = system.k
     members = _Members(len(weights))
@@ -833,7 +847,21 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> lis
         return alphas[j].coefficients
 
     def fit_gamma(j, design):
-        gammas[j] = fit_logistic_batch(design, system.response(j), weights, members.alive)
+        spec = plan.specs[j - 1].assignment
+        if assignment_fits is None or _names_expected(spec):
+            gammas[j] = fit_logistic_batch(design, system.response(j), weights, members.alive)
+        else:
+            # MODE_USE_PROXY and MODE_USE_ACTUAL substitute no expected
+            # treatment, so unless the spec names EA[l] outright the design,
+            # and the fit, depend only on the key, the data and the weights.
+            # A shared fit runs on every member: a member another plan has
+            # lost may still stand in this one.  Each stacked member has its
+            # own design, so its iterates do not depend on which others are
+            # fitted with it.
+            key = (j, system.assign_mode, system.proxy_kind, spec)
+            if key not in assignment_fits:
+                assignment_fits[key] = fit_logistic_batch(design, system.response(j), weights)
+            gammas[j] = assignment_fits[key]
         members.record(None if err is None else
                        EstimationError(f"assignment model failed: {err}", stage=j)
                        for err in gammas[j].errors)
@@ -878,6 +906,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> lis
             pseudo_outcomes=pseudo[i],
             diagnostics={
                 "stage_condition": [float(solved[j].cond[i]) for j in stages],
+                "joint_condition": [float(solved[j].joint_cond[i]) for j in stages],
                 # one joint solve per stage; the key is kept for schema stability
                 "outer_iterations": [1] * k,
                 # rows counted by their weights
@@ -889,6 +918,13 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray) -> lis
             },
         ), None))
     return out
+
+
+def _names_expected(spec: FeatureSpec) -> bool:
+    """Whether ``spec`` references an expected treatment ``EA[l]``, which
+    every substitution mode resolves to the adherence probability."""
+    return any(isinstance(f, TreatmentRef) and f.source == "expected"
+               for term in spec.terms for f in term.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,8 @@ class ScenarioConfig:
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator '{est}'")
+            if self.estimators.count(est) > 1:
+                raise ValueError(f"estimator '{est}' listed twice")
         if not self.estimators:
             raise ValueError("no estimators requested")
         if self.jobs < 1:
@@ -339,15 +341,19 @@ class _Replicate(NamedTuple):
 
 def _replicate_block(config: ScenarioConfig, plans: dict, replicates: range) -> dict:
     """Generate the datasets of a block of replicates and fit each estimator
-    on all of them in one batched pass.  Maps each estimator to one
-    ``tally``-style ``(_Replicate, error)`` pair per replicate."""
+    on all of them in one batched pass; estimators that regress the same
+    treatment on the same history share that assignment fit.  Maps each
+    estimator to one ``tally``-style ``(_Replicate, error)`` pair per
+    replicate."""
     datasets = [scenario_dataset(config, np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(r,)))) for r in replicates]
     stack, weights = Dataset.stack(datasets), np.broadcast_to(1.0, (len(datasets), config.n))
     if not config.coverage:  # only the coverage intervals need a replicate's own dataset
         datasets = [None] * len(datasets)
+    assignment_fits = {}
     return {name: [(None, error) if error is not None else tally(_replicate, config, data, fit)
-                   for data, (fit, error) in zip(datasets, plan.fit_members(stack, weights))]
+                   for data, (fit, error) in zip(datasets, plan.fit_members(
+                       stack, weights, assignment_fits=assignment_fits))]
             for name, plan in plans.items()}
 
 

@@ -67,6 +67,14 @@ class TestSimulate:
         assert code == 2
         assert "unknown estimator" in capsys.readouterr().err
 
+    def test_repeated_estimator_exits_2(self, tmp_path, capsys):
+        code = run_cli("simulate", "--scenario", "s4", "--n", "200", "--reps", "3",
+                       "--seed", "1", "--out", tmp_path / "x",
+                       "--estimators", "naive-proxy,naive-proxy")
+        assert code == 2
+        assert "estimator 'naive-proxy' listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_byte_identical_reruns_and_jobs(self, tmp_path):
         args = ["simulate", "--scenario", "s4", "--n", "400", "--reps", "4",
                 "--validation", "0.3", "--param", "0", "--seed", "7",

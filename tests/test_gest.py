@@ -436,6 +436,13 @@ class TestEstimateRegime:
         else:  # a known source fits no α
             assert iterations == [None, None]
 
+    def test_joint_condition_per_stage(self):
+        data = generate_s3(1000, np.random.default_rng(12), validation_fraction=0.3)
+        diagnostics = scenario_plan("s3", "modified-fitted").estimate(data).diagnostics
+        condition = diagnostics["joint_condition"]
+        assert len(condition) == len(diagnostics["stage_condition"]) == 2
+        assert all(type(c) is float and np.isfinite(c) and c >= 1.0 for c in condition)
+
     def test_determinism(self):
         rng = np.random.default_rng(55)
         data = generate_s1(500, -1.0, rng)

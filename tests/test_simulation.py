@@ -1,9 +1,11 @@
 """Generator mechanism fidelity, truth recovery, and the replication engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dtr_adhere import simulation
+from dtr_adhere import gest, simulation
 from dtr_adhere.glm import expit
 from dtr_adhere.gest import psi_flat, tally
 from dtr_adhere.model import Dataset
@@ -227,6 +229,8 @@ class TestRunReplications:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             self.config(estimators=("nope",))
+        with pytest.raises(ValueError, match="estimator 'naive-proxy' listed twice"):
+            self.config(estimators=("naive-proxy", "modified-fitted", "naive-proxy"))
 
     def test_failure_threshold_aborts(self):
         # two-row datasets cannot support the stage models
@@ -383,3 +387,63 @@ class TestReplicationBlocks:
         assert sum(r["count"] for r in records) == summary.failures["modified-fitted"] > 30
         assert {(r["class"], r["stage"]) for r in records} == {("EstimationError", 1),
                                                               ("EstimationError", 2)}
+
+
+class TestSharedAssignmentFits:
+    """The estimators of one replicate block share their assignment fits."""
+
+    @pytest.mark.parametrize("scenario,n,estimators", [
+        ("s1", 60, ESTIMATORS),
+        ("s4", 150, ("modified-fitted", "naive-proxy", "standard-actual")),
+    ])
+    def test_each_estimator_as_if_run_alone(self, monkeypatch, scenario, n, estimators):
+        monkeypatch.setattr(simulation, "MAX_FAILURE_FRACTION", 1.0)
+        config = ScenarioConfig(scenario=scenario, n=n, replications=23, seed=5,
+                                varied_param=1.0, estimators=estimators)
+        together = run_replications(config)
+        for name in estimators:
+            alone = run_replications(dataclasses.replace(config, estimators=(name,)))
+            np.testing.assert_array_equal(together.estimates[name], alone.estimates[name])
+            np.testing.assert_array_equal(together.replicate_indices[name],
+                                          alone.replicate_indices[name])
+            assert together.failures[name] == alone.failures[name]
+            assert together.failure_counts[name] == alone.failure_counts[name]
+            assert together.positivity[name] == alone.positivity[name]
+        assert together.failures["modified-fitted"] > 0
+
+    def test_member_lost_by_one_estimator_still_fitted_by_the_next(self):
+        datasets = _replicates("s4", 300, 10, 21)
+        stack = Dataset.stack(datasets)
+        weights = np.ones((10, 300))
+        weights[0, datasets[0].validation[:, 0]] = 0.0  # member 0 keeps no stage-1 validation row
+        fitted, naive = (scenario_plan("s4", name) for name in ("modified-fitted", "naive-proxy"))
+        shared = {}
+        fits = fitted.fit_members(stack, weights, assignment_fits=shared)
+        assert str(fits[0][1]) == "no validation rows at stage 1"
+        assert len(shared) == 2
+        for (fit, error), (ref, ref_error) in zip(fits[1:], fitted.fit_members(stack, weights)[1:]):
+            assert error is None and ref_error is None
+            np.testing.assert_array_equal(psi_flat(fit), psi_flat(ref))
+        got = naive.fit_members(stack, weights, assignment_fits=shared)
+        assert len(shared) == 2  # naive-proxy reused both stages' fits
+        for (fit, error), (ref, ref_error) in zip(got, naive.fit_members(stack, weights)):
+            assert error is None and ref_error is None
+            np.testing.assert_array_equal(psi_flat(fit), psi_flat(ref))
+
+    def test_block_of_sim_s4_estimators_fits_each_assignment_model_once(self, monkeypatch):
+        calls, fit_logistic_batch = [], gest.fit_logistic_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit_logistic_batch(*args, **kwargs)
+
+        monkeypatch.setattr(gest, "fit_logistic_batch", counting)
+        estimators = ("modified-fitted", "naive-proxy", "standard-actual")
+        config = ScenarioConfig(scenario="s4", n=1000, replications=10, seed=3,
+                                varied_param=1.0, estimators=estimators)
+        plans = {name: scenario_plan("s4", name) for name in estimators}
+        block = simulation._replicate_block(config, plans, range(10))
+        assert all(error is None for name in estimators for _, error in block[name])
+        # two adherence fits, and two assignment fits each for the proxy
+        # (modified-fitted, shared with naive-proxy) and the actual treatment
+        assert len(calls) == 6
