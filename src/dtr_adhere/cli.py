@@ -303,17 +303,19 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
     # A standard mode takes no adherence block; the plan rejects one it is given.
     if mode.startswith("modified") or "adherence" in raw:
         kind = adherence_raw.get("kind", "fitted")
-        if kind not in ("fitted", "external", "sensitivity"):
+        # Both other kinds supply known coefficients; only "external" ones may
+        # carry a covariance.
+        takes = {"fitted": (), "sensitivity": ("coefficients",),
+                 "external": ("coefficients", "covariance")}
+        if not isinstance(kind, str) or kind not in takes:
             raise ConfigError(f"unsupported adherence kind {kind!r} in a config file")
+        extra = sorted(adherence_raw.keys() - {"kind", *takes[kind]})
+        if extra:
+            raise ConfigError(f"adherence kind {kind!r} takes no {extra[0]!r}")
         try:
-            if kind == "fitted":
-                adherence = AdherenceSource.fitted()
-            elif kind == "external":
-                adherence = AdherenceSource.external(
-                    adherence_raw["coefficients"], covariance=adherence_raw.get("covariance")
-                )
-            else:  # "sensitivity": fixed coefficients carrying no uncertainty
-                adherence = AdherenceSource.known(coefficients=adherence_raw["coefficients"])
+            adherence = (AdherenceSource.fitted() if kind == "fitted" else
+                         AdherenceSource.known(coefficients=adherence_raw["coefficients"],
+                                               covariance=adherence_raw.get("covariance")))
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad adherence block: {err}") from err
 
@@ -327,7 +329,7 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
     replicates = _typed(inference_raw.get("replicates", 1000), int, "inference.replicates")
     if method == "bootstrap" and replicates < 2:
         raise ConfigError(f"inference.replicates must be >= 2 for bootstrap, got {replicates}")
-    seed = _typed(raw.get("seed", _default_seed(None)), int, "seed")
+    seed = _typed(raw["seed"] if "seed" in raw else _default_seed(None), int, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     jobs = _typed(raw.get("jobs", 1), int, "jobs")

@@ -171,9 +171,9 @@ class AdherenceSource:
     ``fitted`` estimates it by logistic regression on validation rows;
     ``known`` supplies it outright, either as a vectorized probability function
     ``f(stage, cov, proxy)`` (``cov(name, stage)`` returns a column) or as
-    fixed coefficients for the stage adherence specs; ``external`` provides
-    fixed coefficients from outside the sample, optionally with their
-    covariance for variance adjustment.
+    fixed coefficients for the stage adherence specs.  Fixed coefficients may
+    carry a covariance per stage, which the sandwich adds to the contrast
+    variance; without one they are held fixed.
     """
 
     kind: str
@@ -182,8 +182,6 @@ class AdherenceSource:
     covariance: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in ("known", "fitted", "external"):
-            raise ValueError(f"unknown adherence source kind '{self.kind}'")
         if self.kind == "fitted":
             if self.probability is not None or self.coefficients is not None:
                 raise ValueError("fitted adherence carries no fixed values")
@@ -192,13 +190,16 @@ class AdherenceSource:
                 raise ValueError(
                     "known adherence needs a probability function or coefficients"
                 )
-        elif self.coefficients is None:
-            raise ValueError(f"{self.kind} adherence requires coefficients")
-        if self.covariance is not None and self.kind != "external":
-            raise ValueError(f"{self.kind} adherence takes no covariance")
+        else:
+            raise ValueError(f"unknown adherence source kind '{self.kind}'")
+        coefficients = self.coefficients or ()
+        if not all(np.all(np.isfinite(coef)) for coef in coefficients):
+            raise ValueError("adherence coefficients must be finite")
+        if self.covariance is not None and self.coefficients is None:
+            raise ValueError("only adherence coefficients take a covariance")
         # Each covariance entry is None or a finite, symmetric, positive
         # semidefinite matrix sized to its stage's coefficient vector.
-        covariance, coefficients = self.covariance or (), self.coefficients or ()
+        covariance = self.covariance or ()
         if len(covariance) > len(coefficients):
             raise ValueError(f"{len(covariance)} adherence covariance entries for "
                              f"{len(coefficients)} coefficient vectors")
@@ -219,17 +220,10 @@ class AdherenceSource:
         return cls(kind="fitted")
 
     @classmethod
-    def known(cls, probability=None, coefficients=None):
+    def known(cls, probability=None, coefficients=None, covariance=None):
         return cls(
             kind="known",
             probability=probability,
-            coefficients=_coef_tuple(coefficients),
-        )
-
-    @classmethod
-    def external(cls, coefficients, covariance=None):
-        return cls(
-            kind="external",
             coefficients=_coef_tuple(coefficients),
             covariance=None
             if covariance is None
@@ -459,15 +453,10 @@ class EstimationPlan:
         """Whether the adherence model is fitted from validation rows."""
         return self.adherence is not None and self.adherence.kind == "fitted"
 
-    def estimate(self, data: Dataset, weights=None) -> "RegimeFit":
-        """Fit the plan to ``data``, raising any estimation failure.
-
-        ``weights`` (default 1) are nonnegative frequency weights, one per
-        row: a row of weight 2 counts as two copies of it and a row of
-        weight 0 as absent.  This is the one-member case of the batched fit.
-        """
-        w = np.ones(data.n) if weights is None else check_weights(weights, (data.n,))
-        ((fit, error),) = _fit_regime(self, data, w[None])
+    def estimate(self, data: Dataset) -> "RegimeFit":
+        """Fit the plan to ``data``, raising any estimation failure.  This is
+        the one-member case of the batched fit (``fit_members``)."""
+        ((fit, error),) = _fit_regime(self, data, np.ones((1, data.n)))
         if error is not None:
             raise error
         return fit
@@ -785,16 +774,14 @@ def _check_inputs(system: _StageSystem) -> None:
                         f"for {k} stages")
     for j in range(1, k + 1):
         spec = plan.specs[j - 1].adherence
+        if spec is None:
+            raise DesignError(f"no adherence spec at stage {j}")
         if source.kind == "fitted":
-            if spec is None:
-                raise DesignError(f"no adherence spec at stage {j} for fitted source")
             if j not in spec.treatment_stages():
                 raise DesignError(
                     f"adherence spec at stage {j} must include the stage-{j} proxy"
                 )
             continue
-        if spec is None:
-            raise DesignError(f"no adherence spec at stage {j}")
         shape = np.shape(source.coefficients[j - 1])
         if shape != (len(spec.terms),):
             raise DataError(f"adherence coefficient vector at stage {j} has shape {shape}, "
@@ -980,8 +967,8 @@ class StackedScore:
 
     ``slices`` maps ``(stage, kind)`` to that block's slice of theta.  Blocks
     run stage K down to stage 1; within a stage the order is treatment-free,
-    adherence (when fitted from validation rows, or external with a
-    covariance: its score ``alpha_ext - alpha`` holds it at the supplied
+    adherence (when fitted from validation rows, or known coefficients with
+    a covariance: its score ``alpha_ext - alpha`` holds it at the supplied
     value), assignment, contrast.  The forward pass re-evaluates the stage
     system of ``fit.plan`` -- adherence and assignment probabilities,
     substituted designs and pseudo outcomes -- at the supplied parameters, so
@@ -996,8 +983,8 @@ class StackedScore:
         self.k = data.n_stages
         self.system = _StageSystem(plan, data)
         source = plan.adherence
-        # Stage -> the supplied covariance of external coefficients that carry one.
-        self.external = {} if source is None or source.kind != "external" else {
+        # Stage -> the supplied covariance of known coefficients that carry one.
+        self.external = {} if source is None else {
             j: cov for j, cov in enumerate(source.covariance or (), start=1) if cov is not None
         }
         self.slices, values, start = {}, [], 0

@@ -136,11 +136,11 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     the system ``fit.plan`` solved on ``data`` and its closed-form Jacobian,
     both from one pass.
 
-    Known adherence coefficients, and external ones without a covariance, are
-    held fixed.  External coefficients with a covariance
-    ``Sigma_j`` are stacked parameters whose score holds them at the supplied
-    value; the bread's columns ``B_j`` for them give the delta-method term
-    ``B_j Sigma_j B_j^T``, added to the whole covariance.
+    Known adherence coefficients without a covariance are held fixed.  Known
+    coefficients with a covariance ``Sigma_j`` are stacked parameters whose
+    score holds them at the supplied value; the bread's columns ``B_j`` for
+    them give the delta-method term ``B_j Sigma_j B_j^T``, added to the whole
+    covariance.
     """
     stacked = StackedScore(data, fit)
     result = sandwich(*stacked.evaluate(stacked.theta_hat, jacobian=True))

@@ -629,6 +629,7 @@ def compile_design(
     """
     if mode not in SUBSTITUTION_MODES:
         raise ValueError(f"unknown substitution mode '{mode}'")
+    spec.validate_stage(stage, allow_current_treatment=True)
     if proxy_kind is None:
         proxy_kind = data.default_proxy_kind()
     rows, p = data.outcome.shape, len(spec.terms)
@@ -644,10 +645,6 @@ def compile_design(
             if isinstance(f, Constant):
                 continue
             if isinstance(f, Covariate):
-                if f.stage > stage:
-                    raise DesignError(
-                        f"covariate {f.label()} references stage {f.stage} beyond stage {stage}"
-                    )
                 col = data.covariate(f.name, f.stage)
                 if f.transform == "log":
                     if np.any(col <= 0.0):
@@ -656,10 +653,6 @@ def compile_design(
                 value *= col
                 continue
             # treatment reference
-            if f.stage > stage:
-                raise DesignError(
-                    f"treatment reference {f.label()} beyond stage {stage}"
-                )
             if treatment_override is not None and f.stage in treatment_override:
                 value *= float(treatment_override[f.stage])
                 continue

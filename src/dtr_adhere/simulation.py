@@ -103,12 +103,13 @@ def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct) ->
     """The s1/s3 mechanism: prescriptions follow expit(shift_j + X_j), the
     stage-2 contrast is 1 + X2 + lag * A1, and the stage-1 treatment taken
     adds ``direct`` to the treatment-free part."""
+    b0, b1, b2 = PRESCRIBED_ADHERENCE_COEF
     x1 = rng.normal(1.0, 1.0, n)
     astar1 = rng.binomial(1, expit(shifts[0] + x1)).astype(float)
-    a1 = rng.binomial(1, expit(-4.6 - 0.83 * x1 + 7.5 * astar1)).astype(float)
+    a1 = rng.binomial(1, expit(b0 + b1 * x1 + b2 * astar1)).astype(float)
     x2 = rng.normal(1.0, 2.0, n)
     astar2 = rng.binomial(1, expit(shifts[1] + x2)).astype(float)
-    a2 = rng.binomial(1, expit(-4.6 - 0.83 * x2 + 7.5 * astar2)).astype(float)
+    a2 = rng.binomial(1, expit(b0 + b1 * x2 + b2 * astar2)).astype(float)
     eps = rng.normal(0.0, np.sqrt(2.0), n)
 
     c1 = 1.0 + x1
@@ -166,8 +167,7 @@ def reported_inverse_probability(stage, cov, proxy):
     the s4 mechanism, by Bayes inversion."""
     x = cov("X", stage)
     p = 0.5 + 0.3 * x
-    r1 = 0.9 - 0.05 * x
-    r0 = 0.05 + 0.045 * x + 0.005 * x * x
+    r1, r0 = _report_prob(1.0, x), _report_prob(0.0, x)
     proxy = np.asarray(proxy, dtype=float)
     num = np.where(proxy == 1.0, p * r1, p * (1.0 - r1))
     den = np.where(proxy == 1.0, p * r1 + (1.0 - p) * r0, p * (1.0 - r1) + (1.0 - p) * (1.0 - r0))
@@ -316,18 +316,14 @@ class ScenarioConfig:
         if self.scenario == "s2" and self.varied_param != 0.0:
             raise ValueError("scenario s2 pins the varied parameter to 0")
 
-    @property
-    def effective_param(self) -> float:
-        return 0.0 if self.scenario == "s2" else self.varied_param
-
 
 def scenario_dataset(config: ScenarioConfig, rng: np.random.Generator) -> Dataset:
     if config.scenario in ("s1", "s2"):
-        return generate_s1(config.n, config.effective_param, rng,
+        return generate_s1(config.n, config.varied_param, rng,
                            validation_fraction=config.validation_fraction)
     if config.scenario == "s3":
         return generate_s3(config.n, rng, validation_fraction=config.validation_fraction)
-    return generate_s4(config.n, config.effective_param, rng,
+    return generate_s4(config.n, config.varied_param, rng,
                        validation_fraction=config.validation_fraction)
 
 
@@ -362,7 +358,7 @@ def _replicate(config: ScenarioConfig, data: Dataset, fit: RegimeFit) -> _Replic
     intervals computed on its own dataset."""
     hits = None
     if config.coverage:
-        truth = scenario_truth(config.scenario, config.effective_param)
+        truth = scenario_truth(config.scenario, config.varied_param)
         intervals = regime_wald_intervals(data, fit, COVERAGE_LEVEL)
         hits = ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
     return _Replicate(psi_flat(fit), hits, fit.diagnostics["positivity_violations"])
@@ -437,7 +433,7 @@ def run_replications(config: ScenarioConfig) -> ReplicationSummary:
         for j, spec in enumerate(specs, start=1)
         for label in spec.contrast.term_labels()
     ]
-    truth = scenario_truth(config.scenario, config.effective_param)
+    truth = scenario_truth(config.scenario, config.varied_param)
 
     indices, estimates, coverage, failures, counts, positivity = {}, {}, {}, {}, {}, {}
     for name in config.estimators:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dtr_adhere.cli import main, write_dataset_csv
+from dtr_adhere.cli import load_analysis_config, main, write_dataset_csv
 from dtr_adhere.gest import psi_flat
 from dtr_adhere.inference import BOOTSTRAP_BLOCK, regime_sandwich
 from dtr_adhere.simulation import generate_s1, scenario_plan
@@ -36,7 +36,7 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["scenario"] == "s1"
         assert set(summary["estimators"]) == {"modified-known", "naive-proxy"}
-        rows = list(csv.reader((out / "estimates.csv").open()))
+        rows = list(csv.reader((out / "estimates.csv").read_text().splitlines()))
         assert rows[0] == ["replicate", "estimator", "stage", "parameter", "value"]
         assert len(rows) == 1 + 1 * 2 * 5  # reps x estimators x parameters
         config = json.loads((out / "config.json").read_text())
@@ -191,6 +191,18 @@ class TestAnalyze:
         assert payload["diagnostics"]["validation_rows_per_stage"] == [200, 200]
         assert payload["recommendation_rule"][0]["terms"] == ["1", "X[1]"]
         assert payload["exact_pseudo_outcomes"] is False
+
+    def test_config_seed_overrides_the_environment(self, analysis_setup, monkeypatch, capsys):
+        _, config, config_path, tmp_path = analysis_setup
+        monkeypatch.setenv("DTR_ADHERE_SEED", "abc")
+        assert load_analysis_config(config_path).seed == 5  # the variable is not read
+        assert run_cli("analyze", config_path, "--out", tmp_path / "set") == 0
+        del config["seed"]
+        config_path.write_text(json.dumps(config))
+        assert run_cli("analyze", config_path, "--out", tmp_path / "unset") == 2
+        assert "DTR_ADHERE_SEED is not an integer: 'abc'" in capsys.readouterr().err
+        monkeypatch.setenv("DTR_ADHERE_SEED", "7")
+        assert load_analysis_config(config_path).seed == 7
 
     def test_stage_out_of_range_exits_2(self, analysis_setup, capsys):
         _, config, config_path, tmp_path = analysis_setup
@@ -452,6 +464,33 @@ class TestMalformedConfig:
             lambda c: c.update(adherence={"kind": "sensitivity",
                                           "coefficients": [[-4.6, -0.83, 7.5]]}),
             "1 adherence coefficient vectors for 2 stages"),
+        "non-finite sensitivity coefficient": (
+            lambda c: c.update(adherence={"kind": "sensitivity",
+                                          "coefficients": [[-4.6, float("nan"), 7.5]] * 2}),
+            "bad adherence block: adherence coefficients must be finite"),
+        "infinite external coefficient": (
+            lambda c: c.update(adherence={"kind": "external",
+                                          "coefficients": [[-4.6, -0.83, 7.5],
+                                                           [-4.6, -0.83, float("inf")]],
+                                          "covariance": [None, np.eye(3).tolist()]}),
+            "bad adherence block: adherence coefficients must be finite"),
+        "sensitivity coefficients with a covariance": (
+            lambda c: c.update(adherence={"kind": "sensitivity",
+                                          "coefficients": [[-4.6, -0.83, 7.5]] * 2,
+                                          "covariance": [None, np.eye(3).tolist()]}),
+            "adherence kind 'sensitivity' takes no 'covariance'"),
+        "fitted adherence with coefficients": (
+            lambda c: c.update(adherence={"kind": "fitted",
+                                          "coefficients": [[-4.6, -0.83, 7.5]] * 2}),
+            "adherence kind 'fitted' takes no 'coefficients'"),
+        "adherence kind not a string": (
+            lambda c: c.update(adherence={"kind": ["fitted"]}),
+            "unsupported adherence kind ['fitted'] in a config file"),
+        "misspelt external key": (
+            lambda c: c.update(adherence={"kind": "external",
+                                          "coefficients": [[-4.6, -0.83, 7.5]] * 2,
+                                          "covariances": [None, np.eye(3).tolist()]}),
+            "adherence kind 'external' takes no 'covariances'"),
         "exact_pseudo_outcomes with a standard mode": (
             standard_mode_with_exact_pseudo_outcomes,
             "exact_pseudo_outcomes applies to the modified modes only"),
@@ -663,7 +702,7 @@ class TestSensitivity:
         grid = self.grid_file(tmp_path, [[-4.6, -0.83, 7.5]])
         out = tmp_path / "sweep"
         assert run_cli("sensitivity", config_path, grid, "--out", out) == 0
-        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 5
         assert all(float(r["agreement"]) == 1.0 for r in rows)
         known = scenario_plan("s1", "modified-known").estimate(data)
@@ -675,7 +714,7 @@ class TestSensitivity:
         grid = self.grid_file(tmp_path, [[-1000.0, 0.0, 2000.0]])
         out = tmp_path / "sweep2"
         assert run_cli("sensitivity", config_path, grid, "--out", out) == 0
-        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         naive = scenario_plan("s1", "naive-proxy").estimate(data)
         got = np.array([float(r["estimate"]) for r in rows])
         np.testing.assert_allclose(got, psi_flat(naive), atol=1e-10)
@@ -687,7 +726,7 @@ class TestSensitivity:
         )
         out = tmp_path / "sweep3"
         assert run_cli("sensitivity", config_path, grid, "--out", out) == 0
-        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 25
         by_point = {}
         for r in rows:

@@ -652,7 +652,7 @@ class TestStackedScore:
             adherence = known_adherence(scenario)
         elif source == "external":
             alpha = [nuis["alpha"] for nuis in base.estimate(data).nuisance]
-            adherence = AdherenceSource.external(alpha)
+            adherence = AdherenceSource.known(coefficients=alpha)
         plan = EstimationPlan(specs=base.specs, mode=base.mode, adherence=adherence,
                               exact_pseudo_outcomes=exact and not standard)
         score = StackedScore(data, plan.estimate(data))
@@ -677,7 +677,7 @@ class TestStackedScore:
         covariance = [np.diag(np.full(a.size, 0.05)) + 0.01 for a in alpha]
         if source == "external-stage-2":
             covariance[0] = None
-        return AdherenceSource.external(alpha, covariance)
+        return AdherenceSource.known(coefficients=alpha, covariance=covariance)
 
     @pytest.mark.parametrize("source", [
         "standard-actual", "naive-proxy", "fitted", "known-coefficients", "known-probability",

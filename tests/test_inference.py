@@ -167,7 +167,8 @@ def _external_plan(fit, stages):
     alpha = [nuis["alpha"] for nuis in fit.nuisance]
     covariance = [np.diag(np.full(a.size, 0.05)) + 0.01 if j in stages else None
                   for j, a in enumerate(alpha)]
-    return replace(fit.plan, adherence=AdherenceSource.external(alpha, covariance))
+    return replace(fit.plan,
+                   adherence=AdherenceSource.known(coefficients=alpha, covariance=covariance))
 
 
 class TestExternalAdherenceCovariance:
@@ -184,8 +185,8 @@ class TestExternalAdherenceCovariance:
             coefficients = list(source.coefficients)
             for j, part in zip(stages, np.split(alpha, np.cumsum(sizes)[:-1])):
                 coefficients[j] = part
-            return psi_flat(replace(plan, adherence=AdherenceSource.external(coefficients)
-                                    ).estimate(data))
+            supplied = AdherenceSource.known(coefficients=coefficients)
+            return psi_flat(replace(plan, adherence=supplied).estimate(data))
 
         alpha = np.concatenate([source.coefficients[j] for j in stages])
         columns = []
@@ -208,7 +209,8 @@ class TestExternalAdherenceCovariance:
         fitted = scenario_plan("s1", "modified-fitted").estimate(data)
         plan = _external_plan(fitted, stages)
         fit = plan.estimate(data)
-        bare = replace(plan, adherence=AdherenceSource.external(plan.adherence.coefficients))
+        bare = replace(plan,
+                       adherence=AdherenceSource.known(coefficients=plan.adherence.coefficients))
         base = regime_sandwich(data, bare.estimate(data)).sigma_psi
         expected = base + self.refit_delta_method(data, plan)
         sigma_psi = regime_sandwich(data, fit).sigma_psi
@@ -248,10 +250,11 @@ class TestExternalAdherenceCovariance:
         coef = (np.array([-4.6, -0.83, 7.5]), np.array([-4.6, -0.83, 7.5]))
         specs = tuple(scenario_models("s1"))
         bare = EstimationPlan(specs=specs, mode="modified-prescribed",
-                              adherence=AdherenceSource.external(coef))
+                              adherence=AdherenceSource.known(coefficients=coef))
         cov = tuple(np.diag([0.2, 0.05, 0.4]) for _ in range(2))
-        inflated = EstimationPlan(specs=specs, mode="modified-prescribed",
-                                  adherence=AdherenceSource.external(coef, covariance=cov))
+        inflated = EstimationPlan(
+            specs=specs, mode="modified-prescribed",
+            adherence=AdherenceSource.known(coefficients=coef, covariance=cov))
         fit = bare.estimate(data)
         base = regime_sandwich(data, fit)
         adjusted = regime_sandwich(data, inflated.estimate(data))
@@ -266,7 +269,8 @@ class TestExternalAdherenceCovariance:
         coef = ([-4.6, -0.83, 7.5], [-4.6, -0.83, 7.5])
         good = np.diag([0.2, 0.05, 0.4])
         # rounding-level negative eigenvalues are accepted
-        AdherenceSource.external(coef, covariance=(good, np.diag([1.0, -1e-14, 1.0])))
+        AdherenceSource.known(coefficients=coef,
+                              covariance=(good, np.diag([1.0, -1e-14, 1.0])))
         for covariance, message in [
             ((good, good, good), "3 adherence covariance entries for 2 coefficient vectors"),
             ((np.eye(2), None), "stage 1 must be a finite, symmetric 3x3 matrix"),
@@ -275,17 +279,30 @@ class TestExternalAdherenceCovariance:
             ((None, np.diag([1.0, -1e-3, 1.0])), "stage 2 is not positive semidefinite"),
         ]:
             with pytest.raises(ValueError, match=message):
-                AdherenceSource.external(coef, covariance=covariance)
+                AdherenceSource.known(coefficients=coef, covariance=covariance)
 
-    def test_covariance_only_on_external_sources(self):
-        # the sandwich holds known coefficients fixed, so a covariance there
-        # would be silently ignored
+    def test_covariance_only_with_coefficients(self):
+        # a covariance describes fixed coefficients; on a fitted source or a
+        # probability function it would be silently ignored
         coef = (np.array([-4.6, -0.83, 7.5]),) * 2
         covariance = (np.diag([0.2, 0.05, 0.4]), None)
-        with pytest.raises(ValueError, match="^known adherence takes no covariance"):
-            AdherenceSource("known", coefficients=coef, covariance=covariance)
-        source = AdherenceSource("external", coefficients=coef, covariance=covariance)
+        message = "^only adherence coefficients take a covariance$"
+        with pytest.raises(ValueError, match=message):
+            AdherenceSource("fitted", covariance=covariance)
+        with pytest.raises(ValueError, match=message):
+            AdherenceSource.known(probability=lambda j, cov, proxy: proxy, covariance=covariance)
+        source = AdherenceSource("known", coefficients=coef, covariance=covariance)
         assert source.covariance is covariance
+        with pytest.raises(ValueError, match="^unknown adherence source kind 'external'$"):
+            AdherenceSource("external", coefficients=coef, covariance=covariance)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        coef = [[-4.6, -0.83, 7.5], [-4.6, bad, 7.5]]
+        with pytest.raises(ValueError, match="^adherence coefficients must be finite$"):
+            AdherenceSource.known(coefficients=coef)
+        with pytest.raises(ValueError, match="^adherence coefficients must be finite$"):
+            AdherenceSource.known(coefficients=coef, covariance=(None, np.eye(3)))
 
 
 class TestWaldIntervals:

@@ -93,6 +93,15 @@ def assert_same_fit(got, want):
                                    [v for v in value if v is not None], rtol=1e-6)
 
 
+def weighted_estimate(plan, data, weights):
+    """``plan.estimate`` with frequency ``weights``, one per row: the
+    one-member case of ``plan.fit_members``, raising its failure."""
+    ((fit, error),) = plan.fit_members(data, np.asarray(weights, dtype=float)[None])
+    if error is not None:
+        raise error
+    return fit
+
+
 def fitted(datasets, scenario, estimator, exact):
     data = datasets[scenario]
     plan = scenario_plan(scenario, estimator, exact_pseudo_outcomes=exact)
@@ -134,7 +143,7 @@ def test_outcome_scale_scales_sandwich_by_square(datasets, scenario, estimator, 
 def test_weight_two_equals_duplicated_rows(datasets, scenario, estimator, exact):
     data, plan, _ = fitted(datasets, scenario, estimator, exact)
     twice = np.random.default_rng(6).random(data.n) < 0.3
-    weighted = plan.estimate(data, 1.0 + twice)
+    weighted = weighted_estimate(plan, data, 1.0 + twice)
     duplicated = plan.estimate(data.subset(np.concatenate([np.arange(data.n),
                                                            np.flatnonzero(twice)])))
     assert_same_fit(weighted, duplicated)
@@ -144,7 +153,7 @@ def test_weight_two_equals_duplicated_rows(datasets, scenario, estimator, exact)
 def test_zero_weights_equal_dropped_rows(datasets, scenario, estimator, exact):
     data, plan, _ = fitted(datasets, scenario, estimator, exact)
     kept = np.random.default_rng(7).random(data.n) >= 0.25
-    weighted = plan.estimate(data, kept * 1.0)
+    weighted = weighted_estimate(plan, data, kept * 1.0)
     dropped = plan.estimate(data.subset(np.flatnonzero(kept)))
     assert_same_fit(weighted, dropped)
 
@@ -158,12 +167,13 @@ def test_zero_weight_rows_leave_the_checks(datasets, scenario, estimator, exact)
         plan.estimate(bad)
     # weighted 0, they pass the rank and positivity checks untouched
     unweighted = np.concatenate([np.ones(data.n), np.zeros(rows.size)])
-    weighted = plan.estimate(bad, unweighted)
+    weighted = weighted_estimate(plan, bad, unweighted)
     assert_same_fit(weighted, fit)  # diagnostics, positivity counts included
     # and they are no validation rows: with every real stage-1 validation row
     # weighted 0 too, a fitted adherence model has none left
     first = data.validation[:, 0]
-    got = tally(plan.estimate, bad, unweighted * np.concatenate([~first, np.ones(rows.size)]))
+    got = tally(weighted_estimate, plan, bad,
+                unweighted * np.concatenate([~first, np.ones(rows.size)]))
     want = tally(plan.estimate, data.subset(np.flatnonzero(~first)))
     if plan.fits_adherence:
         assert str(want[1]) == "no validation rows at stage 1"
