@@ -109,14 +109,16 @@ def failure_counts(errors) -> list:
 
 
 def ordered_map(fn, items, jobs: int) -> list:
-    """``list(map(fn, items))``, spread over ``jobs`` worker processes when
-    ``jobs > 1``; the results keep the input order either way."""
-    if jobs <= 1:
+    """``list(map(fn, items))``, spread over ``min(jobs, len(items))`` worker
+    processes when that is above 1; the results keep the input order either
+    way.  No more workers than items: a fork pool starts all of them at once."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return list(map(fn, items))
     # Imported here: the process pool pulls in multiprocessing, socket and
     # subprocess, which every start-up would otherwise pay for.
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -872,9 +874,22 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
         return [(None, error) for error in members.errors]
 
     stages = range(1, k + 1)
-    positivity = np.column_stack([
-        np.sum(weights * ((p < POSITIVITY_EPS) | (p > 1.0 - POSITIVITY_EPS)), axis=-1)
-        for p in p_cols])
+    b = len(weights)
+    # each diagnostic per stage, then once per pass as plain values per member
+    per_member = {name: np.column_stack(values).tolist() for name, values in {
+        "stage_condition": [solved[j].cond for j in stages],
+        "joint_condition": [solved[j].joint_cond for j in stages],
+        # one joint solve per stage; the key is kept for schema stability
+        "outer_iterations": [np.ones(b, dtype=int)] * k,
+        # rows counted by their weights
+        "positivity_violations": [
+            np.rint(np.sum(weights * ((p < POSITIVITY_EPS) | (p > 1.0 - POSITIVITY_EPS)),
+                           axis=-1)).astype(int) for p in p_cols],
+        "assignment_iterations": [gammas[j].iterations for j in stages],
+        # None where α is not fitted
+        "adherence_iterations": [alphas[j].iterations if j in alphas else np.full(b, None)
+                                 for j in stages],
+    }.items()}
     fitted_plan = replace(plan, proxy_kind=system.proxy_kind)
     out = []
     for i, error in enumerate(members.errors):
@@ -891,18 +906,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
                 for j in stages
             ),
             pseudo_outcomes=pseudo[i],
-            diagnostics={
-                "stage_condition": [float(solved[j].cond[i]) for j in stages],
-                "joint_condition": [float(solved[j].joint_cond[i]) for j in stages],
-                # one joint solve per stage; the key is kept for schema stability
-                "outer_iterations": [1] * k,
-                # rows counted by their weights
-                "positivity_violations": [int(np.rint(c)) for c in positivity[i]],
-                "assignment_iterations": [int(gammas[j].iterations[i]) for j in stages],
-                # None where α is not fitted
-                "adherence_iterations": [int(alphas[j].iterations[i]) if j in alphas else None
-                                         for j in stages],
-            },
+            diagnostics={name: rows[i] for name, rows in per_member.items()},
         ), None))
     return out
 

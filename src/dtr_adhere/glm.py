@@ -144,8 +144,16 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
     iterates on its own until the score sup-norm drops below ``SCORE_TOL``
     or the step sup-norm below ``STEP_TOL``, exactly as a fit of the rows
     repeated by their weights would; rows of weight 0 take no part, the
-    separation check included.  A member that fails keeps its exception in
-    ``errors`` and the others carry on.
+    separation check included, so up to rounding a member's fit does not
+    depend on the other members of its block.  A member that fails keeps its
+    exception in ``errors`` and the others carry on.
+
+    Each iteration writes into the leading rows of three (b, n) work arrays
+    allocated once per call, in the operation order of ``expit`` and of the
+    score and information expressions.  The members that stop in an
+    iteration are settled together, with one refit of the probabilities of
+    those that moved and one separation check; only failures are handled
+    one by one.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -168,13 +176,31 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
         y = y[idx] if y.ndim == 2 else y
     beta = np.zeros((idx.size, p))
     information = _information(x)
+    # row k: member idx[k]'s mu; its weighted residual, then its information
+    # weights; and 1 - mu
+    work = np.empty((3, idx.size, x.shape[-2]))
 
     for iteration in range(1, MAX_ITER + 1):
         if idx.size == 0:
             break
-        mu = expit(linear(x, beta))
-        score = _cross(x, w * (y - mu))
-        chol, singular = _cholesky(information(w * mu * (1.0 - mu)))
+        mu, r, a = work[:, :idx.size]
+        # mu = expit(linear(x, beta)), r = w * (y - mu), then
+        # r = w * mu * (1.0 - mu), each in the order of that expression
+        if x.ndim == 2:
+            np.matmul(beta, x.T, out=mu)
+        else:
+            np.matmul(x, beta[..., None], out=mu[..., None])
+        mu *= 0.5
+        np.tanh(mu, out=mu)
+        mu += 1.0
+        mu *= 0.5
+        np.subtract(y, mu, out=r)
+        r *= w
+        score = _cross(x, r)
+        np.multiply(w, mu, out=r)
+        np.subtract(1.0, mu, out=a)
+        r *= a
+        chol, singular = _cholesky(information(r))
         stop = singular | (np.abs(score).max(axis=1) < SCORE_TOL)
         if stop.all():
             step = np.zeros_like(beta)
@@ -184,32 +210,37 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
             inverse = np.linalg.inv(chol)
             step = (np.swapaxes(inverse, -1, -2) @ (inverse @ score[..., None]))[..., 0]
             step[stop] = 0.0
-        beta = beta + step
+        beta += step
         diverged = np.abs(beta).max(axis=1) > 1e6
         done = stop | diverged | (np.abs(step).max(axis=1) < STEP_TOL)
         if not done.any():
             continue
-        for k in np.flatnonzero(done):
-            i, moved = idx[k], not stop[k]
-            iterations[i] = iteration
+        iterations[idx[done]] = iteration
+        # A member that stops unmoved keeps its last mu.  One that converged
+        # fails if it classifies every row of positive weight perfectly: the
+        # likelihood has no interior maximum, the coefficients are off to
+        # infinity.  A singular or diverged member fails before this check.
+        moved = ~stop
+        refit = done & moved & ~diverged
+        if refit.any():
+            mu[refit] = expit(linear(x[refit] if x.ndim == 3 else x, beta[refit]))
+        separated = np.zeros_like(done)
+        separated[done] = np.max(np.abs((y[done] if y.ndim == 2 else y) - mu[done])
+                                 * (w[done] > 0.0), axis=1, initial=0.0) < 1e-4
+        converged = done & ~singular & ~(moved & diverged) & ~separated
+        coefficients[idx[converged]] = beta[converged]
+        for k in np.flatnonzero(done & ~converged):
             if singular[k]:
-                errors[i] = RankDeficiencyError("rank-deficient working matrix in logistic fit")
-            elif moved and diverged[k]:
-                errors[i] = NonConvergenceError(
+                error = RankDeficiencyError("rank-deficient working matrix in logistic fit")
+            elif moved[k] and diverged[k]:
+                error = NonConvergenceError(
                     f"diverging logistic coefficients (norm {np.linalg.norm(beta[k]):.3g}; "
                     "possible separation)")
             else:
-                # converged; if every observation is classified perfectly,
-                # the likelihood has no interior maximum and the
-                # coefficients are off to infinity
-                fitted = expit(linear(x[k] if x.ndim == 3 else x, beta[k])) if moved else mu[k]
-                y_k = y[k] if y.ndim == 2 else y
-                if np.max(np.abs(y_k - fitted), where=w[k] > 0.0, initial=0.0) < 1e-4:
-                    errors[i] = NonConvergenceError(
-                        "complete separation in logistic fit "
-                        f"(coefficient norm {np.linalg.norm(beta[k]):.3g})")
-                else:
-                    coefficients[i] = beta[k]
+                error = NonConvergenceError(
+                    "complete separation in logistic fit "
+                    f"(coefficient norm {np.linalg.norm(beta[k]):.3g})")
+            errors[idx[k]] = error
         if done.all():
             break
         keep = ~done
@@ -219,9 +250,9 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
             x = x[keep]
             information = _information(x)
     else:  # MAX_ITER iterations and some members still moving
+        iterations[idx] = MAX_ITER
         for k, i in enumerate(idx):
             errors[i] = NonConvergenceError(
                 f"logistic fit did not converge in {MAX_ITER} iterations "
                 f"(coefficient norm {np.linalg.norm(beta[k]):.3g}; possible separation)")
-            iterations[i] = MAX_ITER
     return BatchFit(coefficients, iterations, errors)

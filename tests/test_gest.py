@@ -16,6 +16,7 @@ from dtr_adhere.gest import (
     StageModelSpec,
     _fit_stages,
     fit_adherence,
+    ordered_map,
     pseudo_outcome,
     pseudo_outcome_exact,
     psi_flat,
@@ -36,10 +37,12 @@ from dtr_adhere.model import (
 )
 from dtr_adhere.simulation import (
     PRESCRIBED_ADHERENCE_COEF,
+    ScenarioConfig,
     generate_s1,
     generate_s3,
     generate_s4,
     known_adherence,
+    run_replications,
     scenario_models,
     scenario_plan,
 )
@@ -813,3 +816,41 @@ class TestPositivity:
             warnings.simplefilter("error")
             fit = scenario_plan("s1", "standard-actual").estimate(data)
         assert fit.diagnostics["positivity_violations"] == [0, 17]
+
+
+class TestOrderedMap:
+    """Worker counts, seen through a stand-in pool that starts no process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class SpyPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        return started
+
+    @pytest.mark.parametrize("jobs, items, workers", [
+        (8, 3, [3]), (2, 5, [2]), (8, 1, []), (4, 0, []), (1, 4, [])])
+    def test_no_more_workers_than_items(self, pools, jobs, items, workers):
+        assert ordered_map(str, list(range(items)), jobs) == [str(i) for i in range(items)]
+        assert pools == workers
+
+    def test_one_replicate_block_runs_in_process(self, pools):
+        config = ScenarioConfig(scenario="s1", n=100, replications=5, seed=3, jobs=8,
+                                estimators=("naive-proxy",))
+        assert run_replications(config).failures == {"naive-proxy": 0}
+        assert pools == []

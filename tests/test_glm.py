@@ -1,5 +1,7 @@
 """Logistic fitting against closed forms and independent oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,10 +140,10 @@ class TestWeights:
         weights = np.ones(y.size)
         weights[3] = bad
 
-        def no_iteration(x):
+        def no_iteration(info):
             raise AssertionError("Newton iterated on invalid weights")
 
-        monkeypatch.setattr(glm, "expit", no_iteration)
+        monkeypatch.setattr(glm, "_cholesky", no_iteration)
         with pytest.raises(ValueError, match="weights"):
             fit_logistic(design, y, weights)
 
@@ -180,6 +182,54 @@ class TestWeights:
             np.testing.assert_allclose(batch.coefficients[i], alone.coefficients, atol=1e-12)
             assert batch.iterations[i] == alone.iterations
         assert failures == 2
+
+    @staticmethod
+    def outcome(fit, i):
+        """Member i's iterations and error class and message, or None."""
+        error = fit.errors[i]
+        return fit.iterations[i], error and (type(error), str(error))
+
+    def test_batch_members_equal_fits_of_their_repeated_rows(self):
+        # The oracle is the unweighted fit of each member's positive-weight
+        # rows, each repeated by its count.  The block mixes converging
+        # members, one separated on its weighted rows whose weight-0 rows
+        # would be misclassified, one with a single row, and one separated on
+        # rows so close together that its coefficients diverge first.
+        design, y = self.problem()
+        close = design[:8] * [1.0, 1e-7]
+        design = np.vstack([design, close])
+        y = np.concatenate([y, close[:, 1] > 0.0])
+        separable = y == (design[:, 1] > 0.0)
+        assert not separable[:120].all()
+        rng = np.random.default_rng(12)
+        weights = np.zeros((6, y.size))
+        weights[:3, :120] = rng.integers(0, 3, (3, 120))
+        weights[3, :120] = separable[:120] * rng.integers(1, 3, 120)
+        weights[4, 5] = 1.0
+        weights[5, 120:] = rng.integers(1, 3, 8)
+        batch = fit_logistic_batch(design, y, weights)
+
+        messages = []
+        for i, w in enumerate(weights):
+            rows = np.repeat(np.arange(y.size), w.astype(int))
+            # fit_logistic's own call, which also reports a failure's iterations
+            alone = fit_logistic_batch(design[rows], y[rows], np.ones((1, rows.size)))
+            assert self.outcome(batch, i) == self.outcome(alone, 0)
+            np.testing.assert_allclose(batch.coefficients[i], alone.coefficients[0], atol=1e-10)
+            messages.append(alone.errors[0] and str(alone.errors[0]))
+        assert messages[:3] == [None] * 3
+        assert [re.match(r"[a-z ]+", m)[0] for m in messages[3:]] == [
+            "complete separation in logistic fit ", "fewer rows than columns",
+            "diverging logistic coefficients "]
+
+        # up to rounding, a member's fit does not depend on its block
+        order = np.arange(len(weights))[::-1]
+        for members in (order, order[:3], order[3:]):
+            part = fit_logistic_batch(design, y, weights[members])
+            for k, i in enumerate(members):
+                assert self.outcome(part, k) == self.outcome(batch, i)
+                np.testing.assert_allclose(part.coefficients[k], batch.coefficients[i],
+                                           atol=1e-12)
 
     def test_members_with_their_own_rows(self):
         # per-member designs and responses: each member, the separated one

@@ -18,9 +18,9 @@ from dtr_adhere.inference import (
     sandwich,
     wald_intervals,
 )
-from dtr_adhere.gest import (AdherenceSource, EstimationError, EstimationPlan,
-                             SingularSystemError, StackedScore, psi_flat, sensitivity_sweep,
-                             tally)
+from dtr_adhere.gest import (ESTIMATION_FAILURES, AdherenceSource, EstimationError,
+                             EstimationPlan, SingularSystemError, StackedScore, psi_flat,
+                             sensitivity_sweep, tally)
 from dtr_adhere.simulation import ScenarioConfig, generate_s1, run_replications, scenario_plan
 
 
@@ -521,7 +521,7 @@ class TestDualMethodCoverage:
                 wald = regime_wald_intervals(data, fit, 0.95)
                 boot = bootstrap(data, plan.psi_estimator, inner, level=0.95,
                                  seed=100 + i, point_estimates=psi_flat(fit))
-            except Exception:
+            except ESTIMATION_FAILURES + (BootstrapError,):
                 continue
             wald_hits.append((wald.lower <= truth) & (truth <= wald.upper))
             boot_hits.append((boot.lower <= truth) & (truth <= boot.upper))
