@@ -45,8 +45,6 @@ from .model import (
     DesignError,
     FeatureSpec,
     FormulaError,
-    StageRecord,
-    Trajectory,
     build_design_matrix,
     parse_feature_spec,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "ScenarioConfig",
     "SingularSystemError",
     "StageModelSpec",
-    "StageRecord",
-    "Trajectory",
     "bootstrap",
     "build_design_matrix",
     "expit",

@@ -28,7 +28,7 @@ from .gest import (
     EstimationPlan,
     StageModelSpec,
     psi_flat,
-    recommendations_matrix,
+    recommend,
     sensitivity_sweep,
     validate_stage_models,
 )
@@ -659,7 +659,7 @@ def cmd_sensitivity(args) -> int:
     if reference is None:
         print("sensitivity: every grid point failed", file=sys.stderr)
         return 3
-    ref_recs = recommendations_matrix(reference, data)
+    ref_recs = recommend(reference, data)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -670,7 +670,7 @@ def cmd_sensitivity(args) -> int:
             if fit is None:
                 print(f"sensitivity: point {idx} failed: {error}", file=sys.stderr)
                 continue
-            recs = recommendations_matrix(fit, data)
+            recs = recommend(fit, data)
             agreement = float(np.mean(recs == ref_recs))
             for j, spec in enumerate(plan.specs, start=1):
                 for label, value in zip(spec.contrast.term_labels(), fit.psi[j - 1]):

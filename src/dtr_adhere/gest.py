@@ -38,7 +38,6 @@ from .model import (
     MODE_USE_EXPECTED,
     MODE_USE_PROXY,
     CompiledDesign,
-    Trajectory,
     TreatmentRef,
     build_design_matrix,
     compile_design,
@@ -922,21 +921,13 @@ def _names_expected(spec: FeatureSpec) -> bool:
 # Recommendations
 
 
-def recommend(fit: RegimeFit, history: Trajectory, stage: int) -> int:
-    """Treatment recommendation at a stage: 1 iff the estimated contrast is
-    strictly positive given the (possibly partial) history."""
-    if not (1 <= stage <= fit.n_stages):
-        raise DesignError(f"stage {stage} out of range (1..{fit.n_stages})")
-    if len(history.stages) < stage:
-        raise DesignError(f"trajectory has no stage {stage}")
-    # The rule needs no outcome; a placeholder makes the history a dataset.
-    cut = Trajectory(id=history.id, stages=history.stages[:stage], outcome=0.0)
-    data = Dataset.from_trajectories([cut])
-    return int(_StageSystem(fit.plan, data).rules(fit, [stage])[0][0])
-
-
-def recommendations_matrix(fit: RegimeFit, data: Dataset) -> np.ndarray:
-    """(n, K) matrix of rule outputs for every individual and stage."""
+def recommend(fit: RegimeFit, data: Dataset) -> np.ndarray:
+    """(n, K) rule outputs, 1 iff the estimated contrast is strictly
+    positive, for every individual and each of ``data``'s K stages.  A
+    dataset with fewer stages than the fit is a partial history: its rules
+    are the first columns of the full history's.  The outcome is not read."""
+    if data.n_stages > fit.n_stages:
+        raise DesignError(f"a {data.n_stages}-stage dataset for a {fit.n_stages}-stage fit")
     rules = _StageSystem(fit.plan, data).rules(fit, range(1, data.n_stages + 1))
     return np.column_stack(rules)
 
@@ -982,6 +973,8 @@ class StackedScore:
     """
 
     def __init__(self, data: Dataset, fit: RegimeFit):
+        if data.n_stages != fit.n_stages:
+            raise DesignError(f"a {data.n_stages}-stage dataset for a {fit.n_stages}-stage fit")
         plan = fit.plan
         self.data = data
         self.k = data.n_stages

@@ -48,7 +48,7 @@ class FormulaError(ValueError):
 
 
 class DataError(ValueError):
-    """Trajectory data violating the shared-schema invariants."""
+    """Data violating the shared-schema invariants."""
 
 
 class DesignError(ValueError):
@@ -243,22 +243,7 @@ def parse_feature_spec(text: str) -> FeatureSpec:
 
 
 # ---------------------------------------------------------------------------
-# Trajectories and datasets
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    covariates: Mapping[str, float]
-    prescribed: Optional[int] = None
-    actual: Optional[int] = None
-    reported: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    id: object
-    stages: tuple
-    outcome: Optional[float] = None
+# Datasets
 
 
 def _check_binary(values: np.ndarray, what: str):
@@ -431,66 +416,6 @@ class Dataset:
             raise DesignError(f"stage {stage} out of range (1..{self._k})")
 
     # -- construction and views ----------------------------------------------
-
-    @classmethod
-    def from_trajectories(cls, trajectories: Sequence[Trajectory], validation=None) -> "Dataset":
-        trajs = list(trajectories)
-        if not trajs:
-            raise DataError("dataset has no trajectories")
-        k = len(trajs[0].stages)
-        n = len(trajs)
-
-        def column(getter, stage):
-            vals = [getter(t.stages[stage]) for t in trajs]
-            if all(v is None for v in vals):
-                return None
-            return np.array([np.nan if v is None else float(v) for v in vals])
-
-        for t in trajs:
-            if len(t.stages) != k:
-                raise DataError("all trajectories must share the same stage count")
-            if t.outcome is None:
-                raise DataError("trajectories in a dataset need an outcome")
-
-        stage_covariates = []
-        for j in range(k):
-            names = set(trajs[0].stages[j].covariates.keys())
-            for t in trajs:
-                if set(t.stages[j].covariates.keys()) != names:
-                    raise DataError("covariate names differ across trajectories")
-            stage_covariates.append(
-                {
-                    name: np.array([float(t.stages[j].covariates[name]) for t in trajs])
-                    for name in names
-                }
-            )
-        return cls(
-            ids=[t.id for t in trajs],
-            stage_covariates=stage_covariates,
-            prescribed=[column(lambda s: s.prescribed, j) for j in range(k)],
-            actual=[column(lambda s: s.actual, j) for j in range(k)],
-            reported=[column(lambda s: s.reported, j) for j in range(k)],
-            validation=validation,
-            outcome=np.array([float(t.outcome) for t in trajs]),
-        )
-
-    def trajectory(self, i: int) -> Trajectory:
-        stages = []
-        for j in range(self._k):
-            def val(col):
-                if col is None or np.isnan(col[i]):
-                    return None
-                return int(col[i])
-
-            stages.append(
-                StageRecord(
-                    covariates={name: float(self._covariates[j][name][i]) for name in self._names},
-                    prescribed=val(self._prescribed[j]),
-                    actual=val(self._actual[j]),
-                    reported=val(self._reported[j]),
-                )
-            )
-        return Trajectory(id=self._ids[i], stages=tuple(stages), outcome=float(self._outcome[i]))
 
     @classmethod
     def stack(cls, datasets: Sequence["Dataset"]) -> "Dataset":

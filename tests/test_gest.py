@@ -21,17 +21,14 @@ from dtr_adhere.gest import (
     pseudo_outcome_exact,
     psi_flat,
     recommend,
-    recommendations_matrix,
     sensitivity_sweep,
     validate_stage_models,
 )
 from dtr_adhere.glm import NonConvergenceError, RankDeficiencyError, expit
-from dtr_adhere.inference import numerical_jacobian
+from dtr_adhere.inference import numerical_jacobian, regime_wald_intervals
 from dtr_adhere.model import (
     Dataset,
     DesignError,
-    StageRecord,
-    Trajectory,
     build_design_matrix,
     parse_feature_spec,
 )
@@ -532,14 +529,29 @@ class TestEstimateRegime:
             validate_stage_models(specs, 2)
 
 
+def first_stages(data, stages, proxy=True):
+    """``data``'s first ``stages`` stages as a new dataset whose outcome is
+    zero, which no rule reads; without ``proxy`` it records no proxy."""
+    kept = range(1, stages + 1)
+    return Dataset(
+        ids=data.ids,
+        stage_covariates=[{name: data.covariate(name, j) for name in data.covariate_names}
+                          for j in kept],
+        prescribed=[data.prescribed(j) if proxy else None for j in kept],
+        actual=[data.actual(j) for j in kept],
+        reported=[data.reported(j) if proxy else None for j in kept],
+        validation=data.validation[:, :stages],
+        outcome=np.zeros(data.n),
+    )
+
+
 class TestRecommend:
     @staticmethod
-    def history(x1, prescribed=None, actual=None):
-        return Trajectory(
-            id="h",
-            stages=(StageRecord(covariates={"X": x1}, prescribed=prescribed, actual=actual),),
-            outcome=None,
-        )
+    def history(x1, prescribed=None):
+        """One individual's stage-1 history as a one-row dataset."""
+        return Dataset(ids=["h"], stage_covariates=[{"X": [x1]}],
+                       prescribed=[None if prescribed is None else [prescribed]],
+                       actual=[None], reported=[None], validation=None, outcome=[0.0])
 
     def fixed_fit(self, psi1):
         rng = np.random.default_rng(10)
@@ -551,12 +563,12 @@ class TestRecommend:
 
     def test_zero_contrast_is_no_treatment(self):
         fit = self.fixed_fit([0.0, 0.0])
-        assert recommend(fit, self.history(3.0, prescribed=1), 1) == 0
+        assert recommend(fit, self.history(3.0, prescribed=1)).tolist() == [[0]]
 
     def test_negative_contrast(self):
         fit = self.fixed_fit([1.0, 1.0])
-        assert recommend(fit, self.history(-2.0, prescribed=1), 1) == 0
-        assert recommend(fit, self.history(0.5, prescribed=1), 1) == 1
+        assert recommend(fit, self.history(-2.0, prescribed=1)).tolist() == [[0]]
+        assert recommend(fit, self.history(0.5, prescribed=1)).tolist() == [[1]]
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(21)
@@ -565,30 +577,33 @@ class TestRecommend:
         fit = plan.estimate(data)
         doubled = plan.estimate(data)
         object.__setattr__(doubled, "psi", tuple(2.0 * p for p in fit.psi))
-        for i in range(25):
-            t = data.trajectory(i)
-            for stage in (1, 2):
-                assert recommend(fit, t, stage) == recommend(doubled, t, stage)
+        np.testing.assert_array_equal(recommend(fit, data), recommend(doubled, data))
 
     def test_second_stage_uses_adherence_model(self):
         rng = np.random.default_rng(33)
         data = generate_s1(2000, 1.0, rng)
         plan = scenario_plan("s1", "modified-known")
         fit = plan.estimate(data)
-        t = data.trajectory(5)
-        out = recommend(fit, t, 2)
-        assert out in (0, 1)
+        assert recommend(fit, data)[5, 1] in (0, 1)
 
     def test_missing_covariate_raises(self):
         fit = self.fixed_fit([1.0, 1.0])
-        bad = Trajectory(id="b", stages=(StageRecord(covariates={}),), outcome=None)
+        bad = Dataset(ids=["b"], stage_covariates=[{}], prescribed=[None], actual=[None],
+                      reported=[None], validation=None, outcome=[0.0])
         with pytest.raises(DesignError):
-            recommend(fit, bad, 1)
+            recommend(fit, bad)
+
+    def test_more_stages_than_fit_raises(self):
+        data = generate_s1(400, 1.0, np.random.default_rng(12))
+        plan = scenario_plan("s1", "standard-actual")
+        fit = dataclasses.replace(plan, specs=plan.specs[:1]).estimate(first_stages(data, 1))
+        with pytest.raises(DesignError, match="a 2-stage dataset for a 1-stage fit"):
+            recommend(fit, data)
 
 
-class TestRulesMatchMatrix:
-    """``recommend`` on one history and ``recommendations_matrix`` on the
-    whole dataset evaluate the same rules."""
+class TestPartialHistories:
+    """A history known up to stage k is the dataset of its first k stages:
+    its rules are the first k columns of the full dataset's."""
 
     CASES = [
         ("s1", "standard-actual"),
@@ -601,17 +616,15 @@ class TestRulesMatchMatrix:
     ]
 
     @pytest.mark.parametrize("scenario,estimator", CASES)
-    def test_recommend_equals_matrix_row(self, scenario, estimator):
+    def test_first_stage_equals_first_column(self, scenario, estimator):
         rng = np.random.default_rng(41)
         generate = generate_s1 if scenario == "s1" else generate_s4
         data = generate(600, 1.0, rng, validation_fraction=0.3)
         fit = scenario_plan(scenario, estimator).estimate(data)
-        matrix = recommendations_matrix(fit, data)
-        assert matrix.shape == (600, 2)
-        for i in range(40):
-            history = data.trajectory(i)
-            for j in (1, 2):
-                assert recommend(fit, history, j) == matrix[i, j - 1]
+        rules = recommend(fit, data)
+        assert rules.shape == (600, 2)
+        np.testing.assert_array_equal(recommend(fit, first_stages(data, 1)), rules[:, :1])
+        np.testing.assert_array_equal(recommend(fit, first_stages(data, 2)), rules)
 
     @pytest.mark.parametrize("scenario", ["s1", "s4"])
     def test_history_without_proxy_raises(self, scenario):
@@ -619,14 +632,8 @@ class TestRulesMatchMatrix:
         generate = generate_s1 if scenario == "s1" else generate_s4
         data = generate(400, 1.0, rng, validation_fraction=0.3)
         fit = scenario_plan(scenario, "modified-known").estimate(data)
-        history = data.trajectory(0)
-        stripped = Trajectory(
-            id=history.id,
-            stages=tuple(StageRecord(covariates=s.covariates, actual=s.actual)
-                         for s in history.stages),
-        )
         with pytest.raises(DesignError):
-            recommend(fit, stripped, 2)
+            recommend(fit, first_stages(data, 2, proxy=False))
 
 
 def _score_dataset(scenario):
@@ -757,6 +764,14 @@ class TestStackedScore:
         np.testing.assert_array_equal(scores, score.per_individual(score.theta_hat))
         np.testing.assert_array_equal(jacobian, score.jacobian(score.theta_hat))
         assert score.evaluate(score.theta_hat)[1] is None
+
+    def test_stage_count_must_match_the_fit(self):
+        data = _score_dataset("s1")
+        fit = scenario_plan("s1", "modified-fitted").estimate(data)
+        with pytest.raises(DesignError, match="a 1-stage dataset for a 2-stage fit"):
+            StackedScore(first_stages(data, 1), fit)
+        with pytest.raises(DesignError, match="a 1-stage dataset for a 2-stage fit"):
+            regime_wald_intervals(first_stages(data, 1), fit)
 
 
 class TestSensitivitySweep:

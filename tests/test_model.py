@@ -10,8 +10,6 @@ from dtr_adhere.model import (
     Dataset,
     DesignError,
     FormulaError,
-    StageRecord,
-    Trajectory,
     TreatmentRef,
     build_design_matrix,
     compile_design,
@@ -19,13 +17,26 @@ from dtr_adhere.model import (
 )
 
 
-def traj(x1, x2, prescribed=(1, 1), actual=(1, 1), outcome=0.0, tid=0):
-    return Trajectory(
-        id=tid,
-        stages=(
-            StageRecord(covariates={"X": x1}, prescribed=prescribed[0], actual=actual[0]),
-            StageRecord(covariates={"X": x2}, prescribed=prescribed[1], actual=actual[1]),
-        ),
+def record(x1, x2, prescribed=(1, 1), actual=(1, 1), outcome=0.0):
+    """One individual's two stages: covariate X, the treatments per stage
+    (None where missing) and the outcome."""
+    return (x1, x2), prescribed, actual, outcome
+
+
+def dataset(*records, validation=None):
+    """The two-stage Dataset of ``records``, built column by column."""
+    xs, prescribed, actual, outcome = zip(*records)
+
+    def column(values, j):
+        return np.array([np.nan if v[j] is None else v[j] for v in values], dtype=float)
+
+    return Dataset(
+        ids=None,
+        stage_covariates=[{"X": column(xs, j)} for j in range(2)],
+        prescribed=[column(prescribed, j) for j in range(2)],
+        actual=[column(actual, j) for j in range(2)],
+        reported=[None, None],
+        validation=validation,
         outcome=outcome,
     )
 
@@ -117,130 +128,98 @@ class TestParser:
 
 
 class TestDataset:
-    def test_from_trajectories_shapes(self):
-        data = Dataset.from_trajectories([traj(1.0, 2.0), traj(0.5, -1.0, tid=1)])
+    def test_shapes(self):
+        data = dataset(record(1.0, 2.0), record(0.5, -1.0))
         assert data.n == 2
         assert data.n_stages == 2
         assert data.covariate_names == ("X",)
         np.testing.assert_allclose(data.covariate("X", 2), [2.0, -1.0])
 
-    def test_rejects_ragged_stage_counts(self):
-        t1 = traj(1.0, 2.0)
-        t2 = Trajectory(id=1, stages=(StageRecord(covariates={"X": 0.0}),), outcome=1.0)
-        with pytest.raises(DataError):
-            Dataset.from_trajectories([t1, t2])
+    def test_rejects_unequal_stage_lists(self):
+        with pytest.raises(DataError, match="stage-wise field lists must have equal length"):
+            Dataset(ids=None, stage_covariates=[{"X": [1.0]}, {"X": [2.0]}],
+                    prescribed=[[1.0]], actual=[None, None], reported=[None, None],
+                    validation=None, outcome=[1.0])
 
-    def test_rejects_mismatched_covariate_names(self):
-        t1 = traj(1.0, 2.0)
-        t2 = Trajectory(
-            id=1,
-            stages=(
-                StageRecord(covariates={"Z": 0.0}, prescribed=1),
-                StageRecord(covariates={"Z": 0.0}, prescribed=1),
-            ),
-            outcome=1.0,
-        )
-        with pytest.raises(DataError):
-            Dataset.from_trajectories([t1, t2])
+    def test_rejects_stage_covariate_names_that_differ(self):
+        with pytest.raises(DataError, match="stage 2 covariate names differ from stage 1"):
+            Dataset(ids=None, stage_covariates=[{"X": [1.0]}, {"Z": [0.0]}],
+                    prescribed=[[1.0], [1.0]], actual=[None, None], reported=[None, None],
+                    validation=None, outcome=[1.0])
 
     def test_rejects_nonbinary_treatment(self):
-        bad = traj(1.0, 2.0, prescribed=(2, 1))
         with pytest.raises(DataError):
-            Dataset.from_trajectories([bad])
+            dataset(record(1.0, 2.0, prescribed=(2, 1)))
 
     def test_rejects_nonfinite_outcome(self):
         with pytest.raises(DataError):
-            Dataset.from_trajectories([traj(1.0, 2.0, outcome=np.inf)])
+            dataset(record(1.0, 2.0, outcome=np.inf))
 
     def test_validation_flag_requires_actual(self):
-        t = Trajectory(
-            id=0,
-            stages=(
-                StageRecord(covariates={"X": 1.0}, prescribed=1, actual=None),
-                StageRecord(covariates={"X": 1.0}, prescribed=1, actual=1),
-            ),
-            outcome=0.0,
-        )
         flags = np.array([[True, True]])
         with pytest.raises(DataError):
-            Dataset.from_trajectories([t], validation=flags)
+            dataset(record(1.0, 1.0, actual=(None, 1)), validation=flags)
 
     def test_default_validation_from_actual(self):
-        t = Trajectory(
-            id=0,
-            stages=(
-                StageRecord(covariates={"X": 1.0}, prescribed=1, actual=1),
-                StageRecord(covariates={"X": 1.0}, prescribed=0, actual=None),
-            ),
-            outcome=0.0,
-        )
-        data = Dataset.from_trajectories([t])
+        data = dataset(record(1.0, 1.0, prescribed=(1, 0), actual=(1, None)))
         assert data.validation.tolist() == [[True, False]]
 
     def test_subset_roundtrip(self):
-        data = Dataset.from_trajectories([traj(1.0, 2.0), traj(3.0, 4.0, tid=1)])
+        data = dataset(record(1.0, 2.0), record(3.0, 4.0))
         sub = data.subset([1, 1, 0])
         np.testing.assert_allclose(sub.covariate("X", 1), [3.0, 3.0, 1.0])
         assert sub.ids == (1, 1, 0)
 
-    def test_trajectory_view(self):
-        data = Dataset.from_trajectories([traj(1.0, 2.0, prescribed=(1, 0), actual=(0, 1))])
-        t = data.trajectory(0)
-        assert t.stages[0].prescribed == 1
-        assert t.stages[0].actual == 0
-        assert t.stages[1].reported is None
 
-
-def design_row(spec, trajectory, stage, mode, **kwargs):
-    """Design row of one trajectory: the design matrix of a one-row dataset."""
-    data = Dataset.from_trajectories([trajectory])
-    return build_design_matrix(spec, data, stage, mode, **kwargs)[0]
+def design_row(spec, one, stage, mode, **kwargs):
+    """Design row of one ``record``: the design matrix of a one-row dataset."""
+    return build_design_matrix(spec, dataset(one), stage, mode, **kwargs)[0]
 
 
 class TestDesignRows:
     def test_constant_and_covariate(self):
-        row = design_row(parse_feature_spec("1 + X[1]"), traj(2.5, 0.0), 1, "use-actual")
+        row = design_row(parse_feature_spec("1 + X[1]"), record(2.5, 0.0), 1, "use-actual")
         np.testing.assert_allclose(row, [1.0, 2.5])
 
     def test_expected_substitution(self):
         spec = parse_feature_spec("1 + X[2] + A[1]")
         row = design_row(
-            spec, traj(1.0, -0.3), 2, "use-expected", expected={1: np.array([0.95])}
+            spec, record(1.0, -0.3), 2, "use-expected", expected={1: np.array([0.95])}
         )
         np.testing.assert_allclose(row, [1.0, -0.3, 0.95])
 
     def test_actual_resolution(self):
         spec = parse_feature_spec("1 + X[2] + A[1]")
-        row = design_row(spec, traj(1.0, -0.3, actual=(1, 0)), 2, "use-actual")
+        row = design_row(spec, record(1.0, -0.3, actual=(1, 0)), 2, "use-actual")
         np.testing.assert_allclose(row, [1.0, -0.3, 1.0])
 
     def test_missing_actual_raises(self):
         spec = parse_feature_spec("A[1]")
-        t = traj(1.0, 2.0, actual=(None, None))
+        t = record(1.0, 2.0, actual=(None, None))
         with pytest.raises(DesignError):
             design_row(spec, t, 2, "use-actual")
 
     def test_log_of_nonpositive_raises(self):
         spec = parse_feature_spec("log(X[1])")
         with pytest.raises(DesignError):
-            design_row(spec, traj(-1.0, 2.0), 1, "use-actual")
+            design_row(spec, record(-1.0, 2.0), 1, "use-actual")
 
     def test_unknown_covariate_raises(self):
         spec = parse_feature_spec("Z[1]")
         with pytest.raises(DesignError):
-            design_row(spec, traj(1.0, 2.0), 1, "use-actual")
+            design_row(spec, record(1.0, 2.0), 1, "use-actual")
 
     def test_missing_adherence_model_raises(self):
         spec = parse_feature_spec("EA[1]")
         with pytest.raises(DesignError):
-            design_row(spec, traj(1.0, 2.0), 2, "use-proxy")
+            design_row(spec, record(1.0, 2.0), 2, "use-proxy")
 
     def test_matrix_matches_rows_and_is_order_free(self):
         spec = parse_feature_spec("1 + X[2] + A[1]*X[1]")
-        trajectories = [traj(1.0, 2.0, actual=(1, 0)), traj(-0.5, 0.25, actual=(0, 1))]
-        data = Dataset.from_trajectories(trajectories)
+        records = [record(1.0, 2.0, actual=(1, 0)), record(-0.5, 0.25, actual=(0, 1))]
+        data = dataset(*records)
         matrix = build_design_matrix(spec, data, 2, "use-actual")
-        for i, t in enumerate(trajectories):
+        for i, t in enumerate(records):
             row = design_row(spec, t, 2, "use-actual")
             np.testing.assert_allclose(matrix[i], row)
         flipped = build_design_matrix(spec, data.subset([1, 0]), 2, "use-actual")
@@ -248,11 +227,10 @@ class TestDesignRows:
 
     def test_modes_agree_under_perfect_adherence(self):
         spec = parse_feature_spec("1 + X[2] + A[1]")
-        trajectories = [
-            traj(0.3, 1.0, prescribed=(1, 0), actual=(1, 0)),
-            traj(1.4, -2.0, prescribed=(0, 1), actual=(0, 1)),
-        ]
-        data = Dataset.from_trajectories(trajectories)
+        data = dataset(
+            record(0.3, 1.0, prescribed=(1, 0), actual=(1, 0)),
+            record(1.4, -2.0, prescribed=(0, 1), actual=(0, 1)),
+        )
         expected = {1: data.prescribed(1), 2: data.prescribed(2)}
         m_actual = build_design_matrix(spec, data, 2, "use-actual")
         m_proxy = build_design_matrix(spec, data, 2, "use-proxy", proxy_kind="prescribed")
@@ -264,7 +242,7 @@ class TestDesignRows:
 
     def test_treatment_override(self):
         spec = parse_feature_spec("1 + A[1]*X[1]")
-        data = Dataset.from_trajectories([traj(2.0, 1.0, actual=(0, 1))])
+        data = dataset(record(2.0, 1.0, actual=(0, 1)))
         forced = build_design_matrix(
             spec, data, 2, "use-actual", treatment_override={1: 1.0}
         )
