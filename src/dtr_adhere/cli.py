@@ -477,6 +477,8 @@ def read_dataset_csv(config: AnalysisConfig):
     if n == 0:
         raise ConfigError(f"{path}: no complete-case rows")
     kept = {name: column[keep] for name, column in values.items()}
+    for column in kept.values():  # fresh arrays the Dataset then keeps as they are
+        column.flags.writeable = False
 
     stage_covariates, proxies, actuals = [], [], []
     validation = np.zeros((n, k), dtype=bool)
@@ -499,6 +501,7 @@ def read_dataset_csv(config: AnalysisConfig):
             validation[:, j] = kept[binding.validation] == 1.0
         elif binding.actual:
             validation[:, j] = ~np.isnan(actuals[j])
+    validation.flags.writeable = False
 
     proxy_kind = config.plan.proxy_kind or "prescribed"
     try:

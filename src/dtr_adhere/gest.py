@@ -593,8 +593,10 @@ class _StageSystem:
     stage (estimation), blocks of a stacked parameter vector (the sandwich
     score) or a finished fit (the recommendation rules).  Given ``tangents``,
     a pass also records the derivatives of what it evaluates over the stacked
-    parameter.  Designs are compiled where a pass uses them and not kept, so
-    a stacked dataset's (b, n, p) bases are freed as soon as they are used.
+    parameter.  Designs come from ``compile_design``: an unstacked dataset
+    keeps each one, so every pass on it compiles a design once, while a
+    stacked dataset's (b, n, p) bases are compiled where a pass uses them
+    and freed as soon as they are used.
     """
 
     def __init__(self, plan: EstimationPlan, data: Dataset):
@@ -1033,7 +1035,7 @@ class StackedScore:
 
         system.backward(pi, contrast, tangents)
 
-        out = np.empty((data.n, self.size))
+        out = np.empty((data.n, self.size), order="F")  # written block by block
         jac = None if tangents is None else np.zeros((self.size, self.size))
         for j, (t, spec) in enumerate(zip(terms, system.plan.specs), start=1):
             tf, adh, asg, con = (slices.get((j, kind)) for kind in

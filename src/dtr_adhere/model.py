@@ -246,6 +246,19 @@ def parse_feature_spec(text: str) -> FeatureSpec:
 # Datasets
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only in place; for arrays nothing else holds."""
+    array.flags.writeable = False
+    return array
+
+
+def _read_only(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array: a read-only array is kept as it is,
+    anything else is copied, so no later write by the caller reaches it."""
+    array = np.asarray(values, dtype=dtype)
+    return _frozen(array.copy()) if array.flags.writeable else array
+
+
 def _check_binary(values: np.ndarray, what: str):
     present = ~np.isnan(values)
     bad = present & (values != 0.0) & (values != 1.0)
@@ -258,10 +271,13 @@ class Dataset:
 
     Treatment columns are float arrays with NaN marking absent values;
     ``validation`` is an (n, K) boolean mask of rows where the actual
-    treatment is recorded.  Instances are immutable after construction and
-    safe to share across workers.  ``Dataset.stack`` holds equal-size
-    datasets as the members of a batched fit, with a leading member axis on
-    every column.
+    treatment is recorded.  Instances are immutable after construction: every
+    column is a read-only array (a writeable input is copied), so instances
+    are safe to share across workers.  A dataset keeps the designs compiled
+    on it (``compile_design``) for its lifetime; a pickled copy leaves them
+    behind.  ``Dataset.stack`` holds equal-size datasets as the members of a
+    batched fit, with a leading member axis on every column, and keeps no
+    designs.
     """
 
     def __init__(
@@ -275,7 +291,7 @@ class Dataset:
         validation: Optional[np.ndarray],
         outcome: np.ndarray,
     ):
-        self._outcome = np.asarray(outcome, dtype=float)
+        self._outcome = _read_only(outcome)
         n = self._outcome.shape[0]
         if n == 0:
             raise DataError("dataset has no trajectories")
@@ -303,7 +319,7 @@ class Dataset:
             for name, col in mapping.items():
                 if name in RESERVED_NAMES:
                     raise DataError(f"covariate name '{name}' is reserved")
-                arr = np.asarray(col, dtype=float)
+                arr = _read_only(col)
                 if arr.shape != (n,):
                     raise DataError(f"covariate '{name}' at stage {j + 1} has wrong length")
                 stage_cols[name] = arr
@@ -315,7 +331,7 @@ class Dataset:
                 if col is None:
                     out.append(None)
                     continue
-                arr = np.asarray(col, dtype=float)
+                arr = _read_only(col)
                 if arr.shape != (n,):
                     raise DataError(f"{what} at stage {j + 1} has wrong length")
                 _check_binary(arr, f"{what} treatment at stage {j + 1}")
@@ -331,8 +347,9 @@ class Dataset:
             for j in range(k):
                 if self._actual[j] is not None:
                     flags[:, j] = ~np.isnan(self._actual[j])
+            _frozen(flags)
         else:
-            flags = np.asarray(validation, dtype=bool)
+            flags = _read_only(validation, dtype=bool)
             if flags.shape != (n, k):
                 raise DataError("validation flags must have shape (n, stages)")
         for j in range(k):
@@ -349,6 +366,24 @@ class Dataset:
         self._names = names
         self._n = n
         self._k = k
+        self._designs = {}  # compile_design's cache; None on a stacked dataset
+
+    def __getstate__(self):
+        # A copy in another process compiles its own designs.
+        return {**vars(self), "_designs": None if self._designs is None else {}}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        for column in self._columns():  # unpickled arrays come back writeable
+            column.flags.writeable = False
+
+    def _columns(self):
+        yield self._outcome
+        yield self._validation
+        for columns in (self._prescribed, self._actual, self._reported):
+            yield from (col for col in columns if col is not None)
+        for stage in self._covariates:
+            yield from stage.values()
 
     # -- basic shape --------------------------------------------------------
 
@@ -434,18 +469,21 @@ class Dataset:
             raise DataError("stacked datasets must share their size and schema")
 
         def stacked(columns):
-            return None if columns[0] is None else np.stack(columns)
+            return None if columns[0] is None else _frozen(np.stack(columns))
 
         out = cls.__new__(cls)
         out.__dict__.update(vars(first))  # the shape and the names
         out._ids = None
-        out._outcome = np.stack([data._outcome for data in datasets])
-        out._validation = np.stack([data._validation for data in datasets])
+        # Not cached: a stacked dataset lives for one batched pass, and
+        # keeping its (b, n, p) bases was measured slower (see README).
+        out._designs = None
+        out._outcome = stacked([data._outcome for data in datasets])
+        out._validation = stacked([data._validation for data in datasets])
         for kind in ("_prescribed", "_actual", "_reported"):
             columns = zip(*(getattr(data, kind) for data in datasets))  # stage by stage
             setattr(out, kind, tuple(map(stacked, columns)))
         out._covariates = tuple(
-            {name: np.stack([cols[name] for cols in stage]) for name in first._names}
+            {name: stacked([cols[name] for cols in stage]) for name in first._names}
             for stage in zip(*(data._covariates for data in datasets)))
         return out
 
@@ -453,18 +491,18 @@ class Dataset:
         idx = np.asarray(indices)
 
         def take(col):
-            return None if col is None else col[idx]
+            return None if col is None else _frozen(col[idx])
 
         return Dataset(
             ids=[self._ids[i] for i in idx],
             stage_covariates=[
-                {name: cols[name][idx] for name in self._names} for cols in self._covariates
+                {name: take(cols[name]) for name in self._names} for cols in self._covariates
             ],
             prescribed=[take(c) for c in self._prescribed],
             actual=[take(c) for c in self._actual],
             reported=[take(c) for c in self._reported],
-            validation=self._validation[idx],
-            outcome=self._outcome[idx],
+            validation=take(self._validation),
+            outcome=take(self._outcome),
         )
 
 
@@ -551,12 +589,31 @@ def compile_design(
     for ``CompiledDesign.evaluate``; everything else is checked and
     multiplied into the base columns here.  ``treatment_override`` pins the
     treatment at given stages to a fixed value regardless of source.
+
+    An unstacked dataset keeps the result, so the fit, the sandwich and every
+    later call with the same spec, stage, mode, resolved proxy kind and
+    override get the same read-only design back; a stacked one keeps none.
     """
+    if proxy_kind is None:
+        proxy_kind = data.default_proxy_kind()
+    if data._designs is None:
+        return _compile(spec, data, stage, mode, proxy_kind, treatment_override)
+    key = (spec, stage, mode, proxy_kind,
+           None if treatment_override is None else tuple(sorted(treatment_override.items())))
+    design = data._designs.get(key)
+    if design is None:
+        design = _compile(spec, data, stage, mode, proxy_kind, treatment_override)
+        data._designs[key] = design
+    return design
+
+
+def _compile(spec: FeatureSpec, data: Dataset, stage: int, mode: str,
+             proxy_kind: Optional[str],
+             treatment_override: Optional[Mapping[int, float]]) -> CompiledDesign:
+    """``compile_design`` without the dataset's cache."""
     if mode not in SUBSTITUTION_MODES:
         raise ValueError(f"unknown substitution mode '{mode}'")
     spec.validate_stage(stage, allow_current_treatment=True)
-    if proxy_kind is None:
-        proxy_kind = data.default_proxy_kind()
     rows, p = data.outcome.shape, len(spec.terms)
     if len(rows) == 1:
         base = np.ones((*rows, p))

@@ -765,6 +765,14 @@ class TestStackedScore:
         np.testing.assert_array_equal(jacobian, score.jacobian(score.theta_hat))
         assert score.evaluate(score.theta_hat)[1] is None
 
+    def test_a_second_pass_on_the_kept_designs_repeats_the_first(self):
+        data = _score_dataset("s3")
+        score = StackedScore(data, scenario_plan("s3", "modified-fitted").estimate(data))
+        first = score.evaluate(score.theta_hat, jacobian=True)
+        second = score.evaluate(score.theta_hat, jacobian=True)
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
+
     def test_stage_count_must_match_the_fit(self):
         data = _score_dataset("s1")
         fit = scenario_plan("s1", "modified-fitted").estimate(data)

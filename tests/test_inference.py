@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtr_adhere import inference
+from dtr_adhere import inference, model
 from dtr_adhere.glm import NonConvergenceError, expit, fit_logistic
 from dtr_adhere.inference import (
     BootstrapError,
@@ -21,7 +21,8 @@ from dtr_adhere.inference import (
 from dtr_adhere.gest import (ESTIMATION_FAILURES, AdherenceSource, EstimationError,
                              EstimationPlan, SingularSystemError, StackedScore, psi_flat,
                              sensitivity_sweep, tally)
-from dtr_adhere.simulation import ScenarioConfig, generate_s1, run_replications, scenario_plan
+from dtr_adhere.simulation import (ScenarioConfig, generate_s1, generate_s3, run_replications,
+                                   scenario_plan)
 
 
 class TestNumericalJacobian:
@@ -430,6 +431,52 @@ def _resamples(n, seed, count):
 
 def _digits_masked(message):
     return re.sub(r"[0-9][0-9.e+-]*", "#", message)
+
+
+def _uncached_compiles(monkeypatch) -> list:
+    """The key of every design compiled from now on that no dataset had
+    kept, with the dataset's identity first."""
+    keys = []
+    compile_ = model._compile
+
+    def spy(spec, data, stage, mode, proxy_kind, override):
+        keys.append((id(data), spec, stage, mode, proxy_kind,
+                     None if override is None else tuple(sorted(override.items()))))
+        return compile_(spec, data, stage, mode, proxy_kind, override)
+
+    monkeypatch.setattr(model, "_compile", spy)
+    return keys
+
+
+class TestDesignsCompiledOnce:
+    """A dataset keeps the designs compiled on it, so the fit, its sandwich
+    and every bootstrap block compile each design once, with the same
+    results as designs compiled afresh."""
+
+    def test_fit_and_sandwich(self, monkeypatch):
+        data = generate_s3(1000, np.random.default_rng(41), validation_fraction=0.3)
+        keys = _uncached_compiles(monkeypatch)
+        fit = scenario_plan("s3", "modified-fitted").estimate(data)
+        fitted = len(keys)
+        regime_sandwich(data, fit)
+        assert fitted > 0 and len(keys) == fitted == len(set(keys))
+
+    def test_bootstrap_blocks(self, monkeypatch):
+        data = generate_s1(400, 0.0, np.random.default_rng(26))
+        keys = _uncached_compiles(monkeypatch)
+        bootstrap(data, scenario_plan("s1", "modified-fitted").psi_estimator,
+                  3 * inference.BOOTSTRAP_BLOCK, seed=17)  # the point estimate and three blocks
+        assert keys and len(keys) == len(set(keys))
+
+    def test_psi_is_unchanged_by_a_sandwich(self):
+        data = generate_s3(1000, np.random.default_rng(42), validation_fraction=0.3)
+        plan = scenario_plan("s3", "modified-fitted")
+        before = psi_flat(plan.estimate(data))
+        regime_sandwich(data, plan.estimate(data))
+        np.testing.assert_array_equal(psi_flat(plan.estimate(data)), before)
+        # designs compiled afresh on a copy give the same bits
+        np.testing.assert_array_equal(psi_flat(plan.estimate(data.subset(np.arange(data.n)))),
+                                      before)
 
 
 class TestBatchedReplicatesMatchSubsetFits:

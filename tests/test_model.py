@@ -1,5 +1,7 @@
 """Formula parsing, dataset validation, and design-row construction."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dtr_adhere.model import (
     compile_design,
     parse_feature_spec,
 )
+from dtr_adhere.simulation import generate_s1, scenario_plan
 
 
 def record(x1, x2, prescribed=(1, 1), actual=(1, 1), outcome=0.0):
@@ -170,6 +173,44 @@ class TestDataset:
         np.testing.assert_allclose(sub.covariate("X", 1), [3.0, 3.0, 1.0])
         assert sub.ids == (1, 1, 0)
 
+    @staticmethod
+    def columns(data):
+        return [data.outcome, data.validation, *(
+            col for j in (1, 2) for col in (data.covariate("X", j), data.prescribed(j),
+                                            data.actual(j)))]
+
+    def test_columns_are_read_only_copies(self):
+        x = np.random.default_rng(3).normal(size=50)
+        first = x[0]
+        data = Dataset(ids=None, stage_covariates=[{"X": x}], prescribed=[np.ones(50)],
+                       actual=[None], reported=[None], validation=None, outcome=np.zeros(50))
+        x[0] = 123.0  # the caller's array, not the dataset's
+        assert data.covariate("X", 1)[0] == first
+        with pytest.raises(ValueError, match="read-only"):
+            data.outcome[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.validation[0, 0] = True
+
+    def test_read_only_input_is_kept_as_it_is(self):
+        outcome = np.zeros(50)
+        outcome.flags.writeable = False
+        data = Dataset(ids=None, stage_covariates=[{"X": np.ones(50)}], prescribed=[np.ones(50)],
+                       actual=[None], reported=[None], validation=None, outcome=outcome)
+        assert data.outcome is outcome
+
+    def test_derived_and_unpickled_datasets_are_read_only(self):
+        data = dataset(record(1.0, 2.0), record(3.0, 4.0, actual=(None, 0)))
+        for derived in (data, data.subset([1, 0, 1]), Dataset.stack([data, data]),
+                        pickle.loads(pickle.dumps(data))):
+            assert not any(col.flags.writeable for col in self.columns(derived)
+                           if col is not None)
+
+    def test_pickle_leaves_the_compiled_designs_behind(self):
+        data = generate_s1(300, 1.0, np.random.default_rng(4))
+        size = len(pickle.dumps(data))
+        scenario_plan("s1", "modified-fitted").estimate(data)
+        assert len(pickle.dumps(data)) == size
+
 
 def design_row(spec, one, stage, mode, **kwargs):
     """Design row of one ``record``: the design matrix of a one-row dataset."""
@@ -300,19 +341,65 @@ class TestCompiledDesign:
 
     def test_stacked_dataset_compiles_per_member(self):
         """On a stacked dataset the base, and so the design, is (b, n, p),
-        member i's being the design of dataset i."""
+        member i's being the design of dataset i.  The members' own designs
+        are not reused, and the stacked dataset keeps none."""
         data, spec = self.dataset(), parse_feature_spec(self.SPEC)
         perms = [np.random.default_rng(k).permutation(data.n) for k in range(3)]
         members = [data.subset(p) for p in perms]
+        for member in members:
+            compile_design(spec, member, 2, "use-expected")
         expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
-        form = compile_design(spec, Dataset.stack(members), 2, "use-expected")
+        stack = Dataset.stack(members)
+        form = compile_design(spec, stack, 2, "use-expected")
         assert form.base.shape == (3, data.n, len(spec)) and not form.base.flags.writeable
+        assert compile_design(spec, stack, 2, "use-expected") is not form
         stacked = form.evaluate({stage: np.stack([col[p] for p in perms])
                                  for stage, col in expected.items()})
         for member, p, got in zip(members, perms, stacked):
             want = build_design_matrix(spec, member, 2, "use-expected",
                                        expected={s: col[p] for s, col in expected.items()})
             np.testing.assert_array_equal(got, want)
+
+    def test_a_dataset_keeps_each_compiled_design(self):
+        """One key, one design: the spec, stage, mode, resolved proxy kind
+        and override.  A key that differs in any of them compiles anew."""
+        rng = np.random.default_rng(8)
+        n = 6
+        data = Dataset(
+            ids=range(n),
+            stage_covariates=[{"X": rng.normal(size=n)}, {"X": rng.normal(size=n)}],
+            prescribed=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
+            actual=[None, None],
+            reported=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
+            validation=None,
+            outcome=np.zeros(n),
+        )
+        spec = parse_feature_spec("1 + X[1] + A[1] + Astar[1]*X[1]")
+        form = compile_design(spec, data, 2, "use-proxy")
+        assert compile_design(spec, data, 2, "use-proxy") is form
+        assert compile_design(parse_feature_spec("1 + X[1] + A[1] + Astar[1]*X[1]"),
+                              data, 2, "use-proxy") is form  # an equal spec
+        assert compile_design(spec, data, 2, "use-proxy", proxy_kind="prescribed") is form
+        others = [
+            compile_design(spec, data, 1, "use-proxy"),
+            compile_design(spec, data, 2, "use-expected"),
+            compile_design(spec, data, 2, "use-proxy", proxy_kind="reported"),
+            compile_design(spec, data, 2, "use-proxy", treatment_override={1: 1.0}),
+            compile_design(spec, data, 2, "use-proxy", treatment_override={1: 0.0}),
+            compile_design(parse_feature_spec("1 + X[1]"), data, 2, "use-proxy"),
+        ]
+        assert len({id(other) for other in [form, *others]}) == 1 + len(others)
+        assert compile_design(spec, data, 2, "use-proxy", proxy_kind="reported") is others[2]
+        assert compile_design(spec, data, 2, "use-proxy",
+                              treatment_override={1: 0.0}) is others[4]
+        assert not np.array_equal(others[2].base, form.base)  # the reported proxy
+
+    def test_subset_compiles_its_own_designs(self):
+        data, spec = self.dataset(), parse_feature_spec(self.SPEC)
+        form = compile_design(spec, data, 2, "use-expected")
+        copy = compile_design(spec, data.subset(np.arange(data.n)), 2, "use-expected")
+        assert copy is not form
+        np.testing.assert_array_equal(copy.base, form.base)
 
     def test_missing_expected_treatment_raises_at_evaluation(self):
         form = compile_design(parse_feature_spec("1 + A[1]"), self.dataset(), 2, "use-expected")
