@@ -385,14 +385,14 @@ def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray, weights:
                          active: np.ndarray) -> BatchFit:
     """The adherence fit of each member of a block, on the validation rows
     its (b, n) ``weights`` keep; a member that keeps none fails.  Shared
-    validation rows are cut out.  A stacked dataset's differ by member: each
-    member's come first, in row order, and a member with fewer than the
-    most is padded with rows of weight 0."""
+    validation rows are cut out of each column, keeping the column layout.
+    A stacked dataset's differ by member: each member's come first, in row
+    order, and one with fewer than the most is padded with rows of weight 0."""
     actual = data.actual(stage)
     if data.validation.ndim == 2:
         mask = _validation_rows(data, stage)
-        design, actual = np.compress(mask, design, axis=-2), actual[mask]
-        weights = np.compress(mask, weights, axis=1)
+        design = np.swapaxes(np.compress(mask, np.swapaxes(design, -1, -2), axis=-1), -1, -2)
+        actual, weights = actual[mask], np.compress(mask, weights, axis=1)
     else:
         mask = data.validation[..., stage - 1]
         rows = np.argsort(~mask, axis=1, kind="stable")[:, :np.max(mask.sum(axis=1))]

@@ -524,21 +524,23 @@ def _resolve_source(source: str, mode: str) -> str:
 class CompiledDesign:
     """A FeatureSpec evaluated on one dataset up to its expected treatments.
 
-    Column ``t`` of the design is ``base[:, t]`` times ``expected[l]`` for each
-    stage ``l`` in ``expected_stages[t]``, a multiset (``EA[1]*EA[1]`` lists
-    stage 1 twice).  The base columns, the product of a term's covariate,
-    proxy, actual and override factors, do not depend on the adherence model,
-    so a design compiled once is evaluated at any expected treatments.
+    Column ``t`` of the design is ``base[..., t]`` times ``expected[l]`` for
+    each stage ``l`` in ``expected_stages[t]``, a multiset (``EA[1]*EA[1]``
+    lists stage 1 twice).  The base columns, the product of a term's
+    covariate, proxy, actual and override factors, do not depend on the
+    adherence model, so a design compiled once is evaluated at any expected
+    treatments.  Each column is contiguous within a member: the fits and the
+    sandwich read designs by column (``x^T v``, ``(y a)^T x``).
     """
 
     base: np.ndarray  # (n, p), or (b, n, p) on a stacked dataset; read-only
     expected_stages: tuple  # per term, a tuple of stages
 
     def evaluate(self, expected: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
-        """The design matrix at ``expected``; the read-only base itself when
-        no term multiplies in an expected treatment.  Expected treatments
-        given per member, (b, n), make the design per member, (b, n, p); a
-        base compiled on a stacked dataset is per member already."""
+        """The design matrix at ``expected``, laid out as the base; the base
+        itself when no term multiplies in an expected treatment.  Expected
+        treatments given per member, (b, n), make the design per member,
+        (b, n, p); a base compiled on a stacked dataset is per member already."""
         if not any(self.expected_stages):
             return self.base
         used = [stage for stages in self.expected_stages for stage in stages]
@@ -550,7 +552,7 @@ class CompiledDesign:
                 )
         rows = np.broadcast_shapes(self.base.shape[:-1],
                                    *(np.shape(expected[stage]) for stage in used))
-        out = np.empty(rows + self.base.shape[-1:])
+        out = np.swapaxes(np.empty((*rows[:-1], self.base.shape[-1], rows[-1])), -1, -2)
         out[...] = self.base
         for t, stages in enumerate(self.expected_stages):
             for stage in stages:
@@ -561,13 +563,13 @@ class CompiledDesign:
         """``(stage, term, column)`` for each expected treatment a term
         multiplies in, ``column`` being the derivative of the design's column
         ``term`` over ``expected[stage]`` (the product rule, so a repeated
-        stage contributes its multiplicity)."""
+        stage contributes its multiplicity): (n,), or (b, n) per member."""
         out = []
         for t, stages in enumerate(self.expected_stages):
             for stage in sorted(set(stages)):
                 rest = list(stages)
                 rest.remove(stage)
-                column = stages.count(stage) * self.base[:, t]
+                column = stages.count(stage) * self.base[..., t]
                 for other in rest:
                     column = column * expected[other]
                 out.append((stage, t, column))
@@ -615,13 +617,11 @@ def _compile(spec: FeatureSpec, data: Dataset, stage: int, mode: str,
         raise ValueError(f"unknown substitution mode '{mode}'")
     spec.validate_stage(stage, allow_current_treatment=True)
     rows, p = data.outcome.shape, len(spec.terms)
-    if len(rows) == 1:
-        base = np.ones((*rows, p))
-    else:  # stored column by column within each member, the layout the batched products favour
-        base = np.swapaxes(np.ones((*rows[:-1], p, rows[-1])), -1, -2)
+    # column by column within each member, one layout for shared and stacked datasets alike
+    base = np.swapaxes(np.ones((*rows[:-1], p, rows[-1])), -1, -2)
     expected_stages = []
     for t, term in enumerate(spec.terms):
-        value = base[..., t]  # a view: each factor multiplies in place
+        value = base[..., t]  # a contiguous view: each factor multiplies in place
         stages = []
         for f in term.factors:
             if isinstance(f, Constant):

@@ -24,7 +24,7 @@ Scenarios:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -61,6 +61,13 @@ def _regret_outcome(treatment_free, noise, contrasts, treatments):
     for c, a in zip(contrasts, treatments):
         y = y - ((c > 0.0).astype(float) - a) * c
     return y
+
+
+def _freeze(*columns) -> None:
+    """Make freshly generated columns read-only in place, so that ``Dataset``
+    keeps them as they are instead of copying them."""
+    for column in columns:
+        column.flags.writeable = False
 
 
 def _validation_flags(n: int, fraction: float, rng: np.random.Generator, stages: int) -> np.ndarray:
@@ -116,6 +123,7 @@ def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct) ->
     c2 = 1.0 + x2 + lag * a1
     y = _regret_outcome(x1 + direct * a1, eps, (c1, c2), (a1, a2))
     flags = _validation_flags(n, validation_fraction, rng, 2)
+    _freeze(x1, astar1, a1, x2, astar2, a2, flags, y)
     return Dataset(
         ids=range(n),
         stage_covariates=[{"X": x1}, {"X": x2}],
@@ -147,6 +155,7 @@ def generate_s4(n: int, psi21: float, rng: np.random.Generator,
     c2 = 1.0 + psi21 * a1
     y = _regret_outcome(x1, eps, (c1, c2), (a1, a2))
     flags = _validation_flags(n, validation_fraction, rng, 2)
+    _freeze(x1, a1, rep1, x2, a2, rep2, flags, y)
     return Dataset(
         ids=range(n),
         stage_covariates=[{"X": x1}, {"X": x2}],
@@ -179,18 +188,23 @@ def reported_inverse_probability(stage, cov, proxy):
 
 
 def scenario_models(scenario: str, *, as_treated: bool = False) -> list:
-    """Analysis model specs for a scenario.
+    """Analysis model specs for a scenario, as a fresh list.
 
     The as-treated comparator models the propensity of the treatment actually
     taken; on the prescription scenarios that propensity is logistic in the
     covariate and the prescription, so its assignment spec conditions on the
     stage proxy.  (On s4 the proxy is a report, a descendant of the treatment,
     and must not enter the assignment model; 0.5 + 0.3 X is exactly logistic
-    in X there.)
+    in X there.)  The immutable specs are parsed once per process.
     """
+    return list(_scenario_models(scenario, bool(as_treated)))
+
+
+@cache
+def _scenario_models(scenario: str, as_treated: bool) -> tuple:
     if scenario in ("s1", "s2", "s3"):
         assign = "1 + X[{j}] + Astar[{j}]" if as_treated else "1 + X[{j}]"
-        return [
+        return (
             StageModelSpec.from_strings(
                 contrast="1 + X[1]",
                 treatment_free="1 + X[1]",
@@ -206,10 +220,10 @@ def scenario_models(scenario: str, *, as_treated: bool = False) -> list:
                 assignment=assign.format(j=2),
                 adherence="1 + X[2] + Astar[2]",
             ),
-        ]
+        )
     if scenario == "s4":
         assign = "1 + X[{j}]" if as_treated else "1 + X[{j}] + X[{j}]*X[{j}]"
-        return [
+        return (
             StageModelSpec.from_strings(
                 contrast="1 + X[1]",
                 treatment_free="1 + X[1]",
@@ -222,7 +236,7 @@ def scenario_models(scenario: str, *, as_treated: bool = False) -> list:
                 assignment=assign.format(j=2),
                 adherence="1 + X[2] + Astar[2] + X[2]*Astar[2]",
             ),
-        ]
+        )
     raise ValueError(f"unknown scenario '{scenario}'")
 
 

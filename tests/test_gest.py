@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dtr_adhere import gest
 from dtr_adhere.gest import (
     AdherenceSource,
     EstimationError,
@@ -24,12 +25,14 @@ from dtr_adhere.gest import (
     sensitivity_sweep,
     validate_stage_models,
 )
-from dtr_adhere.glm import NonConvergenceError, RankDeficiencyError, expit
+from dtr_adhere.glm import NonConvergenceError, RankDeficiencyError, expit, fit_logistic_batch
 from dtr_adhere.inference import numerical_jacobian, regime_wald_intervals
 from dtr_adhere.model import (
+    CompiledDesign,
     Dataset,
     DesignError,
     build_design_matrix,
+    compile_design,
     parse_feature_spec,
 )
 from dtr_adhere.simulation import (
@@ -780,6 +783,105 @@ class TestStackedScore:
             StackedScore(first_stages(data, 1), fit)
         with pytest.raises(DesignError, match="a 1-stage dataset for a 2-stage fit"):
             regime_wald_intervals(first_stages(data, 1), fit)
+
+
+def expected_treatment_specs():
+    """s1-style stage models whose stage-2 adherence and assignment designs
+    multiply in the stage-1 expected treatment, EA[1]."""
+    return (
+        StageModelSpec.from_strings("1 + X[1]", "1 + X[1]", "1 + X[1]", "1 + X[1] + Astar[1]"),
+        StageModelSpec.from_strings("1 + X[2] + A[1]", "1 + X[1] + A[1] + X[2]",
+                                    "1 + X[2] + EA[1]", "1 + X[2] + Astar[2] + EA[1]"),
+    )
+
+
+def relative_gap(got, want):
+    """The largest entrywise gap between two arrays, over the largest entry."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestOneDesignLayout:
+    """Every design stores each column contiguously within a member, the cut
+    validation rows included; the layout moves results only by rounding."""
+
+    PLAN = EstimationPlan(specs=expected_treatment_specs(), mode="modified-prescribed",
+                          adherence=AdherenceSource.fitted())
+
+    @staticmethod
+    def spied_fits(monkeypatch):
+        """The arguments of every ``fit_logistic_batch`` call a fit makes."""
+        calls, fit = [], gest.fit_logistic_batch
+
+        def spy(*args):
+            calls.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(gest, "fit_logistic_batch", spy)
+        return calls
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_the_fits_see_column_major_designs(self, monkeypatch, stacked):
+        data = _score_dataset("s1")
+        rng = np.random.default_rng(5)
+        if stacked:
+            data = Dataset.stack([data, data.subset(rng.permutation(data.n))])
+            weights = np.ones((2, data.n))
+        else:  # a bootstrap block: shared designs, and per member where EA[1] enters
+            weights = rng.integers(0, 3, (3, data.n)).astype(float)
+        calls = self.spied_fits(monkeypatch)
+        assert all(error is None for _, error in self.PLAN.fit_members(data, weights))
+        designs = [call[0] for call in calls]
+        cut = [x for x in designs if x.shape[-2] < data.n]  # the validation rows
+        assert len(cut) == 2 and len(designs) == 4
+        assert {x.ndim for x in designs} == ({3} if stacked else {2, 3})
+        for x in designs:
+            assert np.swapaxes(x, -1, -2).flags.c_contiguous, (x.shape, x.strides)
+
+    def test_row_major_fits_change_only_rounding(self, monkeypatch):
+        data = _score_dataset("s1")
+        weights = np.random.default_rng(6).integers(0, 3, (4, data.n)).astype(float)
+        weights[3] = 0.0  # a member that fails on every fit
+        calls = self.spied_fits(monkeypatch)
+        self.PLAN.fit_members(data, weights)
+        assert len(calls) == 4
+        for design, *rest in calls:
+            row_major = np.ascontiguousarray(design)
+            assert row_major.flags.c_contiguous and not np.shares_memory(row_major, design)
+            got, want = (fit_logistic_batch(x, *rest) for x in (row_major, design))
+            np.testing.assert_array_equal(got.iterations, want.iterations)
+            assert ([error and (type(error), str(error)) for error in got.errors]
+                    == [error and (type(error), str(error)) for error in want.errors])
+            assert relative_gap(got.coefficients, want.coefficients) <= 1e-12
+
+    @pytest.mark.parametrize("plan", [PLAN, scenario_plan("s3", "modified-fitted")])
+    def test_row_major_designs_change_only_rounding(self, monkeypatch, plan):
+        """The whole fit and the sandwich's scores and Jacobian, on C-ordered
+        copies of every evaluated design, agree with the column-major run to
+        1e-12."""
+        data = _score_dataset("s1")
+        weights = np.random.default_rng(7).integers(0, 3, (3, data.n)).astype(float)
+        fits = plan.fit_members(data, weights)
+        fit = plan.estimate(data)
+        score = StackedScore(data, fit)
+        want = score.evaluate(score.theta_hat, jacobian=True)
+
+        evaluate = CompiledDesign.evaluate
+        monkeypatch.setattr(CompiledDesign, "evaluate",
+                            lambda form, expected=None: np.ascontiguousarray(
+                                evaluate(form, expected)))
+        copy = data.subset(np.arange(data.n))  # which compiles its designs afresh
+        x = compile_design(plan.specs[0].assignment, copy, 1, "use-proxy").evaluate()
+        assert x.flags.c_contiguous and not x.flags.f_contiguous
+        for (got, error), (ref, _) in zip(plan.fit_members(copy, weights), fits):
+            assert error is None
+            assert relative_gap(psi_flat(got), psi_flat(ref)) <= 1e-12
+            assert got.diagnostics["adherence_iterations"] == ref.diagnostics[
+                "adherence_iterations"]
+            assert got.diagnostics["assignment_iterations"] == ref.diagnostics[
+                "assignment_iterations"]
+        scores, jacobian = StackedScore(copy, fit).evaluate(score.theta_hat, jacobian=True)
+        assert relative_gap(scores, want[0]) <= 1e-12
+        assert relative_gap(jacobian, want[1]) <= 1e-12
 
 
 class TestSensitivitySweep:

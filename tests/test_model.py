@@ -212,6 +212,12 @@ class TestDataset:
         assert len(pickle.dumps(data)) == size
 
 
+def column_major(x):
+    """Whether each member of a design, (n, p) or (b, n, p), stores its
+    columns one after another."""
+    return np.swapaxes(x, -1, -2).flags.c_contiguous
+
+
 def design_row(spec, one, stage, mode, **kwargs):
     """Design row of one ``record``: the design matrix of a one-row dataset."""
     return build_design_matrix(spec, dataset(one), stage, mode, **kwargs)[0]
@@ -359,6 +365,42 @@ class TestCompiledDesign:
             want = build_design_matrix(spec, member, 2, "use-expected",
                                        expected={s: col[p] for s, col in expected.items()})
             np.testing.assert_array_equal(got, want)
+
+    def test_stacked_partials_are_each_members_own(self):
+        """On a stacked dataset each partial column is (b, n), member i's
+        being the column of dataset i's own design."""
+        data, spec = self.dataset(), parse_feature_spec(self.SPEC)
+        perms = [np.random.default_rng(k).permutation(data.n) for k in range(3)]
+        members = [data.subset(p) for p in perms]
+        expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
+        per_member = [{s: col[p] for s, col in expected.items()} for p in perms]
+        stacked = compile_design(spec, Dataset.stack(members), 2, "use-expected").partials(
+            {s: np.stack([e[s] for e in per_member]) for s in expected})
+        own = [compile_design(spec, member, 2, "use-expected").partials(e)
+               for member, e in zip(members, per_member)]
+        assert [(s, t) for s, t, _ in stacked] == [(s, t) for s, t, _ in own[0]]
+        for k, (_, _, column) in enumerate(stacked):
+            assert column.shape == (3, data.n)
+            for i in range(3):
+                np.testing.assert_array_equal(column[i], own[i][k][2])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("spec", [SPEC, "1 + X[2] + Astar[1]*X[2]"])
+    def test_every_design_is_column_major(self, stacked, spec):
+        """Bases and evaluated designs store each column contiguously within
+        a member, with or without expected treatments, shared or stacked."""
+        data, spec = self.dataset(), parse_feature_spec(spec)
+        expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
+        if stacked:
+            data = Dataset.stack([data, data.subset(np.arange(data.n)[::-1])])
+            expected = {s: np.stack([col, col[::-1]]) for s, col in expected.items()}
+        forms = [compile_design(spec, data, 2, mode) for mode in ("use-expected", "use-proxy")]
+        designs = [form.base for form in forms] + [form.evaluate(expected) for form in forms]
+        if not stacked:  # expected treatments per member, as in a bootstrap block
+            designs.append(forms[0].evaluate({s: np.stack([col, col])
+                                              for s, col in expected.items()}))
+        for x in designs:
+            assert x.shape[-1] == len(spec) and column_major(x), x.strides
 
     def test_a_dataset_keeps_each_compiled_design(self):
         """One key, one design: the spec, stage, mode, resolved proxy kind

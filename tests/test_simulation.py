@@ -1,6 +1,7 @@
 """Generator mechanism fidelity, truth recovery, and the replication engine."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dtr_adhere.simulation import (
     generate_s4,
     run_replications,
     scenario_dataset,
+    scenario_models,
     scenario_plan,
     scenario_truth,
 )
@@ -152,6 +154,78 @@ class TestGenerateS4:
         data = generate_s4(100, 0.0, np.random.default_rng(0))
         assert data.default_proxy_kind() == "reported"
         assert data.prescribed(1) is None
+
+
+GENERATORS = {
+    "s1": lambda rng: generate_s1(50, 1.0, rng),
+    "s3": lambda rng: generate_s3(50, rng),
+    "s4": lambda rng: generate_s4(50, 1.0, rng),
+}
+
+
+def column_digest(data):
+    """A digest of every column of a two-stage dataset, in a fixed order."""
+    digest = hashlib.sha256()
+    for j in (1, 2):
+        for col in (data.covariate("X", j), data.actual(j), data.prescribed(j), data.reported(j)):
+            if col is not None:
+                digest.update(np.ascontiguousarray(col).tobytes())
+    digest.update(data.validation.tobytes())
+    digest.update(data.outcome.tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestGeneratedDatasets:
+    @pytest.mark.parametrize("scenario", sorted(GENERATORS))
+    def test_the_dataset_keeps_the_generated_arrays(self, monkeypatch, scenario):
+        """The generators freeze what they generate, so ``Dataset`` keeps
+        each array it is handed instead of copying it."""
+        handed = []
+
+        def spy(**fields):
+            handed.append(fields)
+            return Dataset(**fields)
+
+        monkeypatch.setattr(simulation, "Dataset", spy)
+        data = GENERATORS[scenario](np.random.default_rng(1))
+        (fields,) = handed
+        assert data.outcome is fields["outcome"]
+        assert data.validation is fields["validation"]
+        for j in (1, 2):
+            assert data.covariate("X", j) is fields["stage_covariates"][j - 1]["X"]
+            for kind in ("prescribed", "actual", "reported"):
+                assert getattr(data, kind)(j) is fields[kind][j - 1]
+
+    def test_seeded_columns_are_unchanged(self):
+        # digests of the columns the generators drew before they froze them
+        digests = {"s1": "d24ef320b0d89124", "s3": "079f65d4ab16b08b",
+                   "s4": "7814720385100aa6"}
+        for scenario, generate in GENERATORS.items():
+            assert column_digest(generate(np.random.default_rng(2024))) == digests[scenario]
+
+
+class TestScenarioModels:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("as_treated", [False, True])
+    def test_parsed_once_and_handed_out_fresh(self, monkeypatch, scenario, as_treated):
+        first = scenario_models(scenario, as_treated=as_treated)
+        assert first == list(simulation._scenario_models.__wrapped__(scenario, as_treated))
+        first[0] = None  # a caller's edit to its list
+        first.append(None)
+
+        def parse(*_):
+            raise AssertionError("a scenario's models were parsed twice")
+
+        monkeypatch.setattr(gest, "parse_feature_spec", parse)
+        second = scenario_models(scenario, as_treated=as_treated)
+        assert second is not first and None not in second
+        assert second == scenario_models(scenario, as_treated=as_treated)
+        assert len(second) == 2
+
+    def test_unknown_scenario_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown scenario 's9'"):
+                scenario_models("s9")
 
 
 class TestPseudoOutcomeIdentity:
