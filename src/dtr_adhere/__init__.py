@@ -20,7 +20,6 @@ from .gest import (
     RegimeFit,
     SingularSystemError,
     StageModelSpec,
-    fit_adherence,
     pseudo_outcome,
     pseudo_outcome_exact,
     psi_flat,
@@ -84,7 +83,6 @@ __all__ = [
     "bootstrap",
     "build_design_matrix",
     "expit",
-    "fit_adherence",
     "fit_logistic",
     "generate_s1",
     "generate_s3",

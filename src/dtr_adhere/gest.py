@@ -27,8 +27,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .glm import (BatchFit, GlmFit, NonConvergenceError, RankDeficiencyError, check_weights,
-                  expit, fit_logistic, fit_logistic_batch, linear)
+from .glm import (BatchFit, NonConvergenceError, RankDeficiencyError, check_weights, expit,
+                  fit_logistic,  # unused; perfbench's test_install_wraps_every_binding_and_restores
+                  fit_logistic_batch, linear)
 from .model import (
     Dataset,
     DataError,
@@ -39,7 +40,7 @@ from .model import (
     MODE_USE_PROXY,
     CompiledDesign,
     TreatmentRef,
-    build_design_matrix,
+    build_design_matrix,  # unused; that perfbench test asserts both bindings
     compile_design,
     parse_feature_spec,
 )
@@ -363,24 +364,6 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
     return _StageSolve(solution[:, p_tf:], solution[:, :p_tf], cond, joint_cond, errors)
 
 
-def fit_adherence(data: Dataset, stage: int, spec: FeatureSpec, proxy_kind: str,
-                  *, expected: Optional[Mapping[int, np.ndarray]] = None) -> GlmFit:
-    """Fit the adherence model at one stage on the validation rows only:
-    a logistic regression of the actual treatment on history and proxy."""
-    design = build_design_matrix(
-        spec, data, stage, MODE_USE_PROXY, proxy_kind=proxy_kind, expected=expected
-    )
-    mask = _validation_rows(data, stage)
-    return fit_logistic(design[mask], data.actual(stage)[mask])
-
-
-def _validation_rows(data: Dataset, stage: int) -> np.ndarray:
-    mask = data.validation[:, stage - 1]
-    if not mask.any():
-        raise DataError(f"no validation rows at stage {stage}")
-    return mask
-
-
 def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray, weights: np.ndarray,
                          active: np.ndarray) -> BatchFit:
     """The adherence fit of each member of a block, on the validation rows
@@ -390,7 +373,9 @@ def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray, weights:
     order, and one with fewer than the most is padded with rows of weight 0."""
     actual = data.actual(stage)
     if data.validation.ndim == 2:
-        mask = _validation_rows(data, stage)
+        mask = data.validation[:, stage - 1]
+        if not mask.any():
+            raise DataError(f"no validation rows at stage {stage}")
         design = np.swapaxes(np.compress(mask, np.swapaxes(design, -1, -2), axis=-1), -1, -2)
         actual, weights = actual[mask], np.compress(mask, weights, axis=1)
     else:
@@ -739,16 +724,6 @@ class _StageSystem:
         # adherence-weighted contrast is still subtracted as usual.
         return pseudo_outcome_exact(v, pi[lag], c1, c0) - weight * contrast
 
-    def rules(self, fit: RegimeFit, stages) -> list:
-        """Rule outputs (1 iff the contrast is strictly positive) per stage."""
-        fitted = (lambda j, _: fit.nuisance[j - 1]["alpha"]) if self.plan.fits_adherence else None
-        _, pi = self.adherence(max(stages) - 1, fitted)
-        return [
-            (self.compiled(self.plan.specs[j - 1].contrast, j).evaluate(pi) @ fit.psi[j - 1]
-             > 0.0).astype(int)
-            for j in stages
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Estimation
@@ -930,8 +905,14 @@ def recommend(fit: RegimeFit, data: Dataset) -> np.ndarray:
     are the first columns of the full history's.  The outcome is not read."""
     if data.n_stages > fit.n_stages:
         raise DesignError(f"a {data.n_stages}-stage dataset for a {fit.n_stages}-stage fit")
-    rules = _StageSystem(fit.plan, data).rules(fit, range(1, data.n_stages + 1))
-    return np.column_stack(rules)
+    system = _StageSystem(fit.plan, data)
+    fitted = (lambda j, _: fit.nuisance[j - 1]["alpha"]) if fit.plan.fits_adherence else None
+    _, pi = system.adherence(data.n_stages - 1, fitted)
+    return np.column_stack([
+        (system.compiled(fit.plan.specs[j - 1].contrast, j).evaluate(pi) @ fit.psi[j - 1]
+         > 0.0).astype(int)
+        for j in range(1, data.n_stages + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -1074,12 +1055,6 @@ class StackedScore:
             tangents.design_rows(system.compiled(spec.contrast, j), pi, e * resid, jac[con])
         return out, None if jac is None else jac / data.n
 
+    # evaluate's scores alone; perfbench's tracing.LAYERS wraps it by name
     def per_individual(self, theta: np.ndarray) -> np.ndarray:
         return self.evaluate(theta)[0]
-
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """The derivative of the mean score over theta, in closed form."""
-        return self.evaluate(theta, jacobian=True)[1]
-
-    def mean(self, theta: np.ndarray) -> np.ndarray:
-        return self.per_individual(theta).mean(axis=0)

@@ -253,11 +253,14 @@ def bootstrap(
 
 def regime_wald_intervals(data: Dataset, fit: RegimeFit, level: float = 0.95) -> IntervalSet:
     """Convenience wrapper: sandwich covariance then Wald intervals for the
-    flattened contrast parameters (stage 1 first)."""
+    flattened contrast parameters (stage 1 first).  The bread's condition
+    number keeps only the significant digits rounding leaves it."""
     result = regime_sandwich(data, fit)
     names = [f"psi{j}.{label}" for j, label in fit.parameter_labels()]
     intervals = wald_intervals(psi_flat(fit), result.sigma_psi, level, names=names)
+    cond = result.bread_condition
+    digits = max(1, int(np.floor(-np.log10(cond * np.finfo(float).eps))))
     return replace(intervals, diagnostics={
-        "bread_condition": result.bread_condition,
+        "bread_condition": float(f"{cond:.{digits - 1}e}"),
         "truncated_directions": result.truncated_directions,
     })

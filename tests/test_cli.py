@@ -736,6 +736,18 @@ class TestSensitivity:
         assert agreements[0] == 1.0
         assert all(0.0 <= a <= 1.0 for a in agreements)
 
+    def test_reference_is_the_first_point_that_fits(self, analysis_setup, capsys):
+        # all-zero coefficients make the proxy uninformative, so point 0 fails
+        # (a singular stage system) and point 1 is the rule the others match
+        _, config, config_path, tmp_path = analysis_setup
+        grid = self.grid_file(tmp_path, [[0.0, 0.0, 0.0], [-4.6, -0.83, 7.5]])
+        out = tmp_path / "sweep4"
+        assert run_cli("sensitivity", config_path, grid, "--out", out) == 0
+        assert "sensitivity: point 0 failed" in capsys.readouterr().err
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert [r["point"] for r in rows] == ["1"] * 5
+        assert all(float(r["agreement"]) == 1.0 for r in rows)
+
     def test_malformed_grid_exits_2(self, analysis_setup, capsys):
         _, config, config_path, tmp_path = analysis_setup
         path = tmp_path / "grid.csv"

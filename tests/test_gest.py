@@ -16,7 +16,6 @@ from dtr_adhere.gest import (
     StackedScore,
     StageModelSpec,
     _fit_stages,
-    fit_adherence,
     ordered_map,
     pseudo_outcome,
     pseudo_outcome_exact,
@@ -25,7 +24,7 @@ from dtr_adhere.gest import (
     sensitivity_sweep,
     validate_stage_models,
 )
-from dtr_adhere.glm import NonConvergenceError, RankDeficiencyError, expit, fit_logistic_batch
+from dtr_adhere.glm import RankDeficiencyError, expit, fit_logistic, fit_logistic_batch
 from dtr_adhere.inference import numerical_jacobian, regime_wald_intervals
 from dtr_adhere.model import (
     CompiledDesign,
@@ -236,17 +235,21 @@ class TestSolveStage:
 
 
 class TestFitAdherence:
+    """The adherence fit of ``plan.estimate``: the stage-j alpha of a
+    ``modified-fitted`` plan."""
+
     def test_recovers_s1_mechanism(self):
         rng = np.random.default_rng(20240607)
         data = generate_s1(1000, 0.0, rng, validation_fraction=0.3)
+        fit = scenario_plan("s1", "modified-fitted").estimate(data)
+        alpha = fit.nuisance[0]["alpha"]
         spec = parse_feature_spec("1 + X[1] + Astar[1]")
-        fit = fit_adherence(data, 1, spec, "prescribed")
         design = build_design_matrix(spec, data, 1, "use-proxy", proxy_kind="prescribed")
         x = design[data.validation[:, 0]]
-        mu = expit(x @ fit.coefficients)
+        mu = expit(x @ alpha)
         se = np.sqrt(np.diag(np.linalg.inv((x * (mu * (1.0 - mu))[:, None]).T @ x)))
         truth = np.array([-4.6, -0.83, 7.5])
-        assert np.all(np.abs(fit.coefficients - truth) < 3 * se)
+        assert np.all(np.abs(alpha - truth) < 3 * se)
 
     @staticmethod
     def _perfectly_adhered():
@@ -263,24 +266,20 @@ class TestFitAdherence:
             outcome=rng.normal(size=200),
         )
 
-    def test_perfect_adherence_raises_separation(self):
-        data = self._perfectly_adhered()
-        with pytest.raises(NonConvergenceError):
-            fit_adherence(data, 1, parse_feature_spec("1 + X[1] + Astar[1]"), "prescribed")
-
     def test_failed_adherence_fit_fails_the_estimate_at_its_stage(self):
         spec = StageModelSpec.from_strings("1 + X[1]", "1 + X[1]", "1 + X[1]",
                                            "1 + X[1] + Astar[1]")
         plan = EstimationPlan((spec,), "modified-prescribed", AdherenceSource.fitted())
-        with pytest.raises(EstimationError, match=r"^stage 1: adherence model failed: ") as err:
+        with pytest.raises(EstimationError, match=r"^stage 1: adherence model failed: "
+                                                  r"complete separation") as err:
             plan.estimate(self._perfectly_adhered())
         assert err.value.stage == 1
 
     def test_reported_mechanism_recovery_at_design_points(self):
         rng = np.random.default_rng(11)
         data = generate_s4(40000, 0.0, rng, validation_fraction=0.5)
-        spec = parse_feature_spec("1 + X[1] + Astar[1] + X[1]*Astar[1]")
-        fit = fit_adherence(data, 1, spec, "reported")
+        # s4's stage-1 adherence spec is 1 + X[1] + Astar[1] + X[1]*Astar[1]
+        alpha = scenario_plan("s4", "modified-fitted").estimate(data).nuisance[0]["alpha"]
 
         def bayes(x, rep):
             p = 0.5 + 0.3 * x
@@ -292,24 +291,53 @@ class TestFitAdherence:
 
         for x in (-1.0, 0.0, 1.0):
             for rep in (0.0, 1.0):
-                eta = fit.coefficients @ np.array([1.0, x, rep, x * rep])
+                eta = alpha @ np.array([1.0, x, rep, x * rep])
                 assert abs(expit(eta) - bayes(x, int(rep))) < 0.05
 
     def test_requires_validation_rows(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=50)
-        astar = rng.binomial(1, 0.5, 50).astype(float)
+        x1, x2 = rng.normal(size=50), rng.normal(size=50)
+        astar1, astar2 = (rng.binomial(1, 0.5, 50).astype(float) for _ in range(2))
         data = Dataset(
             ids=range(50),
-            stage_covariates=[{"X": x}],
-            prescribed=[astar],
-            actual=[None],
-            reported=[None],
-            validation=np.zeros((50, 1), dtype=bool),
+            stage_covariates=[{"X": x1}, {"X": x2}],
+            prescribed=[astar1, astar2],
+            actual=[None, None],
+            reported=[None, None],
+            validation=np.zeros((50, 2), dtype=bool),
             outcome=np.zeros(50),
         )
         with pytest.raises(Exception, match="validation"):
-            fit_adherence(data, 1, parse_feature_spec("1 + X[1] + Astar[1]"), "prescribed")
+            scenario_plan("s1", "modified-fitted").estimate(data)
+
+    @pytest.mark.parametrize("scenario, generate, n, validation, proxy_kind", [
+        ("s1", generate_s1, 4000, (0.5, 0.4, 0.6), "prescribed"),
+        ("s4", generate_s4, 1000, (0.3, 0.4, 0.5), "reported"),
+    ])
+    def test_alpha_is_the_logistic_fit_of_the_validation_rows(self, scenario, generate, n,
+                                                              validation, proxy_kind):
+        # A dataset's own fit and each member of a stacked one: the shared and
+        # the per-member validation rows, whose counts differ, so the members
+        # with fewer are padded.  Sized so that every fit is well
+        # determined: a quasi-separated fit (|alpha| > 20, a validation cell
+        # with no treated row) is fixed only up to rounding times its
+        # condition.
+        rng = np.random.default_rng(41)
+        datasets = [generate(n, 0.0, rng, validation_fraction=v) for v in validation]
+        plan = scenario_plan(scenario, "modified-fitted")
+        members = plan.fit_members(Dataset.stack(datasets), np.ones((3, n)))
+        fits = [(datasets[0], plan.estimate(datasets[0]))]
+        fits += [(data, fit) for data, (fit, _) in zip(datasets, members)]
+        for data, fit in fits:
+            for j, spec in enumerate(plan.specs, start=1):
+                mask = data.validation[:, j - 1]
+                design = build_design_matrix(spec.adherence, data, j, "use-proxy",
+                                             proxy_kind=proxy_kind)
+                oracle = fit_logistic(design[mask], data.actual(j)[mask])
+                assert np.max(np.abs(oracle.coefficients)) < 15.0
+                np.testing.assert_allclose(fit.nuisance[j - 1]["alpha"], oracle.coefficients,
+                                           rtol=0.0, atol=1e-10)
+                assert fit.diagnostics["adherence_iterations"][j - 1] == oracle.iterations
 
 
 def perfect_adherence_dataset(rng, n=400):
@@ -669,7 +697,7 @@ class TestStackedScore:
         plan = EstimationPlan(specs=base.specs, mode=base.mode, adherence=adherence,
                               exact_pseudo_outcomes=exact and not standard)
         score = StackedScore(data, plan.estimate(data))
-        assert np.max(np.abs(score.mean(score.theta_hat))) <= 1e-9
+        assert np.max(np.abs(score.per_individual(score.theta_hat).mean(axis=0))) <= 1e-9
 
     @staticmethod
     def adherence_source(scenario, source, data):
@@ -707,8 +735,9 @@ class TestStackedScore:
                 plan = dataclasses.replace(
                     plan, adherence=self.adherence_source(scenario, source, data))
             score = StackedScore(data, plan.estimate(data))
-            oracle = numerical_jacobian(score.mean, score.theta_hat)
-            gap = np.max(np.abs(score.jacobian(score.theta_hat) - oracle))
+            oracle = numerical_jacobian(lambda t: score.per_individual(t).mean(axis=0),
+                                        score.theta_hat)
+            gap = np.max(np.abs(score.evaluate(score.theta_hat, jacobian=True)[1] - oracle))
             assert gap <= 1e-8 * np.max(np.abs(oracle)), (exact, gap)
 
     def test_jacobian_through_expected_treatments_in_every_design(self):
@@ -726,8 +755,9 @@ class TestStackedScore:
             plan = EstimationPlan(specs=specs, mode="modified-prescribed",
                                   adherence=AdherenceSource.fitted(), exact_pseudo_outcomes=exact)
             score = StackedScore(data, plan.estimate(data))
-            oracle = numerical_jacobian(score.mean, score.theta_hat)
-            gap = np.max(np.abs(score.jacobian(score.theta_hat) - oracle))
+            oracle = numerical_jacobian(lambda t: score.per_individual(t).mean(axis=0),
+                                        score.theta_hat)
+            gap = np.max(np.abs(score.evaluate(score.theta_hat, jacobian=True)[1] - oracle))
             assert gap <= 1e-8 * np.max(np.abs(oracle)), (exact, gap)
 
     @pytest.mark.parametrize("scenario, source", [
@@ -765,7 +795,7 @@ class TestStackedScore:
         score = StackedScore(data, scenario_plan("s3", "modified-fitted").estimate(data))
         scores, jacobian = score.evaluate(score.theta_hat, jacobian=True)
         np.testing.assert_array_equal(scores, score.per_individual(score.theta_hat))
-        np.testing.assert_array_equal(jacobian, score.jacobian(score.theta_hat))
+        np.testing.assert_array_equal(jacobian, score.evaluate(score.theta_hat, jacobian=True)[1])
         assert score.evaluate(score.theta_hat)[1] is None
 
     def test_a_second_pass_on_the_kept_designs_repeats_the_first(self):

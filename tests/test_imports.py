@@ -1,0 +1,64 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dtr_adhere"
+# (module, name) imported on purpose without a use, and why.
+ALLOWED = {
+    ("gest", "fit_logistic"):
+        "perfbench's test_install_wraps_every_binding_and_restores asserts gest.fit_logistic",
+    ("gest", "build_design_matrix"):
+        "perfbench's test_install_wraps_every_binding_and_restores asserts "
+        "gest.build_design_matrix",
+}
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+
+def _annotations(tree):
+    """The annotation expressions of ``tree``, a quoted one parsed."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            yield node.returns
+            yield from (arg.annotation for arg in (*args.posonlyargs, *args.args,
+                                                   *args.kwonlyargs, args.vararg, args.kwarg)
+                        if arg is not None)
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    trees = [tree] + [ast.parse(a.value, mode="eval") for a in _annotations(tree)
+                      if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_the_check_finds_an_unused_import():
+    # os is unused; Optional appears only in a quoted annotation
+    source = ("import os\nimport sys\nfrom typing import Optional\n\n"
+              "def f(x: 'Optional[int]'):\n    return sys.argv\n")
+    assert unused_imports(source) == ["os"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    unused = [name for name in unused_imports(source) if (module, name) not in ALLOWED]
+    assert unused == []
+
+
+def test_every_allowed_import_is_still_unused():
+    for module, name in ALLOWED:
+        assert name in unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))

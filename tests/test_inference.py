@@ -43,9 +43,12 @@ class TestNumericalJacobian:
         fit = plan.estimate(data)
         score = StackedScore(data, fit)
         monkeypatch.setattr(inference, "JACOBIAN_STEP", 1e-6)
-        coarse = numerical_jacobian(score.mean, score.theta_hat)
+        def mean(t):
+            return score.per_individual(t).mean(axis=0)
+
+        coarse = numerical_jacobian(mean, score.theta_hat)
         monkeypatch.setattr(inference, "JACOBIAN_STEP", 1e-7)
-        fine = numerical_jacobian(score.mean, score.theta_hat)
+        fine = numerical_jacobian(mean, score.theta_hat)
         scale = np.linalg.norm(fine)
         assert np.linalg.norm(coarse - fine) / scale < 1e-4
 
@@ -327,6 +330,18 @@ class TestWaldIntervals:
         iv = wald_intervals(est, sig, 0.9)
         assert np.all(iv.lower <= iv.estimate)
         assert np.all(iv.estimate <= iv.upper)
+
+    @pytest.mark.parametrize("n, seed, digits, written", [
+        (800, 77, 3, 1.53e12),  # near singular: cond * eps = 3.4e-4
+        (1000, 1, 12, 4370.70566938),  # cond * eps = 9.7e-13
+    ])
+    def test_bread_condition_keeps_the_digits_rounding_leaves(self, n, seed, digits, written):
+        data = generate_s3(n, np.random.default_rng(seed), validation_fraction=0.3)
+        fit = scenario_plan("s3", "modified-fitted").estimate(data)
+        exact = regime_sandwich(data, fit).bread_condition
+        assert regime_wald_intervals(data, fit).diagnostics["bread_condition"] == written
+        assert exact != written  # the sandwich's own value keeps every digit
+        assert abs(exact - written) <= 0.5 * 10.0 ** (1 - digits) * written
 
 
 def _resample_mean(data, counts):
