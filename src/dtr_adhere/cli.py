@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .gest import (
     ESTIMATION_FAILURES,
+    MODE_PROXY_KIND,
     AdherenceSource,
     EstimationPlan,
     StageModelSpec,
@@ -33,7 +34,7 @@ from .gest import (
     validate_stage_models,
 )
 from .inference import BootstrapError, bootstrap, regime_wald_intervals
-from .model import DataError, Dataset, DesignError, FormulaError
+from .model import PROXY_KINDS, DataError, Dataset, DesignError, FormulaError
 from .simulation import ESTIMATORS, ReplicationError, ScenarioConfig, run_replications
 
 SEED_ENV_VAR = "DTR_ADHERE_SEED"
@@ -78,7 +79,7 @@ def _csv_cells(values) -> list:
 def write_dataset_csv(data: Dataset, path) -> dict:
     """Export a dataset with conventional column names; returns the per-stage
     column bindings in the shape the analyze config expects."""
-    kind = data.default_proxy_kind() or "prescribed"
+    kind = data.proxy_kind or "prescribed"
     suffix = "star" if kind == "prescribed" else "rep"
     header, columns, bindings = ["id"], [], []
     absent = np.full(data.n, np.nan)
@@ -88,7 +89,7 @@ def write_dataset_csv(data: Dataset, path) -> dict:
                  "validation": f"V{j}"}
         header.extend([*covariates.values(), entry["proxy"], entry["actual"], entry["validation"]])
         columns.extend(data.covariate(name, j) for name in data.covariate_names)
-        for col in (data.proxy(j, kind), data.actual(j)):
+        for col in (data.proxy(j), data.actual(j)):
             columns.append(absent if col is None else col)
         columns.append(data.validation[:, j - 1] * 1.0)
         bindings.append(entry)
@@ -98,7 +99,7 @@ def write_dataset_csv(data: Dataset, path) -> dict:
     fh, writer = _open_csv_writer(Path(path))
     with fh:
         writer.writerow(header)
-        writer.writerows(zip([str(i) for i in data.ids], *map(_csv_cells, columns)))
+        writer.writerows(zip(map(str, range(data.n)), *map(_csv_cells, columns)))
     return {"stage_columns": bindings, "outcome": "Y", "proxy_kind": kind}
 
 
@@ -213,6 +214,7 @@ class AnalysisConfig:
     stages: int
     outcome: str
     stage_columns: list
+    proxy_kind: str  # the kind of the bound proxy columns
     plan: EstimationPlan
     inference_method: str  # "none" | "wald-sandwich" | "bootstrap"
     bootstrap_replicates: int
@@ -238,7 +240,7 @@ def _typed(value, kind, field: str):
 
 def load_analysis_config(path: Path) -> AnalysisConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte order mark is no value
             raw = json.load(fh)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
@@ -342,10 +344,14 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
             adherence=adherence,
             exact_pseudo_outcomes=_typed(raw.get("exact_pseudo_outcomes", False), bool,
                                          "exact_pseudo_outcomes"),
-            proxy_kind=raw.get("proxy_kind"),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    proxy_kind, implied = raw.get("proxy_kind"), MODE_PROXY_KIND.get(mode)
+    if proxy_kind not in (None, *PROXY_KINDS):
+        raise ConfigError(f"proxy_kind must be one of {PROXY_KINDS}, got {proxy_kind!r}")
+    if implied and proxy_kind not in (None, implied):
+        raise ConfigError(f"proxy_kind {proxy_kind!r} conflicts with mode '{mode}'")
 
     input_path = Path(path).parent / need("input", str)  # an absolute input stays as it is
 
@@ -354,6 +360,7 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
         stages=stages,
         outcome=need("outcome", str),
         stage_columns=bindings,
+        proxy_kind=proxy_kind or implied or "prescribed",
         plan=plan,
         inference_method=method,
         bootstrap_replicates=replicates,
@@ -453,7 +460,7 @@ def read_dataset_csv(config: AnalysisConfig):
     path = Path(config.input)
     if not path.exists():
         raise ConfigError(f"input CSV not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # nor part of a name
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -503,14 +510,12 @@ def read_dataset_csv(config: AnalysisConfig):
             validation[:, j] = ~np.isnan(actuals[j])
     validation.flags.writeable = False
 
-    proxy_kind = config.plan.proxy_kind or "prescribed"
     try:
         data = Dataset(
-            ids=range(n),
             stage_covariates=stage_covariates,
-            prescribed=proxies if proxy_kind == "prescribed" else [None] * k,
+            proxy=proxies,
+            proxy_kind=config.proxy_kind,
             actual=actuals,
-            reported=proxies if proxy_kind == "reported" else [None] * k,
             validation=validation,
             outcome=kept[config.outcome],
         )
@@ -575,7 +580,7 @@ def _fit_payload(config, fit, intervals, diagnostics) -> dict:
         stages.append(stage)
     payload = {
         "mode": plan.mode,
-        "proxy_kind": plan.proxy_kind,
+        "proxy_kind": config.proxy_kind,
         "exact_pseudo_outcomes": plan.exact_pseudo_outcomes,
         "stages": stages,
         "recommendation_rule": [

@@ -53,10 +53,9 @@ _SUBSTITUTION = {
     "modified-reported": MODE_USE_EXPECTED,
 }
 MODES = tuple(_SUBSTITUTION)
-# The proxy each corrected mode is built for; the standard modes use the
-# plan's kind or, failing that, the one the dataset records.
-_MODE_PROXY_KIND = {"modified-prescribed": "prescribed", "modified-reported": "reported"}
-_PROXY_KINDS = tuple(_MODE_PROXY_KIND.values())
+# The proxy kind each corrected mode is built for; the standard modes take
+# the dataset's proxy, whatever its kind.
+MODE_PROXY_KIND = {"modified-prescribed": "prescribed", "modified-reported": "reported"}
 
 CONDITION_LIMIT = 1e12
 POSITIVITY_EPS = 1e-12
@@ -398,28 +397,17 @@ def _fit_validation_rows(data: Dataset, stage: int, design: np.ndarray, weights:
 
 @dataclass(frozen=True)
 class EstimationPlan:
-    """One estimator: stage models, mode, adherence source, pseudo-outcome
-    form and proxy kind.  The corrected modes fix the proxy kind; the
-    standard modes leave it ``None`` to use the dataset's."""
+    """One estimator: stage models, mode, adherence source and pseudo-outcome
+    form.  A corrected mode fits data of its proxy kind (``MODE_PROXY_KIND``)."""
 
     specs: tuple
     mode: str
     adherence: Optional[AdherenceSource] = None
     exact_pseudo_outcomes: bool = False
-    proxy_kind: Optional[str] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown estimation mode '{self.mode}'")
-        if self.proxy_kind not in (None, *_PROXY_KINDS):
-            raise ValueError(f"proxy_kind must be one of {_PROXY_KINDS}, got {self.proxy_kind!r}")
-        implied = _MODE_PROXY_KIND.get(self.mode)
-        if implied is not None:
-            if self.proxy_kind not in (None, implied):
-                raise ValueError(
-                    f"proxy_kind {self.proxy_kind!r} conflicts with mode '{self.mode}'"
-                )
-            object.__setattr__(self, "proxy_kind", implied)
         object.__setattr__(self, "specs", tuple(self.specs))
         for field in ("adherence", "exact_pseudo_outcomes"):
             if getattr(self, field) and not self.is_modified:
@@ -471,7 +459,7 @@ class EstimationPlan:
 class RegimeFit:
     """Fitted regime: contrast estimates with nuisances and diagnostics."""
 
-    plan: EstimationPlan  # the fitted plan, its proxy kind resolved on the data
+    plan: EstimationPlan
     psi: tuple
     nuisance: tuple  # per stage: {"alpha": array|None, "beta": array, "gamma": array}
     pseudo_outcomes: np.ndarray  # (n, K); column j-1 holds the stage-j pseudo outcome
@@ -581,28 +569,30 @@ class _StageSystem:
     parameter.  Designs come from ``compile_design``: an unstacked dataset
     keeps each one, so every pass on it compiles a design once, while a
     stacked dataset's (b, n, p) bases are compiled where a pass uses them
-    and freed as soon as they are used.
+    and freed as soon as they are used.  A corrected mode is built for one
+    proxy kind, and data recording another raise.
     """
 
     def __init__(self, plan: EstimationPlan, data: Dataset):
+        kind = MODE_PROXY_KIND.get(plan.mode)  # None for a standard mode, which takes any
+        if kind and data.proxy_kind not in (None, kind):
+            raise DataError(f"{plan.mode} needs {kind} proxies, not {data.proxy_kind} ones")
         self.plan = plan
         self.data = data
         self.k = data.n_stages
-        self.proxy_kind = plan.proxy_kind or data.default_proxy_kind()
         self.design_mode = _SUBSTITUTION[plan.mode]
         self.assign_mode = MODE_USE_ACTUAL if plan.mode == "standard-actual" else MODE_USE_PROXY
 
     def response(self, stage: int) -> np.ndarray:
         if self.plan.mode == "standard-actual":
             return self.data.actual(stage)
-        return self.data.proxy(stage, self.proxy_kind)
+        return self.data.proxy(stage)
 
     def compiled(self, spec: FeatureSpec, stage: int, mode: Optional[str] = None,
                  override: Optional[tuple] = None) -> CompiledDesign:
         """``spec`` compiled at ``stage``; ``override`` is a ``(stage, value)``
         pair pinning one treatment."""
         return compile_design(spec, self.data, stage, mode or self.design_mode,
-                              proxy_kind=self.proxy_kind,
                               treatment_override=None if override is None else dict([override]))
 
     def adherence(self, upto: int, coefficients: Optional[Callable] = None,
@@ -633,7 +623,7 @@ class _StageSystem:
         return designs, pi
 
     def _known_probability(self, probability: Callable, stage: int) -> np.ndarray:
-        proxy = self.data.proxy(stage, self.proxy_kind)
+        proxy = self.data.proxy(stage)
         if proxy is None or np.any(np.isnan(proxy)):
             raise DesignError(f"proxy treatment missing at stage {stage}")
         probs = np.asarray(probability(stage, self.data.covariate, proxy), dtype=float)
@@ -730,15 +720,15 @@ class _StageSystem:
 
 
 def _check_inputs(system: _StageSystem) -> None:
-    plan, k = system.plan, system.k
+    plan, k, kind = system.plan, system.k, system.data.proxy_kind
     validate_stage_models(plan.specs, k)
     actual = plan.mode == "standard-actual"
-    if not actual and system.proxy_kind is None:
+    if not actual and kind is None:
         raise DataError("no proxy treatment column available for this mode")
     for j in range(1, k + 1):
         col = system.response(j)
         if col is None or np.any(np.isnan(col)):
-            what = "actual" if actual else system.proxy_kind
+            what = "actual" if actual else kind
             raise DataError(f"{plan.mode} needs the {what} treatment; missing at stage {j}")
     if not plan.is_modified:
         return
@@ -797,10 +787,9 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
 
     ``assignment_fits``, when given, holds the assignment fits of the plans
     already fitted to the same stacked ``data`` and ``weights``, keyed by
-    stage, assignment mode, proxy kind and spec; a stage whose key is there
-    reuses that fit, and one whose key is missing adds its own."""
-    system = _StageSystem(plan, data)
-    k = system.k
+    stage, assignment mode and spec; a stage whose key is there reuses that
+    fit, and one whose key is missing adds its own."""
+    k = data.n_stages
     members = _Members(len(weights))
     alphas, gammas, solved = {}, {}, {}
 
@@ -823,7 +812,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
             # lost may still stand in this one.  Each stacked member has its
             # own design, so its iterates do not depend on which others are
             # fitted with it.
-            key = (j, system.assign_mode, system.proxy_kind, spec)
+            key = (j, system.assign_mode, spec)
             if key not in assignment_fits:
                 assignment_fits[key] = fit_logistic_batch(design, system.response(j), weights)
             gammas[j] = assignment_fits[key]
@@ -841,6 +830,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
         return solved[j].psi
 
     try:
+        system = _StageSystem(plan, data)
         _check_inputs(system)
         pi = system.adherence(k, fit_alpha if plan.fits_adherence else None)[1]
         p_cols = system.assignment(pi, fit_gamma)[1]
@@ -866,14 +856,13 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
         "adherence_iterations": [alphas[j].iterations if j in alphas else np.full(b, None)
                                  for j in stages],
     }.items()}
-    fitted_plan = replace(plan, proxy_kind=system.proxy_kind)
     out = []
     for i, error in enumerate(members.errors):
         if error is not None:
             out.append((None, error))
             continue
         out.append((RegimeFit(
-            plan=fitted_plan,
+            plan=plan,
             psi=tuple(solved[j].psi[i] for j in stages),
             nuisance=tuple(
                 {"alpha": alphas[j].coefficients[i] if j in alphas else None,

@@ -1,9 +1,11 @@
 """Longitudinal trajectory data and the formula mini-language for stage designs.
 
-A trajectory is one individual's per-stage covariates, treatment indicators
-(prescribed, actual, reported -- any subset may be recorded), and a terminal
-numeric outcome where larger is better.  Model features are declared with a
-small formula grammar::
+A trajectory is one individual's per-stage covariates, a terminal numeric
+outcome where larger is better and two treatment indicators, either of which
+may be unrecorded: the treatment actually taken and its recorded proxy.  A
+dataset holds one kind of proxy, named by ``Dataset.proxy_kind``: a
+prescription or a patient report.  Model features are declared with a small
+formula grammar::
 
     spec   := term ('+' term)*
     term   := factor ('*' factor)*
@@ -32,6 +34,7 @@ MODE_USE_ACTUAL = "use-actual"
 MODE_USE_PROXY = "use-proxy"
 MODE_USE_EXPECTED = "use-expected"
 SUBSTITUTION_MODES = (MODE_USE_ACTUAL, MODE_USE_PROXY, MODE_USE_EXPECTED)
+PROXY_KINDS = ("prescribed", "reported")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -270,6 +273,8 @@ class Dataset:
     """Columnar store of trajectories sharing one stage count and schema.
 
     Treatment columns are float arrays with NaN marking absent values;
+    ``proxy_kind`` names the kind of the ``proxy`` columns, one of
+    PROXY_KINDS, and is ``None`` exactly when no stage records a proxy.
     ``validation`` is an (n, K) boolean mask of rows where the actual
     treatment is recorded.  Instances are immutable after construction: every
     column is a read-only array (a writeable input is copied), so instances
@@ -283,11 +288,10 @@ class Dataset:
     def __init__(
         self,
         *,
-        ids: Sequence,
         stage_covariates: Sequence[Mapping[str, np.ndarray]],
-        prescribed: Sequence[Optional[np.ndarray]],
+        proxy: Sequence[Optional[np.ndarray]],
+        proxy_kind: Optional[str],
         actual: Sequence[Optional[np.ndarray]],
-        reported: Sequence[Optional[np.ndarray]],
         validation: Optional[np.ndarray],
         outcome: np.ndarray,
     ):
@@ -300,12 +304,8 @@ class Dataset:
         k = len(stage_covariates)
         if k == 0:
             raise DataError("stages must be nonempty")
-        if not (len(prescribed) == len(actual) == len(reported) == k):
+        if not (len(proxy) == len(actual) == k):
             raise DataError("stage-wise field lists must have equal length")
-
-        self._ids = tuple(ids) if ids is not None else tuple(range(n))
-        if len(self._ids) != n:
-            raise DataError("ids and outcome lengths differ")
 
         names = tuple(sorted(stage_covariates[0].keys()))
         covs = []
@@ -338,9 +338,15 @@ class Dataset:
                 out.append(arr)
             return tuple(out)
 
-        self._prescribed = _treat(prescribed, "prescribed")
+        if any(col is not None for col in proxy):
+            if proxy_kind not in PROXY_KINDS:
+                raise DataError(f"a recorded proxy's kind must be one of {PROXY_KINDS}, "
+                                f"got {proxy_kind!r}")
+        elif proxy_kind is not None:
+            raise DataError(f"proxy_kind {proxy_kind!r} given, but no stage records a proxy")
+        self._proxy_kind = proxy_kind
+        self._proxy = _treat(proxy, proxy_kind)
         self._actual = _treat(actual, "actual")
-        self._reported = _treat(reported, "reported")
 
         if validation is None:
             flags = np.zeros((n, k), dtype=bool)
@@ -380,7 +386,7 @@ class Dataset:
     def _columns(self):
         yield self._outcome
         yield self._validation
-        for columns in (self._prescribed, self._actual, self._reported):
+        for columns in (self._proxy, self._actual):
             yield from (col for col in columns if col is not None)
         for stage in self._covariates:
             yield from stage.values()
@@ -408,8 +414,8 @@ class Dataset:
         return self._validation
 
     @property
-    def ids(self) -> tuple:
-        return self._ids
+    def proxy_kind(self) -> Optional[str]:
+        return self._proxy_kind
 
     # -- columns -------------------------------------------------------------
 
@@ -424,27 +430,9 @@ class Dataset:
         self._check_stage(stage)
         return self._actual[stage - 1]
 
-    def prescribed(self, stage: int) -> Optional[np.ndarray]:
+    def proxy(self, stage: int) -> Optional[np.ndarray]:
         self._check_stage(stage)
-        return self._prescribed[stage - 1]
-
-    def reported(self, stage: int) -> Optional[np.ndarray]:
-        self._check_stage(stage)
-        return self._reported[stage - 1]
-
-    def proxy(self, stage: int, kind: str) -> Optional[np.ndarray]:
-        if kind == "prescribed":
-            return self.prescribed(stage)
-        if kind == "reported":
-            return self.reported(stage)
-        raise ValueError(f"unknown proxy kind '{kind}'")
-
-    def default_proxy_kind(self) -> Optional[str]:
-        if all(col is not None for col in self._prescribed):
-            return "prescribed"
-        if all(col is not None for col in self._reported):
-            return "reported"
-        return None
+        return self._proxy[stage - 1]
 
     def _check_stage(self, stage: int):
         if not (1 <= stage <= self._k):
@@ -457,13 +445,12 @@ class Dataset:
         """Equal-size datasets of one schema as the members of one batched
         fit: each column of the result is (b, n), member i's row r being row
         r of ``datasets[i]``, and its validation flags are (b, n, K).  Only
-        the column accessors apply to it; it carries no ids."""
+        the column accessors apply to it.  The members share one proxy kind."""
         first = datasets[0]
 
         def schema(data):
-            return data.n, data.covariate_names, [
-                col is None for cols in (data._prescribed, data._actual, data._reported)
-                for col in cols]
+            return data.n, data.covariate_names, data.proxy_kind, [
+                col is None for cols in (data._proxy, data._actual) for col in cols]
 
         if any(schema(data) != schema(first) for data in datasets):
             raise DataError("stacked datasets must share their size and schema")
@@ -472,16 +459,15 @@ class Dataset:
             return None if columns[0] is None else _frozen(np.stack(columns))
 
         out = cls.__new__(cls)
-        out.__dict__.update(vars(first))  # the shape and the names
-        out._ids = None
+        out.__dict__.update(vars(first))  # the shape, the names and the proxy kind
         # Not cached: a stacked dataset lives for one batched pass, and
         # keeping its (b, n, p) bases was measured slower (see README).
         out._designs = None
         out._outcome = stacked([data._outcome for data in datasets])
         out._validation = stacked([data._validation for data in datasets])
-        for kind in ("_prescribed", "_actual", "_reported"):
-            columns = zip(*(getattr(data, kind) for data in datasets))  # stage by stage
-            setattr(out, kind, tuple(map(stacked, columns)))
+        for name in ("_proxy", "_actual"):
+            columns = zip(*(getattr(data, name) for data in datasets))  # stage by stage
+            setattr(out, name, tuple(map(stacked, columns)))
         out._covariates = tuple(
             {name: stacked([cols[name] for cols in stage]) for name in first._names}
             for stage in zip(*(data._covariates for data in datasets)))
@@ -494,13 +480,12 @@ class Dataset:
             return None if col is None else _frozen(col[idx])
 
         return Dataset(
-            ids=[self._ids[i] for i in idx],
             stage_covariates=[
                 {name: take(cols[name]) for name in self._names} for cols in self._covariates
             ],
-            prescribed=[take(c) for c in self._prescribed],
+            proxy=[take(c) for c in self._proxy],
+            proxy_kind=self._proxy_kind,
             actual=[take(c) for c in self._actual],
-            reported=[take(c) for c in self._reported],
             validation=take(self._validation),
             outcome=take(self._outcome),
         )
@@ -582,7 +567,6 @@ def compile_design(
     stage: int,
     mode: str,
     *,
-    proxy_kind: Optional[str] = None,
     treatment_override: Optional[Mapping[int, float]] = None,
 ) -> CompiledDesign:
     """Compile a FeatureSpec on ``data`` at ``stage`` under a substitution mode.
@@ -593,24 +577,21 @@ def compile_design(
     treatment at given stages to a fixed value regardless of source.
 
     An unstacked dataset keeps the result, so the fit, the sandwich and every
-    later call with the same spec, stage, mode, resolved proxy kind and
-    override get the same read-only design back; a stacked one keeps none.
+    later call with the same spec, stage, mode and override get the same
+    read-only design back; a stacked one keeps none.
     """
-    if proxy_kind is None:
-        proxy_kind = data.default_proxy_kind()
     if data._designs is None:
-        return _compile(spec, data, stage, mode, proxy_kind, treatment_override)
-    key = (spec, stage, mode, proxy_kind,
+        return _compile(spec, data, stage, mode, treatment_override)
+    key = (spec, stage, mode,
            None if treatment_override is None else tuple(sorted(treatment_override.items())))
     design = data._designs.get(key)
     if design is None:
-        design = _compile(spec, data, stage, mode, proxy_kind, treatment_override)
+        design = _compile(spec, data, stage, mode, treatment_override)
         data._designs[key] = design
     return design
 
 
 def _compile(spec: FeatureSpec, data: Dataset, stage: int, mode: str,
-             proxy_kind: Optional[str],
              treatment_override: Optional[Mapping[int, float]]) -> CompiledDesign:
     """``compile_design`` without the dataset's cache."""
     if mode not in SUBSTITUTION_MODES:
@@ -646,13 +627,11 @@ def _compile(spec: FeatureSpec, data: Dataset, stage: int, mode: str,
                         f"actual treatment missing at stage {f.stage} under use-actual"
                     )
             elif resolved == "proxy":
-                if proxy_kind is None:
+                if data.proxy_kind is None:
                     raise DesignError("no proxy treatment column available")
-                col = data.proxy(f.stage, proxy_kind)
+                col = data.proxy(f.stage)
                 if col is None or np.any(np.isnan(col)):
-                    raise DesignError(
-                        f"{proxy_kind} treatment missing at stage {f.stage}"
-                    )
+                    raise DesignError(f"{data.proxy_kind} treatment missing at stage {f.stage}")
             else:  # expected: multiplied in when the design is evaluated
                 stages.append(f.stage)
                 continue
@@ -668,7 +647,6 @@ def build_design_matrix(
     stage: int,
     mode: str,
     *,
-    proxy_kind: Optional[str] = None,
     expected: Optional[Mapping[int, np.ndarray]] = None,
     treatment_override: Optional[Mapping[int, float]] = None,
 ) -> np.ndarray:
@@ -680,6 +658,5 @@ def build_design_matrix(
     given stages to a fixed value regardless of source.  The result may be
     read-only.
     """
-    return compile_design(
-        spec, data, stage, mode, proxy_kind=proxy_kind, treatment_override=treatment_override
-    ).evaluate(expected)
+    return compile_design(spec, data, stage, mode,
+                          treatment_override=treatment_override).evaluate(expected)

@@ -125,11 +125,10 @@ def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct) ->
     flags = _validation_flags(n, validation_fraction, rng, 2)
     _freeze(x1, astar1, a1, x2, astar2, a2, flags, y)
     return Dataset(
-        ids=range(n),
         stage_covariates=[{"X": x1}, {"X": x2}],
-        prescribed=[astar1, astar2],
+        proxy=[astar1, astar2],
+        proxy_kind="prescribed",
         actual=[a1, a2],
-        reported=[None, None],
         validation=flags,
         outcome=y,
     )
@@ -157,11 +156,10 @@ def generate_s4(n: int, psi21: float, rng: np.random.Generator,
     flags = _validation_flags(n, validation_fraction, rng, 2)
     _freeze(x1, a1, rep1, x2, a2, rep2, flags, y)
     return Dataset(
-        ids=range(n),
         stage_covariates=[{"X": x1}, {"X": x2}],
-        prescribed=[None, None],
+        proxy=[rep1, rep2],
+        proxy_kind="reported",
         actual=[a1, a2],
-        reported=[rep1, rep2],
         validation=flags,
         outcome=y,
     )

@@ -182,11 +182,10 @@ def _random_perfect_adherence_dataset(rng):
         + rng.normal(size=n)
     )
     return Dataset(
-        ids=range(n),
         stage_covariates=[{"X": x1}, {"X": x2}],
-        prescribed=[a1, a2],
+        proxy=[a1, a2],
+        proxy_kind="prescribed",
         actual=[a1.copy(), a2.copy()],
-        reported=[None, None],
         validation=np.ones((n, 2), dtype=bool),
         outcome=y,
     )
@@ -242,7 +241,7 @@ def test_criterion_7_score_mean_zero_at_truth():
     n = 200_000
     data = generate_s1(n, 0.0, np.random.default_rng(20250808))
     x1, x2 = data.covariate("X", 1), data.covariate("X", 2)
-    a1s, a2s = data.prescribed(1), data.prescribed(2)
+    a1s, a2s = data.proxy(1), data.proxy(2)
     a1, a2 = data.actual(1), data.actual(2)
     val = data.validation
     y = data.outcome

@@ -576,7 +576,7 @@ def assert_same_read(got, want):
     assert got_diagnostics == want_diagnostics
     columns = [lambda d: d.outcome, lambda d: d.validation]
     for j in (1, 2):
-        columns += [lambda d, j=j: d.covariate("X", j), lambda d, j=j: d.prescribed(j),
+        columns += [lambda d, j=j: d.covariate("X", j), lambda d, j=j: d.proxy(j),
                     lambda d, j=j: d.actual(j)]
     for column in columns:
         mine, theirs = column(got_data), column(want_data)
@@ -686,6 +686,49 @@ class TestCsvErrors:
             warnings.simplefilter("error")
             with pytest.raises(cli.ConfigError, match="no data rows|row 2 has too few fields"):
                 cli.read_dataset_csv(config)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte order mark, which spreadsheets write in their "CSV UTF-8"
+    export, belongs to no header name and no config value."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["read-in-c", "validating-reader"])
+    def test_csv_with_a_bom_fits_as_without(self, analysis_setup, monkeypatch, sparse):
+        from dtr_adhere import cli
+
+        _, _, config_path, tmp_path = analysis_setup
+        csv_path = tmp_path / "data.csv"
+        text = csv_path.read_text()
+        if sparse:
+            text = edit_rows(blank_unvalidated_a1)(text)
+        # without the id column, a bound column comes first
+        text = edit_lines(lambda lines: [line.split(",", 1)[1] for line in lines])(text)
+        assert text.startswith("X1,")
+        read_in_c, read_complete = [], cli._read_complete
+
+        def spy(*args):
+            table = read_complete(*args)
+            read_in_c.append(table is not None)
+            return table
+
+        monkeypatch.setattr(cli, "_read_complete", spy)
+        fits = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            csv_path.write_bytes(text.encode(encoding))
+            out = tmp_path / encoding
+            assert run_cli("analyze", config_path, "--out", out) == 0
+            fits.append(read_bytes(out / "fit.json"))
+        assert read_bytes(csv_path)[:3] == b"\xef\xbb\xbf"
+        assert read_in_c == [not sparse] * 2
+        assert fits[0] == fits[1]
+
+    def test_config_with_a_bom_fits_as_without(self, analysis_setup):
+        _, _, config_path, tmp_path = analysis_setup
+        assert run_cli("analyze", config_path, "--out", tmp_path / "plain") == 0
+        config_path.write_bytes(config_path.read_text().encode("utf-8-sig"))
+        assert run_cli("analyze", config_path, "--out", tmp_path / "bom") == 0
+        fits = [read_bytes(tmp_path / out / "fit.json") for out in ("plain", "bom")]
+        assert fits[0] == fits[1]
 
 
 class TestSensitivity:

@@ -28,6 +28,7 @@ from dtr_adhere.glm import RankDeficiencyError, expit, fit_logistic, fit_logisti
 from dtr_adhere.inference import numerical_jacobian, regime_wald_intervals
 from dtr_adhere.model import (
     CompiledDesign,
+    DataError,
     Dataset,
     DesignError,
     build_design_matrix,
@@ -244,7 +245,7 @@ class TestFitAdherence:
         fit = scenario_plan("s1", "modified-fitted").estimate(data)
         alpha = fit.nuisance[0]["alpha"]
         spec = parse_feature_spec("1 + X[1] + Astar[1]")
-        design = build_design_matrix(spec, data, 1, "use-proxy", proxy_kind="prescribed")
+        design = build_design_matrix(spec, data, 1, "use-proxy")
         x = design[data.validation[:, 0]]
         mu = expit(x @ alpha)
         se = np.sqrt(np.diag(np.linalg.inv((x * (mu * (1.0 - mu))[:, None]).T @ x)))
@@ -257,11 +258,10 @@ class TestFitAdherence:
         x = rng.normal(size=200)
         astar = rng.binomial(1, 0.5, 200).astype(float)
         return Dataset(
-            ids=range(200),
             stage_covariates=[{"X": x}],
-            prescribed=[astar],
+            proxy=[astar],
+            proxy_kind="prescribed",
             actual=[astar.copy()],
-            reported=[None],
             validation=np.ones((200, 1), dtype=bool),
             outcome=rng.normal(size=200),
         )
@@ -299,11 +299,10 @@ class TestFitAdherence:
         x1, x2 = rng.normal(size=50), rng.normal(size=50)
         astar1, astar2 = (rng.binomial(1, 0.5, 50).astype(float) for _ in range(2))
         data = Dataset(
-            ids=range(50),
             stage_covariates=[{"X": x1}, {"X": x2}],
-            prescribed=[astar1, astar2],
+            proxy=[astar1, astar2],
+            proxy_kind="prescribed",
             actual=[None, None],
-            reported=[None, None],
             validation=np.zeros((50, 2), dtype=bool),
             outcome=np.zeros(50),
         )
@@ -329,10 +328,10 @@ class TestFitAdherence:
         fits = [(datasets[0], plan.estimate(datasets[0]))]
         fits += [(data, fit) for data, (fit, _) in zip(datasets, members)]
         for data, fit in fits:
+            assert data.proxy_kind == proxy_kind
             for j, spec in enumerate(plan.specs, start=1):
                 mask = data.validation[:, j - 1]
-                design = build_design_matrix(spec.adherence, data, j, "use-proxy",
-                                             proxy_kind=proxy_kind)
+                design = build_design_matrix(spec.adherence, data, j, "use-proxy")
                 oracle = fit_logistic(design[mask], data.actual(j)[mask])
                 assert np.max(np.abs(oracle.coefficients)) < 15.0
                 np.testing.assert_allclose(fit.nuisance[j - 1]["alpha"], oracle.coefficients,
@@ -348,11 +347,10 @@ def perfect_adherence_dataset(rng, n=400):
     a2 = rng.binomial(1, expit(-0.2 + 0.6 * x2)).astype(float)
     y = x1 + a1 * (1 + x1) + a2 * (0.5 + x2) + rng.normal(size=n)
     return Dataset(
-        ids=range(n),
         stage_covariates=[{"X": x1}, {"X": x2}],
-        prescribed=[a1, a2],
+        proxy=[a1, a2],
+        proxy_kind="prescribed",
         actual=[a1.copy(), a2.copy()],
-        reported=[None, None],
         validation=np.ones((n, 2), dtype=bool),
         outcome=y,
     )
@@ -443,18 +441,22 @@ class TestEstimateRegime:
             EstimationPlan(scenario_models("s4"), "modified-prescribed",
                            AdherenceSource.fitted()).estimate(data)
 
-    def test_plan_resolves_proxy_kind(self):
-        specs = scenario_models("s4")
-        assert EstimationPlan(specs, "modified-reported").proxy_kind == "reported"
-        with pytest.raises(ValueError, match="conflicts"):
-            EstimationPlan(specs, "modified-reported", proxy_kind="prescribed")
-        with pytest.raises(ValueError, match="proxy_kind"):
-            EstimationPlan(specs, "standard-naive-proxy", proxy_kind="nope")
-        # a standard mode takes the dataset's kind; the fit records it
-        data = generate_s4(300, 0.0, np.random.default_rng(0))
-        plan = EstimationPlan(specs, "standard-naive-proxy")
-        assert plan.proxy_kind is None
-        assert plan.estimate(data).plan.proxy_kind == "reported"
+    def test_a_corrected_mode_rejects_the_other_proxy_kind(self):
+        # one DataError wherever the stage system meets the data: the fit,
+        # its sandwich score and its rules
+        reported = generate_s4(300, 0.0, np.random.default_rng(0))
+        prescribed = generate_s1(300, 0.0, np.random.default_rng(1))
+        fit = scenario_plan("s4", "modified-known").estimate(reported)
+        message = "modified-reported needs reported proxies, not prescribed ones"
+        for call in (fit.plan.estimate, lambda data: recommend(fit, data),
+                     lambda data: StackedScore(data, fit)):
+            with pytest.raises(DataError, match=f"^{message}$"):
+                call(prescribed)
+        for member, error in fit.plan.fit_members(prescribed, np.ones((2, 300))):
+            assert member is None and type(error) is DataError and str(error) == message
+        # a standard mode takes either kind
+        for data in (reported, prescribed):
+            EstimationPlan(fit.plan.specs, "standard-naive-proxy").estimate(data)
 
     @pytest.mark.parametrize("estimator", ["modified-fitted", "modified-known"])
     def test_adherence_iterations_per_stage(self, estimator):
@@ -504,11 +506,10 @@ class TestEstimateRegime:
         actual = [rng.binomial(1, expit(-4.6 - 0.83 * xj + 7.5 * aj)).astype(float)
                   for xj, aj in zip(x, astar)]
         data = Dataset(
-            ids=range(n),
             stage_covariates=[{"X": xj} for xj in x],
-            prescribed=astar,
+            proxy=astar,
+            proxy_kind="prescribed",
             actual=actual,
-            reported=[None] * 3,
             validation=np.ones((n, 3), dtype=bool),
             outcome=rng.normal(size=n),
         )
@@ -565,12 +566,11 @@ def first_stages(data, stages, proxy=True):
     zero, which no rule reads; without ``proxy`` it records no proxy."""
     kept = range(1, stages + 1)
     return Dataset(
-        ids=data.ids,
         stage_covariates=[{name: data.covariate(name, j) for name in data.covariate_names}
                           for j in kept],
-        prescribed=[data.prescribed(j) if proxy else None for j in kept],
+        proxy=[data.proxy(j) if proxy else None for j in kept],
+        proxy_kind=data.proxy_kind if proxy else None,
         actual=[data.actual(j) for j in kept],
-        reported=[data.reported(j) if proxy else None for j in kept],
         validation=data.validation[:, :stages],
         outcome=np.zeros(data.n),
     )
@@ -580,9 +580,10 @@ class TestRecommend:
     @staticmethod
     def history(x1, prescribed=None):
         """One individual's stage-1 history as a one-row dataset."""
-        return Dataset(ids=["h"], stage_covariates=[{"X": [x1]}],
-                       prescribed=[None if prescribed is None else [prescribed]],
-                       actual=[None], reported=[None], validation=None, outcome=[0.0])
+        return Dataset(stage_covariates=[{"X": [x1]}],
+                       proxy=[None if prescribed is None else [prescribed]],
+                       proxy_kind=None if prescribed is None else "prescribed",
+                       actual=[None], validation=None, outcome=[0.0])
 
     def fixed_fit(self, psi1):
         rng = np.random.default_rng(10)
@@ -619,8 +620,8 @@ class TestRecommend:
 
     def test_missing_covariate_raises(self):
         fit = self.fixed_fit([1.0, 1.0])
-        bad = Dataset(ids=["b"], stage_covariates=[{}], prescribed=[None], actual=[None],
-                      reported=[None], validation=None, outcome=[0.0])
+        bad = Dataset(stage_covariates=[{}], proxy=[None], proxy_kind=None, actual=[None],
+                      validation=None, outcome=[0.0])
         with pytest.raises(DesignError):
             recommend(fit, bad)
 

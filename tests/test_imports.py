@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and imports no
+other module's private (single-underscore) name."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,25 @@ def test_every_import_is_used(module):
 def test_every_allowed_import_is_still_unused():
     for module, name in ALLOWED:
         assert name in unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def private_imports(source: str) -> list:
+    """The single-underscore names ``source`` imports from the package; a
+    dunder such as ``__version__`` is public."""
+    return sorted(
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == PACKAGE.name)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__"))
+
+
+def test_the_check_finds_a_private_import():
+    source = ("from . import __version__\nfrom .gest import _fit_stages, psi_flat\n"
+              "from dtr_adhere.model import _compile\nfrom os import _exit\n")
+    assert private_imports(source) == ["_compile", "_fit_stages"]
+
+
+@pytest.mark.parametrize("module", ["__init__", *MODULES])
+def test_no_private_name_is_imported(module):
+    assert private_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == []

@@ -454,10 +454,10 @@ def _uncached_compiles(monkeypatch) -> list:
     keys = []
     compile_ = model._compile
 
-    def spy(spec, data, stage, mode, proxy_kind, override):
-        keys.append((id(data), spec, stage, mode, proxy_kind,
+    def spy(spec, data, stage, mode, override):
+        keys.append((id(data), spec, stage, mode,
                      None if override is None else tuple(sorted(override.items()))))
-        return compile_(spec, data, stage, mode, proxy_kind, override)
+        return compile_(spec, data, stage, mode, override)
 
     monkeypatch.setattr(model, "_compile", spy)
     return keys

@@ -47,14 +47,13 @@ def columns(data):
     """The keyword arguments that rebuild ``data``."""
     stages = range(1, data.n_stages + 1)
     return dict(
-        ids=data.ids,
         stage_covariates=[
             {name: data.covariate(name, j).copy() for name in data.covariate_names}
             for j in stages
         ],
-        prescribed=[data.prescribed(j) for j in stages],
+        proxy=[data.proxy(j) for j in stages],
+        proxy_kind=data.proxy_kind,
         actual=[data.actual(j) for j in stages],
-        reported=[data.reported(j) for j in stages],
         validation=data.validation.copy(),
         outcome=data.outcome,
     )

@@ -34,11 +34,10 @@ def dataset(*records, validation=None):
         return np.array([np.nan if v[j] is None else v[j] for v in values], dtype=float)
 
     return Dataset(
-        ids=None,
         stage_covariates=[{"X": column(xs, j)} for j in range(2)],
-        prescribed=[column(prescribed, j) for j in range(2)],
+        proxy=[column(prescribed, j) for j in range(2)],
+        proxy_kind="prescribed",
         actual=[column(actual, j) for j in range(2)],
-        reported=[None, None],
         validation=validation,
         outcome=outcome,
     )
@@ -140,15 +139,34 @@ class TestDataset:
 
     def test_rejects_unequal_stage_lists(self):
         with pytest.raises(DataError, match="stage-wise field lists must have equal length"):
-            Dataset(ids=None, stage_covariates=[{"X": [1.0]}, {"X": [2.0]}],
-                    prescribed=[[1.0]], actual=[None, None], reported=[None, None],
+            Dataset(stage_covariates=[{"X": [1.0]}, {"X": [2.0]}],
+                    proxy=[[1.0]], proxy_kind="prescribed", actual=[None, None],
                     validation=None, outcome=[1.0])
 
     def test_rejects_stage_covariate_names_that_differ(self):
         with pytest.raises(DataError, match="stage 2 covariate names differ from stage 1"):
-            Dataset(ids=None, stage_covariates=[{"X": [1.0]}, {"Z": [0.0]}],
-                    prescribed=[[1.0], [1.0]], actual=[None, None], reported=[None, None],
+            Dataset(stage_covariates=[{"X": [1.0]}, {"Z": [0.0]}],
+                    proxy=[[1.0], [1.0]], proxy_kind="prescribed", actual=[None, None],
                     validation=None, outcome=[1.0])
+
+    @pytest.mark.parametrize("proxy, kind, message", [
+        ([[1.0], None], None, "a recorded proxy's kind must be one of"),
+        ([[1.0], [0.0]], "recorded", "a recorded proxy's kind must be one of"),
+        ([None, None], "prescribed", "proxy_kind 'prescribed' given, but no stage records"),
+    ], ids=["proxy-without-kind", "unknown-kind", "kind-without-proxy"])
+    def test_a_proxy_and_its_kind_come_together(self, proxy, kind, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(stage_covariates=[{"X": [1.0]}, {"X": [2.0]}], proxy=proxy, proxy_kind=kind,
+                    actual=[None, None], validation=None, outcome=[1.0])
+
+    def test_stacked_members_share_one_proxy_kind(self):
+        fields = dict(stage_covariates=[{"X": [1.0, 2.0]}], proxy=[[1.0, 0.0]],
+                      actual=[None], validation=None, outcome=[1.0, 0.0])
+        prescribed = Dataset(proxy_kind="prescribed", **fields)
+        reported = Dataset(proxy_kind="reported", **fields)
+        assert Dataset.stack([reported, reported]).proxy_kind == "reported"
+        with pytest.raises(DataError, match="share their size and schema"):
+            Dataset.stack([prescribed, reported])
 
     def test_rejects_nonbinary_treatment(self):
         with pytest.raises(DataError):
@@ -171,19 +189,18 @@ class TestDataset:
         data = dataset(record(1.0, 2.0), record(3.0, 4.0))
         sub = data.subset([1, 1, 0])
         np.testing.assert_allclose(sub.covariate("X", 1), [3.0, 3.0, 1.0])
-        assert sub.ids == (1, 1, 0)
 
     @staticmethod
     def columns(data):
         return [data.outcome, data.validation, *(
-            col for j in (1, 2) for col in (data.covariate("X", j), data.prescribed(j),
+            col for j in (1, 2) for col in (data.covariate("X", j), data.proxy(j),
                                             data.actual(j)))]
 
     def test_columns_are_read_only_copies(self):
         x = np.random.default_rng(3).normal(size=50)
         first = x[0]
-        data = Dataset(ids=None, stage_covariates=[{"X": x}], prescribed=[np.ones(50)],
-                       actual=[None], reported=[None], validation=None, outcome=np.zeros(50))
+        data = Dataset(stage_covariates=[{"X": x}], proxy=[np.ones(50)], proxy_kind="prescribed",
+                       actual=[None], validation=None, outcome=np.zeros(50))
         x[0] = 123.0  # the caller's array, not the dataset's
         assert data.covariate("X", 1)[0] == first
         with pytest.raises(ValueError, match="read-only"):
@@ -194,8 +211,8 @@ class TestDataset:
     def test_read_only_input_is_kept_as_it_is(self):
         outcome = np.zeros(50)
         outcome.flags.writeable = False
-        data = Dataset(ids=None, stage_covariates=[{"X": np.ones(50)}], prescribed=[np.ones(50)],
-                       actual=[None], reported=[None], validation=None, outcome=outcome)
+        data = Dataset(stage_covariates=[{"X": np.ones(50)}], proxy=[np.ones(50)],
+                       proxy_kind="prescribed", actual=[None], validation=None, outcome=outcome)
         assert data.outcome is outcome
 
     def test_derived_and_unpickled_datasets_are_read_only(self):
@@ -278,12 +295,10 @@ class TestDesignRows:
             record(0.3, 1.0, prescribed=(1, 0), actual=(1, 0)),
             record(1.4, -2.0, prescribed=(0, 1), actual=(0, 1)),
         )
-        expected = {1: data.prescribed(1), 2: data.prescribed(2)}
+        expected = {1: data.proxy(1), 2: data.proxy(2)}
         m_actual = build_design_matrix(spec, data, 2, "use-actual")
-        m_proxy = build_design_matrix(spec, data, 2, "use-proxy", proxy_kind="prescribed")
-        m_expected = build_design_matrix(
-            spec, data, 2, "use-expected", proxy_kind="prescribed", expected=expected
-        )
+        m_proxy = build_design_matrix(spec, data, 2, "use-proxy")
+        m_expected = build_design_matrix(spec, data, 2, "use-expected", expected=expected)
         np.testing.assert_array_equal(m_actual, m_proxy)
         np.testing.assert_array_equal(m_actual, m_expected)
 
@@ -304,11 +319,10 @@ class TestCompiledDesign:
         rng = np.random.default_rng(7)
         n = 6
         return Dataset(
-            ids=range(n),
             stage_covariates=[{"X": rng.normal(size=n)}, {"X": rng.normal(size=n)}],
-            prescribed=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
+            proxy=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
+            proxy_kind="prescribed",
             actual=[None, None],
-            reported=[None, None],
             validation=None,
             outcome=np.zeros(n),
         )
@@ -403,16 +417,15 @@ class TestCompiledDesign:
             assert x.shape[-1] == len(spec) and column_major(x), x.strides
 
     def test_a_dataset_keeps_each_compiled_design(self):
-        """One key, one design: the spec, stage, mode, resolved proxy kind
-        and override.  A key that differs in any of them compiles anew."""
+        """One key, one design: the spec, stage, mode and override.  A key
+        that differs in any of them compiles anew."""
         rng = np.random.default_rng(8)
         n = 6
         data = Dataset(
-            ids=range(n),
             stage_covariates=[{"X": rng.normal(size=n)}, {"X": rng.normal(size=n)}],
-            prescribed=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
+            proxy=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
+            proxy_kind="prescribed",
             actual=[None, None],
-            reported=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
             validation=None,
             outcome=np.zeros(n),
         )
@@ -421,20 +434,16 @@ class TestCompiledDesign:
         assert compile_design(spec, data, 2, "use-proxy") is form
         assert compile_design(parse_feature_spec("1 + X[1] + A[1] + Astar[1]*X[1]"),
                               data, 2, "use-proxy") is form  # an equal spec
-        assert compile_design(spec, data, 2, "use-proxy", proxy_kind="prescribed") is form
         others = [
             compile_design(spec, data, 1, "use-proxy"),
             compile_design(spec, data, 2, "use-expected"),
-            compile_design(spec, data, 2, "use-proxy", proxy_kind="reported"),
             compile_design(spec, data, 2, "use-proxy", treatment_override={1: 1.0}),
             compile_design(spec, data, 2, "use-proxy", treatment_override={1: 0.0}),
             compile_design(parse_feature_spec("1 + X[1]"), data, 2, "use-proxy"),
         ]
         assert len({id(other) for other in [form, *others]}) == 1 + len(others)
-        assert compile_design(spec, data, 2, "use-proxy", proxy_kind="reported") is others[2]
         assert compile_design(spec, data, 2, "use-proxy",
-                              treatment_override={1: 0.0}) is others[4]
-        assert not np.array_equal(others[2].base, form.base)  # the reported proxy
+                              treatment_override={1: 0.0}) is others[3]
 
     def test_subset_compiles_its_own_designs(self):
         data, spec = self.dataset(), parse_feature_spec(self.SPEC)

@@ -52,7 +52,7 @@ class TestGenerateS1:
         for j, sd in ((1, 1.0), (2, 2.0)):
             x = data.covariate("X", j)
             assert abs(x.mean() - 1.0) < 0.01 and abs(x.std() - sd) < 0.01
-            astar = data.prescribed(j)
+            astar = data.proxy(j)
             binned_rate_check(x, astar, expit(x))
             a = data.actual(j)
             for value in (0.0, 1.0):
@@ -68,7 +68,7 @@ class TestGenerateS1:
         assert expit(-4.6) == pytest.approx(0.00995, abs=2e-5)
         assert 1.0 - expit(-4.6 + 7.5) == pytest.approx(0.0522, abs=2e-4)
         data = generate_s1(1_000_000, 0.0, np.random.default_rng(5))
-        astar, a = data.prescribed(1), data.actual(1)
+        astar, a = data.proxy(1), data.actual(1)
         m0 = np.mean(a[astar == 0])
         m1 = np.mean(1.0 - a[astar == 1])
         assert m0 == pytest.approx(0.0094, abs=0.001)
@@ -104,10 +104,10 @@ class TestGenerateS3:
         oracle_rng = np.random.default_rng(1234)
         z = oracle_rng.normal(1.0, 1.0, 2_000_000)
         target1 = expit(0.5 + z).mean()
-        assert abs(data.prescribed(1).mean() - target1) < 0.002
+        assert abs(data.proxy(1).mean() - target1) < 0.002
         z2 = oracle_rng.normal(1.0, 2.0, 2_000_000)
         target2 = expit(-0.5 + z2).mean()
-        assert abs(data.prescribed(2).mean() - target2) < 0.002
+        assert abs(data.proxy(2).mean() - target2) < 0.002
 
     def test_truth_recovery_modified_known(self):
         # the direct 0.5 A1 outcome effect lands in the stage-1 intercept
@@ -124,7 +124,7 @@ class TestGenerateS3:
 class TestGenerateS4:
     def test_reporting_mechanism_values(self):
         data = generate_s4(1_000_000, 0.0, np.random.default_rng(44))
-        x, a, rep = data.covariate("X", 1), data.actual(1), data.reported(1)
+        x, a, rep = data.covariate("X", 1), data.actual(1), data.proxy(1)
         at = (x == 1.0) & (a == 1.0)
         af = (x == 1.0) & (a == 0.0)
         se_t = np.sqrt(0.85 * 0.15 / at.sum())
@@ -152,8 +152,7 @@ class TestGenerateS4:
 
     def test_proxy_kind_is_reported(self):
         data = generate_s4(100, 0.0, np.random.default_rng(0))
-        assert data.default_proxy_kind() == "reported"
-        assert data.prescribed(1) is None
+        assert data.proxy_kind == "reported"
 
 
 GENERATORS = {
@@ -167,7 +166,7 @@ def column_digest(data):
     """A digest of every column of a two-stage dataset, in a fixed order."""
     digest = hashlib.sha256()
     for j in (1, 2):
-        for col in (data.covariate("X", j), data.actual(j), data.prescribed(j), data.reported(j)):
+        for col in (data.covariate("X", j), data.actual(j), data.proxy(j)):
             if col is not None:
                 digest.update(np.ascontiguousarray(col).tobytes())
     digest.update(data.validation.tobytes())
@@ -193,7 +192,7 @@ class TestGeneratedDatasets:
         assert data.validation is fields["validation"]
         for j in (1, 2):
             assert data.covariate("X", j) is fields["stage_covariates"][j - 1]["X"]
-            for kind in ("prescribed", "actual", "reported"):
+            for kind in ("proxy", "actual"):
                 assert getattr(data, kind)(j) is fields[kind][j - 1]
 
     def test_seeded_columns_are_unchanged(self):
@@ -236,7 +235,7 @@ class TestPseudoOutcomeIdentity:
         n = 400_000
         data = generate_s1(n, 0.0, np.random.default_rng(67))
         x1, x2 = data.covariate("X", 1), data.covariate("X", 2)
-        astar1, astar2 = data.prescribed(1), data.prescribed(2)
+        astar1, astar2 = data.proxy(1), data.proxy(2)
         pi2 = expit(-4.6 - 0.83 * x2 + 7.5 * astar2)
         c2 = 1.0 + x2
         v2 = data.outcome + ((c2 > 0) - pi2) * c2
@@ -343,12 +342,11 @@ def _without_validation(data, stage):
     validation = data.validation.copy()
     validation[:, stage - 1] = False
     return Dataset(
-        ids=data.ids,
         stage_covariates=[{name: data.covariate(name, j) for name in data.covariate_names}
                           for j in stages],
-        prescribed=[data.prescribed(j) for j in stages],
+        proxy=[data.proxy(j) for j in stages],
+        proxy_kind=data.proxy_kind,
         actual=[data.actual(j) for j in stages],
-        reported=[data.reported(j) for j in stages],
         validation=validation,
         outcome=data.outcome,
     )
