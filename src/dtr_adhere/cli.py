@@ -78,19 +78,23 @@ def _csv_cells(values) -> list:
 
 def write_dataset_csv(data: Dataset, path) -> dict:
     """Export a dataset with conventional column names; returns the per-stage
-    column bindings in the shape the analyze config expects."""
-    kind = data.proxy_kind or "prescribed"
-    suffix = "star" if kind == "prescribed" else "rep"
+    column bindings in the shape the analyze config expects.  A stage that
+    records no proxy gets no proxy column and no ``proxy`` binding."""
+    suffix = "star" if data.proxy_kind == "prescribed" else "rep"
     header, columns, bindings = ["id"], [], []
-    absent = np.full(data.n, np.nan)
     for j in range(1, data.n_stages + 1):
         covariates = {name: f"{name}{j}" for name in data.covariate_names}
-        entry = {"covariates": covariates, "proxy": f"A{j}{suffix}", "actual": f"A{j}",
-                 "validation": f"V{j}"}
-        header.extend([*covariates.values(), entry["proxy"], entry["actual"], entry["validation"]])
+        header.extend(covariates.values())
         columns.extend(data.covariate(name, j) for name in data.covariate_names)
-        for col in (data.proxy(j), data.actual(j)):
-            columns.append(absent if col is None else col)
+        entry = {"covariates": covariates}
+        if data.proxy(j) is not None:
+            entry["proxy"] = f"A{j}{suffix}"
+            header.append(entry["proxy"])
+            columns.append(data.proxy(j))
+        entry.update(actual=f"A{j}", validation=f"V{j}")
+        header.extend([entry["actual"], entry["validation"]])
+        actual = data.actual(j)
+        columns.append(np.full(data.n, np.nan) if actual is None else actual)
         columns.append(data.validation[:, j - 1] * 1.0)
         bindings.append(entry)
     header.append("Y")
@@ -100,7 +104,7 @@ def write_dataset_csv(data: Dataset, path) -> dict:
     with fh:
         writer.writerow(header)
         writer.writerows(zip(map(str, range(data.n)), *map(_csv_cells, columns)))
-    return {"stage_columns": bindings, "outcome": "Y", "proxy_kind": kind}
+    return {"stage_columns": bindings, "outcome": "Y", "proxy_kind": data.proxy_kind}
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +203,14 @@ def _summary_payload(summary) -> dict:
 @dataclass
 class StageBinding:
     covariates: dict  # formula name -> csv column
-    proxy: str
+    proxy: Optional[str] = None
     actual: Optional[str] = None
     validation: Optional[str] = None
 
     def columns(self) -> list:
         """Every CSV column this stage reads."""
-        return [*self.covariates.values(), self.proxy, *filter(None, (self.actual, self.validation))]
+        return [*self.covariates.values(),
+                *filter(None, (self.proxy, self.actual, self.validation))]
 
 
 @dataclass
@@ -214,7 +219,7 @@ class AnalysisConfig:
     stages: int
     outcome: str
     stage_columns: list
-    proxy_kind: str  # the kind of the bound proxy columns
+    proxy_kind: Optional[str]  # the kind of the bound proxy columns; None if none is bound
     plan: EstimationPlan
     inference_method: str  # "none" | "wald-sandwich" | "bootstrap"
     bootstrap_replicates: int
@@ -265,12 +270,11 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
 
     bindings = []
     for j, entry in enumerate(per_stage("stage_columns"), start=1):
-        if not isinstance(entry, dict) or "proxy" not in entry:
-            raise ConfigError(f"stage_columns entry {j} has no 'proxy' column")
+        entry = _typed(entry, dict, f"stage_columns entry {j}")
         binding = StageBinding(
             covariates=_typed(entry.get("covariates", {}), dict,
                               f"stage_columns entry {j} covariates"),
-            proxy=entry["proxy"],
+            proxy=entry.get("proxy"),
             actual=entry.get("actual"),
             validation=entry.get("validation"),
         )
@@ -300,6 +304,10 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
         raise ConfigError(f"stage out of range or invalid model: {err}") from err
 
     mode = need("mode", str)
+    if mode != "standard-actual":  # every other mode reads the proxy at every stage
+        for j, binding in enumerate(bindings, start=1):
+            if binding.proxy is None:
+                raise ConfigError(f"stage_columns entry {j} has no 'proxy' column")
     adherence_raw = _typed(raw.get("adherence", {}), dict, "adherence")
     adherence = None
     # A standard mode takes no adherence block; the plan rejects one it is given.
@@ -352,6 +360,9 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
         raise ConfigError(f"proxy_kind must be one of {PROXY_KINDS}, got {proxy_kind!r}")
     if implied and proxy_kind not in (None, implied):
         raise ConfigError(f"proxy_kind {proxy_kind!r} conflicts with mode '{mode}'")
+    bound = any(binding.proxy is not None for binding in bindings)
+    if proxy_kind is not None and not bound:
+        raise ConfigError(f"proxy_kind {proxy_kind!r} given, but no stage binds a proxy column")
 
     input_path = Path(path).parent / need("input", str)  # an absolute input stays as it is
 
@@ -360,7 +371,7 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
         stages=stages,
         outcome=need("outcome", str),
         stage_columns=bindings,
-        proxy_kind=proxy_kind or implied or "prescribed",
+        proxy_kind=(proxy_kind or implied or "prescribed") if bound else None,
         plan=plan,
         inference_method=method,
         bootstrap_replicates=replicates,
@@ -478,7 +489,9 @@ def read_dataset_csv(config: AnalysisConfig):
 
     required = [config.outcome]
     for binding in config.stage_columns:
-        required.extend([*binding.covariates.values(), binding.proxy])
+        required.extend(binding.covariates.values())
+        if binding.proxy:
+            required.append(binding.proxy)
     keep = ~np.any([np.isnan(values[name]) for name in required], axis=0)
     n, k = int(keep.sum()), config.stages
     if n == 0:
@@ -491,7 +504,7 @@ def read_dataset_csv(config: AnalysisConfig):
     validation = np.zeros((n, k), dtype=bool)
     for j, binding in enumerate(config.stage_columns):
         stage_covariates.append({f: kept[c] for f, c in binding.covariates.items()})
-        proxies.append(kept[binding.proxy])
+        proxies.append(kept[binding.proxy] if binding.proxy else None)
         actuals.append(kept[binding.actual] if binding.actual else None)
         if binding.validation:
             flags = values[binding.validation]

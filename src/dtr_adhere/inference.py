@@ -6,8 +6,9 @@ For a fitted regime the Jacobian comes in closed form from the same pass of
 the stage system that gives the scores; ``numerical_jacobian`` (central
 differences) serves any other estimating function.  The nonparametric
 bootstrap resamples whole trajectories as multinomial frequency weights and
-refits the entire pipeline, adherence models included, for a fixed-size block
-of replicates at a time: one batched pass of the stage system per block.
+refits the entire pipeline, adherence models included, for a block of
+replicates at a time: one batched pass of the stage system per block, sized
+by ``gest.passes``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .gest import (MAX_FAILURE_FRACTION, EstimationError, RegimeFit, StackedScore,
-                   failure_counts, ordered_map, psi_flat)
+                   failure_counts, ordered_map, passes, psi_flat)
 from .model import Dataset
 
 # Relative central-difference step of numerical_jacobian.
@@ -28,9 +29,6 @@ JACOBIAN_STEP = 1e-6
 # Singular values of the Jacobian at or below this fraction of the largest are
 # dropped from the bread (``pinv``'s ``rcond``).
 BREAD_RCOND = 1e-12
-# Bootstrap replicates per call of the estimator.  Fixed, so that which
-# replicates share a batched pass, and so every result, never depends on jobs.
-BOOTSTRAP_BLOCK = 20
 
 
 class SandwichError(EstimationError):
@@ -205,10 +203,11 @@ def bootstrap(
     ``(estimate, error)`` pairs, ``error`` being ``None`` or the estimation
     failure of that replicate (``EstimationPlan.psi_estimator`` refits the
     whole pipeline in one batched pass).  Replicates go to the estimator in
-    blocks of ``BOOTSTRAP_BLOCK``, spread over ``jobs`` worker processes, so
-    results do not depend on ``jobs``.  Failed replicates are dropped and
-    counted by class and stage in ``diagnostics["failures"]``; more than
-    ``MAX_FAILURE_FRACTION`` failing is an error.
+    the blocks ``gest.passes(n_replicates, data.n)`` cuts, spread over
+    ``jobs`` worker processes, so results do not depend on ``jobs``.  Failed
+    replicates are dropped and counted by class and stage in
+    ``diagnostics["failures"]``; more than ``MAX_FAILURE_FRACTION`` failing is
+    an error.
     """
     if n_replicates < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
@@ -220,10 +219,8 @@ def bootstrap(
             raise error
     point_estimates = np.asarray(point_estimates, dtype=float)
 
-    blocks = [range(start, min(start + BOOTSTRAP_BLOCK, n_replicates))
-              for start in range(0, n_replicates, BOOTSTRAP_BLOCK)]
     results = [pair for block in ordered_map(partial(_bootstrap_block, estimator, data, seed),
-                                             blocks, jobs)
+                                             passes(n_replicates, data.n), jobs)
                for pair in block]
     draws = [est for est, err in results if err is None]
     n_failed = n_replicates - len(draws)

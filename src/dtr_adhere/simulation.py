@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gest import (MAX_FAILURE_FRACTION, AdherenceSource, EstimationPlan, RegimeFit,
-                   StageModelSpec, failure_counts, ordered_map, psi_flat, tally)
+                   StageModelSpec, failure_counts, ordered_map, passes, psi_flat, tally)
 from .glm import expit
 from .inference import regime_wald_intervals
 from .model import Dataset
@@ -39,9 +39,6 @@ SCENARIOS = ("s1", "s2", "s3", "s4")
 ESTIMATORS = ("modified-known", "modified-fitted", "naive-proxy", "standard-actual")
 # Nominal level of the Wald intervals whose coverage a study records.
 COVERAGE_LEVEL = 0.95
-# Replicates fitted in one batched pass.  Fixed, so that which replicates
-# share a pass, and so every result, never depends on jobs.
-REPLICATION_BLOCK = 10
 
 # Nonadherence mechanism shared by s1/s2/s3: the chance the treatment was
 # actually taken, given the stage covariate and the prescription.
@@ -427,17 +424,16 @@ def run_replications(config: ScenarioConfig) -> ReplicationSummary:
 
     Each replicate generates one dataset from a seed stream derived from the
     master seed by replicate index, so individual replicates are
-    reproducible.  Blocks of ``REPLICATION_BLOCK`` replicates are stacked,
-    and each estimator fits a block in one batched pass; ``jobs`` worker
-    processes share out the blocks, so results do not depend on the worker
-    count.
+    reproducible.  The blocks ``gest.passes(replications, n)`` cuts are
+    stacked, and each estimator fits a block in one batched pass; ``jobs``
+    worker processes share out the blocks, so results do not depend on the
+    worker count.
     """
     plans = {name: scenario_plan(config.scenario, name,
                                  exact_pseudo_outcomes=config.exact_pseudo_outcomes)
              for name in config.estimators}
-    blocks = [range(start, min(start + REPLICATION_BLOCK, config.replications))
-              for start in range(0, config.replications, REPLICATION_BLOCK)]
-    results = ordered_map(partial(_replicate_block, config, plans), blocks, config.jobs)
+    results = ordered_map(partial(_replicate_block, config, plans),
+                          passes(config.replications, config.n), config.jobs)
 
     specs = scenario_models(config.scenario)
     parameters = [

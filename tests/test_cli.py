@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from dtr_adhere.cli import load_analysis_config, main, write_dataset_csv
-from dtr_adhere.gest import psi_flat
-from dtr_adhere.inference import BOOTSTRAP_BLOCK, regime_sandwich
+from dtr_adhere.gest import passes, psi_flat
+from dtr_adhere.inference import regime_sandwich
+from dtr_adhere.model import Dataset
 from dtr_adhere.simulation import generate_s1, scenario_plan
 
 
@@ -89,11 +90,12 @@ class TestSimulate:
             assert read_bytes(out1 / name) == read_bytes(out3 / name)
 
     def test_blocks_jobs_and_summary_counts(self, tmp_path):
-        # three replication blocks, the last one partial, spread over two
+        # two replication blocks, the last one partial, spread over two
         # workers; one modified-fitted replicate fails and the as-treated
         # assignment fits reach probabilities of 0 or 1
         args = ["simulate", "--scenario", "s1", "--n", "120", "--reps", "23", "--param", "1",
                 "--seed", "2", "--estimators", "modified-fitted,standard-actual"]
+        assert [len(p) for p in passes(23, 120)] == [20, 3]
         assert run_cli(*args, "--out", tmp_path / "a") == 0
         assert run_cli(*args, "--out", tmp_path / "b", "--jobs", "2") == 0
         for name in ("summary.json", "estimates.csv"):
@@ -106,6 +108,16 @@ class TestSimulate:
         assert as_treated["failures"] == 0 and as_treated["failure_counts"] == []
         assert as_treated["positivity_violations"] == [0, 10]
         assert fitted["positivity_violations"] == [0, 0]
+
+    def test_row_sized_passes_and_jobs(self, tmp_path):
+        # at n=10000 a pass holds 10 replicates: a full pass and a partial one
+        assert [len(p) for p in passes(12, 10000)] == [10, 2]
+        args = ["simulate", "--scenario", "s4", "--n", "10000", "--reps", "12", "--param", "1",
+                "--seed", "3", "--estimators", "modified-fitted,naive-proxy"]
+        assert run_cli(*args, "--out", tmp_path / "a") == 0
+        assert run_cli(*args, "--out", tmp_path / "b", "--jobs", "2") == 0
+        for name in ("summary.json", "estimates.csv"):
+            assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
 
     def test_seed_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DTR_ADHERE_SEED", "123")
@@ -191,6 +203,37 @@ class TestAnalyze:
         assert payload["diagnostics"]["validation_rows_per_stage"] == [200, 200]
         assert payload["recommendation_rule"][0]["terms"] == ["1", "X[1]"]
         assert payload["exact_pseudo_outcomes"] is False
+
+    def test_no_proxy_round_trip(self, analysis_setup, capsys):
+        """A dataset that records no proxy is written with no proxy columns
+        and analyzed from its own CSV by standard-actual; every mode that
+        reads the proxy exits 2 naming the missing binding."""
+        data, config, config_path, tmp_path = analysis_setup
+        bare = Dataset(stage_covariates=[{"X": data.covariate("X", j)} for j in (1, 2)],
+                       proxy=[None, None], proxy_kind=None,
+                       actual=[data.actual(1), data.actual(2)], validation=data.validation,
+                       outcome=data.outcome)
+        bindings = write_dataset_csv(bare, tmp_path / "data.csv")
+        with open(tmp_path / "data.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["id", "X1", "A1", "V1", "X2", "A2", "V2", "Y"]
+        assert bindings["proxy_kind"] is None
+        assert all("proxy" not in entry for entry in bindings["stage_columns"])
+        del config["adherence"]
+        config.update(mode="standard-actual", proxy_kind=bindings["proxy_kind"],
+                      stage_columns=bindings["stage_columns"])
+        config_path.write_text(json.dumps(config))
+        assert run_cli("analyze", config_path, "--out", tmp_path / "fit") == 0
+        payload = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        fit = load_analysis_config(config_path).plan.estimate(bare)
+        flattened = np.concatenate([stage["contrast"]["estimates"] for stage in payload["stages"]])
+        np.testing.assert_allclose(flattened, psi_flat(fit), rtol=0, atol=1e-10)
+        assert payload["proxy_kind"] is None and payload["diagnostics"]["rows_used"] == 500
+        for mode, adherence in (("modified-prescribed", {"adherence": {"kind": "fitted"}}),
+                                ("standard-naive-proxy", {})):
+            config_path.write_text(json.dumps({**config, "mode": mode, **adherence}))
+            assert run_cli("analyze", config_path, "--out", tmp_path / mode) == 2
+            assert "stage_columns entry 1 has no 'proxy' column" in capsys.readouterr().err
+            assert not (tmp_path / mode).exists()
 
     def test_config_seed_overrides_the_environment(self, analysis_setup, monkeypatch, capsys):
         _, config, config_path, tmp_path = analysis_setup
@@ -360,8 +403,8 @@ class TestAnalyze:
 
     def test_bootstrap_jobs_do_not_change_fit_json(self, analysis_setup):
         # 30 replicates: a full block and a partial one
-        _, config, config_path, tmp_path = analysis_setup
-        assert 30 % BOOTSTRAP_BLOCK
+        data, config, config_path, tmp_path = analysis_setup
+        assert [len(p) for p in passes(30, data.n)] == [20, 10]
         outputs = []
         for jobs in (1, 2):
             config.update(jobs=jobs, inference={"method": "bootstrap", "replicates": 30,
@@ -372,6 +415,21 @@ class TestAnalyze:
         assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
         block = json.loads((outputs[0] / "fit.json").read_text())["intervals"]
         assert sum(f["count"] for f in block["failures"]) == block["failed_replicates"]
+
+    def test_row_sized_bootstrap_passes_and_jobs(self, analysis_setup):
+        # at n=10000 a pass holds 10 resamples: a full pass and a partial one
+        _, config, config_path, tmp_path = analysis_setup
+        assert [len(p) for p in passes(12, 10000)] == [10, 2]
+        write_dataset_csv(generate_s1(10000, 0.0, np.random.default_rng(322),
+                                      validation_fraction=0.4), tmp_path / "data.csv")
+        outputs = []
+        for jobs in (1, 2):
+            config.update(jobs=jobs, inference={"method": "bootstrap", "replicates": 12,
+                                                "level": 0.9})
+            config_path.write_text(json.dumps(config))
+            outputs.append(tmp_path / f"jobs{jobs}")
+            assert run_cli("analyze", config_path, "--out", outputs[-1]) == 0
+        assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
 
 
 def standard_mode_with_exact_pseudo_outcomes(config):
@@ -387,6 +445,14 @@ def three_stages_with_two_lags(config):
     config["stage_columns"].append({"covariates": {"X": "X2"}, "proxy": "A2star"})
     config["models"].append({"contrast": "1 + A[1] + A[2]", "treatment_free": "1",
                              "assignment": "1", "adherence": "1 + Astar[3]"})
+
+
+def standard_actual_without_proxy_columns(config):
+    """A standard-actual config that binds no proxy yet names a proxy kind."""
+    del config["adherence"]
+    config.update(mode="standard-actual", proxy_kind="prescribed")
+    for entry in config["stage_columns"]:
+        del entry["proxy"]
 
 
 class TestMalformedConfig:
@@ -503,6 +569,9 @@ class TestMalformedConfig:
             three_stages_with_two_lags,
             "stage 3: exact pseudo-outcome correction supports exactly one lagged "
             "treatment in the contrast, found stages [1, 2]"),
+        "proxy_kind with no proxy column bound": (
+            standard_actual_without_proxy_columns,
+            "proxy_kind 'prescribed' given, but no stage binds a proxy column"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -417,9 +417,9 @@ class TestReplicationBlocks:
 
     def test_blocks_match_one_replicate_at_a_time(self, monkeypatch):
         """Which replicates share a batched pass does not change a result."""
-        assert self.config().replications > 2 * simulation.REPLICATION_BLOCK  # a partial block
+        assert [len(p) for p in gest.passes(23, 150)] == [20, 3]  # a full pass and a partial one
         blocked = run_replications(self.config())
-        monkeypatch.setattr(simulation, "REPLICATION_BLOCK", 1)
+        monkeypatch.setattr(gest, "PASS_MEMBERS", 1)
         single = run_replications(self.config())
         assert blocked.failures == single.failures
         assert blocked.failure_counts == single.failure_counts
