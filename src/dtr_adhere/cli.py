@@ -25,6 +25,7 @@ from . import __version__
 from .gest import (
     ESTIMATION_FAILURES,
     MODE_PROXY_KIND,
+    PROXY_FREE_MODES,
     AdherenceSource,
     EstimationPlan,
     StageModelSpec,
@@ -71,6 +72,15 @@ def _open_csv_writer(path: Path):
     return fh, csv.writer(fh, lineterminator="\n")
 
 
+# Rows written at a time by ``write_dataset_csv``, and read and parsed at a
+# time by the validating reader, which reads every file ``_read_complete``
+# does not.  Holding every cell of a large file as a Python string at once
+# takes about ten times the file's size, and fragments the interpreter's
+# small-object arenas: a process that reads many files then grows by about a
+# megabyte per n=50000 read.
+CSV_CHUNK_ROWS = 4096
+
+
 def _csv_cells(values) -> list:
     """A float column as CSV cells; a missing value (NaN) is an empty cell."""
     return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
@@ -103,7 +113,10 @@ def write_dataset_csv(data: Dataset, path) -> dict:
     fh, writer = _open_csv_writer(Path(path))
     with fh:
         writer.writerow(header)
-        writer.writerows(zip(map(str, range(data.n)), *map(_csv_cells, columns)))
+        for start in range(0, data.n, CSV_CHUNK_ROWS):
+            rows = range(start, min(start + CSV_CHUNK_ROWS, data.n))
+            writer.writerows(zip(map(str, rows), *(_csv_cells(column[rows.start : rows.stop])
+                                                   for column in columns)))
     return {"stage_columns": bindings, "outcome": "Y", "proxy_kind": data.proxy_kind}
 
 
@@ -304,7 +317,7 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
         raise ConfigError(f"stage out of range or invalid model: {err}") from err
 
     mode = need("mode", str)
-    if mode != "standard-actual":  # every other mode reads the proxy at every stage
+    if mode not in PROXY_FREE_MODES:  # every other mode reads the proxy at every stage
         for j, binding in enumerate(bindings, start=1):
             if binding.proxy is None:
                 raise ConfigError(f"stage_columns entry {j} has no 'proxy' column")
@@ -379,13 +392,6 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
         seed=seed,
         jobs=jobs,
     )
-
-
-# Rows read and parsed at a time by the validating reader, which reads every
-# file ``_read_complete`` does not.  Holding every cell of a large file as a
-# Python string at once fragments the interpreter's small-object arenas, and a
-# process that reads many files then grows by about a megabyte per n=50000 read.
-CSV_CHUNK_ROWS = 4096
 
 
 def _read_complete(path: Path, columns: list) -> Optional[np.ndarray]:

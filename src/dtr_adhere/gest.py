@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +56,8 @@ MODES = tuple(_SUBSTITUTION)
 # The proxy kind each corrected mode is built for; the standard modes take
 # the dataset's proxy, whatever its kind.
 MODE_PROXY_KIND = {"modified-prescribed": "prescribed", "modified-reported": "reported"}
+# The modes that read no proxy: those that substitute the actual treatment.
+PROXY_FREE_MODES = frozenset(mode for mode, use in _SUBSTITUTION.items() if use == MODE_USE_ACTUAL)
 
 CONDITION_LIMIT = 1e12
 POSITIVITY_EPS = 1e-12
@@ -125,9 +127,15 @@ def ordered_map(fn, items, jobs: int) -> list:
 # PASS_MEMBERS members of n rows each and, once n exceeds PASS_ROWS /
 # PASS_MEMBERS, about PASS_ROWS rows in all: its (b, n) arrays then stay near
 # one size at any n, while a pass keeps members enough to spread its fixed
-# per-pass work (one member a pass was 20% slower at n=50000).
+# per-pass work (one member a pass was 20% slower at n=50000).  A bootstrap
+# group, the resamples whose adherence models share one Newton loop per
+# stage, is cut by rows alone.
 PASS_MEMBERS = 20
 PASS_ROWS = 100_000
+
+
+def _cut(total: int, size: int) -> list:
+    return [range(start, min(start + size, total)) for start in range(0, total, size)]
 
 
 def passes(total: int, n: int) -> list:
@@ -135,8 +143,15 @@ def passes(total: int, n: int) -> list:
     ``min(PASS_MEMBERS, max(1, PASS_ROWS // n))`` members, the last one
     possibly shorter.  The cut depends on ``total`` and ``n`` alone, so which
     members share a pass, and so every result, never depends on ``jobs``."""
-    size = min(PASS_MEMBERS, max(1, PASS_ROWS // n))
-    return [range(start, min(start + size, total)) for start in range(0, total, size)]
+    return _cut(total, min(PASS_MEMBERS, max(1, PASS_ROWS // n)))
+
+
+def groups(total: int, n: int) -> list:
+    """``range(total)`` cut into consecutive bootstrap groups of
+    ``max(1, PASS_ROWS // n)`` members, the last one possibly shorter: a
+    group is a pass at n >= PASS_ROWS / PASS_MEMBERS, and several passes
+    below.  Like ``passes``, the cut depends on ``total`` and ``n`` alone."""
+    return _cut(total, max(1, PASS_ROWS // n))
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +477,20 @@ class EstimationPlan:
         dataset.  ``assignment_fits``, a dict handed to every plan fitted to
         one stacked dataset with the same weights, lets them share their
         assignment fits (see ``_fit_regime``)."""
-        shape = data.outcome.shape if data.outcome.ndim == 2 else (len(weights), data.n)
-        return _fit_regime(self, data, check_weights(weights, shape), assignment_fits)
+        return list(self._member_fits(data, weights, assignment_fits))
 
     def psi_estimator(self, data: Dataset, weights) -> list:
         """``fit_members`` as b ``(estimates, error)`` pairs: the flattened
         contrast estimates (stage 1 first) and ``None``, or ``None`` and the
-        member's estimation failure.  The bootstrap's estimator."""
+        member's estimation failure.  The bootstrap's estimator; it lets go
+        of each pass's fits once it has their estimates."""
         return [(None if fit is None else psi_flat(fit), error)
-                for fit, error in self.fit_members(data, weights)]
+                for fit, error in self._member_fits(data, weights)]
+
+    def _member_fits(self, data: Dataset, weights, assignment_fits: Optional[dict] = None):
+        """``fit_members``'s pairs as an iterator that fits a pass at a time."""
+        shape = data.outcome.shape if data.outcome.ndim == 2 else (len(weights), data.n)
+        return _fit_regime(self, data, check_weights(weights, shape), assignment_fits)
 
 
 @dataclass(frozen=True)
@@ -599,10 +619,10 @@ class _StageSystem:
         self.data = data
         self.k = data.n_stages
         self.design_mode = _SUBSTITUTION[plan.mode]
-        self.assign_mode = MODE_USE_ACTUAL if plan.mode == "standard-actual" else MODE_USE_PROXY
+        self.assign_mode = MODE_USE_ACTUAL if plan.mode in PROXY_FREE_MODES else MODE_USE_PROXY
 
     def response(self, stage: int) -> np.ndarray:
-        if self.plan.mode == "standard-actual":
+        if self.plan.mode in PROXY_FREE_MODES:
             return self.data.actual(stage)
         return self.data.proxy(stage)
 
@@ -740,7 +760,7 @@ class _StageSystem:
 def _check_inputs(system: _StageSystem) -> None:
     plan, k, kind = system.plan, system.k, system.data.proxy_kind
     validate_stage_models(plan.specs, k)
-    actual = plan.mode == "standard-actual"
+    actual = plan.mode in PROXY_FREE_MODES
     if not actual and kind is None:
         raise DataError("no proxy treatment column available for this mode")
     for j in range(1, k + 1):
@@ -777,11 +797,11 @@ def _check_inputs(system: _StageSystem) -> None:
 class _Members:
     """The members of a batched pass that still stand: each keeps the first
     estimation failure it meets, which is the failure a fit of that member
-    alone would raise."""
+    alone would raise.  ``errors`` holds the failures they come with."""
 
-    def __init__(self, count: int):
-        self.errors = [None] * count
-        self.alive = np.ones(count, dtype=bool)
+    def __init__(self, errors):
+        self.errors = list(errors)
+        self.alive = np.array([error is None for error in self.errors])
 
     def fail(self, which, error: Exception) -> None:
         for i in np.flatnonzero(which & self.alive):
@@ -794,22 +814,30 @@ class _Members:
 
 
 def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
-                assignment_fits: Optional[dict] = None) -> list:
-    """Fit ``plan`` once per row of the (b, n) frequency ``weights``, in one
-    pass of the stage system with a leading member axis.  Member ``i`` is a
-    fit of the rows repeated by ``weights[i]``, of ``data`` or, when ``data``
-    is stacked, of its member ``i``: its nuisance fits, stage solves and
-    checks see only the rows it weights.  A failing member drops
-    out and the others carry on.  Returns b tally-style pairs,
-    ``(RegimeFit, None)`` or ``(None, error)``.
+                assignment_fits: Optional[dict] = None) -> Iterator:
+    """Fit ``plan`` once per row of the (b, n) frequency ``weights``, with a
+    leading member axis through the stage system.  Member ``i`` is a fit of
+    the rows repeated by ``weights[i]``, of ``data`` or, when ``data`` is
+    stacked, of its member ``i``: its nuisance fits, stage solves and checks
+    see only the rows it weights.  A failing member drops out and the others
+    carry on.  Yields b tally-style pairs, ``(RegimeFit, None)`` or
+    ``(None, error)``.
+
+    Each stage's adherence model is fitted for all b members in one batched
+    Newton loop, so a member that is slow to stop holds one loop per stage.
+    The assignment fits, stage solves and pseudo outcomes then run over the
+    passes ``passes(b, n)`` cuts (``_fit_pass``), each holding the arrays of
+    its own members only.  A stacked dataset is one pass: its caller sizes
+    the stack as one.
 
     ``assignment_fits``, when given, holds the assignment fits of the plans
     already fitted to the same stacked ``data`` and ``weights``, keyed by
     stage, assignment mode and spec; a stage whose key is there reuses that
-    fit, and one whose key is missing adds its own."""
-    k = data.n_stages
-    members = _Members(len(weights))
-    alphas, gammas, solved = {}, {}, {}
+    fit, and one whose key is missing adds its own.  A call of more than one
+    pass shares none."""
+    k, b = data.n_stages, len(weights)
+    members = _Members([None] * b)
+    alphas = {}
 
     def fit_alpha(j, design):
         alphas[j] = _fit_validation_rows(data, j, design, weights, members.alive)
@@ -817,6 +845,35 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
                        if isinstance(err, (NonConvergenceError, RankDeficiencyError)) else err
                        for err in alphas[j].errors)
         return alphas[j].coefficients
+
+    try:
+        system = _StageSystem(plan, data)
+        _check_inputs(system)
+        pi = system.adherence(k, fit_alpha if plan.fits_adherence else None)[1]
+    except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member
+        members.fail(members.alive, err)
+        yield from ((None, error) for error in members.errors)
+        return
+    cuts = passes(b, data.n) if data.outcome.ndim == 1 else [range(b)]
+    if len(cuts) == 1:  # one pass: it takes the adherence probabilities just computed
+        yield from _fit_pass(system, alphas, weights, members, assignment_fits, pi)
+        return
+    del pi  # only α is kept: each pass computes its own members' probabilities
+    for part in cuts:
+        rows = slice(part.start, part.stop)
+        yield from _fit_pass(system, {j: BatchFit(*(field[rows] for field in fit))
+                                      for j, fit in alphas.items()},
+                             weights[rows], _Members(members.errors[rows]), None)
+
+
+def _fit_pass(system: _StageSystem, alphas: dict, weights: np.ndarray, members: _Members,
+              assignment_fits: Optional[dict], pi: Optional[dict] = None) -> list:
+    """``_fit_regime``'s pairs for one pass of its members, given their
+    adherence fits ``alphas`` by stage and their (b, n) ``weights``: the
+    adherence probabilities (unless ``pi`` gives them), the assignment fits,
+    stage solves and pseudo outcomes, then the fits."""
+    plan, k, b = system.plan, system.k, len(weights)
+    gammas, solved = {}, {}
 
     def fit_gamma(j, design):
         spec = plan.specs[j - 1].assignment
@@ -848,9 +905,9 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
         return solved[j].psi
 
     try:
-        system = _StageSystem(plan, data)
-        _check_inputs(system)
-        pi = system.adherence(k, fit_alpha if plan.fits_adherence else None)[1]
+        if pi is None:
+            pi = system.adherence(k, (lambda j, _: alphas[j].coefficients)
+                                  if plan.fits_adherence else None)[1]
         p_cols = system.assignment(pi, fit_gamma)[1]
         pseudo = system.backward(pi, solve, fail=members.fail)
     except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member
@@ -858,7 +915,6 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
         return [(None, error) for error in members.errors]
 
     stages = range(1, k + 1)
-    b = len(weights)
     # each diagnostic per stage, then once per pass as plain values per member
     per_member = {name: np.column_stack(values).tolist() for name, values in {
         "stage_condition": [solved[j].cond for j in stages],

@@ -33,9 +33,10 @@ def expit(x):
 
     Saturates to 0.0 / 1.0 in floating point for large |x|; never overflows.
     """
-    out = np.tanh(0.5 * np.asarray(x, dtype=float))
+    out = 0.5 * np.asarray(x, dtype=float)
     if out.ndim == 0:
-        return float(0.5 * (1.0 + out))
+        return float(0.5 * (1.0 + np.tanh(out)))
+    np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out

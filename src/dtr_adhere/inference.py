@@ -6,9 +6,9 @@ For a fitted regime the Jacobian comes in closed form from the same pass of
 the stage system that gives the scores; ``numerical_jacobian`` (central
 differences) serves any other estimating function.  The nonparametric
 bootstrap resamples whole trajectories as multinomial frequency weights and
-refits the entire pipeline, adherence models included, for a block of
-replicates at a time: one batched pass of the stage system per block, sized
-by ``gest.passes``.
+refits the entire pipeline, adherence models included, for a group of
+replicates at a time (``gest.groups``): one batched adherence fit per stage
+for the group, then batched passes of the stage system (``gest.passes``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .gest import (MAX_FAILURE_FRACTION, EstimationError, RegimeFit, StackedScore,
-                   failure_counts, ordered_map, passes, psi_flat)
+                   failure_counts, groups, ordered_map, psi_flat)
 from .model import Dataset
 
 # Relative central-difference step of numerical_jacobian.
@@ -172,8 +172,8 @@ def wald_intervals(psi_hat, sigma_psi, level: float, names=None) -> IntervalSet:
     )
 
 
-def _bootstrap_block(estimator, data, seed_entropy, replicates):
-    """The estimator's ``(estimate, error)`` pairs for a block of replicates,
+def _bootstrap_group(estimator, data, seed_entropy, replicates):
+    """The estimator's ``(estimate, error)`` pairs for a group of replicates,
     each a resample of the rows given as counts."""
     counts = np.empty((len(replicates), data.n))
     for row, replicate in zip(counts, replicates):
@@ -199,12 +199,13 @@ def bootstrap(
     Replicate ``r`` resamples the individuals with replacement from a stream
     spawned from ``seed`` by ``r`` and hands the resample to ``estimator`` as
     frequency weights: the number of times each row was drawn.
-    ``estimator(data, weights)`` maps a (b, n) block of such counts to b
+    ``estimator(data, weights)`` maps a (b, n) group of such counts to b
     ``(estimate, error)`` pairs, ``error`` being ``None`` or the estimation
     failure of that replicate (``EstimationPlan.psi_estimator`` refits the
-    whole pipeline in one batched pass).  Replicates go to the estimator in
-    the blocks ``gest.passes(n_replicates, data.n)`` cuts, spread over
-    ``jobs`` worker processes, so results do not depend on ``jobs``.  Failed
+    whole pipeline: one batched adherence fit per stage for the group, then
+    batched passes).  Replicates go to the estimator in the groups
+    ``gest.groups(n_replicates, data.n)`` cuts, spread over ``jobs`` worker
+    processes, so results do not depend on ``jobs``.  Failed
     replicates are dropped and counted by class and stage in
     ``diagnostics["failures"]``; more than ``MAX_FAILURE_FRACTION`` failing is
     an error.
@@ -219,9 +220,9 @@ def bootstrap(
             raise error
     point_estimates = np.asarray(point_estimates, dtype=float)
 
-    results = [pair for block in ordered_map(partial(_bootstrap_block, estimator, data, seed),
-                                             passes(n_replicates, data.n), jobs)
-               for pair in block]
+    results = [pair for group in ordered_map(partial(_bootstrap_group, estimator, data, seed),
+                                             groups(n_replicates, data.n), jobs)
+               for pair in group]
     draws = [est for est, err in results if err is None]
     n_failed = n_replicates - len(draws)
     if n_failed > MAX_FAILURE_FRACTION * n_replicates:

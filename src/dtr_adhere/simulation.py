@@ -29,8 +29,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gest import (MAX_FAILURE_FRACTION, AdherenceSource, EstimationPlan, RegimeFit,
-                   StageModelSpec, failure_counts, ordered_map, passes, psi_flat, tally)
+from .gest import (MAX_FAILURE_FRACTION, PROXY_FREE_MODES, AdherenceSource, EstimationPlan,
+                   RegimeFit, StageModelSpec, failure_counts, ordered_map, passes, psi_flat,
+                   tally)
 from .glm import expit
 from .inference import regime_wald_intervals
 from .model import Dataset
@@ -260,11 +261,9 @@ def known_adherence(scenario: str) -> AdherenceSource:
 
 
 def scenario_mode(scenario: str, estimator: str) -> str:
-    if estimator == "standard-actual":
-        return "standard-actual"
-    if estimator == "naive-proxy":
-        return "standard-naive-proxy"
-    return "modified-reported" if scenario == "s4" else "modified-prescribed"
+    corrected = "modified-reported" if scenario == "s4" else "modified-prescribed"
+    return {"standard-actual": "standard-actual",
+            "naive-proxy": "standard-naive-proxy"}.get(estimator, corrected)
 
 
 def scenario_plan(scenario: str, estimator: str, *, exact_pseudo_outcomes=False) -> EstimationPlan:
@@ -275,10 +274,11 @@ def scenario_plan(scenario: str, estimator: str, *, exact_pseudo_outcomes=False)
         adherence = known_adherence(scenario)
     elif estimator == "modified-fitted":
         adherence = AdherenceSource.fitted()
-    specs = scenario_models(scenario, as_treated=estimator == "standard-actual")
+    mode = scenario_mode(scenario, estimator)
+    specs = scenario_models(scenario, as_treated=mode in PROXY_FREE_MODES)
     return EstimationPlan(
         specs=tuple(specs),
-        mode=scenario_mode(scenario, estimator),
+        mode=mode,
         adherence=adherence,
         exact_pseudo_outcomes=exact_pseudo_outcomes and estimator.startswith("modified"),
     )

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from dtr_adhere.cli import load_analysis_config, main, write_dataset_csv
-from dtr_adhere.gest import passes, psi_flat
+from dtr_adhere.gest import groups, passes, psi_flat
 from dtr_adhere.inference import regime_sandwich
 from dtr_adhere.model import Dataset
 from dtr_adhere.simulation import generate_s1, scenario_plan
@@ -402,8 +403,9 @@ class TestAnalyze:
         assert read_bytes(out1 / "fit.json") == read_bytes(out2 / "fit.json")
 
     def test_bootstrap_jobs_do_not_change_fit_json(self, analysis_setup):
-        # 30 replicates: a full block and a partial one
+        # 30 replicates: one group, fitted in a full pass and a partial one
         data, config, config_path, tmp_path = analysis_setup
+        assert [len(g) for g in groups(30, data.n)] == [30]
         assert [len(p) for p in passes(30, data.n)] == [20, 10]
         outputs = []
         for jobs in (1, 2):
@@ -415,6 +417,23 @@ class TestAnalyze:
         assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
         block = json.loads((outputs[0] / "fit.json").read_text())["intervals"]
         assert sum(f["count"] for f in block["failures"]) == block["failed_replicates"]
+
+    def test_bootstrap_groups_and_jobs(self, analysis_setup):
+        # at n=2500 a group holds 40 resamples, in passes of 20: 90 resamples
+        # make two full groups and a partial one, which two workers share
+        _, config, config_path, tmp_path = analysis_setup
+        assert [len(g) for g in groups(90, 2500)] == [40, 40, 10]
+        assert [len(p) for p in passes(40, 2500)] == [20, 20]
+        write_dataset_csv(generate_s1(2500, 0.0, np.random.default_rng(323),
+                                      validation_fraction=0.3), tmp_path / "data.csv")
+        outputs = []
+        for jobs in (1, 2):
+            config.update(jobs=jobs, inference={"method": "bootstrap", "replicates": 90,
+                                                "level": 0.9})
+            config_path.write_text(json.dumps(config))
+            outputs.append(tmp_path / f"jobs{jobs}")
+            assert run_cli("analyze", config_path, "--out", outputs[-1]) == 0
+        assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
 
     def test_row_sized_bootstrap_passes_and_jobs(self, analysis_setup):
         # at n=10000 a pass holds 10 resamples: a full pass and a partial one
@@ -722,6 +741,30 @@ class TestCsvErrors:
         csv_path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(cli.ConfigError, match="row 20, column 'X2': not a finite number"):
             cli.read_dataset_csv(config)
+
+    def test_chunked_write_matches_one_chunk(self, tmp_path, monkeypatch):
+        # write_dataset_csv writes a chunk of rows at a time; the chunk size
+        # does not change the file
+        from dtr_adhere import cli
+
+        data = generate_s1(23, 0.0, np.random.default_rng(324), validation_fraction=0.3)
+        write_dataset_csv(data, tmp_path / "whole.csv")
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+        write_dataset_csv(data, tmp_path / "chunked.csv")
+        assert read_bytes(tmp_path / "chunked.csv") == read_bytes(tmp_path / "whole.csv")
+
+    def test_write_holds_one_chunk_of_cells(self, tmp_path):
+        """Writing an n=20000 s1 file of 1.7 MB traced a peak of 3.0 MB a
+        chunk of rows at a time (3.5 MB at n=50000), and 12.9 MB with every
+        cell a string at once (32.2 MB at n=50000)."""
+        data = generate_s1(20000, 0.0, np.random.default_rng(325), validation_fraction=0.3)
+        tracemalloc.start()
+        try:
+            write_dataset_csv(data, tmp_path / "data.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     @pytest.mark.parametrize("variant", list(ACCEPTED_VARIANTS))
     def test_fast_read_matches_validating_reader(self, analysis_setup, monkeypatch, variant):

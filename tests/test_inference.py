@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtr_adhere import inference, model, simulation
+from dtr_adhere import gest, inference, model, simulation
 from dtr_adhere.glm import NonConvergenceError, expit, fit_logistic
 from dtr_adhere.inference import (
     BootstrapError,
@@ -20,8 +20,8 @@ from dtr_adhere.inference import (
     wald_intervals,
 )
 from dtr_adhere.gest import (ESTIMATION_FAILURES, AdherenceSource, EstimationError,
-                             EstimationPlan, SingularSystemError, StackedScore, passes,
-                             psi_flat, sensitivity_sweep, tally)
+                             EstimationPlan, PASS_MEMBERS, SingularSystemError, StackedScore,
+                             groups, passes, psi_flat, sensitivity_sweep, tally)
 from dtr_adhere.simulation import (ScenarioConfig, generate_s1, generate_s3, run_replications,
                                    scenario_plan)
 
@@ -442,9 +442,16 @@ class TestBootstrap:
 class TestPassRule:
     """``simulate`` and the bootstrap cut a run into batched passes by one
     rule: up to 20 members a pass, and about 100 000 rows a pass once n is
-    above 5000."""
+    above 5000.  The bootstrap first cuts its resamples into groups of about
+    100 000 rows, whose adherence models share one Newton loop per stage,
+    and each group into those passes."""
 
     MEMBERS = {300: 20, 1000: 20, 2500: 20, 5000: 20, 20000: 5, 50000: 2}
+    GROUP = {300: 333, 1000: 100, 2500: 40, 5000: 20, 20000: 5, 50000: 2}
+
+    @staticmethod
+    def cut(total, size):
+        return [size] * (total // size) + ([total % size] if total % size else [])
 
     @pytest.mark.parametrize("n", sorted(MEMBERS))
     def test_members_per_pass_are_the_same_for_both_callers(self, n, monkeypatch):
@@ -456,19 +463,44 @@ class TestPassRule:
         def recording(caller):
             def ordered_map(fn, items, jobs):
                 seen[caller] = [len(block) for block in items]
-                raise Cut  # the cut is all this test needs
+                raise Cut  # the cut is all this needs
             return ordered_map
 
+        def fit_pass(system, alphas, weights, *args):
+            seen["passes"].append(len(weights))
+            return [(None, None)] * len(weights)
+
+        data = generate_s1(n, 0.0, np.random.default_rng(n))
         monkeypatch.setattr(simulation, "ordered_map", recording("simulate"))
         monkeypatch.setattr(inference, "ordered_map", recording("bootstrap"))
         with pytest.raises(Cut):
             run_replications(ScenarioConfig(scenario="s1", n=n, replications=45, seed=1))
         with pytest.raises(Cut):
-            bootstrap(generate_s1(n, 0.0, np.random.default_rng(n)), _mean_outcome, 45,
-                      point_estimates=[0.0])
-        size = self.MEMBERS[n]
-        expected = [size] * (45 // size) + ([45 % size] if 45 % size else [])
-        assert seen["simulate"] == seen["bootstrap"] == expected
+            bootstrap(data, _mean_outcome, 45, point_estimates=[0.0])
+        # the passes the bootstrap's estimator makes of its first group
+        seen["passes"] = []
+        monkeypatch.setattr(gest, "_fit_pass", fit_pass)
+        scenario_plan("s1", "modified-fitted").psi_estimator(
+            data, np.ones((seen["bootstrap"][0], n)))
+        assert seen["simulate"] == self.cut(45, self.MEMBERS[n])
+        assert seen["bootstrap"] == self.cut(45, self.GROUP[n])
+        assert seen["passes"] == self.cut(min(45, self.GROUP[n]), self.MEMBERS[n])
+
+    def test_one_adherence_fit_per_stage_and_group(self, monkeypatch):
+        """A B=100, n=1000 bootstrap is one group: each stage's adherence
+        models are one batched fit, after the point fit's one per stage."""
+        data = generate_s1(1000, 1.0, np.random.default_rng(6), validation_fraction=0.3)
+        calls = []
+        fit = gest._fit_validation_rows
+
+        def spy(data, stage, design, weights, active):
+            calls.append((stage, len(weights)))
+            return fit(data, stage, design, weights, active)
+
+        monkeypatch.setattr(gest, "_fit_validation_rows", spy)
+        iv = bootstrap(data, scenario_plan("s1", "modified-fitted").psi_estimator, 100, seed=4)
+        assert calls == [(1, 1), (2, 1), (1, 100), (2, 100)]
+        assert iv.n_failed == 0
 
     def test_large_n_bootstrap_memory(self):
         """At n=20000 a pass holds five resamples.  The traced peak of a
@@ -557,6 +589,19 @@ class TestBatchedReplicatesMatchSubsetFits:
     @pytest.mark.parametrize("n", [30, 60, 120])
     @pytest.mark.parametrize("estimator", ["modified-fitted", "naive-proxy"])
     def test_members_match_per_replicate_fits(self, n, estimator):
+        self.check(n, estimator, passes)
+
+    @pytest.mark.parametrize("n", [30, 60, 120])
+    @pytest.mark.parametrize("estimator", ["modified-fitted", "naive-proxy"])
+    def test_group_members_match_per_replicate_fits(self, n, estimator):
+        """All 61 resamples in one call: one adherence fit per stage, then
+        four passes."""
+        self.check(n, estimator, groups)
+
+    @staticmethod
+    def check(n, estimator, cut):
+        """Hand the estimator the draws as ``cut`` cuts them and compare each
+        member with the fit of its resample."""
         data = generate_s1(n, 1.0, np.random.default_rng(900 + n), validation_fraction=0.3)
         plan = scenario_plan("s1", estimator)
         draws = _resamples(n, 31, 60)
@@ -565,8 +610,10 @@ class TestBatchedReplicatesMatchSubsetFits:
         draws.append(np.random.default_rng(1).choice(outside, size=n))
         counts = np.array([np.bincount(idx, minlength=n) for idx in draws], dtype=float)
         got = []
-        for block in passes(len(draws), n):
+        for block in cut(len(draws), n):
             got += plan.psi_estimator(data, counts[block.start : block.stop])
+        if cut is groups:
+            assert len(block) == len(draws) > PASS_MEMBERS
         want = [tally(lambda d: psi_flat(plan.estimate(d)), data.subset(idx)) for idx in draws]
 
         assert [err is None for _, err in got] == [err is None for _, err in want]
