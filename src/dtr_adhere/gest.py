@@ -825,10 +825,12 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
 
     Each stage's adherence model is fitted for all b members in one batched
     Newton loop, so a member that is slow to stop holds one loop per stage.
-    The assignment fits, stage solves and pseudo outcomes then run over the
-    passes ``passes(b, n)`` cuts (``_fit_pass``), each holding the arrays of
-    its own members only.  A stacked dataset is one pass: its caller sizes
-    the stack as one.
+    Their adherence probabilities are computed once and held through the
+    passes ``passes(b, n)`` cuts (at most K × PASS_ROWS doubles in a
+    bootstrap group, 1.6 MB for s1).  Each pass (``_fit_pass``) takes its
+    members' rows of them and runs the assignment fits, stage solves and
+    pseudo outcomes on arrays of its own members only.  A stacked dataset is
+    one pass: its caller sizes the stack as one.
 
     ``assignment_fits``, when given, holds the assignment fits of the plans
     already fitted to the same stacked ``data`` and ``weights``, keyed by
@@ -855,23 +857,21 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
         yield from ((None, error) for error in members.errors)
         return
     cuts = passes(b, data.n) if data.outcome.ndim == 1 else [range(b)]
-    if len(cuts) == 1:  # one pass: it takes the adherence probabilities just computed
-        yield from _fit_pass(system, alphas, weights, members, assignment_fits, pi)
-        return
-    del pi  # only α is kept: each pass computes its own members' probabilities
     for part in cuts:
         rows = slice(part.start, part.stop)
         yield from _fit_pass(system, {j: BatchFit(*(field[rows] for field in fit))
                                       for j, fit in alphas.items()},
-                             weights[rows], _Members(members.errors[rows]), None)
+                             weights[rows], _Members(members.errors[rows]),
+                             assignment_fits if len(cuts) == 1 else None,
+                             {j: p[rows] if p.ndim == 2 else p for j, p in pi.items()})
 
 
 def _fit_pass(system: _StageSystem, alphas: dict, weights: np.ndarray, members: _Members,
-              assignment_fits: Optional[dict], pi: Optional[dict] = None) -> list:
+              assignment_fits: Optional[dict], pi: dict) -> list:
     """``_fit_regime``'s pairs for one pass of its members, given their
-    adherence fits ``alphas`` by stage and their (b, n) ``weights``: the
-    adherence probabilities (unless ``pi`` gives them), the assignment fits,
-    stage solves and pseudo outcomes, then the fits."""
+    adherence fits ``alphas`` and probabilities ``pi`` by stage (their rows
+    of a per-member array, or a shared (n,) one) and their (b, n) ``weights``:
+    the assignment fits, stage solves and pseudo outcomes, then the fits."""
     plan, k, b = system.plan, system.k, len(weights)
     gammas, solved = {}, {}
 
@@ -905,9 +905,6 @@ def _fit_pass(system: _StageSystem, alphas: dict, weights: np.ndarray, members: 
         return solved[j].psi
 
     try:
-        if pi is None:
-            pi = system.adherence(k, (lambda j, _: alphas[j].coefficients)
-                                  if plan.fits_adherence else None)[1]
         p_cols = system.assignment(pi, fit_gamma)[1]
         pseudo = system.backward(pi, solve, fail=members.fail)
     except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member

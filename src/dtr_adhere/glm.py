@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 
-# Newton scoring's convergence thresholds and its step limit (see fit_logistic).
+# Newton scoring's convergence thresholds and its step limit (see fit_logistic_batch).
 MAX_ITER = 100
 SCORE_TOL = 1e-8
 STEP_TOL = 1e-10

@@ -8,7 +8,9 @@ differences) serves any other estimating function.  The nonparametric
 bootstrap resamples whole trajectories as multinomial frequency weights and
 refits the entire pipeline, adherence models included, for a group of
 replicates at a time (``gest.groups``): one batched adherence fit per stage
-for the group, then batched passes of the stage system (``gest.passes``).
+and its probabilities, computed once and held (at most K × ``gest.PASS_ROWS``
+doubles, 1.6 MB for s1), then batched passes of the stage system
+(``gest.passes``), each taking its replicates' rows of those probabilities.
 """
 
 from __future__ import annotations

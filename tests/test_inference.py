@@ -22,8 +22,8 @@ from dtr_adhere.inference import (
 from dtr_adhere.gest import (ESTIMATION_FAILURES, AdherenceSource, EstimationError,
                              EstimationPlan, PASS_MEMBERS, SingularSystemError, StackedScore,
                              groups, passes, psi_flat, sensitivity_sweep, tally)
-from dtr_adhere.simulation import (ScenarioConfig, generate_s1, generate_s3, run_replications,
-                                   scenario_plan)
+from dtr_adhere.simulation import (ScenarioConfig, generate_s1, generate_s3, generate_s4,
+                                   run_replications, scenario_plan)
 
 
 class TestNumericalJacobian:
@@ -488,18 +488,27 @@ class TestPassRule:
 
     def test_one_adherence_fit_per_stage_and_group(self, monkeypatch):
         """A B=100, n=1000 bootstrap is one group: each stage's adherence
-        models are one batched fit, after the point fit's one per stage."""
+        models are one batched fit, after the point fit's one per stage, and
+        the group's adherence probabilities are computed once for its five
+        passes."""
         data = generate_s1(1000, 1.0, np.random.default_rng(6), validation_fraction=0.3)
-        calls = []
-        fit = gest._fit_validation_rows
+        calls, evaluations = [], []
+        fit, adherence = gest._fit_validation_rows, gest._StageSystem.adherence
 
         def spy(data, stage, design, weights, active):
             calls.append((stage, len(weights)))
             return fit(data, stage, design, weights, active)
 
+        def adherence_spy(system, *args, **kwargs):
+            evaluations.append(system)
+            return adherence(system, *args, **kwargs)
+
         monkeypatch.setattr(gest, "_fit_validation_rows", spy)
+        monkeypatch.setattr(gest._StageSystem, "adherence", adherence_spy)
         iv = bootstrap(data, scenario_plan("s1", "modified-fitted").psi_estimator, 100, seed=4)
+        assert len(passes(100, data.n)) == 5
         assert calls == [(1, 1), (2, 1), (1, 100), (2, 100)]
+        assert len(evaluations) == 2  # the point fit's and the group's
         assert iv.n_failed == 0
 
     def test_large_n_bootstrap_memory(self):
@@ -592,18 +601,27 @@ class TestBatchedReplicatesMatchSubsetFits:
         self.check(n, estimator, passes)
 
     @pytest.mark.parametrize("n", [30, 60, 120])
-    @pytest.mark.parametrize("estimator", ["modified-fitted", "naive-proxy"])
+    @pytest.mark.parametrize("estimator", ["modified-fitted", "modified-known", "naive-proxy"])
     def test_group_members_match_per_replicate_fits(self, n, estimator):
         """All 61 resamples in one call: one adherence fit per stage, then
-        four passes."""
+        four passes, each taking its rows of the members' adherence
+        probabilities (``modified-fitted``) or the shared known ones."""
         self.check(n, estimator, groups)
 
+    @pytest.mark.parametrize("scenario, estimator, exact", [
+        ("s4", "modified-known", False),  # shared probabilities from a probability function
+        ("s1", "modified-fitted", True),  # every pass reads its rows of the stage-1 ones
+    ])
+    def test_group_members_match_per_replicate_fits_at_n120(self, scenario, estimator, exact):
+        self.check(120, estimator, groups, scenario=scenario, exact=exact)
+
     @staticmethod
-    def check(n, estimator, cut):
+    def check(n, estimator, cut, scenario="s1", exact=False):
         """Hand the estimator the draws as ``cut`` cuts them and compare each
         member with the fit of its resample."""
-        data = generate_s1(n, 1.0, np.random.default_rng(900 + n), validation_fraction=0.3)
-        plan = scenario_plan("s1", estimator)
+        generate = generate_s4 if scenario == "s4" else generate_s1
+        data = generate(n, 1.0, np.random.default_rng(900 + n), validation_fraction=0.3)
+        plan = scenario_plan(scenario, estimator, exact_pseudo_outcomes=exact)
         draws = _resamples(n, 31, 60)
         # one resample that keeps no stage-1 validation row
         outside = np.flatnonzero(~data.validation[:, 0])
