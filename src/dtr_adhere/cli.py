@@ -405,11 +405,13 @@ def _read_complete(path: Path, columns: list) -> Optional[np.ndarray]:
     raw = path.read_bytes()
     data = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
-    crlf = data[ends - 1] == ord("\r")  # the header is not empty, so no LF is byte 0
     lengths = np.diff(ends, prepend=-1, append=len(raw)) - 1  # the last: bytes after the last LF
-    lengths[:-1] -= crlf
-    if (b'"' in raw or np.count_nonzero(data == ord("\r")) != np.count_nonzero(crlf)
-            or lengths.max() > csv.field_size_limit()
+    if b"\r" in raw:  # else no line ends in CRLF and no CR is stray
+        crlf = data[ends - 1] == ord("\r")  # the header is not empty, so no LF is byte 0
+        if np.count_nonzero(data == ord("\r")) != np.count_nonzero(crlf):
+            return None
+        lengths[:-1] -= crlf
+    if (b'"' in raw or lengths.max() > csv.field_size_limit()
             or not lengths[1:].any()):  # no data line, or blank ones only: loadtxt would warn
         return None
     rows = len(ends) + (lengths[-1] > 0) - 1  # data lines, blank ones too

@@ -23,7 +23,7 @@ tokens; ``A``, ``Astar`` and ``EA`` are reserved.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -474,12 +474,18 @@ class Dataset:
         return out
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices)
+        """The trajectories ``indices`` picks.  An index array copies them,
+        and the copy compiles its own designs.  A slice is a window: its
+        columns are views of this dataset's, and it starts out keeping the
+        same rows of every design this dataset keeps, so it compiles none of
+        them again (the sandwich's row blocks)."""
+        window = isinstance(indices, slice)
+        idx = indices if window else np.asarray(indices)
 
         def take(col):
             return None if col is None else _frozen(col[idx])
 
-        return Dataset(
+        out = Dataset(
             stage_covariates=[
                 {name: take(cols[name]) for name in self._names} for cols in self._covariates
             ],
@@ -489,6 +495,10 @@ class Dataset:
             validation=take(self._validation),
             outcome=take(self._outcome),
         )
+        if window:
+            out._designs = {key: replace(design, base=design.base[idx])
+                            for key, design in self._designs.items()}
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -554,18 +554,120 @@ def _uncached_compiles(monkeypatch) -> list:
     return keys
 
 
+def _blocks_of(monkeypatch, data, fit, rows):
+    """Make a sandwich of ``fit`` on ``data`` use row blocks of at most
+    ``rows`` rows; returns the blocks."""
+    size = StackedScore(data, fit).size
+    monkeypatch.setattr(inference, "SANDWICH_DOUBLES", rows * size)
+    return inference._row_blocks(data.n, size)
+
+
+class TestRowBlocks:
+    """A sandwich sums its meat and its Jacobian over row blocks of the
+    dataset, windows that share the fit's designs, and holds one block's
+    scores at a time.  With blocks of at most 97 rows, n=1000 is eleven
+    blocks of 90 or 91 rows, and the result matches the sandwich of one
+    block to rounding."""
+
+    # name -> (the n=1000 dataset from a generator, the plan for it)
+    PLANS = {
+        "s3-fitted": (lambda rng: generate_s3(1000, rng, validation_fraction=0.3),
+                      lambda data: scenario_plan("s3", "modified-fitted")),
+        "s1-external": (lambda rng: generate_s1(1000, 1.0, rng, validation_fraction=0.3),
+                        lambda data: _external_plan(
+                            scenario_plan("s1", "modified-fitted").estimate(data), (0, 1))),
+        "s1-fitted-exact": (lambda rng: generate_s1(1000, 1.0, rng, validation_fraction=0.3),
+                            lambda data: scenario_plan("s1", "modified-fitted",
+                                                       exact_pseudo_outcomes=True)),
+        "s4-known": (lambda rng: generate_s4(1000, 1.0, rng, validation_fraction=0.3),
+                     lambda data: scenario_plan("s4", "modified-known")),  # a probability function
+    }
+
+    @classmethod
+    def fitted(cls, name):
+        """The dataset of plan ``name`` and that plan's fit on it."""
+        generate, plan = cls.PLANS[name]
+        data = generate(np.random.default_rng(44))
+        return data, plan(data).estimate(data)
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_blocks_match_one_block(self, name, monkeypatch):
+        data, fit = self.fitted(name)
+        whole = regime_sandwich(data, fit)
+        whole_wald = regime_wald_intervals(data, fit)
+        blocks = _blocks_of(monkeypatch, data, fit, 97)
+        assert len(blocks) == 11
+        assert {block.stop - block.start for block in blocks} == {90, 91}
+        blocked = regime_sandwich(data, fit)
+        blocked_wald = regime_wald_intervals(data, fit)
+        # every entry within 1e-12 of the scale its variances set
+        scale = np.sqrt(np.outer(np.diag(whole.sigma_theta), np.diag(whole.sigma_theta)))
+        assert np.max(np.abs(blocked.sigma_theta - whole.sigma_theta) / scale) < 1e-12
+        psi = StackedScore(data, fit).psi_index
+        np.testing.assert_array_equal(blocked.sigma_psi, blocked.sigma_theta[np.ix_(psi, psi)])
+        np.testing.assert_allclose(blocked_wald.lower, whole_wald.lower, rtol=1e-12)
+        np.testing.assert_allclose(blocked_wald.upper, whole_wald.upper, rtol=1e-12)
+        # the condition number to the digits rounding leaves it (s3's is
+        # about 1.4e12 at this seed, so only its first three are written)
+        cond = whole.bread_condition
+        assert blocked.bread_condition == pytest.approx(cond, rel=cond * np.finfo(float).eps)
+        assert blocked.truncated_directions == whole.truncated_directions
+        assert blocked_wald.diagnostics == whole_wald.diagnostics
+
+    @pytest.mark.parametrize("rows", [None, 97], ids=["one-block", "blocks"])
+    def test_non_finite_scores_in_one_block(self, rows, monkeypatch):
+        """A non-finite score in the fourth block only fails the sandwich
+        with the text a non-finite score of one block gives."""
+        data, fit = self.fitted("s3-fitted")
+        if rows is not None:
+            _blocks_of(monkeypatch, data, fit, rows)
+        evaluate, calls = StackedScore.evaluate, []
+
+        def spy(self, theta, **kwargs):
+            scores, jacobian = evaluate(self, theta, **kwargs)
+            calls.append(self.data.n)
+            if len(calls) == (1 if rows is None else 4):
+                scores[-1, 0] = np.nan
+            return scores, jacobian
+
+        monkeypatch.setattr(StackedScore, "evaluate", spy)
+        with pytest.raises(SandwichError) as error:
+            regime_sandwich(data, fit)
+        assert str(error.value) == "per-individual scores are not finite at theta_hat"
+        assert calls == ([1000] if rows is None else [90, 91, 91, 91])
+
+    def test_memory_is_one_block(self):
+        """At n=50000 (P=20, five blocks of 10 000 rows) the sandwich's
+        traced peak measured 4.4 MB; the whole (n, P) pass peaked at 21.6 MB."""
+        data = generate_s3(50000, np.random.default_rng(45), validation_fraction=0.2)
+        fit = scenario_plan("s3", "modified-fitted").estimate(data)
+        assert len(inference._row_blocks(data.n, StackedScore(data, fit).size)) == 5
+        tracemalloc.start()
+        try:
+            regime_sandwich(data, fit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestDesignsCompiledOnce:
     """A dataset keeps the designs compiled on it, so the fit, its sandwich
     and every bootstrap block compile each design once, with the same
     results as designs compiled afresh."""
 
     def test_fit_and_sandwich(self, monkeypatch):
-        data = generate_s3(1000, np.random.default_rng(41), validation_fraction=0.3)
+        """At n=12000 the sandwich is two row blocks, which share the fit's
+        designs."""
         keys = _uncached_compiles(monkeypatch)
-        fit = scenario_plan("s3", "modified-fitted").estimate(data)
-        fitted = len(keys)
-        regime_sandwich(data, fit)
-        assert fitted > 0 and len(keys) == fitted == len(set(keys))
+        for n, blocks in ((1000, 1), (12000, 2)):
+            data = generate_s3(n, np.random.default_rng(41), validation_fraction=0.3)
+            keys.clear()
+            fit = scenario_plan("s3", "modified-fitted").estimate(data)
+            fitted = len(keys)
+            assert len(inference._row_blocks(n, StackedScore(data, fit).size)) == blocks
+            regime_sandwich(data, fit)
+            assert fitted > 0 and len(keys) == fitted == len(set(keys))
 
     def test_bootstrap_blocks(self, monkeypatch):
         data = generate_s1(400, 0.0, np.random.default_rng(26))

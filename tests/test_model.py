@@ -452,6 +452,24 @@ class TestCompiledDesign:
         assert copy is not form
         np.testing.assert_array_equal(copy.base, form.base)
 
+    def test_a_window_shares_columns_and_designs(self):
+        """A slice of rows is a window: its columns and the designs it starts
+        with are views of the dataset's, equal to those of a copy of the rows."""
+        data, spec = self.dataset(), parse_feature_spec(self.SPEC)
+        form = compile_design(spec, data, 2, "use-expected")
+        window, copy = data.subset(slice(1, 4)), data.subset(np.arange(1, 4))
+        assert np.shares_memory(window.outcome, data.outcome)
+        np.testing.assert_array_equal(window.proxy(1), copy.proxy(1))
+        kept = compile_design(spec, window, 2, "use-expected")
+        assert np.shares_memory(kept.base, form.base) and not kept.base.flags.writeable
+        fresh = compile_design(spec, copy, 2, "use-expected")
+        np.testing.assert_array_equal(kept.base, fresh.base)
+        assert kept.expected_stages == fresh.expected_stages
+        # a design the dataset has not compiled is compiled on the window
+        other = parse_feature_spec("1 + X[1]")
+        np.testing.assert_array_equal(compile_design(other, window, 2, "use-proxy").base,
+                                      compile_design(other, copy, 2, "use-proxy").base)
+
     def test_missing_expected_treatment_raises_at_evaluation(self):
         form = compile_design(parse_feature_spec("1 + A[1]"), self.dataset(), 2, "use-expected")
         with pytest.raises(DesignError, match="no adherence model available for expected "
