@@ -557,17 +557,9 @@ class _Tangent:
         return _Tangent((start, x, vector * a) for start, x, a in self.terms)
 
     def contract(self, y: np.ndarray, out: np.ndarray) -> None:
-        """``out += y^T d`` for an (n, p) ``y``, with ``d`` the (n, P) derivative.
-        A scalar ``a`` is a unit coefficient, the +-1 of a theta block's own
-        design, and signs ``y^T x`` with no scaled copy of ``y``; except where
-        ``y`` is ``x``, whose ``x^T x`` numpy forms as a symmetric product,
-        rounded otherwise than the general one of a copy."""
+        """``out += y^T d`` for an (n, p) ``y``, with ``d`` the (n, P) derivative."""
         for start, x, a in self.terms:
-            if a.ndim or np.may_share_memory(y, x):
-                block = (y * a[..., None]).T @ x
-            else:
-                block = a * (y.T @ x)
-            out[:, start : start + x.shape[1]] += block
+            out[:, start : start + x.shape[1]] += (y * a[..., None]).T @ x
 
 
 class _Tangents:

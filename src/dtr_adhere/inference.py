@@ -167,10 +167,10 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     the score and the Jacobian are evaluated on the row blocks of
     ``_row_blocks``, windows of ``data`` sharing its kept designs, and summed:
     the meat from each block's ``S_b^T S_b``, the Jacobian from each block's
-    mean times its rows.  A sandwich then holds one block's scores, designs
-    and tangents, whatever n.  A dataset of one block takes one pass and
-    ``sandwich``; the sums over several blocks move the result only in the
-    last bits.
+    mean weighted by its share of the rows.  A sandwich then holds one
+    block's scores, designs and tangents, whatever n.  The sums start from
+    the first block, so a dataset of one block gets ``sandwich``'s result to
+    the bit; the sums over several blocks move it only in the last bits.
 
     Known adherence coefficients without a covariance are held fixed.  Known
     coefficients with a covariance ``Sigma_j`` are stacked parameters whose
@@ -180,17 +180,13 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     """
     stacked = StackedScore(data, fit)
     theta = stacked.theta_hat
-    blocks = _row_blocks(data.n, stacked.size)
-    if len(blocks) == 1:
-        result = sandwich(*stacked.evaluate(theta, jacobian=True))
-    else:
-        gram = jac = 0.0
-        for rows in blocks:
-            scores, mean_jac = StackedScore(data.subset(rows), fit).evaluate(theta, jacobian=True)
-            gram = gram + _gram(scores)
-            jac = jac + (rows.stop - rows.start) * mean_jac
-            del scores  # freed before the next block's pass
-        result = _assemble(gram, data.n, jac / data.n)
+    gram = jac = None
+    for rows in _row_blocks(data.n, stacked.size):
+        scores, mean_jac = StackedScore(data.subset(rows), fit).evaluate(theta, jacobian=True)
+        block = _gram(scores), (rows.stop - rows.start) / data.n * mean_jac
+        del scores  # freed before the next block's pass
+        gram, jac = block if gram is None else (gram + block[0], jac + block[1])
+    result = _assemble(gram, data.n, jac)
     sigma = result.sigma_theta
     for j in sorted(stacked.external, reverse=True):  # in theta order, stage K first
         b = result.bread[:, stacked.slices[(j, "adherence")]]
