@@ -604,14 +604,15 @@ class _StageSystem:
     stage (estimation), blocks of a stacked parameter vector (the sandwich
     score) or a finished fit (the recommendation rules).  Given ``tangents``,
     a pass also records the derivatives of what it evaluates over the stacked
-    parameter.  Designs come from ``compile_design``: an unstacked dataset
-    keeps each one, so every pass on it compiles a design once, while a
-    stacked dataset's (b, n, p) bases are compiled where a pass uses them
-    and freed as soon as they are used.  A corrected mode is built for one
-    proxy kind, and data recording another raise.
+    parameter.  A design is compiled where a pass uses it and freed once
+    used, unless the caller hands in ``designs``, a dict that keeps every
+    design compiled into it for callers that ask again: one score evaluation
+    (its Jacobian section), or a sweep's points, which refit the same rows.
+    A corrected mode is built for one proxy kind, and data recording another
+    raise.
     """
 
-    def __init__(self, plan: EstimationPlan, data: Dataset):
+    def __init__(self, plan: EstimationPlan, data: Dataset, designs: Optional[dict] = None):
         kind = MODE_PROXY_KIND.get(plan.mode)  # None for a standard mode, which takes any
         if kind and data.proxy_kind not in (None, kind):
             raise DataError(f"{plan.mode} needs {kind} proxies, not {data.proxy_kind} ones")
@@ -620,6 +621,7 @@ class _StageSystem:
         self.k = data.n_stages
         self.design_mode = _SUBSTITUTION[plan.mode]
         self.assign_mode = MODE_USE_ACTUAL if plan.mode in PROXY_FREE_MODES else MODE_USE_PROXY
+        self.designs = designs
 
     def response(self, stage: int) -> np.ndarray:
         if self.plan.mode in PROXY_FREE_MODES:
@@ -630,8 +632,13 @@ class _StageSystem:
                  override: Optional[tuple] = None) -> CompiledDesign:
         """``spec`` compiled at ``stage``; ``override`` is a ``(stage, value)``
         pair pinning one treatment."""
-        return compile_design(spec, self.data, stage, mode or self.design_mode,
-                              treatment_override=None if override is None else dict([override]))
+        mode = mode or self.design_mode
+        designs = {} if self.designs is None else self.designs  # without a dict, kept by none
+        key = (spec, stage, mode, override)
+        if key not in designs:
+            designs[key] = compile_design(spec, self.data, stage, mode, treatment_override=None
+                                          if override is None else dict([override]))
+        return designs[key]
 
     def adherence(self, upto: int, coefficients: Optional[Callable] = None,
                   tangents: Optional[_Tangents] = None):
@@ -814,7 +821,7 @@ class _Members:
 
 
 def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
-                assignment_fits: Optional[dict] = None) -> Iterator:
+                assignment_fits: Optional[dict] = None, designs: Optional[dict] = None) -> Iterator:
     """Fit ``plan`` once per row of the (b, n) frequency ``weights``, with a
     leading member axis through the stage system.  Member ``i`` is a fit of
     the rows repeated by ``weights[i]``, of ``data`` or, when ``data`` is
@@ -836,7 +843,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
     already fitted to the same stacked ``data`` and ``weights``, keyed by
     stage, assignment mode and spec; a stage whose key is there reuses that
     fit, and one whose key is missing adds its own.  A call of more than one
-    pass shares none."""
+    pass shares none.  ``designs`` is the stage system's (``_StageSystem``)."""
     k, b = data.n_stages, len(weights)
     members = _Members([None] * b)
     alphas = {}
@@ -849,7 +856,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
         return alphas[j].coefficients
 
     try:
-        system = _StageSystem(plan, data)
+        system = _StageSystem(plan, data, designs)
         _check_inputs(system)
         pi = system.adherence(k, fit_alpha if plan.fits_adherence else None)[1]
     except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member
@@ -987,11 +994,11 @@ def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> li
     """
     if not grid:
         raise ValueError("sensitivity grid is empty")
-    points = []
+    points, designs = [], {}  # every point refits the same rows, so compiles the same designs
     for entry in grid:
         per_stage = (np.asarray(entry, dtype=float),) * data.n_stages
         pinned = replace(plan, adherence=AdherenceSource.known(coefficients=per_stage))
-        points.append(tally(pinned.estimate, data))
+        points.extend(_fit_regime(pinned, data, np.ones((1, data.n)), designs=designs))
     return points
 
 
@@ -1056,7 +1063,9 @@ class StackedScore:
         so its rows of the Jacobian are ``(X^T ds + (dX)^T s) / n``, formed
         block by block without an (n, p, P) array."""
         theta = np.asarray(theta, dtype=float)
-        system, data, slices = self.system, self.data, self.slices
+        data, slices = self.data, self.slices
+        # this evaluation's designs: the Jacobian section asks again for the pass's
+        system = _StageSystem(self.system.plan, data, designs={})
         tangents = _Tangents(slices) if jacobian else None
         source = system.plan.adherence
 

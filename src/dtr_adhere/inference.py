@@ -165,10 +165,10 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
 
     At fixed theta each individual's score depends on its own row alone, so
     the score and the Jacobian are evaluated on the row blocks of
-    ``_row_blocks``, windows of ``data`` sharing its kept designs, and summed:
-    the meat from each block's ``S_b^T S_b``, the Jacobian from each block's
-    mean weighted by its share of the rows.  A sandwich then holds one
-    block's scores, designs and tangents, whatever n.  The sums start from
+    ``_row_blocks``, windows of ``data`` that compile their own designs, and
+    summed: the meat from each block's ``S_b^T S_b``, the Jacobian from each
+    block's mean weighted by its share of the rows.  A sandwich then holds
+    one block's scores, designs and tangents, whatever n.  The sums start from
     the first block, so a dataset of one block gets ``sandwich``'s result to
     the bit; the sums over several blocks move it only in the last bits.
 

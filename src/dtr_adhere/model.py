@@ -23,7 +23,7 @@ tokens; ``A``, ``Astar`` and ``EA`` are reserved.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -278,11 +278,9 @@ class Dataset:
     ``validation`` is an (n, K) boolean mask of rows where the actual
     treatment is recorded.  Instances are immutable after construction: every
     column is a read-only array (a writeable input is copied), so instances
-    are safe to share across workers.  A dataset keeps the designs compiled
-    on it (``compile_design``) for its lifetime; a pickled copy leaves them
-    behind.  ``Dataset.stack`` holds equal-size datasets as the members of a
-    batched fit, with a leading member axis on every column, and keeps no
-    designs.
+    are safe to share across workers.  ``Dataset.stack`` holds equal-size
+    datasets as the members of a batched fit, with a leading member axis on
+    every column.
     """
 
     def __init__(
@@ -372,11 +370,6 @@ class Dataset:
         self._names = names
         self._n = n
         self._k = k
-        self._designs = {}  # compile_design's cache; None on a stacked dataset
-
-    def __getstate__(self):
-        # A copy in another process compiles its own designs.
-        return {**vars(self), "_designs": None if self._designs is None else {}}
 
     def __setstate__(self, state):
         vars(self).update(state)
@@ -441,6 +434,20 @@ class Dataset:
     # -- construction and views ----------------------------------------------
 
     @classmethod
+    def _of_columns(cls, *, outcome, validation, proxy, proxy_kind, actual,
+                    covariates) -> "Dataset":
+        """A dataset of read-only columns taken from validated ones, rows of
+        one dataset's (``subset``) or equal-size datasets' stacked
+        (``stack``), so ``__init__``'s checks are not run again."""
+        out = cls.__new__(cls)
+        out._outcome, out._validation = outcome, validation
+        out._proxy_kind, out._proxy, out._actual = proxy_kind, tuple(proxy), tuple(actual)
+        out._covariates = tuple(covariates)
+        out._names = tuple(sorted(out._covariates[0]))
+        out._n, out._k = outcome.shape[-1], len(out._covariates)
+        return out
+
+    @classmethod
     def stack(cls, datasets: Sequence["Dataset"]) -> "Dataset":
         """Equal-size datasets of one schema as the members of one batched
         fit: each column of the result is (b, n), member i's row r being row
@@ -458,47 +465,37 @@ class Dataset:
         def stacked(columns):
             return None if columns[0] is None else _frozen(np.stack(columns))
 
-        out = cls.__new__(cls)
-        out.__dict__.update(vars(first))  # the shape, the names and the proxy kind
-        # Not cached: a stacked dataset lives for one batched pass, and
-        # keeping its (b, n, p) bases was measured slower (see README).
-        out._designs = None
-        out._outcome = stacked([data._outcome for data in datasets])
-        out._validation = stacked([data._validation for data in datasets])
-        for name in ("_proxy", "_actual"):
-            columns = zip(*(getattr(data, name) for data in datasets))  # stage by stage
-            setattr(out, name, tuple(map(stacked, columns)))
-        out._covariates = tuple(
-            {name: stacked([cols[name] for cols in stage]) for name in first._names}
-            for stage in zip(*(data._covariates for data in datasets)))
-        return out
+        return cls._of_columns(
+            outcome=stacked([data._outcome for data in datasets]),
+            validation=stacked([data._validation for data in datasets]),
+            proxy=map(stacked, zip(*(data._proxy for data in datasets))),  # stage by stage
+            proxy_kind=first.proxy_kind,
+            actual=map(stacked, zip(*(data._actual for data in datasets))),
+            covariates=[{name: stacked([cols[name] for cols in stage]) for name in first._names}
+                        for stage in zip(*(data._covariates for data in datasets))],
+        )
 
     def subset(self, indices) -> "Dataset":
-        """The trajectories ``indices`` picks.  An index array copies them,
-        and the copy compiles its own designs.  A slice is a window: its
-        columns are views of this dataset's, and it starts out keeping the
-        same rows of every design this dataset keeps, so it compiles none of
-        them again (the sandwich's row blocks)."""
-        window = isinstance(indices, slice)
-        idx = indices if window else np.asarray(indices)
+        """The trajectories ``indices`` picks, at least one.  An index array
+        copies them; a slice is a window, whose columns are views of this
+        dataset's (the sandwich's row blocks)."""
+        idx = indices if isinstance(indices, slice) else np.asarray(indices)
 
         def take(col):
             return None if col is None else _frozen(col[idx])
 
-        out = Dataset(
-            stage_covariates=[
-                {name: take(cols[name]) for name in self._names} for cols in self._covariates
-            ],
-            proxy=[take(c) for c in self._proxy],
-            proxy_kind=self._proxy_kind,
-            actual=[take(c) for c in self._actual],
+        outcome = take(self._outcome)
+        if outcome.shape[0] == 0:
+            raise DataError("dataset has no trajectories")
+        return self._of_columns(
+            outcome=outcome,
             validation=take(self._validation),
-            outcome=take(self._outcome),
+            proxy=map(take, self._proxy),
+            proxy_kind=self._proxy_kind,
+            actual=map(take, self._actual),
+            covariates=[{name: take(cols[name]) for name in self._names}
+                        for cols in self._covariates],
         )
-        if window:
-            out._designs = {key: replace(design, base=design.base[idx])
-                            for key, design in self._designs.items()}
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -584,26 +581,9 @@ def compile_design(
     Every reference that resolves to the expected-treatment source is left
     for ``CompiledDesign.evaluate``; everything else is checked and
     multiplied into the base columns here.  ``treatment_override`` pins the
-    treatment at given stages to a fixed value regardless of source.
-
-    An unstacked dataset keeps the result, so the fit, the sandwich and every
-    later call with the same spec, stage, mode and override get the same
-    read-only design back; a stacked one keeps none.
+    treatment at given stages to a fixed value regardless of source.  Each
+    call compiles afresh; a caller that asks again for a design keeps it.
     """
-    if data._designs is None:
-        return _compile(spec, data, stage, mode, treatment_override)
-    key = (spec, stage, mode,
-           None if treatment_override is None else tuple(sorted(treatment_override.items())))
-    design = data._designs.get(key)
-    if design is None:
-        design = _compile(spec, data, stage, mode, treatment_override)
-        data._designs[key] = design
-    return design
-
-
-def _compile(spec: FeatureSpec, data: Dataset, stage: int, mode: str,
-             treatment_override: Optional[Mapping[int, float]]) -> CompiledDesign:
-    """``compile_design`` without the dataset's cache."""
     if mode not in SUBSTITUTION_MODES:
         raise ValueError(f"unknown substitution mode '{mode}'")
     spec.validate_stage(stage, allow_current_treatment=True)

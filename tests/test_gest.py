@@ -799,13 +799,31 @@ class TestStackedScore:
         np.testing.assert_array_equal(jacobian, score.evaluate(score.theta_hat, jacobian=True)[1])
         assert score.evaluate(score.theta_hat)[1] is None
 
-    def test_a_second_pass_on_the_kept_designs_repeats_the_first(self):
+    def test_a_second_pass_repeats_the_first(self):
         data = _score_dataset("s3")
         score = StackedScore(data, scenario_plan("s3", "modified-fitted").estimate(data))
         first = score.evaluate(score.theta_hat, jacobian=True)
         second = score.evaluate(score.theta_hat, jacobian=True)
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
+
+    def test_a_stage_system_keeps_each_design_in_its_dict(self):
+        """One key, one design: the spec, stage, mode and override.  A key
+        that differs in any of them compiles anew; without a dict, every
+        request does."""
+        data, plan = _score_dataset("s1"), scenario_plan("s1", "modified-fitted")
+        spec, designs = parse_feature_spec("1 + X[1] + A[1] + Astar[1]*X[1]"), {}
+        system = gest._StageSystem(plan, data, designs)
+        form = system.compiled(spec, 2)
+        assert system.compiled(parse_feature_spec(str(spec)), 2) is form  # an equal spec
+        others = [system.compiled(spec, 1), system.compiled(spec, 2, "use-proxy"),
+                  system.compiled(spec, 2, override=(1, 1.0)),
+                  system.compiled(spec, 2, override=(1, 0.0)),
+                  system.compiled(parse_feature_spec("1 + X[1]"), 2)]
+        assert len({id(design) for design in [form, *others]}) == len(designs) == 6
+        assert system.compiled(spec, 2, override=(1, 0.0)) is others[3]
+        unkept = gest._StageSystem(plan, data)
+        assert unkept.compiled(spec, 2) is not unkept.compiled(spec, 2)
 
     def test_stage_count_must_match_the_fit(self):
         data = _score_dataset("s1")
@@ -900,7 +918,7 @@ class TestOneDesignLayout:
         monkeypatch.setattr(CompiledDesign, "evaluate",
                             lambda form, expected=None: np.ascontiguousarray(
                                 evaluate(form, expected)))
-        copy = data.subset(np.arange(data.n))  # which compiles its designs afresh
+        copy = data.subset(np.arange(data.n))
         x = compile_design(plan.specs[0].assignment, copy, 1, "use-proxy").evaluate()
         assert x.flags.c_contiguous and not x.flags.f_contiguous
         for (got, error), (ref, _) in zip(plan.fit_members(copy, weights), fits):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dtr_adhere import gest, inference, model, simulation
+from dtr_adhere import gest, inference, simulation
 from dtr_adhere.glm import NonConvergenceError, expit, fit_logistic
 from dtr_adhere.inference import (
     BootstrapError,
@@ -540,17 +540,17 @@ def _digits_masked(message):
 
 
 def _uncached_compiles(monkeypatch) -> list:
-    """The key of every design compiled from now on that no dataset had
-    kept, with the dataset's identity first."""
+    """The key of every design a stage system compiles from now on, which
+    no dict handed to it had kept, with the dataset's identity first."""
     keys = []
-    compile_ = model._compile
+    compile_ = gest.compile_design
 
-    def spy(spec, data, stage, mode, override):
-        keys.append((id(data), spec, stage, mode,
-                     None if override is None else tuple(sorted(override.items()))))
-        return compile_(spec, data, stage, mode, override)
+    def spy(spec, data, stage, mode, *, treatment_override=None):
+        keys.append((id(data), spec, stage, mode, None if treatment_override is None
+                     else tuple(sorted(treatment_override.items()))))
+        return compile_(spec, data, stage, mode, treatment_override=treatment_override)
 
-    monkeypatch.setattr(model, "_compile", spy)
+    monkeypatch.setattr(gest, "compile_design", spy)
     return keys
 
 
@@ -564,7 +564,7 @@ def _blocks_of(monkeypatch, data, fit, rows):
 
 class TestRowBlocks:
     """A sandwich sums its meat and its Jacobian over row blocks of the
-    dataset, windows that share the fit's designs, and holds one block's
+    dataset, windows that compile their own designs, and holds one block's
     scores at a time.  With blocks of at most 97 rows, n=1000 is eleven
     blocks of 90 or 91 rows, and the result matches the sandwich of one
     block to rounding."""
@@ -638,7 +638,7 @@ class TestRowBlocks:
 
     def test_memory_is_one_block(self):
         """At n=50000 (P=20, five blocks of 10 000 rows) the sandwich's
-        traced peak measured 4.4 MB; the whole (n, P) pass peaked at 21.6 MB."""
+        traced peak measured 5.8 MB; the whole (n, P) pass peaked at 28.8 MB."""
         data = generate_s3(50000, np.random.default_rng(45), validation_fraction=0.2)
         fit = scenario_plan("s3", "modified-fitted").estimate(data)
         assert len(inference._row_blocks(data.n, StackedScore(data, fit).size)) == 5
@@ -652,30 +652,48 @@ class TestRowBlocks:
 
 
 class TestDesignsCompiledOnce:
-    """A dataset keeps the designs compiled on it, so the fit, its sandwich
-    and every bootstrap block compile each design once, with the same
-    results as designs compiled afresh."""
+    """A score evaluation and a sensitivity sweep keep the designs they
+    compile, so each compiles a design once, with the same results as
+    designs compiled afresh; a fit keeps none."""
 
-    def test_fit_and_sandwich(self, monkeypatch):
-        """At n=12000 the sandwich is two row blocks, which share the fit's
-        designs."""
+    def test_fit_memory(self):
+        """At n=50000 the s3 fit's traced peak above its dataset measured
+        8.4 MB; with every design kept through the stage solves, 13.6 MB."""
+        data = generate_s3(50000, np.random.default_rng(45), validation_fraction=0.2)
+        plan = scenario_plan("s3", "modified-fitted")
+        tracemalloc.start()
+        try:
+            plan.estimate(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_one_evaluation(self, monkeypatch):
+        """Its Jacobian section asks again for the designs its pass
+        compiled; a second evaluation compiles them anew."""
+        data = generate_s3(1000, np.random.default_rng(41), validation_fraction=0.3)
+        score = StackedScore(data, scenario_plan("s3", "modified-fitted").estimate(data))
         keys = _uncached_compiles(monkeypatch)
-        for n, blocks in ((1000, 1), (12000, 2)):
-            data = generate_s3(n, np.random.default_rng(41), validation_fraction=0.3)
-            keys.clear()
-            fit = scenario_plan("s3", "modified-fitted").estimate(data)
-            fitted = len(keys)
-            assert len(inference._row_blocks(n, StackedScore(data, fit).size)) == blocks
-            regime_sandwich(data, fit)
-            assert fitted > 0 and len(keys) == fitted == len(set(keys))
+        score.evaluate(score.theta_hat, jacobian=True)
+        once = list(keys)
+        assert once and len(once) == len(set(once))
+        score.evaluate(score.theta_hat, jacobian=True)
+        assert keys == once + once
 
-    def test_bootstrap_blocks(self, monkeypatch):
+    def test_one_sweep(self, monkeypatch):
+        """Every point refits the same rows, so the first compiles what all
+        of them use."""
         data = generate_s1(400, 0.0, np.random.default_rng(26))
+        plan = scenario_plan("s1", "modified-fitted")
         keys = _uncached_compiles(monkeypatch)
-        assert len(passes(60, data.n)) == 3
-        bootstrap(data, scenario_plan("s1", "modified-fitted").psi_estimator,
-                  60, seed=17)  # the point estimate and three blocks
-        assert keys and len(keys) == len(set(keys))
+        sensitivity_sweep(data, plan, [np.array([-4.6, -0.83, 7.5])])
+        one = list(keys)
+        keys.clear()
+        grid = [np.array([-4.6, -0.83, c]) for c in (6.5, 7.5, 8.5)]
+        points = sensitivity_sweep(data, plan, grid)
+        assert all(error is None for _, error in points)
+        assert one and len(keys) == len(set(keys)) == len(one) and set(keys) == set(one)
 
     def test_psi_is_unchanged_by_a_sandwich(self):
         data = generate_s3(1000, np.random.default_rng(42), validation_fraction=0.3)
@@ -776,7 +794,7 @@ class TestProgrammingErrorsPropagate:
     def test_sensitivity_sweep(self, monkeypatch):
         data = generate_s1(100, 0.0, np.random.default_rng(28))
         plan = scenario_plan("s1", "modified-fitted")
-        monkeypatch.setattr(EstimationPlan, "estimate", self.broken)
+        monkeypatch.setattr(gest, "_fit_stages", self.broken)
         with pytest.raises(TypeError, match="a programming error"):
             sensitivity_sweep(data, plan, [np.array([-4.6, -0.83, 7.5])])
 

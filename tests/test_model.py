@@ -190,6 +190,24 @@ class TestDataset:
         sub = data.subset([1, 1, 0])
         np.testing.assert_allclose(sub.covariate("X", 1), [3.0, 3.0, 1.0])
 
+    def test_an_empty_subset_is_rejected(self):
+        data = dataset(record(1.0, 2.0), record(3.0, 4.0))
+        for empty in (np.array([], dtype=int), slice(1, 1)):
+            with pytest.raises(DataError, match="^dataset has no trajectories$"):
+                data.subset(empty)
+
+    def test_derived_datasets_are_not_validated_again(self, monkeypatch):
+        """Subsets, windows and stacks take columns already validated, so
+        none runs ``__init__``; each keeps its source's schema."""
+        data = dataset(record(1.0, 2.0), record(3.0, 4.0, actual=(None, 0)))
+        calls = []
+        monkeypatch.setattr(Dataset, "__init__", lambda *args, **kwargs: calls.append(args))
+        derived = [data.subset([1, 0, 1]), data.subset(slice(0, 1)), Dataset.stack([data, data])]
+        assert calls == []
+        for out, n in zip(derived, (3, 1, 2)):
+            assert (out.n, out.n_stages, out.covariate_names, out.proxy_kind) == (
+                n, data.n_stages, data.covariate_names, data.proxy_kind)
+
     @staticmethod
     def columns(data):
         return [data.outcome, data.validation, *(
@@ -222,7 +240,7 @@ class TestDataset:
             assert not any(col.flags.writeable for col in self.columns(derived)
                            if col is not None)
 
-    def test_pickle_leaves_the_compiled_designs_behind(self):
+    def test_a_fit_leaves_nothing_on_the_dataset(self):
         data = generate_s1(300, 1.0, np.random.default_rng(4))
         size = len(pickle.dumps(data))
         scenario_plan("s1", "modified-fitted").estimate(data)
@@ -416,34 +434,16 @@ class TestCompiledDesign:
         for x in designs:
             assert x.shape[-1] == len(spec) and column_major(x), x.strides
 
-    def test_a_dataset_keeps_each_compiled_design(self):
-        """One key, one design: the spec, stage, mode and override.  A key
-        that differs in any of them compiles anew."""
-        rng = np.random.default_rng(8)
-        n = 6
-        data = Dataset(
-            stage_covariates=[{"X": rng.normal(size=n)}, {"X": rng.normal(size=n)}],
-            proxy=[rng.integers(0, 2, n).astype(float) for _ in range(2)],
-            proxy_kind="prescribed",
-            actual=[None, None],
-            validation=None,
-            outcome=np.zeros(n),
-        )
-        spec = parse_feature_spec("1 + X[1] + A[1] + Astar[1]*X[1]")
-        form = compile_design(spec, data, 2, "use-proxy")
-        assert compile_design(spec, data, 2, "use-proxy") is form
-        assert compile_design(parse_feature_spec("1 + X[1] + A[1] + Astar[1]*X[1]"),
-                              data, 2, "use-proxy") is form  # an equal spec
-        others = [
-            compile_design(spec, data, 1, "use-proxy"),
-            compile_design(spec, data, 2, "use-expected"),
-            compile_design(spec, data, 2, "use-proxy", treatment_override={1: 1.0}),
-            compile_design(spec, data, 2, "use-proxy", treatment_override={1: 0.0}),
-            compile_design(parse_feature_spec("1 + X[1]"), data, 2, "use-proxy"),
-        ]
-        assert len({id(other) for other in [form, *others]}) == 1 + len(others)
-        assert compile_design(spec, data, 2, "use-proxy",
-                              treatment_override={1: 0.0}) is others[3]
+    def test_each_call_compiles_afresh(self):
+        """A dataset keeps no design: each call compiles a new, equal,
+        read-only one."""
+        data, spec = self.dataset(), parse_feature_spec(self.SPEC)
+        form = compile_design(spec, data, 2, "use-expected")
+        again = compile_design(spec, data, 2, "use-expected")
+        assert again is not form and not np.shares_memory(again.base, form.base)
+        np.testing.assert_array_equal(again.base, form.base)
+        assert again.expected_stages == form.expected_stages
+        assert not again.base.flags.writeable
 
     def test_subset_compiles_its_own_designs(self):
         data, spec = self.dataset(), parse_feature_spec(self.SPEC)
@@ -452,23 +452,18 @@ class TestCompiledDesign:
         assert copy is not form
         np.testing.assert_array_equal(copy.base, form.base)
 
-    def test_a_window_shares_columns_and_designs(self):
-        """A slice of rows is a window: its columns and the designs it starts
-        with are views of the dataset's, equal to those of a copy of the rows."""
+    def test_a_window_shares_columns(self):
+        """A slice of rows is a window: its columns are views of the
+        dataset's, and its designs equal those of a copy of the rows."""
         data, spec = self.dataset(), parse_feature_spec(self.SPEC)
-        form = compile_design(spec, data, 2, "use-expected")
         window, copy = data.subset(slice(1, 4)), data.subset(np.arange(1, 4))
         assert np.shares_memory(window.outcome, data.outcome)
+        assert np.shares_memory(window.covariate("X", 2), data.covariate("X", 2))
         np.testing.assert_array_equal(window.proxy(1), copy.proxy(1))
-        kept = compile_design(spec, window, 2, "use-expected")
-        assert np.shares_memory(kept.base, form.base) and not kept.base.flags.writeable
-        fresh = compile_design(spec, copy, 2, "use-expected")
-        np.testing.assert_array_equal(kept.base, fresh.base)
-        assert kept.expected_stages == fresh.expected_stages
-        # a design the dataset has not compiled is compiled on the window
-        other = parse_feature_spec("1 + X[1]")
-        np.testing.assert_array_equal(compile_design(other, window, 2, "use-proxy").base,
-                                      compile_design(other, copy, 2, "use-proxy").base)
+        for spec, mode in ((spec, "use-expected"), (parse_feature_spec("1 + X[1]"), "use-proxy")):
+            got, want = (compile_design(spec, rows, 2, mode) for rows in (window, copy))
+            np.testing.assert_array_equal(got.base, want.base)
+            assert got.expected_stages == want.expected_stages
 
     def test_missing_expected_treatment_raises_at_evaluation(self):
         form = compile_design(parse_feature_spec("1 + A[1]"), self.dataset(), 2, "use-expected")
