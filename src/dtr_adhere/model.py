@@ -22,6 +22,7 @@ tokens; ``A``, ``Astar`` and ``EA`` are reserved.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
@@ -436,7 +437,7 @@ class Dataset:
     @classmethod
     def _of_columns(cls, *, outcome, validation, proxy, proxy_kind, actual,
                     covariates) -> "Dataset":
-        """A dataset of read-only columns taken from validated ones, rows of
+        """A dataset of read-only columns taken from validated ones, views of
         one dataset's (``subset``) or equal-size datasets' stacked
         (``stack``), so ``__init__``'s checks are not run again."""
         out = cls.__new__(cls)
@@ -452,7 +453,10 @@ class Dataset:
         """Equal-size datasets of one schema as the members of one batched
         fit: each column of the result is (b, n), member i's row r being row
         r of ``datasets[i]``, and its validation flags are (b, n, K).  Only
-        the column accessors apply to it.  The members share one proxy kind."""
+        the column accessors and ``subset`` apply to it.  The members share
+        one proxy kind."""
+        if not datasets:
+            raise DataError("a stack needs at least one dataset")
         first = datasets[0]
 
         def schema(data):
@@ -475,14 +479,21 @@ class Dataset:
                         for stage in zip(*(data._covariates for data in datasets))],
         )
 
-    def subset(self, indices) -> "Dataset":
-        """The trajectories ``indices`` picks, at least one.  An index array
-        copies them; a slice is a window, whose columns are views of this
-        dataset's (the sandwich's row blocks)."""
-        idx = indices if isinstance(indices, slice) else np.asarray(indices)
+    def subset(self, index) -> "Dataset":
+        """A view: ``index``, a slice or an integer, indexes the leading axis
+        of every column, so the result's columns share this dataset's.  A
+        slice of at least one row is a window (the sandwich's row blocks; on
+        a stack, of members); an integer picks one member of a stack, with
+        (n,) columns and (n, K) validation flags.  An index array raises
+        ``TypeError``: a ``Dataset`` built from indexed columns copies rows."""
+        if not isinstance(index, slice):
+            index = operator.index(index)  # an index array raises TypeError
+            if self._outcome.ndim == 1:
+                raise DataError("an integer picks a member of a stacked dataset, "
+                                "and this dataset is not stacked")
 
         def take(col):
-            return None if col is None else _frozen(col[idx])
+            return None if col is None else col[index]  # read-only, as its base
 
         outcome = take(self._outcome)
         if outcome.shape[0] == 0:

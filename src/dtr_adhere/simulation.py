@@ -61,22 +61,27 @@ def _regret_outcome(treatment_free, noise, contrasts, treatments):
     return y
 
 
-def _freeze(*columns) -> None:
-    """Make freshly generated columns read-only in place, so that ``Dataset``
-    keeps them as they are instead of copying them."""
-    for column in columns:
-        column.flags.writeable = False
-
-
-def _validation_flags(n: int, fraction: float, rng: np.random.Generator, stages: int) -> np.ndarray:
+def _check_sizes(n: int, fraction: float) -> None:
+    """Every generator's argument check, made before anything is drawn."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if not (0.0 < fraction <= 1.0):
         raise ValueError("validation fraction must be in (0, 1]")
-    size = int(round(fraction * n))
-    size = max(1, size)
-    chosen = rng.choice(n, size=size, replace=False)
-    flags = np.zeros((n, stages), dtype=bool)
-    flags[chosen, :] = True
-    return flags
+
+
+def _generated(rng: np.random.Generator, fraction: float, *, x, proxy, proxy_kind, actual,
+               y) -> Dataset:
+    """Freshly generated two-stage columns, stage covariate ``X``, as a
+    dataset whose validation rows are drawn last: ``fraction`` of the rows,
+    at least one, validate both stages.  The columns are made read-only in
+    place, so that ``Dataset`` keeps them as they are instead of copying."""
+    n = len(y)
+    flags = np.zeros((n, 2), dtype=bool)
+    flags[rng.choice(n, size=max(1, int(round(fraction * n))), replace=False), :] = True
+    for column in (*x, *proxy, *actual, flags, y):
+        column.flags.writeable = False
+    return Dataset(stage_covariates=[{"X": col} for col in x], proxy=proxy,
+                   proxy_kind=proxy_kind, actual=actual, validation=flags, outcome=y)
 
 
 def generate_s1(n: int, psi22: float, rng: np.random.Generator,
@@ -88,8 +93,6 @@ def generate_s1(n: int, psi22: float, rng: np.random.Generator,
     are 1 + X1 and 1 + X2 + psi22 * A1; the treatment-free part is X1 and the
     noise variance is 2.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     return _prescribed_scenario(n, rng, validation_fraction, shifts=(0.0, 0.0), lag=psi22,
                                 direct=0.0)
 
@@ -108,6 +111,7 @@ def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct) ->
     """The s1/s3 mechanism: prescriptions follow expit(shift_j + X_j), the
     stage-2 contrast is 1 + X2 + lag * A1, and the stage-1 treatment taken
     adds ``direct`` to the treatment-free part."""
+    _check_sizes(n, validation_fraction)
     b0, b1, b2 = PRESCRIBED_ADHERENCE_COEF
     x1 = rng.normal(1.0, 1.0, n)
     astar1 = rng.binomial(1, expit(shifts[0] + x1)).astype(float)
@@ -120,16 +124,8 @@ def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct) ->
     c1 = 1.0 + x1
     c2 = 1.0 + x2 + lag * a1
     y = _regret_outcome(x1 + direct * a1, eps, (c1, c2), (a1, a2))
-    flags = _validation_flags(n, validation_fraction, rng, 2)
-    _freeze(x1, astar1, a1, x2, astar2, a2, flags, y)
-    return Dataset(
-        stage_covariates=[{"X": x1}, {"X": x2}],
-        proxy=[astar1, astar2],
-        proxy_kind="prescribed",
-        actual=[a1, a2],
-        validation=flags,
-        outcome=y,
-    )
+    return _generated(rng, validation_fraction, x=(x1, x2), proxy=(astar1, astar2),
+                      proxy_kind="prescribed", actual=(a1, a2), y=y)
 
 
 def generate_s4(n: int, psi21: float, rng: np.random.Generator,
@@ -140,6 +136,7 @@ def generate_s4(n: int, psi21: float, rng: np.random.Generator,
     the report follows A_j (0.9 - 0.05 X_j) + (1 - A_j)(0.05 + 0.045 X_j +
     0.005 X_j^2).  Contrasts are 1 + X1 and 1 + psi21 * A1.
     """
+    _check_sizes(n, validation_fraction)
     x1 = rng.integers(-1, 2, n).astype(float)
     a1 = rng.binomial(1, 0.5 + 0.3 * x1).astype(float)
     rep1 = rng.binomial(1, _report_prob(a1, x1)).astype(float)
@@ -151,16 +148,8 @@ def generate_s4(n: int, psi21: float, rng: np.random.Generator,
     c1 = 1.0 + x1
     c2 = 1.0 + psi21 * a1
     y = _regret_outcome(x1, eps, (c1, c2), (a1, a2))
-    flags = _validation_flags(n, validation_fraction, rng, 2)
-    _freeze(x1, a1, rep1, x2, a2, rep2, flags, y)
-    return Dataset(
-        stage_covariates=[{"X": x1}, {"X": x2}],
-        proxy=[rep1, rep2],
-        proxy_kind="reported",
-        actual=[a1, a2],
-        validation=flags,
-        outcome=y,
-    )
+    return _generated(rng, validation_fraction, x=(x1, x2), proxy=(rep1, rep2),
+                      proxy_kind="reported", actual=(a1, a2), y=y)
 
 
 def _report_prob(a, x):
@@ -345,30 +334,28 @@ class _Replicate(NamedTuple):
 
 
 def _replicate_block(config: ScenarioConfig, plans: dict, replicates: range) -> dict:
-    """Generate the datasets of a block of replicates and fit each estimator
-    on all of them in one batched pass; estimators that regress the same
-    treatment on the same history share that assignment fit.  Maps each
-    estimator to one ``tally``-style ``(_Replicate, error)`` pair per
-    replicate."""
-    datasets = [scenario_dataset(config, np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(r,)))) for r in replicates]
-    stack, weights = Dataset.stack(datasets), np.broadcast_to(1.0, (len(datasets), config.n))
-    if not config.coverage:  # only the coverage intervals need a replicate's own dataset
-        datasets = [None] * len(datasets)
-    assignment_fits = {}
-    return {name: [(None, error) if error is not None else tally(_replicate, config, data, fit)
-                   for data, (fit, error) in zip(datasets, plan.fit_members(
+    """Generate the datasets of a block of replicates, stack them, and fit
+    each estimator on the stack in one batched pass; estimators that regress
+    the same treatment on the same history share that assignment fit.  Only
+    the stack is kept: replicate i's coverage intervals read its member view,
+    ``stack.subset(i)``.  Maps each estimator to one ``tally``-style
+    ``(_Replicate, error)`` pair per replicate."""
+    stack = Dataset.stack([scenario_dataset(config, np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(r,)))) for r in replicates])
+    weights, assignment_fits = np.broadcast_to(1.0, stack.outcome.shape), {}
+    return {name: [(None, error) if error is not None else tally(_replicate, config, stack, i, fit)
+                   for i, (fit, error) in enumerate(plan.fit_members(
                        stack, weights, assignment_fits=assignment_fits))]
             for name, plan in plans.items()}
 
 
-def _replicate(config: ScenarioConfig, data: Dataset, fit: RegimeFit) -> _Replicate:
+def _replicate(config: ScenarioConfig, stack: Dataset, member: int, fit: RegimeFit) -> _Replicate:
     """A replicate's fit and, when coverage is requested, the hits of the Wald
-    intervals computed on its own dataset."""
+    intervals computed on its member of the block's stack."""
     hits = None
     if config.coverage:
         truth = scenario_truth(config.scenario, config.varied_param)
-        intervals = regime_wald_intervals(data, fit, COVERAGE_LEVEL)
+        intervals = regime_wald_intervals(stack.subset(member), fit, COVERAGE_LEVEL)
         hits = ((intervals.lower <= truth) & (truth <= intervals.upper)).astype(float)
     return _Replicate(psi_flat(fit), hits, fit.diagnostics["positivity_violations"])
 

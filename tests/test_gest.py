@@ -47,6 +47,8 @@ from dtr_adhere.simulation import (
     scenario_plan,
 )
 
+from row_copy import copy_rows
+
 
 class TestPseudoOutcomes:
     def test_standard(self):
@@ -873,7 +875,7 @@ class TestOneDesignLayout:
         data = _score_dataset("s1")
         rng = np.random.default_rng(5)
         if stacked:
-            data = Dataset.stack([data, data.subset(rng.permutation(data.n))])
+            data = Dataset.stack([data, copy_rows(data, rng.permutation(data.n))])
             weights = np.ones((2, data.n))
         else:  # a bootstrap block: shared designs, and per member where EA[1] enters
             weights = rng.integers(0, 3, (3, data.n)).astype(float)
@@ -918,7 +920,7 @@ class TestOneDesignLayout:
         monkeypatch.setattr(CompiledDesign, "evaluate",
                             lambda form, expected=None: np.ascontiguousarray(
                                 evaluate(form, expected)))
-        copy = data.subset(np.arange(data.n))
+        copy = copy_rows(data, np.arange(data.n))
         x = compile_design(plan.specs[0].assignment, copy, 1, "use-proxy").evaluate()
         assert x.flags.c_contiguous and not x.flags.f_contiguous
         for (got, error), (ref, _) in zip(plan.fit_members(copy, weights), fits):

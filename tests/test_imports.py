@@ -1,12 +1,14 @@
 """Every module of the package uses each name it imports, and imports no
-other module's private (single-underscore) name."""
+other module's private (single-underscore) name; the tests' row-copy helper
+uses no private name of the package at all."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dtr_adhere"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dtr_adhere"
 # (module, name) imported on purpose without a use, and why.
 ALLOWED = {
     ("gest", "fit_logistic"):
@@ -85,3 +87,23 @@ def test_the_check_finds_a_private_import():
 @pytest.mark.parametrize("module", ["__init__", *MODULES])
 def test_no_private_name_is_imported(module):
     assert private_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def private_attributes(source: str) -> list:
+    """The single-underscore attributes ``source`` reads, as in
+    ``Dataset._of_columns``; a dunder is public."""
+    return sorted({node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   and not node.attr.endswith("__")})
+
+
+def test_the_check_finds_a_private_attribute():
+    source = "out = Dataset._of_columns(**cols)\nname = type(out).__name__\nout._n\n"
+    assert private_attributes(source) == ["_n", "_of_columns"]
+
+
+def test_the_row_copy_helper_uses_only_public_names():
+    """The tests' dataset of copied rows is built as any caller builds one,
+    through ``Dataset(...)`` and its checks."""
+    source = (TESTS / "row_copy.py").read_text(encoding="utf-8")
+    assert private_imports(source) == [] and private_attributes(source) == []

@@ -25,6 +25,8 @@ from dtr_adhere.gest import (ESTIMATION_FAILURES, AdherenceSource, EstimationErr
 from dtr_adhere.simulation import (ScenarioConfig, generate_s1, generate_s3, generate_s4,
                                    run_replications, scenario_plan)
 
+from row_copy import copy_rows
+
 
 class TestNumericalJacobian:
     def test_linear_map(self):
@@ -374,7 +376,7 @@ class TestBootstrap:
     def test_degenerate_dataset_gives_zero_width(self):
         rng = np.random.default_rng(23)
         base = generate_s1(40, 0.0, rng)
-        data = base.subset(np.zeros(40, dtype=int))  # forty copies of one row
+        data = copy_rows(base, np.zeros(40, dtype=int))  # forty copies of one row
         iv = bootstrap(data, _mean_outcome, 30, level=0.95, seed=3)
         assert iv.lower[0] == iv.estimate[0] == iv.upper[0]
 
@@ -702,14 +704,14 @@ class TestDesignsCompiledOnce:
         regime_sandwich(data, plan.estimate(data))
         np.testing.assert_array_equal(psi_flat(plan.estimate(data)), before)
         # designs compiled afresh on a copy give the same bits
-        np.testing.assert_array_equal(psi_flat(plan.estimate(data.subset(np.arange(data.n)))),
+        np.testing.assert_array_equal(psi_flat(plan.estimate(copy_rows(data, np.arange(data.n)))),
                                       before)
 
 
 class TestBatchedReplicatesMatchSubsetFits:
     """Each member of a batched pass is the fit of its resample: psi, and for
     a failing replicate the exception class, stage and message, as a fit of
-    ``data.subset(idx)`` gives them.  A stage system's failure messages are
+    ``copy_rows(data, idx)`` gives them.  A stage system's failure messages are
     compared exactly, since a condition number whose digits are rounding
     noise prints as "numerically singular"; other numbers inside messages
     (a coefficient norm) are compared with their digits masked, as no two
@@ -752,7 +754,7 @@ class TestBatchedReplicatesMatchSubsetFits:
             got += plan.psi_estimator(data, counts[block.start : block.stop])
         if cut is groups:
             assert len(block) == len(draws) > PASS_MEMBERS
-        want = [tally(lambda d: psi_flat(plan.estimate(d)), data.subset(idx)) for idx in draws]
+        want = [tally(lambda d: psi_flat(plan.estimate(d)), copy_rows(data, idx)) for idx in draws]
 
         assert [err is None for _, err in got] == [err is None for _, err in want]
         for (psi, err), (ref_psi, ref_err) in zip(got, want):

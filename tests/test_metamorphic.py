@@ -27,6 +27,8 @@ from dtr_adhere.simulation import (
     scenario_plan,
 )
 
+from row_copy import copy_rows
+
 CASES = pytest.mark.parametrize(
     "scenario,estimator,exact",
     [(s, e, x) for s in ("s1", "s3", "s4") for e in ESTIMATORS for x in (False, True)],
@@ -68,7 +70,7 @@ def poisoned(data, rows):
     blown up to 1e15 and flagged as validation rows at every stage.  Counted,
     such rows leave every treatment-free design rank deficient (X[1] enters
     each stage 1 design) and their assignment probabilities at 0 or 1."""
-    cols = columns(data.subset(np.concatenate([np.arange(data.n), rows])))
+    cols = columns(copy_rows(data, np.concatenate([np.arange(data.n), rows])))
     for column in cols["stage_covariates"][0].values():
         column[data.n:] = 1e15
     cols["validation"][data.n:] = True
@@ -111,14 +113,14 @@ def fitted(datasets, scenario, estimator, exact):
 def test_row_permutation_leaves_psi(datasets, scenario, estimator, exact):
     data, plan, fit = fitted(datasets, scenario, estimator, exact)
     order = np.random.default_rng(5).permutation(data.n)
-    moved = psi_flat(plan.estimate(data.subset(order)))
+    moved = psi_flat(plan.estimate(copy_rows(data, order)))
     assert np.max(np.abs(moved - psi_flat(fit))) <= 1e-10
 
 
 @CASES
 def test_duplicated_rows_leave_psi(datasets, scenario, estimator, exact):
     data, plan, fit = fitted(datasets, scenario, estimator, exact)
-    doubled = psi_flat(plan.estimate(data.subset(np.tile(np.arange(data.n), 2))))
+    doubled = psi_flat(plan.estimate(copy_rows(data, np.tile(np.arange(data.n), 2))))
     assert np.max(np.abs(doubled - psi_flat(fit))) <= 1e-8
 
 
@@ -143,8 +145,8 @@ def test_weight_two_equals_duplicated_rows(datasets, scenario, estimator, exact)
     data, plan, _ = fitted(datasets, scenario, estimator, exact)
     twice = np.random.default_rng(6).random(data.n) < 0.3
     weighted = weighted_estimate(plan, data, 1.0 + twice)
-    duplicated = plan.estimate(data.subset(np.concatenate([np.arange(data.n),
-                                                           np.flatnonzero(twice)])))
+    duplicated = plan.estimate(copy_rows(data, np.concatenate([np.arange(data.n),
+                                                               np.flatnonzero(twice)])))
     assert_same_fit(weighted, duplicated)
 
 
@@ -153,7 +155,7 @@ def test_zero_weights_equal_dropped_rows(datasets, scenario, estimator, exact):
     data, plan, _ = fitted(datasets, scenario, estimator, exact)
     kept = np.random.default_rng(7).random(data.n) >= 0.25
     weighted = weighted_estimate(plan, data, kept * 1.0)
-    dropped = plan.estimate(data.subset(np.flatnonzero(kept)))
+    dropped = plan.estimate(copy_rows(data, np.flatnonzero(kept)))
     assert_same_fit(weighted, dropped)
 
 
@@ -173,7 +175,7 @@ def test_zero_weight_rows_leave_the_checks(datasets, scenario, estimator, exact)
     first = data.validation[:, 0]
     got = tally(weighted_estimate, plan, bad,
                 unweighted * np.concatenate([~first, np.ones(rows.size)]))
-    want = tally(plan.estimate, data.subset(np.flatnonzero(~first)))
+    want = tally(plan.estimate, copy_rows(data, np.flatnonzero(~first)))
     if plan.fits_adherence:
         assert str(want[1]) == "no validation rows at stage 1"
         assert type(got[1]) is type(want[1]) and str(got[1]) == str(want[1])

@@ -19,6 +19,8 @@ from dtr_adhere.model import (
 )
 from dtr_adhere.simulation import generate_s1, scenario_plan
 
+from row_copy import copy_rows
+
 
 def record(x1, x2, prescribed=(1, 1), actual=(1, 1), outcome=0.0):
     """One individual's two stages: covariate X, the treatments per stage
@@ -187,24 +189,47 @@ class TestDataset:
 
     def test_subset_roundtrip(self):
         data = dataset(record(1.0, 2.0), record(3.0, 4.0))
-        sub = data.subset([1, 1, 0])
+        sub = copy_rows(data, [1, 1, 0])
         np.testing.assert_allclose(sub.covariate("X", 1), [3.0, 3.0, 1.0])
 
     def test_an_empty_subset_is_rejected(self):
         data = dataset(record(1.0, 2.0), record(3.0, 4.0))
-        for empty in (np.array([], dtype=int), slice(1, 1)):
+        for empty in (slice(1, 1), slice(2, None)):
             with pytest.raises(DataError, match="^dataset has no trajectories$"):
                 data.subset(empty)
 
+    def test_a_stack_member_is_a_view_of_the_stack(self):
+        """``stack.subset(i)`` is member i: dataset i's columns, (n,) and
+        (n, K) flags, each a view of the stack's."""
+        members = [generate_s1(30, 1.0, np.random.default_rng(k)) for k in range(3)]
+        stack = Dataset.stack(members)
+        for i, data in enumerate(members):
+            member = stack.subset(i)
+            assert (member.n, member.validation.shape) == (30, (30, 2))
+            for got, want, whole in zip(self.columns(member), self.columns(data),
+                                        self.columns(stack)):
+                np.testing.assert_array_equal(got, want)
+                assert np.shares_memory(got, whole)
+
+    def test_subset_takes_a_slice_or_a_member_only(self):
+        data = dataset(record(1.0, 2.0), record(3.0, 4.0))
+        for source in (data, Dataset.stack([data, data])):
+            for index in ([1, 0], np.array([0, 1]), np.arange(1), 1.0):
+                with pytest.raises(TypeError):
+                    source.subset(index)
+        with pytest.raises(DataError, match="^an integer picks a member of a stacked dataset"):
+            data.subset(0)
+
     def test_derived_datasets_are_not_validated_again(self, monkeypatch):
-        """Subsets, windows and stacks take columns already validated, so
+        """Members, windows and stacks take columns already validated, so
         none runs ``__init__``; each keeps its source's schema."""
         data = dataset(record(1.0, 2.0), record(3.0, 4.0, actual=(None, 0)))
         calls = []
         monkeypatch.setattr(Dataset, "__init__", lambda *args, **kwargs: calls.append(args))
-        derived = [data.subset([1, 0, 1]), data.subset(slice(0, 1)), Dataset.stack([data, data])]
+        derived = [Dataset.stack([data, data]).subset(1), data.subset(slice(0, 1)),
+                   Dataset.stack([data, data])]
         assert calls == []
-        for out, n in zip(derived, (3, 1, 2)):
+        for out, n in zip(derived, (2, 1, 2)):
             assert (out.n, out.n_stages, out.covariate_names, out.proxy_kind) == (
                 n, data.n_stages, data.covariate_names, data.proxy_kind)
 
@@ -235,8 +260,8 @@ class TestDataset:
 
     def test_derived_and_unpickled_datasets_are_read_only(self):
         data = dataset(record(1.0, 2.0), record(3.0, 4.0, actual=(None, 0)))
-        for derived in (data, data.subset([1, 0, 1]), Dataset.stack([data, data]),
-                        pickle.loads(pickle.dumps(data))):
+        for derived in (data, data.subset(slice(1, 2)), Dataset.stack([data, data]).subset(0),
+                        Dataset.stack([data, data]), pickle.loads(pickle.dumps(data))):
             assert not any(col.flags.writeable for col in self.columns(derived)
                            if col is not None)
 
@@ -304,7 +329,7 @@ class TestDesignRows:
         for i, t in enumerate(records):
             row = design_row(spec, t, 2, "use-actual")
             np.testing.assert_allclose(matrix[i], row)
-        flipped = build_design_matrix(spec, data.subset([1, 0]), 2, "use-actual")
+        flipped = build_design_matrix(spec, copy_rows(data, [1, 0]), 2, "use-actual")
         np.testing.assert_allclose(flipped, matrix[::-1])
 
     def test_modes_agree_under_perfect_adherence(self):
@@ -383,7 +408,7 @@ class TestCompiledDesign:
         are not reused, and the stacked dataset keeps none."""
         data, spec = self.dataset(), parse_feature_spec(self.SPEC)
         perms = [np.random.default_rng(k).permutation(data.n) for k in range(3)]
-        members = [data.subset(p) for p in perms]
+        members = [copy_rows(data, p) for p in perms]
         for member in members:
             compile_design(spec, member, 2, "use-expected")
         expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
@@ -403,7 +428,7 @@ class TestCompiledDesign:
         being the column of dataset i's own design."""
         data, spec = self.dataset(), parse_feature_spec(self.SPEC)
         perms = [np.random.default_rng(k).permutation(data.n) for k in range(3)]
-        members = [data.subset(p) for p in perms]
+        members = [copy_rows(data, p) for p in perms]
         expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
         per_member = [{s: col[p] for s, col in expected.items()} for p in perms]
         stacked = compile_design(spec, Dataset.stack(members), 2, "use-expected").partials(
@@ -424,7 +449,7 @@ class TestCompiledDesign:
         data, spec = self.dataset(), parse_feature_spec(spec)
         expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
         if stacked:
-            data = Dataset.stack([data, data.subset(np.arange(data.n)[::-1])])
+            data = Dataset.stack([data, copy_rows(data, np.arange(data.n)[::-1])])
             expected = {s: np.stack([col, col[::-1]]) for s, col in expected.items()}
         forms = [compile_design(spec, data, 2, mode) for mode in ("use-expected", "use-proxy")]
         designs = [form.base for form in forms] + [form.evaluate(expected) for form in forms]
@@ -448,15 +473,15 @@ class TestCompiledDesign:
     def test_subset_compiles_its_own_designs(self):
         data, spec = self.dataset(), parse_feature_spec(self.SPEC)
         form = compile_design(spec, data, 2, "use-expected")
-        copy = compile_design(spec, data.subset(np.arange(data.n)), 2, "use-expected")
-        assert copy is not form
-        np.testing.assert_array_equal(copy.base, form.base)
+        own = compile_design(spec, data.subset(slice(0, data.n)), 2, "use-expected")
+        assert own is not form
+        np.testing.assert_array_equal(own.base, form.base)
 
     def test_a_window_shares_columns(self):
         """A slice of rows is a window: its columns are views of the
         dataset's, and its designs equal those of a copy of the rows."""
         data, spec = self.dataset(), parse_feature_spec(self.SPEC)
-        window, copy = data.subset(slice(1, 4)), data.subset(np.arange(1, 4))
+        window, copy = data.subset(slice(1, 4)), copy_rows(data, np.arange(1, 4))
         assert np.shares_memory(window.outcome, data.outcome)
         assert np.shares_memory(window.covariate("X", 2), data.covariate("X", 2))
         np.testing.assert_array_equal(window.proxy(1), copy.proxy(1))

@@ -9,7 +9,7 @@ import pytest
 from dtr_adhere import gest, simulation
 from dtr_adhere.glm import expit
 from dtr_adhere.gest import psi_flat, tally
-from dtr_adhere.model import Dataset
+from dtr_adhere.model import DataError, Dataset
 from dtr_adhere.simulation import (
     ESTIMATORS,
     SCENARIOS,
@@ -195,6 +195,19 @@ class TestGeneratedDatasets:
             for kind in ("proxy", "actual"):
                 assert getattr(data, kind)(j) is fields[kind][j - 1]
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("generate", [
+        lambda n, rng: generate_s1(n, 1.0, rng),
+        lambda n, rng: generate_s3(n, rng),
+        lambda n, rng: generate_s4(n, 1.0, rng),
+    ], ids=["s1", "s3", "s4"])
+    def test_a_size_below_one_is_rejected_before_any_draw(self, generate, n):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
+            generate(n, rng)
+        assert rng.bit_generator.state == state
+
     def test_seeded_columns_are_unchanged(self):
         # digests of the columns the generators drew before they froze them
         digests = {"s1": "d24ef320b0d89124", "s3": "079f65d4ab16b08b",
@@ -294,6 +307,36 @@ class TestRunReplications:
         rows = summary.statistics()["modified-fitted"]["parameters"]
         assert all("coverage" in r for r in rows)
         assert all(0.0 <= r["coverage"] <= 1.0 for r in rows)
+
+    def test_coverage_intervals_read_the_blocks_stack(self, monkeypatch):
+        """Each replicate's Wald intervals read its member of its block's
+        stack, a view: a coverage block keeps its columns once."""
+        stacks, seen = [], []
+        stack, intervals = Dataset.stack, simulation.regime_wald_intervals
+
+        def stack_spy(datasets):
+            stacks.append(stack(datasets))
+            return stacks[-1]
+
+        def intervals_spy(data, fit, level):
+            seen.append((stacks[-1], data))
+            return intervals(data, fit, level)
+
+        monkeypatch.setattr(Dataset, "stack", staticmethod(stack_spy))
+        monkeypatch.setattr(simulation, "regime_wald_intervals", intervals_spy)
+        config = self.config(replications=23, estimators=("modified-fitted",), coverage=True)
+        assert [len(p) for p in gest.passes(23, config.n)] == [20, 3]
+        run_replications(config)
+        assert len(stacks) == 2 and len(seen) == 23
+        for whole, data in seen:
+            assert data.outcome.shape == (config.n,)
+            for j in (1, 2):
+                for got, source in ((data.covariate("X", j), whole.covariate("X", j)),
+                                    (data.proxy(j), whole.proxy(j)),
+                                    (data.actual(j), whole.actual(j))):
+                    assert np.shares_memory(got, source)
+            assert np.shares_memory(data.outcome, whole.outcome)
+            assert np.shares_memory(data.validation, whole.validation)
 
     def test_s2_pins_varied_param(self):
         with pytest.raises(ValueError):
@@ -399,6 +442,8 @@ class TestStackedReplicatesMatchSerialFits:
             Dataset.stack([generate_s1(20, 0.0, rng), generate_s1(21, 0.0, rng)])
         with pytest.raises(ValueError, match="share their size and schema"):
             Dataset.stack([generate_s1(20, 0.0, rng), generate_s4(20, 0.0, rng)])
+        with pytest.raises(DataError, match="^a stack needs at least one dataset$"):
+            Dataset.stack([])
 
 
 class TestReplicationBlocks:
