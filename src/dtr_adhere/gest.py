@@ -129,29 +129,33 @@ def ordered_map(fn, items, jobs: int) -> list:
 # one size at any n, while a pass keeps members enough to spread its fixed
 # per-pass work (one member a pass was 20% slower at n=50000).  A bootstrap
 # group, the resamples whose adherence models share one Newton loop per
-# stage, is cut by rows alone.
+# stage, is cut by rows alone.  ``cut`` balances every batch within its budget.
 PASS_MEMBERS = 20
 PASS_ROWS = 100_000
 
 
-def _cut(total: int, size: int) -> list:
-    return [range(start, min(start + size, total)) for start in range(0, total, size)]
+def cut(total: int, size: int) -> list:
+    """``range(total)`` as the fewest consecutive ranges of at most
+    ``max(1, size)`` members, their sizes differing by at most one: no small
+    tail repeats a batch's fixed cost.  Every batch in the package is cut so."""
+    count = -(-total // max(1, size))
+    return [range(i * total // count, (i + 1) * total // count) for i in range(count)]
 
 
 def passes(total: int, n: int) -> list:
-    """``range(total)`` cut into consecutive batched passes of
-    ``min(PASS_MEMBERS, max(1, PASS_ROWS // n))`` members, the last one
-    possibly shorter.  The cut depends on ``total`` and ``n`` alone, so which
-    members share a pass, and so every result, never depends on ``jobs``."""
-    return _cut(total, min(PASS_MEMBERS, max(1, PASS_ROWS // n)))
+    """``range(total)`` cut into batched passes of at most
+    ``min(PASS_MEMBERS, PASS_ROWS // n)`` members (at least one).  The cut
+    depends on ``total`` and ``n`` alone, so which members share a pass, and
+    so every result, never depends on ``jobs``."""
+    return cut(total, min(PASS_MEMBERS, PASS_ROWS // n))
 
 
 def groups(total: int, n: int) -> list:
-    """``range(total)`` cut into consecutive bootstrap groups of
-    ``max(1, PASS_ROWS // n)`` members, the last one possibly shorter: a
-    group is a pass at n >= PASS_ROWS / PASS_MEMBERS, and several passes
-    below.  Like ``passes``, the cut depends on ``total`` and ``n`` alone."""
-    return _cut(total, max(1, PASS_ROWS // n))
+    """``range(total)`` cut into bootstrap groups of at most
+    ``PASS_ROWS // n`` members (at least one): a group is a pass at
+    n >= PASS_ROWS / PASS_MEMBERS, and several passes below.  Like
+    ``passes``, the cut depends on ``total`` and ``n`` alone."""
+    return cut(total, PASS_ROWS // n)
 
 
 # ---------------------------------------------------------------------------

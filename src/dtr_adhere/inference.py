@@ -3,16 +3,16 @@
 The sandwich estimator inverts the Jacobian of the mean stacked score as the
 bread and uses the mean outer product of per-individual scores as the meat.
 For a fitted regime the Jacobian comes in closed form from the same pass of
-the stage system that gives the scores, run on row blocks of at most
-``SANDWICH_DOUBLES // P`` rows whose meat and Jacobian are summed, so a
-sandwich holds one block's scores at any n; ``numerical_jacobian`` (central
-differences) serves any other estimating function.  The nonparametric
-bootstrap resamples whole trajectories as multinomial frequency weights and
-refits the entire pipeline, adherence models included, for a group of
-replicates at a time (``gest.groups``): one batched adherence fit per stage
-and its probabilities, computed once and held (at most K × ``gest.PASS_ROWS``
-doubles, 1.6 MB for s1), then batched passes of the stage system
-(``gest.passes``), each taking its replicates' rows of those probabilities.
+the stage system that gives the scores, run on row blocks whose meat and
+Jacobian are summed, so a sandwich holds one block's scores at any n;
+``numerical_jacobian`` (central differences) serves any other estimating
+function.  The nonparametric bootstrap resamples whole trajectories as
+multinomial frequency weights and refits the entire pipeline, adherence
+models included, for a group of replicates at a time (``gest.groups``): one
+batched adherence fit per stage and its probabilities, computed once and held
+(at most K × ``gest.PASS_ROWS`` doubles, 1.6 MB for s1), then batched passes
+of the stage system (``gest.passes``), each taking its replicates' rows of
+those probabilities.  ``gest.cut`` cuts the row blocks, groups and passes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .gest import (MAX_FAILURE_FRACTION, PASS_ROWS, EstimationError, RegimeFit, StackedScore,
-                   failure_counts, groups, ordered_map, psi_flat)
+                   cut, failure_counts, groups, ordered_map, psi_flat)
 from .model import Dataset
 
 # Relative central-difference step of numerical_jacobian.
@@ -150,27 +150,19 @@ def _assemble(gram: np.ndarray, n: int, jacobian) -> SandwichResult:
                           truncated_directions=truncated)
 
 
-def _row_blocks(n: int, p: int) -> list:
-    """``range(n)`` as the fewest consecutive slices of at most
-    ``max(1, SANDWICH_DOUBLES // p)`` rows, their sizes differing by at most
-    one: the row blocks whose (rows, p) scores a sandwich of P = ``p``
-    parameters evaluates one at a time."""
-    count = -(-n // max(1, SANDWICH_DOUBLES // p))
-    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
-
-
 def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     """Sandwich covariance for a fitted regime, from the stacked score of
     the system ``fit.plan`` solved on ``data`` and its closed-form Jacobian.
 
     At fixed theta each individual's score depends on its own row alone, so
-    the score and the Jacobian are evaluated on the row blocks of
-    ``_row_blocks``, windows of ``data`` that compile their own designs, and
-    summed: the meat from each block's ``S_b^T S_b``, the Jacobian from each
-    block's mean weighted by its share of the rows.  A sandwich then holds
-    one block's scores, designs and tangents, whatever n.  The sums start from
-    the first block, so a dataset of one block gets ``sandwich``'s result to
-    the bit; the sums over several blocks move it only in the last bits.
+    the score and the Jacobian are evaluated on the row blocks that
+    ``gest.cut(n, SANDWICH_DOUBLES // P)`` cuts, windows of ``data`` that
+    compile their own designs, and summed: the meat from each block's
+    ``S_b^T S_b``, the Jacobian from each block's mean weighted by its share
+    of the rows.  A sandwich then holds one block's scores, designs and
+    tangents, whatever n.  The sums start from the first block, so a dataset
+    of one block gets ``sandwich``'s result to the bit; the sums over several
+    blocks move it only in the last bits.
 
     Known adherence coefficients without a covariance are held fixed.  Known
     coefficients with a covariance ``Sigma_j`` are stacked parameters whose
@@ -181,9 +173,10 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
     stacked = StackedScore(data, fit)
     theta = stacked.theta_hat
     gram = jac = None
-    for rows in _row_blocks(data.n, stacked.size):
-        scores, mean_jac = StackedScore(data.subset(rows), fit).evaluate(theta, jacobian=True)
-        block = _gram(scores), (rows.stop - rows.start) / data.n * mean_jac
+    for rows in cut(data.n, SANDWICH_DOUBLES // stacked.size):
+        window = data.subset(slice(rows.start, rows.stop))
+        scores, mean_jac = StackedScore(window, fit).evaluate(theta, jacobian=True)
+        block = _gram(scores), len(rows) / data.n * mean_jac
         del scores  # freed before the next block's pass
         gram, jac = block if gram is None else (gram + block[0], jac + block[1])
     result = _assemble(gram, data.n, jac)

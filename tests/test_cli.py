@@ -91,12 +91,12 @@ class TestSimulate:
             assert read_bytes(out1 / name) == read_bytes(out3 / name)
 
     def test_blocks_jobs_and_summary_counts(self, tmp_path):
-        # two replication blocks, the last one partial, spread over two
-        # workers; one modified-fitted replicate fails and the as-treated
-        # assignment fits reach probabilities of 0 or 1
+        # two replication blocks of unequal size, spread over two workers;
+        # one modified-fitted replicate fails and the as-treated assignment
+        # fits reach probabilities of 0 or 1
         args = ["simulate", "--scenario", "s1", "--n", "120", "--reps", "23", "--param", "1",
                 "--seed", "2", "--estimators", "modified-fitted,standard-actual"]
-        assert [len(p) for p in passes(23, 120)] == [20, 3]
+        assert [len(p) for p in passes(23, 120)] == [11, 12]
         assert run_cli(*args, "--out", tmp_path / "a") == 0
         assert run_cli(*args, "--out", tmp_path / "b", "--jobs", "2") == 0
         for name in ("summary.json", "estimates.csv"):
@@ -111,8 +111,8 @@ class TestSimulate:
         assert fitted["positivity_violations"] == [0, 0]
 
     def test_row_sized_passes_and_jobs(self, tmp_path):
-        # at n=10000 a pass holds 10 replicates: a full pass and a partial one
-        assert [len(p) for p in passes(12, 10000)] == [10, 2]
+        # at n=10000 a pass holds at most 10 replicates: 12 make two passes
+        assert [len(p) for p in passes(12, 10000)] == [6, 6]
         args = ["simulate", "--scenario", "s4", "--n", "10000", "--reps", "12", "--param", "1",
                 "--seed", "3", "--estimators", "modified-fitted,naive-proxy"]
         assert run_cli(*args, "--out", tmp_path / "a") == 0
@@ -403,10 +403,10 @@ class TestAnalyze:
         assert read_bytes(out1 / "fit.json") == read_bytes(out2 / "fit.json")
 
     def test_bootstrap_jobs_do_not_change_fit_json(self, analysis_setup):
-        # 30 replicates: one group, fitted in a full pass and a partial one
+        # 30 replicates: one group, fitted in two passes
         data, config, config_path, tmp_path = analysis_setup
         assert [len(g) for g in groups(30, data.n)] == [30]
-        assert [len(p) for p in passes(30, data.n)] == [20, 10]
+        assert [len(p) for p in passes(30, data.n)] == [15, 15]
         outputs = []
         for jobs in (1, 2):
             config.update(jobs=jobs, inference={"method": "bootstrap", "replicates": 30,
@@ -419,11 +419,12 @@ class TestAnalyze:
         assert sum(f["count"] for f in block["failures"]) == block["failed_replicates"]
 
     def test_bootstrap_groups_and_jobs(self, analysis_setup):
-        # at n=2500 a group holds 40 resamples, in passes of 20: 90 resamples
-        # make two full groups and a partial one, which two workers share
+        # at n=2500 a group holds at most 40 resamples, in passes of at most
+        # 20: 90 resamples make three groups of two passes, which two workers
+        # share
         _, config, config_path, tmp_path = analysis_setup
-        assert [len(g) for g in groups(90, 2500)] == [40, 40, 10]
-        assert [len(p) for p in passes(40, 2500)] == [20, 20]
+        assert [len(g) for g in groups(90, 2500)] == [30, 30, 30]
+        assert [len(p) for p in passes(30, 2500)] == [15, 15]
         write_dataset_csv(generate_s1(2500, 0.0, np.random.default_rng(323),
                                       validation_fraction=0.3), tmp_path / "data.csv")
         outputs = []
@@ -436,9 +437,9 @@ class TestAnalyze:
         assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
 
     def test_row_sized_bootstrap_passes_and_jobs(self, analysis_setup):
-        # at n=10000 a pass holds 10 resamples: a full pass and a partial one
+        # at n=10000 a pass holds at most 10 resamples: 12 make two passes
         _, config, config_path, tmp_path = analysis_setup
-        assert [len(p) for p in passes(12, 10000)] == [10, 2]
+        assert [len(p) for p in passes(12, 10000)] == [6, 6]
         write_dataset_csv(generate_s1(10000, 0.0, np.random.default_rng(322),
                                       validation_fraction=0.4), tmp_path / "data.csv")
         outputs = []

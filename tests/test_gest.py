@@ -1,6 +1,7 @@
 """Estimation core: pseudo outcomes, stage solves, adherence fits, full fits."""
 
 import dataclasses
+import math
 import re
 import warnings
 
@@ -1030,3 +1031,23 @@ class TestOrderedMap:
                                 estimators=("naive-proxy",))
         assert run_replications(config).failures == {"naive-proxy": 0}
         assert pools == []
+
+
+class TestCut:
+    """``gest.cut``, the one rule every batch is cut by, over small totals
+    and budgets, the non-positive budgets included."""
+
+    def test_fewest_balanced_pieces_in_order(self):
+        for total in range(201):
+            for size in range(-1, 61):
+                pieces = gest.cut(total, size)
+                budget = max(1, size)
+                assert all(type(piece) is range and piece.step == 1 for piece in pieces)
+                assert [i for piece in pieces for i in piece] == list(range(total))
+                assert len(pieces) == math.ceil(total / budget)
+                lengths = [len(piece) for piece in pieces]
+                assert all(length <= budget for length in lengths)
+                if total:
+                    assert max(lengths) - min(lengths) <= 1
+                else:
+                    assert pieces == []

@@ -443,17 +443,18 @@ class TestBootstrap:
 
 class TestPassRule:
     """``simulate`` and the bootstrap cut a run into batched passes by one
-    rule: up to 20 members a pass, and about 100 000 rows a pass once n is
-    above 5000.  The bootstrap first cuts its resamples into groups of about
-    100 000 rows, whose adherence models share one Newton loop per stage,
-    and each group into those passes."""
+    rule: at most 20 members a pass, and at most 100 000 rows a pass once n
+    is above 5000.  The bootstrap first cuts its resamples into groups of at
+    most 100 000 rows, whose adherence models share one Newton loop per
+    stage, and each group into those passes.  Every cut is ``gest.cut``'s
+    (test_gest.py's ``TestCut`` checks its shapes)."""
 
     MEMBERS = {300: 20, 1000: 20, 2500: 20, 5000: 20, 20000: 5, 50000: 2}
     GROUP = {300: 333, 1000: 100, 2500: 40, 5000: 20, 20000: 5, 50000: 2}
 
     @staticmethod
     def cut(total, size):
-        return [size] * (total // size) + ([total % size] if total % size else [])
+        return [len(piece) for piece in gest.cut(total, size)]
 
     @pytest.mark.parametrize("n", sorted(MEMBERS))
     def test_members_per_pass_are_the_same_for_both_callers(self, n, monkeypatch):
@@ -486,7 +487,7 @@ class TestPassRule:
             data, np.ones((seen["bootstrap"][0], n)))
         assert seen["simulate"] == self.cut(45, self.MEMBERS[n])
         assert seen["bootstrap"] == self.cut(45, self.GROUP[n])
-        assert seen["passes"] == self.cut(min(45, self.GROUP[n]), self.MEMBERS[n])
+        assert seen["passes"] == self.cut(seen["bootstrap"][0], self.MEMBERS[n])
 
     def test_one_adherence_fit_per_stage_and_group(self, monkeypatch):
         """A B=100, n=1000 bootstrap is one group: each stage's adherence
@@ -561,7 +562,7 @@ def _blocks_of(monkeypatch, data, fit, rows):
     ``rows`` rows; returns the blocks."""
     size = StackedScore(data, fit).size
     monkeypatch.setattr(inference, "SANDWICH_DOUBLES", rows * size)
-    return inference._row_blocks(data.n, size)
+    return gest.cut(data.n, inference.SANDWICH_DOUBLES // size)
 
 
 class TestRowBlocks:
@@ -599,7 +600,7 @@ class TestRowBlocks:
         whole_wald = regime_wald_intervals(data, fit)
         blocks = _blocks_of(monkeypatch, data, fit, 97)
         assert len(blocks) == 11
-        assert {block.stop - block.start for block in blocks} == {90, 91}
+        assert {len(block) for block in blocks} == {90, 91}
         blocked = regime_sandwich(data, fit)
         blocked_wald = regime_wald_intervals(data, fit)
         # every entry within 1e-12 of the scale its variances set
@@ -643,7 +644,8 @@ class TestRowBlocks:
         traced peak measured 5.8 MB; the whole (n, P) pass peaked at 28.8 MB."""
         data = generate_s3(50000, np.random.default_rng(45), validation_fraction=0.2)
         fit = scenario_plan("s3", "modified-fitted").estimate(data)
-        assert len(inference._row_blocks(data.n, StackedScore(data, fit).size)) == 5
+        blocks = gest.cut(data.n, inference.SANDWICH_DOUBLES // StackedScore(data, fit).size)
+        assert len(blocks) == 5
         tracemalloc.start()
         try:
             regime_sandwich(data, fit)

@@ -325,7 +325,7 @@ class TestRunReplications:
         monkeypatch.setattr(Dataset, "stack", staticmethod(stack_spy))
         monkeypatch.setattr(simulation, "regime_wald_intervals", intervals_spy)
         config = self.config(replications=23, estimators=("modified-fitted",), coverage=True)
-        assert [len(p) for p in gest.passes(23, config.n)] == [20, 3]
+        assert [len(p) for p in gest.passes(23, config.n)] == [11, 12]
         run_replications(config)
         assert len(stacks) == 2 and len(seen) == 23
         for whole, data in seen:
@@ -462,7 +462,7 @@ class TestReplicationBlocks:
 
     def test_blocks_match_one_replicate_at_a_time(self, monkeypatch):
         """Which replicates share a batched pass does not change a result."""
-        assert [len(p) for p in gest.passes(23, 150)] == [20, 3]  # a full pass and a partial one
+        assert [len(p) for p in gest.passes(23, 150)] == [11, 12]  # two passes of unequal size
         blocked = run_replications(self.config())
         monkeypatch.setattr(gest, "PASS_MEMBERS", 1)
         single = run_replications(self.config())
