@@ -458,10 +458,18 @@ class TestPassRule:
 
     @pytest.mark.parametrize("n", sorted(MEMBERS))
     def test_members_per_pass_are_the_same_for_both_callers(self, n, monkeypatch):
+        """Each caller asks ``gest.cut`` for pieces of its own budget, and the
+        pieces it gets are the ones its batches hold.  The budgets are pinned
+        through the spy: a total of 45 cuts alike under several budgets."""
         class Cut(Exception):
             pass
 
-        seen = {}
+        seen, asked = {}, []
+        cut = gest.cut
+
+        def cut_spy(total, size):
+            asked.append((total, size))
+            return cut(total, size)
 
         def recording(caller):
             def ordered_map(fn, items, jobs):
@@ -474,17 +482,23 @@ class TestPassRule:
             return [(None, None)] * len(weights)
 
         data = generate_s1(n, 0.0, np.random.default_rng(n))
+        monkeypatch.setattr(gest, "cut", cut_spy)
         monkeypatch.setattr(simulation, "ordered_map", recording("simulate"))
         monkeypatch.setattr(inference, "ordered_map", recording("bootstrap"))
         with pytest.raises(Cut):
             run_replications(ScenarioConfig(scenario="s1", n=n, replications=45, seed=1))
+        assert asked == [(45, self.MEMBERS[n])]
+        asked.clear()
         with pytest.raises(Cut):
             bootstrap(data, _mean_outcome, 45, point_estimates=[0.0])
+        assert asked == [(45, self.GROUP[n])]
+        asked.clear()
         # the passes the bootstrap's estimator makes of its first group
         seen["passes"] = []
         monkeypatch.setattr(gest, "_fit_pass", fit_pass)
         scenario_plan("s1", "modified-fitted").psi_estimator(
             data, np.ones((seen["bootstrap"][0], n)))
+        assert asked == [(seen["bootstrap"][0], self.MEMBERS[n])]
         assert seen["simulate"] == self.cut(45, self.MEMBERS[n])
         assert seen["bootstrap"] == self.cut(45, self.GROUP[n])
         assert seen["passes"] == self.cut(seen["bootstrap"][0], self.MEMBERS[n])
