@@ -466,8 +466,9 @@ class EstimationPlan:
 
     def estimate(self, data: Dataset) -> "RegimeFit":
         """Fit the plan to ``data``, raising any estimation failure.  This is
-        the one-member case of the batched fit (``fit_members``)."""
-        ((fit, error),) = _fit_regime(self, data, np.ones((1, data.n)))
+        the one-member case of the batched fit (``fit_members``), whose unit
+        row weights are a read-only view of one 1.0, not n of them."""
+        ((fit, error),) = _fit_regime(self, data, np.broadcast_to(1.0, (1, data.n)))
         if error is not None:
             raise error
         return fit
@@ -703,7 +704,9 @@ class _StageSystem:
         contrast coefficients, (q,) or one row per member.  Returns the
         (n, K), or (b, n, K), pseudo outcomes each stage hands back.
         Non-finite pseudo outcomes raise, or with ``fail`` are passed to
-        ``fail(members, error)``, and those members carry zeros on.
+        ``fail(members, error)``, and those members carry zeros on.  A
+        stage's compiled contrast is let go once evaluated, before the solve,
+        unless the pass carries ``tangents``, which read it again.
         """
         columns = []
         v = self.data.outcome
@@ -713,6 +716,8 @@ class _StageSystem:
             spec = self.plan.specs[j - 1]
             form = self.compiled(spec.contrast, j)
             lam = form.evaluate(pi)
+            if tangents is None:
+                del form  # its base columns, unless lam is them, are done with
             tf = self.compiled(spec.treatment_free, j).evaluate(pi)
             weight = pi[j] if self.plan.is_modified else self.response(j)
             psi = solve(j, lam, tf, weight, v)
@@ -969,14 +974,16 @@ def _names_expected(spec: FeatureSpec) -> bool:
 # Recommendations
 
 
-def recommend(fit: RegimeFit, data: Dataset) -> np.ndarray:
+def recommend(fit: RegimeFit, data: Dataset, designs: Optional[dict] = None) -> np.ndarray:
     """(n, K) rule outputs, 1 iff the estimated contrast is strictly
     positive, for every individual and each of ``data``'s K stages.  A
     dataset with fewer stages than the fit is a partial history: its rules
-    are the first columns of the full history's.  The outcome is not read."""
+    are the first columns of the full history's.  The outcome is not read.
+    ``designs`` is the stage system's (``_StageSystem``): a dict handed to
+    every rule evaluated on ``data`` compiles each design once."""
     if data.n_stages > fit.n_stages:
         raise DesignError(f"a {data.n_stages}-stage dataset for a {fit.n_stages}-stage fit")
-    system = _StageSystem(fit.plan, data)
+    system = _StageSystem(fit.plan, data, designs)
     fitted = (lambda j, _: fit.nuisance[j - 1]["alpha"]) if fit.plan.fits_adherence else None
     _, pi = system.adherence(data.n_stages - 1, fitted)
     return np.column_stack([
@@ -1002,7 +1009,8 @@ def sensitivity_sweep(data: Dataset, plan: EstimationPlan, grid: Sequence) -> li
     for entry in grid:
         per_stage = (np.asarray(entry, dtype=float),) * data.n_stages
         pinned = replace(plan, adherence=AdherenceSource.known(coefficients=per_stage))
-        points.extend(_fit_regime(pinned, data, np.ones((1, data.n)), designs=designs))
+        points.extend(_fit_regime(pinned, data, np.broadcast_to(1.0, (1, data.n)),
+                                  designs=designs))
     return points
 
 

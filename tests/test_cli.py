@@ -12,8 +12,8 @@ import pytest
 from dtr_adhere.cli import load_analysis_config, main, write_dataset_csv
 from dtr_adhere.gest import groups, passes, psi_flat
 from dtr_adhere.inference import regime_sandwich
-from dtr_adhere.model import Dataset
-from dtr_adhere.simulation import generate_s1, scenario_plan
+from dtr_adhere.model import MODE_USE_EXPECTED, MODE_USE_PROXY, Dataset
+from dtr_adhere.simulation import generate_s1, generate_s3, scenario_plan
 
 
 def run_cli(*args):
@@ -801,6 +801,87 @@ class TestCsvErrors:
                 cli.read_dataset_csv(config)
 
 
+class TestPrescan:
+    """``_read_complete`` bounds every field by its line's length: a file
+    whose lines all fit the csv module's field size limit is read in C, and
+    one with a longer line goes to the validating reader, which reads a
+    field over the limit as that module does."""
+
+    @staticmethod
+    def limited_read(analysis_setup, edit):
+        """Exit code of ``analyze`` on the fixture's file after
+        ``edit(lines, limit)``, and whether the file was read in C, under a
+        field size limit ``limit`` 20 bytes above the file's longest line."""
+        from dtr_adhere import cli
+
+        _, _, config_path, tmp_path = analysis_setup
+        csv_path = tmp_path / "data.csv"
+        lines = csv_path.read_text().splitlines()
+        limit = max(len(line) for line in lines) + 20
+        csv_path.write_text("".join(line + "\n" for line in edit(lines, limit)))
+        read_in_c, read_complete = [], cli._read_complete
+
+        def spy(*args):
+            table = read_complete(*args)
+            read_in_c.append(table is not None)
+            return table
+
+        original = csv.field_size_limit(limit)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_read_complete", spy)
+                code = run_cli("analyze", config_path, "--out", tmp_path / "fit")
+        finally:
+            csv.field_size_limit(original)
+        return code, read_in_c, limit
+
+    @pytest.mark.parametrize("over, fast", [(0, True), (1, False)],
+                             ids=["at-the-limit", "one-byte-over"])
+    def test_longest_line_at_the_limit(self, analysis_setup, over, fast):
+        """Data row 3's id cell is padded with zeros until its line is
+        ``over`` bytes longer than the limit."""
+        def pad(lines, limit):
+            fields = lines[3].split(",")
+            fields[0] = fields[0].rjust(len(fields[0]) + limit + over - len(lines[3]), "0")
+            lines[3] = ",".join(fields)
+            return lines
+
+        _, _, config_path, tmp_path = analysis_setup
+        assert run_cli("analyze", config_path, "--out", tmp_path / "plain") == 0
+        code, read_in_c, _ = self.limited_read(analysis_setup, pad)
+        assert code == 0 and read_in_c == [fast]
+        assert read_bytes(tmp_path / "fit" / "fit.json") == read_bytes(tmp_path / "plain" / "fit.json")
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-limit", "one-byte-over"])
+    def test_one_field_line_at_the_limit(self, analysis_setup, capsys, over):
+        """A line that is one field is as long as its field, so the bound is
+        exact: one byte over the limit, csv.reader fails the field."""
+        code, read_in_c, limit = self.limited_read(
+            analysis_setup, lambda lines, limit: lines[:3] + ["0" * (limit + over)] + lines[4:])
+        assert code == 2 and read_in_c == [False]
+        assert (f"field larger than field limit ({limit})" if over
+                else "row 4 has too few fields") in capsys.readouterr().err
+
+    def test_memory_under_one_and_a_half_files(self, tmp_path):
+        """On a complete n=50000 s3 file (4.4 MB), the traced peak measured
+        1.27 times the file's size; with a whole-file mask of line ends,
+        2.09 times."""
+        from dtr_adhere import cli
+
+        path = tmp_path / "data.csv"
+        write_dataset_csv(generate_s3(50000, np.random.default_rng(47), validation_fraction=0.2),
+                          path)
+        header = path.read_text().split("\n", 1)[0].split(",")
+        tracemalloc.start()
+        try:
+            table = cli._read_complete(path, list(range(1, len(header))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table is not None and table.shape == (50000, len(header) - 1)
+        assert peak < 1.5 * path.stat().st_size
+
+
 class TestByteOrderMark:
     """A UTF-8 byte order mark, which spreadsheets write in their "CSV UTF-8"
     export, belongs to no header name and no config value."""
@@ -913,6 +994,37 @@ class TestSensitivity:
         path.write_text("1,X,Astar\n-4.6,-0.83,7.5\n-4.6,nan,7.5\n")
         assert run_cli("sensitivity", config_path, path, "--out", tmp_path / "s") == 2
         assert "row 3: every cell must be a finite number" in capsys.readouterr().err
+
+    def test_rule_designs_compiled_once_a_sweep(self, analysis_setup, monkeypatch):
+        """Every rule the command evaluates reads one dict of designs: the
+        stage-1 adherence design and both contrasts are compiled once, not
+        once per point, and the sweep's file is unchanged."""
+        from dtr_adhere import cli, gest
+
+        _, _, config_path, tmp_path = analysis_setup
+        grid = self.grid_file(tmp_path, [[-4.6, -0.83, c] for c in (5.5, 6.5, 7.5, 8.5, 9.5)])
+        compile_, recommend, keys, rules = gest.compile_design, gest.recommend, [], []
+
+        def compile_spy(spec, data, stage, mode, **kwargs):
+            if rules:
+                keys.append((str(spec), stage, mode))
+            return compile_(spec, data, stage, mode, **kwargs)
+
+        def recommend_spy(fit, data, designs=None):
+            rules.append(designs)
+            return recommend(fit, data, designs)
+
+        monkeypatch.setattr(gest, "compile_design", compile_spy)
+        monkeypatch.setattr(cli, "recommend", recommend_spy)
+        assert run_cli("sensitivity", config_path, grid, "--out", tmp_path / "shared") == 0
+        assert len(rules) == 6 and all(designs is rules[0] for designs in rules)
+        assert sorted(keys) == [("1 + X[1]", 1, MODE_USE_EXPECTED),
+                                ("1 + X[1] + Astar[1]", 1, MODE_USE_PROXY),
+                                ("1 + X[2] + A[1]", 2, MODE_USE_EXPECTED)]
+        monkeypatch.setattr(cli, "recommend", lambda fit, data, designs: recommend(fit, data))
+        assert run_cli("sensitivity", config_path, grid, "--out", tmp_path / "fresh") == 0
+        assert read_bytes(tmp_path / "shared" / "sweep.csv") == read_bytes(
+            tmp_path / "fresh" / "sweep.csv")
 
     def test_reruns_byte_identical(self, analysis_setup):
         _, config, config_path, tmp_path = analysis_setup
