@@ -79,7 +79,6 @@ def _open_csv_writer(path: Path):
 # small-object arenas: a process that reads many files then grows by about a
 # megabyte per n=50000 read.
 CSV_CHUNK_ROWS = 4096
-PRESCAN_BYTES = 1 << 16  # the bytes of a CSV file searched for line ends at once
 
 
 def _csv_cells(values) -> list:
@@ -402,17 +401,14 @@ def _read_complete(path: Path, columns: list) -> Optional[np.ndarray]:
     every cell it reads.  A file with a quote, a carriage return that ends no
     CRLF or a line over the csv module's field size limit is left to that
     reader too, since ``csv.reader`` reads those differently from a split on
-    commas.  The prescan holds the file's bytes and its line ends, searched
-    ``PRESCAN_BYTES`` at a time, and lets the bytes go before the parse, so
-    the read peaks at about 1.3 times the file's size."""
+    commas."""
     raw = path.read_bytes()
     data = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.concatenate([np.flatnonzero(data[start:start + PRESCAN_BYTES] == ord("\n")) + start
-                           for start in range(0, len(raw), PRESCAN_BYTES)])
+    ends = np.flatnonzero(data == ord("\n"))
     lengths = np.diff(ends, prepend=-1, append=len(raw)) - 1  # the last: bytes after the last LF
     if b"\r" in raw:  # else no line ends in CRLF and no CR is stray
         crlf = data[ends - 1] == ord("\r")  # the header is not empty, so no LF is byte 0
-        if raw.count(b"\r") != np.count_nonzero(crlf):
+        if np.count_nonzero(data == ord("\r")) != np.count_nonzero(crlf):
             return None
         lengths[:-1] -= crlf
     if (b'"' in raw or lengths.max() > csv.field_size_limit()
@@ -478,9 +474,7 @@ def read_dataset_csv(config: AnalysisConfig):
     counted); a missing actual treatment is allowed outside validation rows.
     A file whose bound cells are all filled is parsed in C; any other goes
     through the validating reader, which accepts the same files with the same
-    values.  A table parsed in C drops no row: the dataset gets one
-    contiguous copy of each of its columns, and the table goes before the
-    dataset is built.  Returns (dataset, diagnostics dict).
+    values.  Returns (dataset, diagnostics dict).
     """
     path = Path(config.input)
     if not path.exists():
@@ -497,25 +491,20 @@ def read_dataset_csv(config: AnalysisConfig):
                 raise ConfigError(f"{path}: bound column '{name}' not in header")
         names = list(dict.fromkeys(bound))
         table = _read_complete(path, [col_index[name] for name in names])
-        read_in_c = table is not None
-        values = ({name: table[:, i].copy() for i, name in enumerate(names)} if read_in_c
-                  else _read_validating(path, reader, col_index, names))
-        del table  # the dataset is built from contiguous copies of its columns alone
+        values = (_read_validating(path, reader, col_index, names) if table is None
+                  else dict(zip(names, table.T)))
     rows_total = len(values[config.outcome])
 
-    if read_in_c:  # every cell read in C is finite, so every row is kept
-        keep, kept = True, values
-    else:
-        required = [config.outcome]
-        for binding in config.stage_columns:
-            required.extend(binding.covariates.values())
-            if binding.proxy:
-                required.append(binding.proxy)
-        keep = ~np.any([np.isnan(values[name]) for name in required], axis=0)
-        kept = {name: column[keep] for name, column in values.items()}
-    n, k = len(kept[config.outcome]), config.stages
+    required = [config.outcome]
+    for binding in config.stage_columns:
+        required.extend(binding.covariates.values())
+        if binding.proxy:
+            required.append(binding.proxy)
+    keep = ~np.any([np.isnan(values[name]) for name in required], axis=0)
+    n, k = int(keep.sum()), config.stages
     if n == 0:
         raise ConfigError(f"{path}: no complete-case rows")
+    kept = {name: column[keep] for name, column in values.items()}
     for column in kept.values():  # fresh arrays the Dataset then keeps as they are
         column.flags.writeable = False
 

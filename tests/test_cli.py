@@ -13,7 +13,7 @@ from dtr_adhere.cli import load_analysis_config, main, write_dataset_csv
 from dtr_adhere.gest import groups, passes, psi_flat
 from dtr_adhere.inference import regime_sandwich
 from dtr_adhere.model import MODE_USE_EXPECTED, MODE_USE_PROXY, Dataset
-from dtr_adhere.simulation import generate_s1, generate_s3, scenario_plan
+from dtr_adhere.simulation import generate_s1, scenario_plan
 
 
 def run_cli(*args):
@@ -862,25 +862,6 @@ class TestPrescan:
         assert code == 2 and read_in_c == [False]
         assert (f"field larger than field limit ({limit})" if over
                 else "row 4 has too few fields") in capsys.readouterr().err
-
-    def test_memory_under_one_and_a_half_files(self, tmp_path):
-        """On a complete n=50000 s3 file (4.4 MB), the traced peak measured
-        1.27 times the file's size; with a whole-file mask of line ends,
-        2.09 times."""
-        from dtr_adhere import cli
-
-        path = tmp_path / "data.csv"
-        write_dataset_csv(generate_s3(50000, np.random.default_rng(47), validation_fraction=0.2),
-                          path)
-        header = path.read_text().split("\n", 1)[0].split(",")
-        tracemalloc.start()
-        try:
-            table = cli._read_complete(path, list(range(1, len(header))))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table is not None and table.shape == (50000, len(header) - 1)
-        assert peak < 1.5 * path.stat().st_size
 
 
 class TestByteOrderMark:

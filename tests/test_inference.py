@@ -674,10 +674,16 @@ class TestDesignsCompiledOnce:
     compile, so each compiles a design once, with the same results as
     designs compiled afresh; a fit keeps none."""
 
-    def test_fit_memory(self):
+    @pytest.mark.parametrize("seed, bound", [(45, 10e6), (46, 7.2e6)],
+                             ids=["no-design-kept", "no-finished-form-kept"])
+    def test_fit_memory(self, seed, bound):
         """At n=50000 the s3 fit's traced peak above its dataset measured
-        8.4 MB; with every design kept through the stage solves, 13.6 MB."""
-        data = generate_s3(50000, np.random.default_rng(45), validation_fraction=0.2)
+        6.8 MB.  It stays below 10e6 bytes, which a fit that kept every
+        design through the stage solves exceeds (13.6 MB), and below 7.2e6,
+        which a fit that held each stage's compiled contrast through its
+        solve and weighted its rows by a (1, n) array of ones exceeds
+        (8.4 MB)."""
+        data = generate_s3(50000, np.random.default_rng(seed), validation_fraction=0.2)
         plan = scenario_plan("s3", "modified-fitted")
         tracemalloc.start()
         try:
@@ -685,22 +691,7 @@ class TestDesignsCompiledOnce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10e6
-
-    def test_fit_memory_without_finished_forms(self):
-        """A fit lets a stage's compiled contrast go once it has evaluated
-        it, and weights its rows by a read-only view of ones.  At n=50000
-        the s3 fit's traced peak above its dataset measured 6.8 MB; with the
-        form held through the stage solve and a (1, n) array of ones, 8.4 MB."""
-        data = generate_s3(50000, np.random.default_rng(46), validation_fraction=0.2)
-        plan = scenario_plan("s3", "modified-fitted")
-        tracemalloc.start()
-        try:
-            plan.estimate(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 7.2e6
+        assert peak < bound
 
     def test_one_evaluation(self, monkeypatch):
         """Its Jacobian section asks again for the designs its pass
