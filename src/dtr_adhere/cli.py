@@ -49,16 +49,8 @@ class ConfigError(ValueError):
 # Serialization helpers
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _write_json(path: Path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -221,9 +213,10 @@ class StageBinding:
     validation: Optional[str] = None
 
     def columns(self) -> list:
-        """Every CSV column this stage reads."""
+        """Every CSV column this stage reads; a ``proxy``, ``actual`` or
+        ``validation`` binding is absent only when it is ``None``."""
         return [*self.covariates.values(),
-                *filter(None, (self.proxy, self.actual, self.validation))]
+                *(c for c in (self.proxy, self.actual, self.validation) if c is not None)]
 
 
 @dataclass
@@ -498,7 +491,7 @@ def read_dataset_csv(config: AnalysisConfig):
     required = [config.outcome]
     for binding in config.stage_columns:
         required.extend(binding.covariates.values())
-        if binding.proxy:
+        if binding.proxy is not None:
             required.append(binding.proxy)
     keep = ~np.any([np.isnan(values[name]) for name in required], axis=0)
     n, k = int(keep.sum()), config.stages
@@ -512,11 +505,11 @@ def read_dataset_csv(config: AnalysisConfig):
     validation = np.zeros((n, k), dtype=bool)
     for j, binding in enumerate(config.stage_columns):
         stage_covariates.append({f: kept[c] for f, c in binding.covariates.items()})
-        proxies.append(kept[binding.proxy] if binding.proxy else None)
-        actuals.append(kept[binding.actual] if binding.actual else None)
-        if binding.validation:
+        proxies.append(None if binding.proxy is None else kept[binding.proxy])
+        actuals.append(None if binding.actual is None else kept[binding.actual])
+        if binding.validation is not None:
             flags = values[binding.validation]
-            missing = np.isnan(values[binding.actual]) if binding.actual else True
+            missing = True if binding.actual is None else np.isnan(values[binding.actual])
             # checked on the file's rows, so the error names the file row
             for bad, fault in (
                 (~np.isnan(flags) & (flags != 0.0) & (flags != 1.0), "validation flag must be 0/1"),
@@ -527,7 +520,7 @@ def read_dataset_csv(config: AnalysisConfig):
                     raise ConfigError(f"{path}: row {int(np.argmax(bad)) + 2}, column "
                                       f"'{binding.validation}': {fault}")
             validation[:, j] = kept[binding.validation] == 1.0
-        elif binding.actual:
+        elif binding.actual is not None:
             validation[:, j] = ~np.isnan(actuals[j])
     validation.flags.writeable = False
 

@@ -29,16 +29,19 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-RESERVED_NAMES = ("A", "Astar", "EA")
+# The treatment tokens of the grammar and the source each one reads.
+_TREATMENT_SOURCES = {"A": "actual", "Astar": "proxy", "EA": "expected"}
+_TREATMENT_TOKENS = {source: token for token, source in _TREATMENT_SOURCES.items()}
+RESERVED_NAMES = tuple(_TREATMENT_SOURCES)
 
 MODE_USE_ACTUAL = "use-actual"
 MODE_USE_PROXY = "use-proxy"
 MODE_USE_EXPECTED = "use-expected"
-SUBSTITUTION_MODES = (MODE_USE_ACTUAL, MODE_USE_PROXY, MODE_USE_EXPECTED)
+# The source an ``A[j]`` reference reads under each substitution mode.
+_MODE_SOURCES = {MODE_USE_ACTUAL: "actual", MODE_USE_PROXY: "proxy",
+                 MODE_USE_EXPECTED: "expected"}
+SUBSTITUTION_MODES = tuple(_MODE_SOURCES)
 PROXY_KINDS = ("prescribed", "reported")
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
 
 
 class FormulaError(ValueError):
@@ -86,8 +89,7 @@ class TreatmentRef:
     source: str = "actual"  # actual | proxy | expected
 
     def label(self) -> str:
-        token = {"actual": "A", "proxy": "Astar", "expected": "EA"}[self.source]
-        return f"{token}[{self.stage}]"
+        return f"{_TREATMENT_TOKENS[self.source]}[{self.stage}]"
 
 
 Factor = Union[Constant, Covariate, TreatmentRef]
@@ -140,99 +142,6 @@ class FeatureSpec:
                         )
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise FormulaError(message, position=self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eat(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.eat(literal):
-            self.fail(f"expected '{literal}'")
-
-    def parse_int(self) -> int:
-        m = _INT_RE.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a stage index")
-        self.pos = m.end()
-        return int(m.group(0))
-
-    def parse_name(self) -> str:
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a covariate name")
-        self.pos = m.end()
-        return m.group(0)
-
-    def parse_indexed(self, name: str, transform: str = "identity") -> Factor:
-        self.expect("[")
-        stage = self.parse_int()
-        if stage < 1:
-            self.fail("stage indices start at 1")
-        self.expect("]")
-        if name == "A":
-            ref = TreatmentRef(stage=stage, source="actual")
-        elif name == "Astar":
-            ref = TreatmentRef(stage=stage, source="proxy")
-        elif name == "EA":
-            ref = TreatmentRef(stage=stage, source="expected")
-        else:
-            return Covariate(name=name, stage=stage, transform=transform)
-        if transform == "log":
-            self.fail("log() applies to covariates, not treatment references")
-        return ref
-
-    def parse_factor(self) -> Factor:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.fail("expected a factor")
-        if self.text[self.pos] == "1":
-            self.pos += 1
-            return Constant()
-        if self.text.startswith("log(", self.pos):
-            self.pos += 4
-            self.skip_ws()
-            name = self.parse_name()
-            factor = self.parse_indexed(name, transform="log")
-            self.skip_ws()
-            self.expect(")")
-            return factor
-        name = self.parse_name()
-        return self.parse_indexed(name)
-
-    def parse_term(self) -> Term:
-        factors = [self.parse_factor()]
-        while True:
-            self.skip_ws()
-            if self.eat("*"):
-                factors.append(self.parse_factor())
-            else:
-                return Term(factors=tuple(factors))
-
-    def parse_spec(self) -> FeatureSpec:
-        terms = [self.parse_term()]
-        while True:
-            self.skip_ws()
-            if self.eat("+"):
-                terms.append(self.parse_term())
-            elif self.pos < len(self.text):
-                self.fail("unexpected trailing input")
-            else:
-                return FeatureSpec(terms=tuple(terms))
-
-
 def parse_feature_spec(text: str) -> FeatureSpec:
     """Parse formula text into an ordered FeatureSpec.
 
@@ -243,7 +152,51 @@ def parse_feature_spec(text: str) -> FeatureSpec:
         raise FormulaError(f"formula must be a string, got {text!r}")
     if not text.strip():
         raise FormulaError("empty formula", position=0)
-    return _Parser(text).parse_spec()
+    pos, terms, factors = 0, [], []
+
+    def take(pattern: str, what: Optional[str] = None) -> Optional[str]:
+        """The text ``pattern`` matches at ``pos``, which then moves past it;
+        on no match, ``None``, or a FormulaError ``what`` when one is given."""
+        nonlocal pos
+        match = re.compile(pattern).match(text, pos)
+        if match is None:
+            if what is None:
+                return None
+            raise FormulaError(what, position=pos)
+        pos = match.end()
+        return match.group()
+
+    while True:
+        take(r"\s*")
+        if pos == len(text):
+            raise FormulaError("expected a factor", position=pos)
+        if take("1"):
+            factors.append(Constant())
+        else:
+            log = take(r"log\(\s*")
+            name = take("[A-Za-z_][A-Za-z0-9_]*", "expected a covariate name")
+            take(r"\[", "expected '['")
+            stage = int(take("[0-9]+", "expected a stage index"))
+            if stage < 1:
+                raise FormulaError("stage indices start at 1", position=pos)
+            take(r"\]", "expected ']'")
+            if name not in _TREATMENT_SOURCES:
+                factors.append(Covariate(name, stage, "log" if log else "identity"))
+            elif log:
+                raise FormulaError("log() applies to covariates, not treatment references",
+                                   position=pos)
+            else:
+                factors.append(TreatmentRef(stage, _TREATMENT_SOURCES[name]))
+            if log:
+                take(r"\s*")
+                take(r"\)", "expected ')'")
+        take(r"\s*")
+        separator = take(r"[*+]|\Z", "unexpected trailing input")
+        if separator != "*":  # a term ends
+            terms.append(Term(factors=tuple(factors)))
+            factors = []
+        if not separator:
+            return FeatureSpec(terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +466,6 @@ class Dataset:
 # Design matrices
 
 
-def _resolve_source(source: str, mode: str) -> str:
-    if source != "actual":
-        return source
-    return {
-        MODE_USE_ACTUAL: "actual",
-        MODE_USE_PROXY: "proxy",
-        MODE_USE_EXPECTED: "expected",
-    }[mode]
-
-
 @dataclass(frozen=True)
 class CompiledDesign:
     """A FeatureSpec evaluated on one dataset up to its expected treatments.
@@ -620,7 +563,7 @@ def compile_design(
             if treatment_override is not None and f.stage in treatment_override:
                 value *= float(treatment_override[f.stage])
                 continue
-            resolved = _resolve_source(f.source, mode)
+            resolved = _MODE_SOURCES[mode] if f.source == "actual" else f.source
             if resolved == "actual":
                 col = data.actual(f.stage)
                 if col is None or np.any(np.isnan(col)):

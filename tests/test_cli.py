@@ -236,6 +236,22 @@ class TestAnalyze:
             assert "stage_columns entry 1 has no 'proxy' column" in capsys.readouterr().err
             assert not (tmp_path / mode).exists()
 
+    def test_actual_without_a_validation_binding(self, analysis_setup):
+        """A stage that binds its actual treatment but no validation column
+        takes its validation rows from the rows that record the actual."""
+        _, config, config_path, tmp_path = analysis_setup
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(edit_rows(blank_unvalidated(1, 2))(csv_path.read_text()))
+        outputs = []
+        for bound in (True, False):
+            if not bound:
+                for entry in config["stage_columns"]:
+                    del entry["validation"]
+            config_path.write_text(json.dumps(config))
+            outputs.append(tmp_path / f"validation-bound-{bound}")
+            assert run_cli("analyze", config_path, "--out", outputs[-1]) == 0
+        assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
+
     def test_config_seed_overrides_the_environment(self, analysis_setup, monkeypatch, capsys):
         _, config, config_path, tmp_path = analysis_setup
         monkeypatch.setenv("DTR_ADHERE_SEED", "abc")
@@ -592,6 +608,25 @@ class TestMalformedConfig:
         "proxy_kind with no proxy column bound": (
             standard_actual_without_proxy_columns,
             "proxy_kind 'prescribed' given, but no stage binds a proxy column"),
+        # a binding is absent only when missing or null, never when falsy
+        "validation bound to 0": (
+            lambda c: c["stage_columns"][0].update(validation=0),
+            "stage_columns entry 1: column names must be strings"),
+        "validation bound to false": (
+            lambda c: c["stage_columns"][0].update(validation=False),
+            "stage_columns entry 1: column names must be strings"),
+        "actual bound to 0": (
+            lambda c: c["stage_columns"][0].update(actual=0),
+            "stage_columns entry 1: column names must be strings"),
+        "proxy bound to 0": (
+            lambda c: c["stage_columns"][1].update(proxy=0),
+            "stage_columns entry 2: column names must be strings"),
+        "validation bound to an empty name": (
+            lambda c: c["stage_columns"][0].update(validation=""),
+            "bound column '' not in header"),
+        "actual bound to an empty name": (
+            lambda c: c["stage_columns"][0].update(actual=""),
+            "bound column '' not in header"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -631,10 +666,15 @@ def edit_rows(edit):
     return edit_lines(apply)
 
 
-def blank_unvalidated_a1(fields, header):
-    if fields[header.index("V1")] == "0.0":
-        fields[header.index("A1")] = ""
-    return fields
+def blank_unvalidated(*stages):
+    """A row edit blanking the actual treatment of each of ``stages`` outside
+    its validation rows."""
+    def edit(fields, header):
+        for j in stages:
+            if fields[header.index(f"V{j}")] == "0.0":
+                fields[header.index(f"A{j}")] = ""
+        return fields
+    return edit
 
 
 # Files the parser must accept, each with whether it is read in C (every bound
@@ -654,7 +694,7 @@ ACCEPTED_VARIANTS = {
     # split on its commas, this cell would shift numbers into every bound column
     "quoted unbound cell with commas": (
         edit_lines(set_cell(2, "id", '"a,' + "1," * 9 + 'b"')), False),
-    "sparse A1": (edit_rows(blank_unvalidated_a1), False),
+    "sparse A1": (edit_rows(blank_unvalidated(1)), False),
 }
 
 
@@ -876,7 +916,7 @@ class TestByteOrderMark:
         csv_path = tmp_path / "data.csv"
         text = csv_path.read_text()
         if sparse:
-            text = edit_rows(blank_unvalidated_a1)(text)
+            text = edit_rows(blank_unvalidated(1))(text)
         # without the id column, a bound column comes first
         text = edit_lines(lambda lines: [line.split(",", 1)[1] for line in lines])(text)
         assert text.startswith("X1,")

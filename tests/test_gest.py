@@ -461,6 +461,20 @@ class TestEstimateRegime:
         for data in (reported, prescribed):
             EstimationPlan(fit.plan.specs, "standard-naive-proxy").estimate(data)
 
+    def test_a_design_failure_fails_every_member_of_a_pass(self):
+        plan = scenario_plan("s1", "modified-fitted")
+        stage_2 = dataclasses.replace(plan.specs[1],
+                                      treatment_free=parse_feature_spec("1 + log(X[1])"))
+        plan = dataclasses.replace(plan, specs=(plan.specs[0], stage_2))
+        data = generate_s1(300, 0.0, np.random.default_rng(0), validation_fraction=0.3)
+        message = "log of non-positive value in log(X[1])"
+        with pytest.raises(DesignError, match=re.escape(message)):
+            plan.estimate(data)
+        members = plan.fit_members(data, np.ones((3, 300)))
+        assert len(members) == 3
+        for member, error in members:
+            assert member is None and type(error) is DesignError and str(error) == message
+
     @pytest.mark.parametrize("estimator", ["modified-fitted", "modified-known"])
     def test_adherence_iterations_per_stage(self, estimator):
         data = generate_s3(1000, np.random.default_rng(12), validation_fraction=0.3)

@@ -84,6 +84,27 @@ class TestParser:
         with pytest.raises(FormulaError):
             parse_feature_spec(text)
 
+    @pytest.mark.parametrize("text, message, position", [
+        (5, "formula must be a string, got 5", None),
+        ("  ", "empty formula", 0),
+        ("X", "expected '['", 1),
+        ("X[", "expected a stage index", 2),
+        ("X[0]", "stage indices start at 1", 3),
+        ("X[1", "expected ']'", 3),
+        ("log(X[1]", "expected ')'", 8),
+        ("log(A[1])", "log() applies to covariates, not treatment references", 8),
+        ("log( 1", "expected a covariate name", 5),
+        ("1 ++ X[1]", "expected a covariate name", 3),
+        ("X[1]]", "unexpected trailing input", 4),
+        ("X[1] *", "expected a factor", 6),
+    ])
+    def test_error_names_what_was_expected_and_where(self, text, message, position):
+        with pytest.raises(FormulaError) as err:
+            parse_feature_spec(text)
+        assert err.value.position == position
+        assert str(err.value) == (message if position is None
+                                  else f"{message} (position {position})")
+
     def test_round_trip(self):
         for text in (
             "1 + X[1]",
@@ -489,6 +510,14 @@ class TestCompiledDesign:
             got, want = (compile_design(spec, rows, 2, mode) for rows in (window, copy))
             np.testing.assert_array_equal(got.base, want.base)
             assert got.expected_stages == want.expected_stages
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_log_column_is_the_log_of_its_covariate(self, stacked):
+        data = dataset(record(0.5, 2.0), record(3.0, 0.25), record(1.0, 7.5))
+        if stacked:
+            data = Dataset.stack([data, copy_rows(data, [2, 0, 1])])
+        base = compile_design(parse_feature_spec("1 + log(X[2])"), data, 2, "use-actual").base
+        np.testing.assert_array_equal(base[..., 1], np.log(data.covariate("X", 2)))
 
     def test_missing_expected_treatment_raises_at_evaluation(self):
         form = compile_design(parse_feature_spec("1 + A[1]"), self.dataset(), 2, "use-expected")
