@@ -232,9 +232,11 @@ class Dataset:
     ``validation`` is an (n, K) boolean mask of rows where the actual
     treatment is recorded.  Instances are immutable after construction: every
     column is a read-only array (a writeable input is copied), so instances
-    are safe to share across workers.  ``Dataset.stack`` holds equal-size
-    datasets as the members of a batched fit, with a leading member axis on
-    every column.
+    are safe to share across workers.  A stack holds equal-size datasets as
+    the members of a batched fit, with a leading member axis on every column:
+    ``Dataset.stack`` stacks built datasets, and the constructor takes
+    stacked columns, (b, n) with (b, n, K) validation flags, and checks them
+    all at once.
     """
 
     def __init__(
@@ -248,8 +250,10 @@ class Dataset:
         outcome: np.ndarray,
     ):
         self._outcome = _read_only(outcome)
-        n = self._outcome.shape[0]
-        if n == 0:
+        if self._outcome.ndim not in (1, 2):
+            raise DataError("outcomes must be (n,), or (b, n) on a stack")
+        rows, n = self._outcome.shape, self._outcome.shape[-1]
+        if self._outcome.size == 0:
             raise DataError("dataset has no trajectories")
         if not np.all(np.isfinite(self._outcome)):
             raise DataError("outcomes must be finite")
@@ -272,7 +276,7 @@ class Dataset:
                 if name in RESERVED_NAMES:
                     raise DataError(f"covariate name '{name}' is reserved")
                 arr = _read_only(col)
-                if arr.shape != (n,):
+                if arr.shape != rows:
                     raise DataError(f"covariate '{name}' at stage {j + 1} has wrong length")
                 stage_cols[name] = arr
             covs.append(stage_cols)
@@ -284,7 +288,7 @@ class Dataset:
                     out.append(None)
                     continue
                 arr = _read_only(col)
-                if arr.shape != (n,):
+                if arr.shape != rows:
                     raise DataError(f"{what} at stage {j + 1} has wrong length")
                 _check_binary(arr, f"{what} treatment at stage {j + 1}")
                 out.append(arr)
@@ -301,23 +305,26 @@ class Dataset:
         self._actual = _treat(actual, "actual")
 
         if validation is None:
-            flags = np.zeros((n, k), dtype=bool)
+            flags = np.zeros((*rows, k), dtype=bool)
             for j in range(k):
                 if self._actual[j] is not None:
-                    flags[:, j] = ~np.isnan(self._actual[j])
+                    flags[..., j] = ~np.isnan(self._actual[j])
             _frozen(flags)
         else:
             flags = _read_only(validation, dtype=bool)
-            if flags.shape != (n, k):
-                raise DataError("validation flags must have shape (n, stages)")
+            if flags.shape != (*rows, k):
+                raise DataError("validation flags must have shape (n, stages), "
+                                "or (b, n, stages) on a stack")
         for j in range(k):
             col = self._actual[j]
-            has_actual = np.zeros(n, dtype=bool) if col is None else ~np.isnan(col)
-            bad = flags[:, j] & ~has_actual
+            has_actual = np.zeros(rows, dtype=bool) if col is None else ~np.isnan(col)
+            bad = flags[..., j] & ~has_actual
             if np.any(bad):
+                member, row = divmod(int(np.argmax(bad)), n)
+                where = f"row {row + 1}" + (f" of member {member}" if bad.ndim == 2 else "")
                 raise DataError(
                     f"validation flag set but actual treatment missing at stage {j + 1} "
-                    f"(first offending row {int(np.argmax(bad)) + 1})"
+                    f"(first offending {where})"
                 )
         self._validation = flags
         self._covariates = tuple(covs)

@@ -19,6 +19,11 @@ Scenarios:
 * ``s3`` -- shifted assignment models and a direct stage-1 treatment effect
   in the outcome, for interval-coverage studies;
 * ``s4`` -- three-point covariates with reported (post-treatment) proxies.
+
+Each mechanism is written once, for a block of random generators, and draws
+the block as one stacked ``Dataset``: member i comes from generator i alone,
+so it does not depend on the block.  The ``generate_*`` functions and
+``scenario_dataset`` draw a block of one generator.
 """
 
 from __future__ import annotations
@@ -69,15 +74,26 @@ def _check_sizes(n: int, fraction: float) -> None:
         raise ValueError("validation fraction must be in (0, 1]")
 
 
-def _generated(rng: np.random.Generator, fraction: float, *, x, proxy, proxy_kind, actual,
-               y) -> Dataset:
-    """Freshly generated two-stage columns, stage covariate ``X``, as a
-    dataset whose validation rows are drawn last: ``fraction`` of the rows,
-    at least one, validate both stages.  The columns are made read-only in
-    place, so that ``Dataset`` keeps them as they are instead of copying."""
-    n = len(y)
-    flags = np.zeros((n, 2), dtype=bool)
-    flags[rng.choice(n, size=max(1, int(round(fraction * n))), replace=False), :] = True
+def _normal(rngs, loc: float, scale: float, n: int) -> np.ndarray:
+    """(b, n) normal draws, row i from generator i."""
+    return np.array([rng.normal(loc, scale, n) for rng in rngs])
+
+
+def _bernoulli(rngs, p: np.ndarray) -> np.ndarray:
+    """(b, n) 0/1 draws as floats, row i from generator i at probabilities p[i]."""
+    return np.array([rng.binomial(1, row) for rng, row in zip(rngs, p)], dtype=float)
+
+
+def _generated(rngs, fraction: float, *, x, proxy, proxy_kind, actual, y) -> Dataset:
+    """A block's freshly generated two-stage columns, (b, n), stage covariate
+    ``X``, as one stacked dataset whose validation rows each generator draws
+    last: ``fraction`` of its member's rows, at least one, validate both
+    stages.  The columns are made read-only in place, so that ``Dataset``
+    keeps them as they are instead of copying, and checks them once."""
+    b, n = y.shape
+    flags = np.zeros((b, n, 2), dtype=bool)
+    for member, rng in zip(flags, rngs):
+        member[rng.choice(n, size=max(1, int(round(fraction * n))), replace=False), :] = True
     for column in (*x, *proxy, *actual, flags, y):
         column.flags.writeable = False
     return Dataset(stage_covariates=[{"X": col} for col in x], proxy=proxy,
@@ -93,8 +109,7 @@ def generate_s1(n: int, psi22: float, rng: np.random.Generator,
     are 1 + X1 and 1 + X2 + psi22 * A1; the treatment-free part is X1 and the
     noise variance is 2.
     """
-    return _prescribed_scenario(n, rng, validation_fraction, shifts=(0.0, 0.0), lag=psi22,
-                                direct=0.0)
+    return _s1_block(n, psi22, [rng], validation_fraction).subset(0)
 
 
 def generate_s3(n: int, rng: np.random.Generator, validation_fraction: float = 0.2) -> Dataset:
@@ -103,29 +118,7 @@ def generate_s3(n: int, rng: np.random.Generator, validation_fraction: float = 0
     stage-1 treatment actually taken in the outcome, which folds into the
     stage-1 contrast and shifts its intercept to 1.5.
     """
-    return _prescribed_scenario(n, rng, validation_fraction, shifts=(0.5, -0.5), lag=-1.0,
-                                direct=0.5)
-
-
-def _prescribed_scenario(n, rng, validation_fraction, *, shifts, lag, direct) -> Dataset:
-    """The s1/s3 mechanism: prescriptions follow expit(shift_j + X_j), the
-    stage-2 contrast is 1 + X2 + lag * A1, and the stage-1 treatment taken
-    adds ``direct`` to the treatment-free part."""
-    _check_sizes(n, validation_fraction)
-    b0, b1, b2 = PRESCRIBED_ADHERENCE_COEF
-    x1 = rng.normal(1.0, 1.0, n)
-    astar1 = rng.binomial(1, expit(shifts[0] + x1)).astype(float)
-    a1 = rng.binomial(1, expit(b0 + b1 * x1 + b2 * astar1)).astype(float)
-    x2 = rng.normal(1.0, 2.0, n)
-    astar2 = rng.binomial(1, expit(shifts[1] + x2)).astype(float)
-    a2 = rng.binomial(1, expit(b0 + b1 * x2 + b2 * astar2)).astype(float)
-    eps = rng.normal(0.0, np.sqrt(2.0), n)
-
-    c1 = 1.0 + x1
-    c2 = 1.0 + x2 + lag * a1
-    y = _regret_outcome(x1 + direct * a1, eps, (c1, c2), (a1, a2))
-    return _generated(rng, validation_fraction, x=(x1, x2), proxy=(astar1, astar2),
-                      proxy_kind="prescribed", actual=(a1, a2), y=y)
+    return _s3_block(n, [rng], validation_fraction).subset(0)
 
 
 def generate_s4(n: int, psi21: float, rng: np.random.Generator,
@@ -136,19 +129,60 @@ def generate_s4(n: int, psi21: float, rng: np.random.Generator,
     the report follows A_j (0.9 - 0.05 X_j) + (1 - A_j)(0.05 + 0.045 X_j +
     0.005 X_j^2).  Contrasts are 1 + X1 and 1 + psi21 * A1.
     """
+    return _reported_scenario(n, psi21, [rng], validation_fraction).subset(0)
+
+
+def _s1_block(n, psi22, rngs, validation_fraction) -> Dataset:
+    return _prescribed_scenario(n, rngs, validation_fraction, shifts=(0.0, 0.0), lag=psi22,
+                                direct=0.0)
+
+
+def _s3_block(n, rngs, validation_fraction) -> Dataset:
+    return _prescribed_scenario(n, rngs, validation_fraction, shifts=(0.5, -0.5), lag=-1.0,
+                                direct=0.5)
+
+
+def _prescribed_scenario(n, rngs, validation_fraction, *, shifts, lag, direct) -> Dataset:
+    """The s1/s3 mechanism for a block of generators, member i drawn from
+    ``rngs[i]``: prescriptions follow expit(shift_j + X_j), the stage-2
+    contrast is 1 + X2 + lag * A1, and the stage-1 treatment taken adds
+    ``direct`` to the treatment-free part.  Each generator draws X1, A1*, A1,
+    X2, A2*, A2 and the noise in that order, then its validation rows, so a
+    member does not depend on the block it is drawn in."""
     _check_sizes(n, validation_fraction)
-    x1 = rng.integers(-1, 2, n).astype(float)
-    a1 = rng.binomial(1, 0.5 + 0.3 * x1).astype(float)
-    rep1 = rng.binomial(1, _report_prob(a1, x1)).astype(float)
-    x2 = rng.integers(-1, 2, n).astype(float)
-    a2 = rng.binomial(1, 0.5 + 0.3 * x2).astype(float)
-    rep2 = rng.binomial(1, _report_prob(a2, x2)).astype(float)
-    eps = rng.normal(0.0, np.sqrt(2.0), n)
+    b0, b1, b2 = PRESCRIBED_ADHERENCE_COEF
+    x1 = _normal(rngs, 1.0, 1.0, n)
+    astar1 = _bernoulli(rngs, expit(shifts[0] + x1))
+    a1 = _bernoulli(rngs, expit(b0 + b1 * x1 + b2 * astar1))
+    x2 = _normal(rngs, 1.0, 2.0, n)
+    astar2 = _bernoulli(rngs, expit(shifts[1] + x2))
+    a2 = _bernoulli(rngs, expit(b0 + b1 * x2 + b2 * astar2))
+    eps = _normal(rngs, 0.0, np.sqrt(2.0), n)
+
+    c1 = 1.0 + x1
+    c2 = 1.0 + x2 + lag * a1
+    y = _regret_outcome(x1 + direct * a1, eps, (c1, c2), (a1, a2))
+    return _generated(rngs, validation_fraction, x=(x1, x2), proxy=(astar1, astar2),
+                      proxy_kind="prescribed", actual=(a1, a2), y=y)
+
+
+def _reported_scenario(n, psi21, rngs, validation_fraction) -> Dataset:
+    """The s4 mechanism for a block of generators, member i drawn from
+    ``rngs[i]``; each generator draws X1, A1, its report, X2, A2, its report
+    and the noise in that order, then its validation rows."""
+    _check_sizes(n, validation_fraction)
+    x1 = np.array([rng.integers(-1, 2, n) for rng in rngs], dtype=float)
+    a1 = _bernoulli(rngs, 0.5 + 0.3 * x1)
+    rep1 = _bernoulli(rngs, _report_prob(a1, x1))
+    x2 = np.array([rng.integers(-1, 2, n) for rng in rngs], dtype=float)
+    a2 = _bernoulli(rngs, 0.5 + 0.3 * x2)
+    rep2 = _bernoulli(rngs, _report_prob(a2, x2))
+    eps = _normal(rngs, 0.0, np.sqrt(2.0), n)
 
     c1 = 1.0 + x1
     c2 = 1.0 + psi21 * a1
     y = _regret_outcome(x1, eps, (c1, c2), (a1, a2))
-    return _generated(rng, validation_fraction, x=(x1, x2), proxy=(rep1, rep2),
+    return _generated(rngs, validation_fraction, x=(x1, x2), proxy=(rep1, rep2),
                       proxy_kind="reported", actual=(a1, a2), y=y)
 
 
@@ -315,14 +349,21 @@ class ScenarioConfig:
             raise ValueError("scenario s2 pins the varied parameter to 0")
 
 
-def scenario_dataset(config: ScenarioConfig, rng: np.random.Generator) -> Dataset:
+def scenario_block(config: ScenarioConfig, rngs) -> Dataset:
+    """The scenario's datasets for a block of generators as one stack:
+    member i is drawn from ``rngs[i]`` alone, as ``scenario_dataset`` draws
+    it."""
+    fraction = config.validation_fraction
     if config.scenario in ("s1", "s2"):
-        return generate_s1(config.n, config.varied_param, rng,
-                           validation_fraction=config.validation_fraction)
+        return _s1_block(config.n, config.varied_param, rngs, fraction)
     if config.scenario == "s3":
-        return generate_s3(config.n, rng, validation_fraction=config.validation_fraction)
-    return generate_s4(config.n, config.varied_param, rng,
-                       validation_fraction=config.validation_fraction)
+        return _s3_block(config.n, rngs, fraction)
+    return _reported_scenario(config.n, config.varied_param, rngs, fraction)
+
+
+def scenario_dataset(config: ScenarioConfig, rng: np.random.Generator) -> Dataset:
+    """One replicate's dataset, drawn from ``rng``."""
+    return scenario_block(config, [rng]).subset(0)
 
 
 class _Replicate(NamedTuple):
@@ -334,14 +375,14 @@ class _Replicate(NamedTuple):
 
 
 def _replicate_block(config: ScenarioConfig, plans: dict, replicates: range) -> dict:
-    """Generate the datasets of a block of replicates, stack them, and fit
-    each estimator on the stack in one batched pass; estimators that regress
-    the same treatment on the same history share that assignment fit.  Only
-    the stack is kept: replicate i's coverage intervals read its member view,
-    ``stack.subset(i)``.  Maps each estimator to one ``tally``-style
-    ``(_Replicate, error)`` pair per replicate."""
-    stack = Dataset.stack([scenario_dataset(config, np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(r,)))) for r in replicates])
+    """Draw a block of replicates as one stack, each from its own seed
+    stream, and fit each estimator on the stack in one batched pass;
+    estimators that regress the same treatment on the same history share
+    that assignment fit.  Only the stack is kept: replicate i's coverage
+    intervals read its member view, ``stack.subset(i)``.  Maps each estimator
+    to one ``tally``-style ``(_Replicate, error)`` pair per replicate."""
+    stack = scenario_block(config, [np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(r,))) for r in replicates])
     weights, assignment_fits = np.broadcast_to(1.0, stack.outcome.shape), {}
     return {name: [(None, error) if error is not None else tally(_replicate, config, stack, i, fit)
                    for i, (fit, error) in enumerate(plan.fit_members(
@@ -409,10 +450,10 @@ class ReplicationSummary:
 def run_replications(config: ScenarioConfig) -> ReplicationSummary:
     """Run independently seeded replicates and aggregate estimator behavior.
 
-    Each replicate generates one dataset from a seed stream derived from the
+    Each replicate draws its dataset from a seed stream derived from the
     master seed by replicate index, so individual replicates are
-    reproducible.  The blocks ``gest.passes(replications, n)`` cuts are
-    stacked, and each estimator fits a block in one batched pass; ``jobs``
+    reproducible.  Each block ``gest.passes(replications, n)`` cuts is drawn
+    as one stack, and each estimator fits a block in one batched pass; ``jobs``
     worker processes share out the blocks, so results do not depend on the
     worker count.
     """

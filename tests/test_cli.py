@@ -127,6 +127,16 @@ class TestSimulate:
                        "--out", out, "--estimators", "naive-proxy") == 0
         assert json.loads((out / "config.json").read_text())["seed"] == 123
 
+    def test_seed_defaults_to_0(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DTR_ADHERE_SEED", raising=False)
+        args = ("simulate", "--scenario", "s1", "--n", "40", "--reps", "1",
+                "--estimators", "naive-proxy")
+        assert run_cli(*args, "--out", tmp_path / "default") == 0
+        assert run_cli(*args, "--seed", "0", "--out", tmp_path / "zero") == 0
+        assert json.loads((tmp_path / "default" / "config.json").read_text())["seed"] == 0
+        assert read_bytes(tmp_path / "default" / "summary.json") == read_bytes(
+            tmp_path / "zero" / "summary.json")
+
     def test_coverage_flag_adds_coverage(self, tmp_path):
         out = tmp_path / "cov"
         assert run_cli("simulate", "--scenario", "s3", "--n", "400", "--reps", "3",
@@ -264,13 +274,20 @@ class TestAnalyze:
         monkeypatch.setenv("DTR_ADHERE_SEED", "7")
         assert load_analysis_config(config_path).seed == 7
 
+    def test_config_seed_defaults_to_0(self, analysis_setup, monkeypatch):
+        _, config, config_path, _ = analysis_setup
+        monkeypatch.delenv("DTR_ADHERE_SEED", raising=False)
+        del config["seed"]
+        config_path.write_text(json.dumps(config))
+        assert load_analysis_config(config_path).seed == 0
+
     def test_stage_out_of_range_exits_2(self, analysis_setup, capsys):
         _, config, config_path, tmp_path = analysis_setup
         config["models"][0]["contrast"] = "1 + X[3]"
         config_path.write_text(json.dumps(config))
         out = tmp_path / "fit2"
         assert run_cli("analyze", config_path, "--out", out) == 2
-        assert "stage out of range" in capsys.readouterr().err
+        assert "stage out of range or invalid model" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_column_exits_2_with_coordinates(self, analysis_setup, capsys):
@@ -468,11 +485,17 @@ class TestAnalyze:
         assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
 
 
+def standard_naive_proxy_mode(config):
+    """The standard naive-proxy mode, which takes no adherence block."""
+    del config["adherence"]
+    config.update(mode="standard-naive-proxy")
+
+
 def standard_mode_with_exact_pseudo_outcomes(config):
     """A standard mode with exact pseudo outcomes (and no adherence block,
     which a standard mode rejects too)."""
-    del config["adherence"]
-    config.update(mode="standard-naive-proxy", exact_pseudo_outcomes=True)
+    standard_naive_proxy_mode(config)
+    config.update(exact_pseudo_outcomes=True)
 
 
 def three_stages_with_two_lags(config):
@@ -501,15 +524,15 @@ class TestMalformedConfig:
             lambda c: c.update(models=5), "models must be a list"),
         "level outside (0, 1)": (
             lambda c: c.update(inference={"method": "bootstrap", "replicates": 20, "level": 2}),
-            "inference.level must be in (0, 1)"),
+            "inference.level must be in (0, 1), got 2.0"),
         "bootstrap replicates below 2": (
             lambda c: c.update(inference={"method": "bootstrap", "replicates": 1}),
-            "inference.replicates must be >= 2"),
+            "inference.replicates must be >= 2 for bootstrap, got 1"),
         "seed not an integer": (
             lambda c: c.update(seed="five"), "seed must be an integer"),
         "jobs below 1": (
             lambda c: c.update(jobs=0, inference={"method": "bootstrap", "replicates": 20}),
-            "jobs must be >= 1"),
+            "jobs must be >= 1, got 0"),
         "unknown proxy_kind": (
             lambda c: c.update(proxy_kind="nope"), "proxy_kind must be one of"),
         "proxy_kind conflicting with the mode": (
@@ -627,6 +650,32 @@ class TestMalformedConfig:
         "actual bound to an empty name": (
             lambda c: c["stage_columns"][0].update(actual=""),
             "bound column '' not in header"),
+        "mode missing": (lambda c: c.pop("mode"), "config is missing 'mode'"),
+        "stages below 1": (lambda c: c.update(stages=0), "stages must be >= 1"),
+        "one models entry for 2 stages": (
+            lambda c: c["models"].pop(), "models must be a list with one entry per stage"),
+        "three stage_columns entries for 2 stages": (
+            lambda c: c["stage_columns"].append({"covariates": {"X": "X2"}}),
+            "stage_columns must be a list with one entry per stage"),
+        "models entry without an assignment model": (
+            lambda c: c["models"][1].pop("assignment"), "stage 2 models missing 'assignment'"),
+        "formula error": (
+            lambda c: c["models"][0].update(contrast="1 + X[1"),
+            "stage 1 formula: expected ']' (position 7)"),
+        "unknown inference method": (
+            lambda c: c.update(inference={"method": "jackknife"}),
+            "unknown inference method 'jackknife'"),
+        "negative seed": (lambda c: c.update(seed=-1), "seed must be >= 0, got -1"),
+        "input CSV not found": (
+            lambda c: c.update(input="missing.csv"), "input CSV not found: "),
+    }
+    # edits of the config file itself: (edit of its path, message)
+    FILE_CASES = {
+        "config file not found": (lambda path: path.unlink(), "config file not found: "),
+        "config not valid JSON": (
+            lambda path: path.write_text('{"stages": 2,'), "config is not valid JSON: "),
+        "config not UTF-8": (
+            lambda path: path.write_bytes(b'{"input": "\xff"}'), "config is not valid JSON: "),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -635,6 +684,16 @@ class TestMalformedConfig:
         corrupt, message = self.CASES[case]
         corrupt(config)
         config_path.write_text(json.dumps(config))
+        out = tmp_path / "bad"
+        assert run_cli("analyze", config_path, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(FILE_CASES))
+    def test_an_unreadable_config_exits_2(self, analysis_setup, capsys, case):
+        _, _, config_path, tmp_path = analysis_setup
+        corrupt, message = self.FILE_CASES[case]
+        corrupt(config_path)
         out = tmp_path / "bad"
         assert run_cli("analyze", config_path, "--out", out) == 2
         assert message in capsys.readouterr().err
@@ -649,6 +708,15 @@ def set_cell(row, column, value):
         fields = lines[row].split(",")
         fields[header.index(column)] = value
         lines[row] = ",".join(fields)
+        return lines
+    return edit
+
+
+def blank_column(column):
+    """A CSV edit: blank ``column`` in every data row."""
+    def edit(lines):
+        for row in range(1, len(lines)):
+            set_cell(row, column, "")(lines)
         return lines
     return edit
 
@@ -751,6 +819,11 @@ class TestCsvErrors:
         "field over the csv size limit": (
             set_cell(2, "id", "x" * (csv.field_size_limit() + 1)),
             f"field larger than field limit ({csv.field_size_limit()})"),
+        "no complete-case rows": (
+            blank_column("Y"), "data.csv: no complete-case rows"),
+        "proxy neither 0 nor 1": (
+            set_cell(3, "A1star", "2.0"),
+            "data.csv: prescribed treatment at stage 1 must be exactly 0 or 1 when present"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -1012,10 +1085,52 @@ class TestSensitivity:
         path = tmp_path / "grid.csv"
         path.write_text("1,X\n0.0,1.0\n")  # wrong width for 3-term adherence
         assert run_cli("sensitivity", config_path, path, "--out", tmp_path / "s") == 2
-        assert "3 terms" in capsys.readouterr().err
+        assert ("grid has 2 columns but the stage-1 adherence model has 3 terms"
+                in capsys.readouterr().err)
         path.write_text("1,X,Astar\n-4.6,-0.83,7.5\n-4.6,nan,7.5\n")
         assert run_cli("sensitivity", config_path, path, "--out", tmp_path / "s") == 2
-        assert "row 3: every cell must be a finite number" in capsys.readouterr().err
+        assert ("row 3: every cell must be a finite number, got ['-4.6', 'nan', '7.5']"
+                in capsys.readouterr().err)
+
+    # (edit of the grid file's path, edit of the config, message)
+    EXIT_2_CASES = {
+        "grid file not found": (lambda path: path.unlink(), None, "grid file not found: "),
+        "empty grid": (lambda path: path.write_text(""), None, "grid.csv: empty grid"),
+        "grid without rows": (
+            lambda path: path.write_text("1,X,Astar\n"), None, "grid.csv: grid has no rows"),
+        "grid row of the wrong width": (
+            lambda path: path.write_text("1,X,Astar\n-4.6,-0.83,7.5\n-4.6,-0.83\n"), None,
+            "grid.csv: row 3 has 2 fields, expected 3"),
+        "stage without an adherence model": (
+            None, lambda c: c["models"][1].pop("adherence"),
+            "stage 2 has no adherence model for the sweep"),
+        "standard mode": (
+            None, standard_naive_proxy_mode, "sensitivity sweeps require a modified mode"),
+    }
+
+    @pytest.mark.parametrize("case", list(EXIT_2_CASES))
+    def test_exits_2_naming_the_fault(self, analysis_setup, capsys, case):
+        _, config, config_path, tmp_path = analysis_setup
+        edit_grid, edit_config, message = self.EXIT_2_CASES[case]
+        grid = self.grid_file(tmp_path, [[-4.6, -0.83, 7.5]])
+        if edit_grid is not None:
+            edit_grid(grid)
+        if edit_config is not None:
+            edit_config(config)
+            config_path.write_text(json.dumps(config))
+        out = tmp_path / "bad"
+        assert run_cli("sensitivity", config_path, grid, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_point_failing_exits_3(self, analysis_setup, capsys):
+        # all-zero coefficients make the proxy uninformative: every fit fails
+        _, _, config_path, tmp_path = analysis_setup
+        grid = self.grid_file(tmp_path, [[0.0, 0.0, 0.0]] * 2)
+        out = tmp_path / "none"
+        assert run_cli("sensitivity", config_path, grid, "--out", out) == 3
+        assert "sensitivity: every grid point failed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rule_designs_compiled_once_a_sweep(self, analysis_setup, monkeypatch):
         """Every rule the command evaluates reads one dict of designs: the

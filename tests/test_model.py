@@ -232,6 +232,52 @@ class TestDataset:
                 np.testing.assert_array_equal(got, want)
                 assert np.shares_memory(got, whole)
 
+    def test_the_constructor_takes_a_stacks_columns(self):
+        """``Dataset(...)`` on (b, n) columns is the stack of its members,
+        its default validation flags included."""
+        members = [dataset(record(1.0, 2.0, actual=(1, None)), record(3.0, 4.0)),
+                   dataset(record(5.0, 6.0), record(7.0, 8.0, actual=(None, 0)))]
+        fields = {kind: [np.stack([getattr(data, kind)(j) for data in members]) for j in (1, 2)]
+                  for kind in ("proxy", "actual")}
+        built = Dataset(stage_covariates=[{"X": np.stack([data.covariate("X", j)
+                                                          for data in members])} for j in (1, 2)],
+                        proxy_kind="prescribed", validation=None,
+                        outcome=np.stack([data.outcome for data in members]), **fields)
+        assert (built.n, built.n_stages, built.validation.shape) == (2, 2, (2, 2, 2))
+        for got, want in zip(self.columns(built), self.columns(Dataset.stack(members))):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("outcome", "^outcomes must be finite$"),
+        ("proxy", "^prescribed treatment at stage 2 must be exactly 0 or 1 when present$"),
+        ("validation", r"^validation flag set but actual treatment missing at stage 1 "
+                       r"\(first offending row 3 of member 1\)$"),
+        ("covariate", "^covariate 'X' at stage 1 has wrong length$"),
+        ("flags", r"^validation flags must have shape \(n, stages\), or \(b, n, stages\)"),
+        ("ndim", r"^outcomes must be \(n,\), or \(b, n\) on a stack$"),
+    ])
+    def test_a_stacks_columns_are_checked(self, defect, message):
+        b, n = 2, 4
+        outcome, proxy, actual = np.zeros((b, n)), np.ones((b, n)), np.ones((b, n))
+        covariate, flags = np.zeros((b, n)), np.zeros((b, n, 2), dtype=bool)
+        if defect == "outcome":
+            outcome[1, 2] = np.nan
+        elif defect == "proxy":
+            proxy = [proxy, np.full((b, n), 0.5)]
+        elif defect == "validation":
+            actual[1, 2], flags[1, 2, 0] = np.nan, True
+        elif defect == "covariate":
+            covariate = np.zeros((b, n + 1))
+        elif defect == "flags":
+            flags = np.zeros((n, 2), dtype=bool)
+        elif defect == "ndim":
+            outcome = np.zeros((1, b, n))
+        with pytest.raises(DataError, match=message):
+            Dataset(stage_covariates=[{"X": covariate}, {"X": np.zeros((b, n))}],
+                    proxy=proxy if isinstance(proxy, list) else [proxy, proxy],
+                    proxy_kind="prescribed", actual=[actual, np.ones((b, n))],
+                    validation=flags, outcome=outcome)
+
     def test_subset_takes_a_slice_or_a_member_only(self):
         data = dataset(record(1.0, 2.0), record(3.0, 4.0))
         for source in (data, Dataset.stack([data, data])):

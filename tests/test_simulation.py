@@ -19,6 +19,7 @@ from dtr_adhere.simulation import (
     generate_s3,
     generate_s4,
     run_replications,
+    scenario_block,
     scenario_dataset,
     scenario_models,
     scenario_plan,
@@ -178,29 +179,40 @@ class TestGeneratedDatasets:
     @pytest.mark.parametrize("scenario", sorted(GENERATORS))
     def test_the_dataset_keeps_the_generated_arrays(self, monkeypatch, scenario):
         """The generators freeze what they generate, so ``Dataset`` keeps
-        each array it is handed instead of copying it."""
+        each array it is handed instead of copying it.  A generator draws a
+        block of one generator, so its dataset is the one member of that
+        stack: views of the arrays the stack keeps."""
         handed = []
 
         def spy(**fields):
-            handed.append(fields)
-            return Dataset(**fields)
+            handed.append((fields, Dataset(**fields)))
+            return handed[-1][1]
 
         monkeypatch.setattr(simulation, "Dataset", spy)
         data = GENERATORS[scenario](np.random.default_rng(1))
-        (fields,) = handed
-        assert data.outcome is fields["outcome"]
-        assert data.validation is fields["validation"]
+        ((fields, stack),) = handed
+        pairs = [(data.outcome, stack.outcome, fields["outcome"]),
+                 (data.validation, stack.validation, fields["validation"])]
         for j in (1, 2):
-            assert data.covariate("X", j) is fields["stage_covariates"][j - 1]["X"]
-            for kind in ("proxy", "actual"):
-                assert getattr(data, kind)(j) is fields[kind][j - 1]
+            pairs.append((data.covariate("X", j), stack.covariate("X", j),
+                          fields["stage_covariates"][j - 1]["X"]))
+            pairs.extend((getattr(data, kind)(j), getattr(stack, kind)(j), fields[kind][j - 1])
+                         for kind in ("proxy", "actual"))
+        for member, kept, handed_over in pairs:
+            assert kept is handed_over and kept.shape[0] == 1
+            assert member.base is kept and np.array_equal(member, kept[0])
 
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("generate", [
         lambda n, rng: generate_s1(n, 1.0, rng),
         lambda n, rng: generate_s3(n, rng),
         lambda n, rng: generate_s4(n, 1.0, rng),
-    ], ids=["s1", "s3", "s4"])
+        # a block checks n before its first generator draws
+        lambda n, rng: simulation._s1_block(n, 1.0, [rng, np.random.default_rng(5)], 0.3),
+        lambda n, rng: simulation._s3_block(n, [rng, np.random.default_rng(5)], 0.2),
+        lambda n, rng: simulation._reported_scenario(n, 1.0, [rng, np.random.default_rng(5)],
+                                                     0.3),
+    ], ids=["s1", "s3", "s4", "s1-block", "s3-block", "s4-block"])
     def test_a_size_below_one_is_rejected_before_any_draw(self, generate, n):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
@@ -209,11 +221,50 @@ class TestGeneratedDatasets:
         assert rng.bit_generator.state == state
 
     def test_seeded_columns_are_unchanged(self):
-        # digests of the columns the generators drew before they froze them
+        # digests of the columns the generators drew before they froze them,
+        # and before they drew a block of generators at once
         digests = {"s1": "d24ef320b0d89124", "s3": "079f65d4ab16b08b",
                    "s4": "7814720385100aa6"}
         for scenario, generate in GENERATORS.items():
             assert column_digest(generate(np.random.default_rng(2024))) == digests[scenario]
+        edges = {(2, 0.3): {"s1": "ad62205d80369d7b", "s3": "5ee18cb8b616dc45",
+                            "s4": "69f01258e47ce352"},
+                 (37, 1.0): {"s1": "429b5b44b6f4a20a", "s3": "dd316b71eaf9235c",
+                             "s4": "c4b29395adde0424"}}
+        for (n, fraction), expected in edges.items():
+            drawn = {"s1": generate_s1(n, 1.0, np.random.default_rng(2024), fraction),
+                     "s3": generate_s3(n, np.random.default_rng(2024), fraction),
+                     "s4": generate_s4(n, 1.0, np.random.default_rng(2024), fraction)}
+            assert {name: column_digest(data) for name, data in drawn.items()} == expected
+
+    @pytest.mark.parametrize("b", [1, 3, 20])
+    @pytest.mark.parametrize("n,fraction", [(150, 0.3), (2, 0.3), (37, 1.0)])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_a_blocks_members_are_their_generators_datasets(self, scenario, n, fraction, b):
+        """Member i of a block has, column by column, the bytes of the
+        dataset drawn alone from generator i."""
+        config = ScenarioConfig(scenario=scenario, n=n, replications=b, seed=8,
+                                validation_fraction=fraction,
+                                varied_param=0.0 if scenario == "s2" else 1.0)
+
+        def streams():
+            return [np.random.default_rng(np.random.SeedSequence(entropy=8, spawn_key=(r,)))
+                    for r in range(b)]
+
+        stack = scenario_block(config, streams())
+        assert stack.outcome.shape == (b, n) and stack.validation.shape == (b, n, 2)
+        for i, rng in enumerate(streams()):
+            member, alone = stack.subset(i), scenario_dataset(config, rng)
+            for got, want in zip(self.columns(member), self.columns(alone)):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                  want.tobytes())
+            assert member.validation.sum(axis=0).tolist() == [max(1, round(fraction * n))] * 2
+
+    @staticmethod
+    def columns(data):
+        return [data.outcome, data.validation, *(
+            col for j in (1, 2) for col in (data.covariate("X", j), data.proxy(j),
+                                            data.actual(j)))]
 
 
 class TestScenarioModels:
@@ -312,17 +363,17 @@ class TestRunReplications:
         """Each replicate's Wald intervals read its member of its block's
         stack, a view: a coverage block keeps its columns once."""
         stacks, seen = [], []
-        stack, intervals = Dataset.stack, simulation.regime_wald_intervals
+        block, intervals = simulation.scenario_block, simulation.regime_wald_intervals
 
-        def stack_spy(datasets):
-            stacks.append(stack(datasets))
+        def block_spy(config, rngs):
+            stacks.append(block(config, rngs))
             return stacks[-1]
 
         def intervals_spy(data, fit, level):
             seen.append((stacks[-1], data))
             return intervals(data, fit, level)
 
-        monkeypatch.setattr(Dataset, "stack", staticmethod(stack_spy))
+        monkeypatch.setattr(simulation, "scenario_block", block_spy)
         monkeypatch.setattr(simulation, "regime_wald_intervals", intervals_spy)
         config = self.config(replications=23, estimators=("modified-fitted",), coverage=True)
         assert [len(p) for p in gest.passes(23, config.n)] == [11, 12]
