@@ -24,6 +24,11 @@ Each mechanism is written once, for a block of random generators, and draws
 the block as one stacked ``Dataset``: member i comes from generator i alone,
 so it does not depend on the block.  The ``generate_*`` functions and
 ``scenario_dataset`` draw a block of one generator.
+
+A Bernoulli variable is drawn as numpy's ``Generator.binomial(1, p)`` draws
+it, by inversion: one uniform a draw, none where p == 0.  ``_bernoulli``
+takes each generator's uniforms in one fill and compares the block with the
+inversion threshold at once, so every seed keeps the dataset it drew.
 """
 
 from __future__ import annotations
@@ -79,9 +84,51 @@ def _normal(rngs, loc: float, scale: float, n: int) -> np.ndarray:
     return np.array([rng.normal(loc, scale, n) for rng in rngs])
 
 
+# How near q, or 1, a uniform must be for ``_bernoulli`` to leave its row to
+# ``binomial``: libm moves q by a few ulps, and this is 16.
+_INVERSION_MARGIN = 2.0 ** -49
+
+
 def _bernoulli(rngs, p: np.ndarray) -> np.ndarray:
-    """(b, n) 0/1 draws as floats, row i from generator i at probabilities p[i]."""
-    return np.array([rng.binomial(1, row) for rng, row in zip(rngs, p)], dtype=float)
+    """(b, n) 0/1 draws as floats, row i from generator i at probabilities
+    p[i]: the draws, and the generators' states after them, of
+    ``rng.binomial(1, p[i])``, from one uniform fill per generator.
+
+    numpy draws ``binomial(1, p)`` by inversion (``random_binomial``, then
+    ``random_binomial_inversion``).  Where p == 0 it draws nothing and gives
+    0.  Elsewhere let r = p if p <= 0.5, else 1 - p, and q = 1 - r: one
+    uniform U, the double ``Generator.random`` yields, gives
+    X = [U > exp(log(q))], and the draw is X if p <= 0.5, else 1 - X.  Here
+    each generator fills its row's uniforms in one ``random`` call, and the
+    block is compared with q at once.  Within ``_INVERSION_MARGIN`` of q,
+    libm's exp(log(q)) could fall on the other side of U, and from
+    1 - ``_INVERSION_MARGIN`` up the inversion loop could reject U and draw
+    again; a row holding such a U (about 5e-15 a draw) is drawn again by
+    ``binomial``, from its generator's state before the fill.  p is checked
+    over the whole block before anything is drawn, with numpy's error."""
+    p = np.asarray(p, dtype=float)
+    if not (np.all(p >= 0.0) and np.all(p <= 1.0)):
+        raise ValueError("p < 0, p > 1 or p contains NaNs")
+    # 1 - p is exact for p > 0.5, so q is 1 - (1 - p) = p there, and 1 - p
+    # where p <= 0.5 (1 - p rounds to at least 0.5 >= p)
+    q = np.maximum(p, 1.0 - p)
+    u = np.zeros(p.shape)
+    drawn = None if p.all() else p != 0.0
+    states = []
+    for i, rng in enumerate(rngs):
+        states.append(rng.bit_generator.state)
+        if drawn is None:
+            rng.random(out=u[i])
+        else:
+            u[i, drawn[i]] = rng.random(np.count_nonzero(drawn[i]))
+    x = u > q
+    x ^= p > 0.5
+    draws = x.astype(float)
+    near = (np.abs(u - q) <= _INVERSION_MARGIN) | (u >= 1.0 - _INVERSION_MARGIN)
+    for i in np.flatnonzero(near.any(axis=1)):
+        rngs[i].bit_generator.state = states[i]
+        draws[i] = rngs[i].binomial(1, p[i])
+    return draws
 
 
 def _generated(rngs, fraction: float, *, x, proxy, proxy_kind, actual, y) -> Dataset:
@@ -345,6 +392,8 @@ class ScenarioConfig:
             raise ValueError("no estimators requested")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not np.isfinite(self.varied_param):
+            raise ValueError(f"varied parameter (--param) must be finite, got {self.varied_param}")
         if self.scenario == "s2" and self.varied_param != 0.0:
             raise ValueError("scenario s2 pins the varied parameter to 0")
 

@@ -55,6 +55,17 @@ class TestSimulate:
         assert "failed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_pseudo_outcomes_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "fail"
+        code = run_cli("simulate", "--scenario", "s4", "--n", "200", "--reps", "3",
+                       "--param", "1e308", "--estimators", "modified-known", "--seed", "1",
+                       "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "estimation failed: estimator 'modified-known' failed 3/3 replicates "
+            "(first failure: stage 2: pseudo outcomes are not finite)\n")
+        assert not out.exists()
+
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--scenario", "s9", "--n", "10", "--reps", "1",
                        "--seed", "1", "--out", tmp_path / "x")
@@ -153,13 +164,18 @@ class TestSimulate:
         ("--jobs", "0", "jobs must be >= 1"),
         ("--estimators", ",", "no estimators requested"),
         ("--seed", "-1", "seed must be >= 0"),
+        ("--param", "nan", "varied parameter (--param) must be finite, got nan"),
+        ("--param", "inf", "varied parameter (--param) must be finite, got inf"),
+        ("--param", "-inf", "varied parameter (--param) must be finite, got -inf"),
     ])
     def test_invalid_scenario_config_exits_2(self, tmp_path, capsys, flag, value, message):
+        # flag=value, so that argparse takes "-inf" as the value, not an option
         out = tmp_path / "x"
         code = run_cli("simulate", "--scenario", "s1", "--n", "10", "--reps", "1",
-                       "--seed", "1", "--out", out, flag, value)
+                       "--seed", "1", "--out", out, f"{flag}={value}")
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Warning" not in err
         assert not out.exists()
 
 

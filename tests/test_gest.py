@@ -38,6 +38,7 @@ from dtr_adhere.model import (
 )
 from dtr_adhere.simulation import (
     PRESCRIBED_ADHERENCE_COEF,
+    ReplicationError,
     ScenarioConfig,
     generate_s1,
     generate_s3,
@@ -371,6 +372,24 @@ def two_stage_specs():
 
 
 class TestEstimateRegime:
+    def test_non_finite_pseudo_outcomes_fail_their_stage(self):
+        """A stage-2 treatment coefficient of 1e308 carries the outcome's
+        sums past the double range in the stage-2 solve: the fit fails at
+        that stage on its non-finite pseudo outcomes, and the replication
+        loop tallies that failure, without a RuntimeWarning on the way
+        (which the test configuration turns into an error)."""
+        data = generate_s4(200, 1e308, np.random.default_rng(1))
+        with pytest.raises(EstimationError) as err:
+            scenario_plan("s4", "modified-known").estimate(data)
+        assert type(err.value) is EstimationError and err.value.stage == 2
+        assert str(err.value) == "stage 2: pseudo outcomes are not finite"
+        config = ScenarioConfig(scenario="s4", n=200, replications=3, seed=1,
+                                varied_param=1e308, estimators=("modified-known",))
+        with pytest.raises(ReplicationError, match=re.escape(
+                "estimator 'modified-known' failed 3/3 replicates "
+                "(first failure: stage 2: pseudo outcomes are not finite)")):
+            run_replications(config)
+
     def test_psi_shapes(self):
         rng = np.random.default_rng(0)
         data = generate_s1(300, 0.0, rng)

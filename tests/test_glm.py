@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dtr_adhere import glm
+from dtr_adhere.gest import EstimationError
 from dtr_adhere.glm import (
     NonConvergenceError,
     RankDeficiencyError,
@@ -13,6 +14,7 @@ from dtr_adhere.glm import (
     fit_logistic,
     fit_logistic_batch,
 )
+from dtr_adhere.simulation import generate_s1, scenario_plan
 
 
 class TestExpit:
@@ -263,3 +265,47 @@ class TestScoreRows:
         fit = fit_logistic(design, y)
         rows = design * (y - expit(design @ fit.coefficients))[:, None]
         np.testing.assert_allclose(rows.sum(axis=0), np.zeros(3), atol=1e-6)
+
+
+class TestIterationLimit:
+    @staticmethod
+    def batch():
+        """A shared design with two responses: member 0 weakly tied to the
+        covariate, member 1 strongly, so member 1 takes more Newton steps."""
+        rng = np.random.default_rng(21)
+        design = np.column_stack([np.ones(300), rng.normal(size=300)])
+        y = np.array([rng.binomial(1, expit(design @ beta)) for beta in
+                      (np.array([0.1, 0.3]), np.array([0.5, 4.0]))], dtype=float)
+        return design, y, np.ones(y.shape)
+
+    def test_members_still_moving_at_max_iter_fail_the_rest_keep_their_fits(
+            self, monkeypatch):
+        design, y, weights = self.batch()
+        free = fit_logistic_batch(design, y, weights)
+        assert free.errors == [None, None]
+        limit = int(free.iterations[0])
+        assert limit < free.iterations[1]
+        monkeypatch.setattr(glm, "MAX_ITER", limit)
+        capped = fit_logistic_batch(design, y, weights)
+        # member 0 converges on the last iteration allowed, and keeps its fit
+        assert capped.errors[0] is None and capped.iterations[0] == limit
+        np.testing.assert_array_equal(capped.coefficients[0], free.coefficients[0])
+        # member 1 is still moving: it fails, with zero coefficients
+        error = capped.errors[1]
+        assert type(error) is NonConvergenceError
+        assert re.fullmatch(rf"logistic fit did not converge in {limit} iterations "
+                            r"\(coefficient norm [\d.e+]+; possible separation\)", str(error))
+        assert capped.iterations[1] == limit
+        np.testing.assert_array_equal(capped.coefficients[1], np.zeros(2))
+
+    def test_an_assignment_fit_at_max_iter_fails_its_stage(self, monkeypatch):
+        # the adherence probabilities are known, so the first logistic fit is
+        # stage 1's assignment model
+        data = generate_s1(300, 1.0, np.random.default_rng(3))
+        monkeypatch.setattr(glm, "MAX_ITER", 1)
+        with pytest.raises(EstimationError) as err:
+            scenario_plan("s1", "modified-known").estimate(data)
+        assert type(err.value) is EstimationError and err.value.stage == 1
+        assert re.fullmatch(r"stage 1: assignment model failed: logistic fit did not converge "
+                            r"in 1 iterations \(coefficient norm [\d.e+]+; possible separation\)",
+                            str(err.value))

@@ -156,6 +156,123 @@ class TestGenerateS4:
         assert data.proxy_kind == "reported"
 
 
+def _binomial_rows(rngs, p):
+    """The draws ``_bernoulli`` must reproduce: generator i's
+    ``binomial(1, p[i])``, as floats."""
+    return np.array([rng.binomial(1, row) for rng, row in zip(rngs, p)], dtype=float)
+
+
+def _generators(count, seed):
+    return [np.random.default_rng([seed, i]) for i in range(count)]
+
+
+# p values at the edges of numpy's inversion rule: none drawn at 0 (and -0.0),
+# the p <= 0.5 branch at 0.5 and the other just above it, q rounding to 1
+# (1e-300, subnormals), and the largest p below 1
+EDGE_PROBABILITIES = (0.0, -0.0, 1.0, 0.5, np.nextafter(0.5, 1.0), 1e-300, 5e-324,
+                      2.5e-310, 1.0 - 2.0 ** -53)
+
+
+class _StubFill:
+    """A generator whose uniform fill puts ``value`` at ``column`` of what it
+    draws, and that counts its ``binomial`` calls; its bit generator, and so
+    its state, is ``rng``'s."""
+
+    def __init__(self, rng, column=None, value=None):
+        self.rng, self.column, self.value, self.binomial_calls = rng, column, value, 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def random(self, size=None, out=None):
+        drawn = self.rng.random(size, out=out)
+        if self.column is not None:
+            drawn[self.column] = self.value
+        return drawn
+
+    def binomial(self, n, p):
+        self.binomial_calls += 1
+        return self.rng.binomial(n, p)
+
+
+class TestBernoulli:
+    """``_bernoulli`` draws what ``Generator.binomial(1, p)`` draws, row by
+    row, and leaves every generator in the state that call leaves it in."""
+
+    @staticmethod
+    def probabilities(b, n, seed, edges=(), spread=False):
+        """(b, n) uniform p; a quarter of it values from ``edges``, and the
+        last row one of them throughout; with ``spread``, another quarter
+        expit of N(0, 10^2), which saturates to 0 and 1."""
+        rng = np.random.default_rng(seed)
+        p = rng.random((b, n))
+        if spread:
+            where = rng.random((b, n)) < 0.25
+            p[where] = expit(rng.normal(0.0, 10.0, np.count_nonzero(where)))
+        if edges:
+            where = rng.random((b, n)) < 0.25
+            p[where] = rng.choice(edges, np.count_nonzero(where))
+            p[-1] = edges[rng.integers(len(edges))]
+        return p
+
+    @pytest.mark.parametrize("edges, spread", [(EDGE_PROBABILITIES[2:], False),
+                                               (EDGE_PROBABILITIES, True)],
+                             ids=["no-zero", "with-zeros"])
+    def test_draws_and_states_equal_binomial_over_a_million_draws(self, edges, spread):
+        p = self.probabilities(20, 25_000, len(edges), edges, spread)
+        # a block with no p == 0 fills whole rows; one with some draws only
+        # the other entries
+        assert (p == 0.0).any() == spread
+        for seed in (0, 1):
+            ours, theirs = _generators(20, seed), _generators(20, seed)
+            drawn = simulation._bernoulli(ours, p)
+            assert drawn.dtype == float
+            np.testing.assert_array_equal(drawn, _binomial_rows(theirs, p))
+            for mine, reference in zip(ours, theirs):
+                assert mine.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300, -0.5, np.nextafter(1.0, 2.0), 2.0])
+    def test_a_bad_p_raises_numpys_error_before_any_draw(self, bad):
+        p = np.full((3, 5), 0.3)
+        p[2, 4] = bad
+        with pytest.raises(ValueError) as theirs:
+            np.random.default_rng(0).binomial(1, p[2])
+        rngs = _generators(3, 9)
+        states = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError) as ours:
+            simulation._bernoulli(rngs, p)
+        assert str(ours.value) == str(theirs.value) == "p < 0, p > 1 or p contains NaNs"
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+    @pytest.mark.parametrize("offset", [0.0, 2.0 ** -50, -(2.0 ** -49), None],
+                             ids=["at-q", "above-q", "below-q", "top"])
+    def test_a_uniform_in_the_window_redraws_its_row_by_binomial(self, offset):
+        """Row 1's fill holds one uniform within the margin of q (or at the
+        top of [0, 1)): that row, and only it, is drawn by ``binomial`` from
+        its generator's state before the fill."""
+        p = self.probabilities(4, 300, 11)
+        column = 17
+        q = max(p[1, column], 1.0 - p[1, column])
+        value = 1.0 - 2.0 ** -53 if offset is None else q + offset
+        rngs = [_StubFill(rng) for rng in _generators(4, 3)]
+        rngs[1].column, rngs[1].value = column, value
+        drawn = simulation._bernoulli(rngs, p)
+        assert [rng.binomial_calls for rng in rngs] == [0, 1, 0, 0]
+        reference = _generators(4, 3)
+        np.testing.assert_array_equal(drawn, _binomial_rows(reference, p))
+        for rng, expected in zip(rngs, reference):
+            assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_a_uniform_clear_of_the_window_decides_its_draw(self):
+        p = np.full((1, 4), 0.3)
+        q = 1.0 - 0.3
+        for value, draw in ((q + 2.0 ** -48, 1.0), (q - 2.0 ** -48, 0.0)):
+            rng = _StubFill(np.random.default_rng(0), 2, value)
+            assert simulation._bernoulli([rng], p)[0, 2] == draw
+            assert rng.binomial_calls == 0
+
+
 GENERATORS = {
     "s1": lambda rng: generate_s1(50, 1.0, rng),
     "s3": lambda rng: generate_s3(50, rng),
@@ -388,6 +505,13 @@ class TestRunReplications:
                     assert np.shares_memory(got, source)
             assert np.shares_memory(data.outcome, whole.outcome)
             assert np.shares_memory(data.validation, whole.validation)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_varied_param_is_rejected(self, scenario, value):
+        with pytest.raises(ValueError,
+                           match=rf"^varied parameter \(--param\) must be finite, got {value}$"):
+            self.config(scenario=scenario, varied_param=value)
 
     def test_s2_pins_varied_param(self):
         with pytest.raises(ValueError):
