@@ -348,17 +348,17 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
     joint = np.empty((b, p_tf + p_psi, p_tf + p_psi))
     rhs = np.empty((b, p_tf + p_psi))
     left = np.empty((p_tf + p_psi, n))
-    # A sum past the double range is left non-finite, to fail its member (a
-    # singular system, non-finite pseudo outcomes) without a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(b):
-            tf_i, lam_i = member(tf_design, i), member(lam, i)
-            np.multiply(tf_i.T, weights[i], out=left[:p_tf])
-            np.multiply(lam_i.T, ue[i], out=left[p_tf:])
-            joint[i, :, :p_tf] = left @ tf_i
+    for i in range(b):
+        tf_i, lam_i = member(tf_design, i), member(lam, i)
+        np.multiply(tf_i.T, weights[i], out=left[:p_tf])
+        np.multiply(lam_i.T, ue[i], out=left[p_tf:])
+        joint[i, :, :p_tf] = left @ tf_i
+        # An outcome sum past the double range is left non-finite, so that
+        # the stage fails on non-finite pseudo outcomes without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
             rhs[i] = left @ member(v_next, i, shared=1)
-            left *= member(weight, i, shared=1)
-            joint[i, :, p_tf:] = left @ lam_i
+        left *= member(weight, i, shared=1)
+        joint[i, :, p_tf:] = left @ lam_i
     cond = np.linalg.cond(joint[:, p_tf:, p_tf:])
     joint_cond = np.linalg.cond(joint)
     # The eigenvalues of T^T U T = R^T R bound R's diagonal, |r_jj| between

@@ -28,7 +28,8 @@ so it does not depend on the block.  The ``generate_*`` functions and
 A Bernoulli variable is drawn as numpy's ``Generator.binomial(1, p)`` draws
 it, by inversion: one uniform a draw, none where p == 0.  ``_bernoulli``
 takes each generator's uniforms in one fill and compares the block with the
-inversion threshold at once, so every seed keeps the dataset it drew.
+inversion threshold at once; a row it cannot decide so, or that holds a
+p == 0, ``binomial`` draws again.  So every seed keeps the dataset it drew.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def _bernoulli(rngs, p: np.ndarray) -> np.ndarray:
     block is compared with q at once.  Within ``_INVERSION_MARGIN`` of q,
     libm's exp(log(q)) could fall on the other side of U, and from
     1 - ``_INVERSION_MARGIN`` up the inversion loop could reject U and draw
-    again; a row holding such a U (about 5e-15 a draw) is drawn again by
+    again; a row holding such a U (about 5e-15 a draw), or a p == 0, for
+    which the fill drew a uniform numpy does not, is drawn again by
     ``binomial``, from its generator's state before the fill.  p is checked
     over the whole block before anything is drawn, with numpy's error."""
     p = np.asarray(p, dtype=float)
@@ -112,19 +114,16 @@ def _bernoulli(rngs, p: np.ndarray) -> np.ndarray:
     # 1 - p is exact for p > 0.5, so q is 1 - (1 - p) = p there, and 1 - p
     # where p <= 0.5 (1 - p rounds to at least 0.5 >= p)
     q = np.maximum(p, 1.0 - p)
-    u = np.zeros(p.shape)
-    drawn = None if p.all() else p != 0.0
+    u = np.empty(p.shape)
     states = []
     for i, rng in enumerate(rngs):
         states.append(rng.bit_generator.state)
-        if drawn is None:
-            rng.random(out=u[i])
-        else:
-            u[i, drawn[i]] = rng.random(np.count_nonzero(drawn[i]))
+        rng.random(out=u[i])
     x = u > q
     x ^= p > 0.5
     draws = x.astype(float)
-    near = (np.abs(u - q) <= _INVERSION_MARGIN) | (u >= 1.0 - _INVERSION_MARGIN)
+    near = ((np.abs(u - q) <= _INVERSION_MARGIN) | (u >= 1.0 - _INVERSION_MARGIN)
+            | (p == 0.0))
     for i in np.flatnonzero(near.any(axis=1)):
         rngs[i].bit_generator.state = states[i]
         draws[i] = rngs[i].binomial(1, p[i])

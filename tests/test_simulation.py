@@ -221,8 +221,8 @@ class TestBernoulli:
                              ids=["no-zero", "with-zeros"])
     def test_draws_and_states_equal_binomial_over_a_million_draws(self, edges, spread):
         p = self.probabilities(20, 25_000, len(edges), edges, spread)
-        # a block with no p == 0 fills whole rows; one with some draws only
-        # the other entries
+        # a block with no p == 0 is decided by its fills; in one with some,
+        # the rows holding a zero are drawn again by binomial
         assert (p == 0.0).any() == spread
         for seed in (0, 1):
             ours, theirs = _generators(20, seed), _generators(20, seed)
