@@ -50,7 +50,7 @@ class ConfigError(ValueError):
 
 
 def _write_json(path: Path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -162,11 +162,12 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(err)) from err
 
     summary = run_replications(config)  # ReplicationError -> exit 3 in main()
+    payload = _summary_payload(summary)  # so does a statistic that is not finite
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", _config_payload(config))
-    _write_json(out / "summary.json", _summary_payload(summary))
+    _write_json(out / "summary.json", payload)
     fh, writer = _open_csv_writer(out / "estimates.csv")
     with fh:
         writer.writerow(["replicate", "estimator", "stage", "parameter", "value"])

@@ -344,11 +344,13 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
         return a if a.ndim == shared else a[i]
 
     # Member by member, so no (b, p, n) temporary: joint = left [T, w lam]
-    # and rhs = left v, with left's rows [u T, u e lam].
-    joint = np.empty((b, p_tf + p_psi, p_tf + p_psi))
-    rhs = np.empty((b, p_tf + p_psi))
+    # and rhs = left v, with left's rows [u T, u e lam].  A member already
+    # lost is not summed (its sums may leave the double range) and solves
+    # the placeholder system I x = 0.
+    joint = np.broadcast_to(np.eye(p_tf + p_psi), (b, p_tf + p_psi, p_tf + p_psi)).copy()
+    rhs = np.zeros((b, p_tf + p_psi))
     left = np.empty((p_tf + p_psi, n))
-    for i in range(b):
+    for i in np.flatnonzero(active):
         tf_i, lam_i = member(tf_design, i), member(lam, i)
         np.multiply(tf_i.T, weights[i], out=left[:p_tf])
         np.multiply(lam_i.T, ue[i], out=left[p_tf:])
@@ -481,9 +483,9 @@ class EstimationPlan:
         """One batched fit per member, as b ``(RegimeFit, None)`` or
         ``(None, error)`` pairs.  The members are the rows of the (b, n)
         frequency ``weights``: on a dataset, b weightings of its rows; on a
-        stacked dataset (``Dataset.stack``), one row of weights per stacked
-        dataset.  ``assignment_fits``, a dict handed to every plan fitted to
-        one stacked dataset with the same weights, lets them share their
+        stacked dataset of (b, n) columns, one row of weights per member.
+        ``assignment_fits``, a dict handed to every plan fitted to one
+        stacked dataset with the same weights, lets them share their
         assignment fits (see ``_fit_regime``)."""
         return list(self._member_fits(data, weights, assignment_fits))
 

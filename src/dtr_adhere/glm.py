@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -134,6 +135,7 @@ def _cholesky(info: np.ndarray):
         return chol, bad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_logistic_batch(design, response, weights: np.ndarray,
                        active: Optional[np.ndarray] = None) -> BatchFit:
     """Newton scoring for b weighted fits at once.
@@ -147,7 +149,10 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
     repeated by their weights would; rows of weight 0 take no part, the
     separation check included, so up to rounding a member's fit does not
     depend on the other members of its block.  A member that fails keeps its
-    exception in ``errors`` and the others carry on.
+    exception in ``errors`` and the others carry on; one whose score or
+    information leaves the double range (covariates near 1e155) fails at
+    that iteration, and the fit runs under one ``np.errstate``, so it
+    warns of no overflow.
 
     Each iteration writes into the leading rows of three (b, n) work arrays
     allocated once per call, in the operation order of ``expit`` and of the
@@ -201,8 +206,16 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
         np.multiply(w, mu, out=r)
         np.subtract(1.0, mu, out=a)
         r *= a
-        chol, singular = _cholesky(information(r))
-        stop = singular | (np.abs(score).max(axis=1) < SCORE_TOL)
+        info, norm = information(r), np.abs(score).max(axis=1)
+        # A member whose score or information sums past the double range
+        # stops and fails; one finite sum clears every member at once.
+        lost = np.zeros(idx.size, dtype=bool)
+        if not math.isfinite(np.add.reduce(info, axis=None) + np.add.reduce(norm)):
+            lost = ~np.isfinite(np.add.reduce(info, axis=(1, 2)) + norm)
+            info[lost] = np.eye(p)  # a placeholder to factor
+        chol, singular = _cholesky(info)
+        singular |= lost
+        stop = singular | (norm < SCORE_TOL)
         if stop.all():
             step = np.zeros_like(beta)
         else:
@@ -231,7 +244,10 @@ def fit_logistic_batch(design, response, weights: np.ndarray,
         converged = done & ~singular & ~(moved & diverged) & ~separated
         coefficients[idx[converged]] = beta[converged]
         for k in np.flatnonzero(done & ~converged):
-            if singular[k]:
+            if lost[k]:
+                error = NonConvergenceError(
+                    f"logistic fit's score or information is not finite at iteration {iteration}")
+            elif singular[k]:
                 error = RankDeficiencyError("rank-deficient working matrix in logistic fit")
             elif moved[k] and diverged[k]:
                 error = NonConvergenceError(

@@ -120,12 +120,14 @@ def _gram(scores: np.ndarray) -> np.ndarray:
     """``scores^T scores``, the meat's sum over the rows of ``scores``."""
     if not np.all(np.isfinite(scores)):
         raise SandwichError("per-individual scores are not finite at theta_hat")
-    return scores.T @ scores
+    with np.errstate(over="ignore", invalid="ignore"):  # _assemble fails a gram past range
+        return scores.T @ scores
 
 
-def _assemble(gram: np.ndarray, n: int, jacobian) -> SandwichResult:
+def _assemble(gram: np.ndarray, n: int, jacobian, external=()) -> SandwichResult:
     """The sandwich of ``n`` individuals from the sum of their scores' outer
-    products and the Jacobian of the mean score."""
+    products and the Jacobian of the mean score, plus ``B_j Sigma_j B_j^T``
+    for each ``(columns, Sigma_j)`` of ``external``, in that order."""
     jac = np.asarray(jacobian, dtype=float)
     if not np.all(np.isfinite(jac)):
         raise SandwichError("bread Jacobian is not finite")
@@ -138,14 +140,20 @@ def _assemble(gram: np.ndarray, n: int, jacobian) -> SandwichResult:
     # validation cell) leaves an information-free direction in the bread.
     # Invert through a truncated SVD so dead directions are pinned instead of
     # exploding; the raw condition number and the number of pinned
-    # directions are reported for diagnostics.
-    bread = -np.linalg.pinv(jac, rcond=BREAD_RCOND)
+    # directions are reported for diagnostics.  A bread (a subnormal Jacobian
+    # inverts to inf) or covariance that is not finite fails, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bread = -np.linalg.pinv(jac, rcond=BREAD_RCOND)
+        sigma = bread @ (gram / n) @ bread.T / n
+        sigma = 0.5 * (sigma + sigma.T)
+        for columns, cov in external:
+            b = bread[:, columns]
+            sigma = sigma + b @ cov @ b.T
     if not np.all(np.isfinite(bread)):
         raise SandwichError(f"singular bread (condition number {cond:.3g})")
+    if not np.all(np.isfinite(sigma)):
+        raise SandwichError("sandwich covariance is not finite")
     truncated = int(np.sum(singular <= BREAD_RCOND * singular[0]))
-    meat = gram / n
-    sigma = bread @ meat @ bread.T / n
-    sigma = 0.5 * (sigma + sigma.T)
     return SandwichResult(sigma_theta=sigma, sigma_psi=sigma, bread_condition=cond, bread=bread,
                           truncated_directions=truncated)
 
@@ -178,14 +186,13 @@ def regime_sandwich(data: Dataset, fit: RegimeFit) -> SandwichResult:
         scores, mean_jac = StackedScore(window, fit).evaluate(theta, jacobian=True)
         block = _gram(scores), len(rows) / data.n * mean_jac
         del scores  # freed before the next block's pass
-        gram, jac = block if gram is None else (gram + block[0], jac + block[1])
-    result = _assemble(gram, data.n, jac)
-    sigma = result.sigma_theta
-    for j in sorted(stacked.external, reverse=True):  # in theta order, stage K first
-        b = result.bread[:, stacked.slices[(j, "adherence")]]
-        sigma = sigma + b @ stacked.external[j] @ b.T
+        with np.errstate(over="ignore", invalid="ignore"):  # _assemble fails sums past range
+            gram, jac = block if gram is None else (gram + block[0], jac + block[1])
+    external = [(stacked.slices[(j, "adherence")], stacked.external[j])
+                for j in sorted(stacked.external, reverse=True)]  # in theta order, stage K first
+    result = _assemble(gram, data.n, jac, external)
     psi = stacked.psi_index
-    return replace(result, sigma_theta=sigma, sigma_psi=sigma[np.ix_(psi, psi)])
+    return replace(result, sigma_psi=result.sigma_theta[np.ix_(psi, psi)])
 
 
 def wald_intervals(psi_hat, sigma_psi, level: float, names=None) -> IntervalSet:

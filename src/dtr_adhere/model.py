@@ -234,9 +234,8 @@ class Dataset:
     column is a read-only array (a writeable input is copied), so instances
     are safe to share across workers.  A stack holds equal-size datasets as
     the members of a batched fit, with a leading member axis on every column:
-    ``Dataset.stack`` stacks built datasets, and the constructor takes
-    stacked columns, (b, n) with (b, n, K) validation flags, and checks them
-    all at once.
+    the constructor takes stacked columns, (b, n) with (b, n, K) validation
+    flags, and checks them all at once.
     """
 
     def __init__(
@@ -392,52 +391,7 @@ class Dataset:
         if not (1 <= stage <= self._k):
             raise DesignError(f"stage {stage} out of range (1..{self._k})")
 
-    # -- construction and views ----------------------------------------------
-
-    @classmethod
-    def _of_columns(cls, *, outcome, validation, proxy, proxy_kind, actual,
-                    covariates) -> "Dataset":
-        """A dataset of read-only columns taken from validated ones, views of
-        one dataset's (``subset``) or equal-size datasets' stacked
-        (``stack``), so ``__init__``'s checks are not run again."""
-        out = cls.__new__(cls)
-        out._outcome, out._validation = outcome, validation
-        out._proxy_kind, out._proxy, out._actual = proxy_kind, tuple(proxy), tuple(actual)
-        out._covariates = tuple(covariates)
-        out._names = tuple(sorted(out._covariates[0]))
-        out._n, out._k = outcome.shape[-1], len(out._covariates)
-        return out
-
-    @classmethod
-    def stack(cls, datasets: Sequence["Dataset"]) -> "Dataset":
-        """Equal-size datasets of one schema as the members of one batched
-        fit: each column of the result is (b, n), member i's row r being row
-        r of ``datasets[i]``, and its validation flags are (b, n, K).  Only
-        the column accessors and ``subset`` apply to it.  The members share
-        one proxy kind."""
-        if not datasets:
-            raise DataError("a stack needs at least one dataset")
-        first = datasets[0]
-
-        def schema(data):
-            return data.n, data.covariate_names, data.proxy_kind, [
-                col is None for cols in (data._proxy, data._actual) for col in cols]
-
-        if any(schema(data) != schema(first) for data in datasets):
-            raise DataError("stacked datasets must share their size and schema")
-
-        def stacked(columns):
-            return None if columns[0] is None else _frozen(np.stack(columns))
-
-        return cls._of_columns(
-            outcome=stacked([data._outcome for data in datasets]),
-            validation=stacked([data._validation for data in datasets]),
-            proxy=map(stacked, zip(*(data._proxy for data in datasets))),  # stage by stage
-            proxy_kind=first.proxy_kind,
-            actual=map(stacked, zip(*(data._actual for data in datasets))),
-            covariates=[{name: stacked([cols[name] for cols in stage]) for name in first._names}
-                        for stage in zip(*(data._covariates for data in datasets))],
-        )
+    # -- views ---------------------------------------------------------------
 
     def subset(self, index) -> "Dataset":
         """A view: ``index``, a slice or an integer, indexes the leading axis
@@ -458,15 +412,15 @@ class Dataset:
         outcome = take(self._outcome)
         if outcome.shape[0] == 0:
             raise DataError("dataset has no trajectories")
-        return self._of_columns(
-            outcome=outcome,
-            validation=take(self._validation),
-            proxy=map(take, self._proxy),
-            proxy_kind=self._proxy_kind,
-            actual=map(take, self._actual),
-            covariates=[{name: take(cols[name]) for name in self._names}
-                        for cols in self._covariates],
-        )
+        # views of validated columns, so __init__'s checks are not run again
+        out = object.__new__(type(self))
+        out._outcome, out._validation = outcome, take(self._validation)
+        out._proxy_kind = self._proxy_kind
+        out._proxy, out._actual = tuple(map(take, self._proxy)), tuple(map(take, self._actual))
+        out._covariates = tuple({name: take(cols[name]) for name in self._names}
+                                for cols in self._covariates)
+        out._names, out._n, out._k = self._names, outcome.shape[-1], self._k
+        return out
 
 
 # ---------------------------------------------------------------------------

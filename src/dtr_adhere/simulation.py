@@ -22,8 +22,8 @@ Scenarios:
 
 Each mechanism is written once, for a block of random generators, and draws
 the block as one stacked ``Dataset``: member i comes from generator i alone,
-so it does not depend on the block.  The ``generate_*`` functions and
-``scenario_dataset`` draw a block of one generator.
+so it does not depend on the block.  The ``generate_*`` functions draw a
+block of one generator.
 
 A Bernoulli variable is drawn as numpy's ``Generator.binomial(1, p)`` draws
 it, by inversion: one uniform a draw, none where p == 0.  ``_bernoulli``
@@ -399,19 +399,14 @@ class ScenarioConfig:
 
 def scenario_block(config: ScenarioConfig, rngs) -> Dataset:
     """The scenario's datasets for a block of generators as one stack:
-    member i is drawn from ``rngs[i]`` alone, as ``scenario_dataset`` draws
-    it."""
+    member i is drawn from ``rngs[i]`` alone, so it is the same in any
+    block."""
     fraction = config.validation_fraction
     if config.scenario in ("s1", "s2"):
         return _s1_block(config.n, config.varied_param, rngs, fraction)
     if config.scenario == "s3":
         return _s3_block(config.n, rngs, fraction)
     return _reported_scenario(config.n, config.varied_param, rngs, fraction)
-
-
-def scenario_dataset(config: ScenarioConfig, rng: np.random.Generator) -> Dataset:
-    """One replicate's dataset, drawn from ``rng``."""
-    return scenario_block(config, [rng]).subset(0)
 
 
 class _Replicate(NamedTuple):
@@ -465,7 +460,8 @@ class ReplicationSummary:
         """Per-estimator, per-parameter mean, bias, variance, and 100 x MSE.
 
         The variance is the population (1/n) form so that
-        MSE = bias^2 + variance holds exactly.
+        MSE = bias^2 + variance holds exactly.  A statistic that leaves the
+        double range raises ``ReplicationError``.
         """
         stats = {}
         for name, values in self.estimates.items():
@@ -473,9 +469,10 @@ class ReplicationSummary:
             cov = self.coverage.get(name)
             for p, (stage, label) in enumerate(self.parameters):
                 column = values[:, p]
-                mean = float(np.mean(column))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean = float(np.mean(column))
+                    variance = float(np.var(column))
                 bias = mean - float(self.truth[p])
-                variance = float(np.var(column))
                 row = {
                     "stage": stage,
                     "parameter": label,
@@ -487,6 +484,11 @@ class ReplicationSummary:
                 }
                 if cov is not None:
                     row["coverage"] = float(cov[p])
+                for key in ("mean", "variance", "mse_x100"):
+                    if not np.isfinite(row[key]):
+                        raise ReplicationError(
+                            f"estimator '{name}': the {key} of stage-{stage} parameter "
+                            f"'{label}' is not finite")
                 rows.append(row)
             stats[name] = {"failures": self.failures[name],
                            "failure_counts": self.failure_counts[name],

@@ -1,7 +1,10 @@
 """Datasets of copied rows, for tests that reorder, repeat or drop
-trajectories.  ``Dataset.subset`` makes views only, a window of rows or one
-member of a stack, so any other selection of rows is a new dataset built
-through the public constructor, which validates it again."""
+trajectories, and stacks of built datasets.  ``Dataset.subset`` makes views
+only, a window of rows or one member of a stack, so any other selection of
+rows, and any stack, is a new dataset built through the public constructor,
+which validates it again."""
+
+import numpy as np
 
 from dtr_adhere.model import Dataset
 
@@ -22,4 +25,26 @@ def copy_rows(data: Dataset, index) -> Dataset:
         actual=[pick(data.actual(j)) for j in stages],
         validation=pick(data.validation),
         outcome=pick(data.outcome),
+    )
+
+
+def stack_datasets(datasets) -> Dataset:
+    """Equal-size datasets of one schema as the members of one stacked
+    dataset: each column is (b, n), member i's row r being row r of
+    ``datasets[i]``, and the validation flags are (b, n, K)."""
+    first = datasets[0]
+    stages = range(1, first.n_stages + 1)
+
+    def stacked(columns):
+        columns = list(columns)
+        return None if columns[0] is None else np.stack(columns)
+
+    return Dataset(
+        stage_covariates=[{name: stacked(data.covariate(name, j) for data in datasets)
+                           for name in first.covariate_names} for j in stages],
+        proxy=[stacked(data.proxy(j) for data in datasets) for j in stages],
+        proxy_kind=first.proxy_kind,
+        actual=[stacked(data.actual(j) for data in datasets) for j in stages],
+        validation=stacked(data.validation for data in datasets),
+        outcome=stacked(data.outcome for data in datasets),
     )

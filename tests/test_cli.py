@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dtr_adhere import cli
 from dtr_adhere.cli import load_analysis_config, main, write_dataset_csv
 from dtr_adhere.gest import groups, passes, psi_flat
 from dtr_adhere.inference import regime_sandwich
@@ -65,6 +66,34 @@ class TestSimulate:
             "estimation failed: estimator 'modified-known' failed 3/3 replicates "
             "(first failure: stage 2: pseudo outcomes are not finite)\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, coverage, failure", [
+        (scenario, [], "estimator 'modified-known': "
+                       "the variance of stage-1 parameter '1' is not finite")
+        for scenario in ("s1", "s4")] + [
+        ("s1", ["--coverage"], "estimator 'modified-known' failed 3/3 replicates "
+                               "(first failure: bread Jacobian is singular)"),
+        ("s4", ["--coverage"], "estimator 'modified-known' failed 3/3 replicates "
+                               "(first failure: sandwich covariance is not finite)"),
+    ], ids=["summary-s1", "summary-s4", "coverage-s1", "coverage-s4"])
+    def test_a_param_past_the_statistics_range_exits_3(self, tmp_path, capsys, scenario,
+                                                       coverage, failure):
+        """At --param 1e200 every fit succeeds, but the estimates' variance,
+        and with --coverage each sandwich (s1's bread Jacobian is singular,
+        s4's covariance leaves the double range), fail: a statistical
+        failure, with no RuntimeWarning on the way (which the test
+        configuration turns into an error) and no output written."""
+        out = tmp_path / "fail"
+        code = run_cli("simulate", "--scenario", scenario, "--n", "200", "--reps", "3",
+                       "--param", "1e200", "--seed", "1", *coverage, "--out", out)
+        assert code == 3
+        assert capsys.readouterr().err == f"estimation failed: {failure}\n"
+        assert not out.exists()
+
+    def test_json_outputs_hold_finite_numbers_only(self, tmp_path):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cli._write_json(tmp_path / "x.json", {"variance": float("inf")})
+        assert not (tmp_path / "x.json").exists()
 
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--scenario", "s9", "--n", "10", "--reps", "1",

@@ -49,7 +49,7 @@ from dtr_adhere.simulation import (
     scenario_plan,
 )
 
-from row_copy import copy_rows
+from row_copy import copy_rows, stack_datasets
 
 
 class TestPseudoOutcomes:
@@ -223,6 +223,20 @@ class TestSolveStage:
         assert str(err.value) == ("stage 2: contrast/treatment-free equations are jointly "
                                   "singular (numerically singular)")
 
+    def test_nearly_jointly_singular_message(self):
+        # the treatment-free design is the weighted contrast moved by 1e-13:
+        # a joint condition number above the limit, printed below 1/eps
+        rng = np.random.default_rng(5)
+        lam = np.column_stack([np.ones(30), rng.normal(size=30)])
+        a = rng.binomial(1, 0.5, 30).astype(float)
+        w = rng.uniform(0.2, 0.9, 30)
+        tf = w[:, None] * lam + 1e-13 * np.random.default_rng(7).normal(size=(30, 2))
+        with pytest.raises(EstimationError) as err:
+            _fit_stage(lam, tf, a, np.full(30, 0.5), w, rng.normal(size=30), stage=2)
+        assert type(err.value) is EstimationError and err.value.stage == 2
+        assert re.fullmatch(r"stage 2: contrast/treatment-free equations are jointly singular "
+                            r"\(condition [1-9]\.[0-9]+e\+1[2-5]\)", str(err.value))
+
     @pytest.mark.parametrize("offset,message", [
         (0.0, r"stage 1: stage system is numerically singular"),
         (1e-7, r"stage 1: stage system condition number [1-9]\.[0-9]+e\+1[2-5] exceeds 1e\+12"),
@@ -328,7 +342,7 @@ class TestFitAdherence:
         rng = np.random.default_rng(41)
         datasets = [generate(n, 0.0, rng, validation_fraction=v) for v in validation]
         plan = scenario_plan(scenario, "modified-fitted")
-        members = plan.fit_members(Dataset.stack(datasets), np.ones((3, n)))
+        members = plan.fit_members(stack_datasets(datasets), np.ones((3, n)))
         fits = [(datasets[0], plan.estimate(datasets[0]))]
         fits += [(data, fit) for data, (fit, _) in zip(datasets, members)]
         for data, fit in fits:
@@ -389,6 +403,26 @@ class TestEstimateRegime:
                 "estimator 'modified-known' failed 3/3 replicates "
                 "(first failure: stage 2: pseudo outcomes are not finite)")):
             run_replications(config)
+
+    @pytest.mark.parametrize("estimator, model", [
+        ("standard-actual", "assignment"), ("modified-fitted", "adherence")])
+    def test_covariates_past_the_logistic_range_fail_at_once(self, estimator, model):
+        """s1 with its covariates scaled by 1e160: the first logistic fit's
+        information leaves the double range, so the fit fails at its first
+        iteration, and the stage solve sums no lost member, so no
+        RuntimeWarning (which the test configuration turns into an error)
+        is given on the way."""
+        data = generate_s1(300, 1.0, np.random.default_rng(0))
+        stages = (1, 2)
+        scaled = Dataset(stage_covariates=[{"X": data.covariate("X", j) * 1e160} for j in stages],
+                         proxy=[data.proxy(j) for j in stages], proxy_kind=data.proxy_kind,
+                         actual=[data.actual(j) for j in stages], validation=data.validation,
+                         outcome=data.outcome)
+        with pytest.raises(EstimationError) as err:
+            scenario_plan("s1", estimator).estimate(scaled)
+        assert type(err.value) is EstimationError and err.value.stage == 1
+        assert str(err.value) == (f"stage 1: {model} model failed: logistic fit's score or "
+                                  "information is not finite at iteration 1")
 
     def test_psi_shapes(self):
         rng = np.random.default_rng(0)
@@ -736,6 +770,19 @@ class TestStackedScore:
         score = StackedScore(data, plan.estimate(data))
         assert np.max(np.abs(score.per_individual(score.theta_hat).mean(axis=0))) <= 1e-9
 
+    def test_non_finite_pseudo_outcomes_fail_their_stage(self):
+        """A score evaluated at an infinite stage-2 contrast intercept has
+        no finite stage-1 pseudo outcome: the evaluation raises the stage's
+        failure, as the fit does."""
+        data = generate_s1(200, 1.0, np.random.default_rng(1))
+        score = StackedScore(data, scenario_plan("s1", "modified-fitted").estimate(data))
+        theta = score.theta_hat.copy()
+        theta[score.slices[(2, "contrast")].start] = np.inf
+        with pytest.raises(EstimationError) as err:
+            score.evaluate(theta)
+        assert type(err.value) is EstimationError and err.value.stage == 2
+        assert str(err.value) == "stage 2: pseudo outcomes are not finite"
+
     @staticmethod
     def adherence_source(scenario, source, data):
         """The adherence source named ``source``, built around the fitted
@@ -909,7 +956,7 @@ class TestOneDesignLayout:
         data = _score_dataset("s1")
         rng = np.random.default_rng(5)
         if stacked:
-            data = Dataset.stack([data, copy_rows(data, rng.permutation(data.n))])
+            data = stack_datasets([data, copy_rows(data, rng.permutation(data.n))])
             weights = np.ones((2, data.n))
         else:  # a bootstrap block: shared designs, and per member where EA[1] enters
             weights = rng.integers(0, 3, (3, data.n)).astype(float)

@@ -105,6 +105,12 @@ class TestFitLogistic:
         with pytest.raises((NonConvergenceError, RankDeficiencyError)):
             fit_logistic(design, y)
 
+    def test_a_one_column_design_may_be_a_vector(self):
+        y = np.array([1, 1, 1, 0] * 5, dtype=float)
+        fit = fit_logistic(np.ones(20), y)
+        column = fit_logistic(np.ones((20, 1)), y)
+        np.testing.assert_array_equal(fit.coefficients, column.coefficients)
+
     def test_rank_deficiency_raises(self):
         x = np.ones(20)
         design = np.column_stack([x, 2 * x])
@@ -265,6 +271,31 @@ class TestScoreRows:
         fit = fit_logistic(design, y)
         rows = design * (y - expit(design @ fit.coefficients))[:, None]
         np.testing.assert_allclose(rows.sum(axis=0), np.zeros(3), atol=1e-6)
+
+
+class TestNonFiniteIterates:
+    def test_a_member_whose_information_overflows_fails_at_once(self):
+        """A covariate near 1e160 squares past the double range: that member
+        fails at its first iteration, with no RuntimeWarning (which the test
+        configuration turns into an error), and the other member keeps the
+        fit it makes alone."""
+        design, y = TestWeights.problem()
+        designs = np.stack([design, design * [1.0, 1e160]])
+        fit = fit_logistic_batch(designs, y, np.ones((2, y.size)))
+        alone = fit_logistic_batch(designs[:1], y, np.ones((1, y.size)))
+        assert fit.errors[0] is None and fit.iterations[0] == alone.iterations[0]
+        np.testing.assert_array_equal(fit.coefficients[0], alone.coefficients[0])
+        error = fit.errors[1]
+        assert type(error) is NonConvergenceError
+        assert str(error) == "logistic fit's score or information is not finite at iteration 1"
+        assert fit.iterations[1] == 1
+        np.testing.assert_array_equal(fit.coefficients[1], np.zeros(2))
+
+    def test_a_shared_design_that_overflows_fails_every_member(self):
+        design, y = TestWeights.problem()
+        fit = fit_logistic_batch(design * 1e160, y, np.ones((2, y.size)))
+        assert [str(error) for error in fit.errors] == [
+            "logistic fit's score or information is not finite at iteration 1"] * 2
 
 
 class TestIterationLimit:

@@ -91,15 +91,15 @@ def test_no_private_name_is_imported(module):
 
 def private_attributes(source: str) -> list:
     """The single-underscore attributes ``source`` reads, as in
-    ``Dataset._of_columns``; a dunder is public."""
+    ``data._check_stage``; a dunder is public."""
     return sorted({node.attr for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                    and not node.attr.endswith("__")})
 
 
 def test_the_check_finds_a_private_attribute():
-    source = "out = Dataset._of_columns(**cols)\nname = type(out).__name__\nout._n\n"
-    assert private_attributes(source) == ["_n", "_of_columns"]
+    source = "data._check_stage(1)\nname = type(data).__name__\ndata._n\n"
+    assert private_attributes(source) == ["_check_stage", "_n"]
 
 
 def test_the_row_copy_helper_uses_only_public_names():

@@ -653,6 +653,24 @@ class TestRowBlocks:
         assert str(error.value) == "per-individual scores are not finite at theta_hat"
         assert calls == ([1000] if rows is None else [90, 91, 91, 91])
 
+    def test_block_grams_whose_sum_leaves_the_double_range(self, monkeypatch):
+        """Each block's gram is finite (a score of 1e154 in its first row),
+        but the sum of the eleven is not: the sandwich fails on its
+        covariance, with no RuntimeWarning on the way."""
+        data, fit = self.fitted("s3-fitted")
+        _blocks_of(monkeypatch, data, fit, 97)
+        evaluate = StackedScore.evaluate
+
+        def spy(self, theta, **kwargs):
+            scores, jacobian = evaluate(self, theta, **kwargs)
+            scores[0, 0] = 1e154
+            return scores, jacobian
+
+        monkeypatch.setattr(StackedScore, "evaluate", spy)
+        with pytest.raises(SandwichError) as error:
+            regime_sandwich(data, fit)
+        assert str(error.value) == "sandwich covariance is not finite"
+
     def test_memory_is_one_block(self):
         """At n=50000 (P=20, five blocks of 10 000 rows) the sandwich's
         traced peak measured 5.8 MB; the whole (n, P) pass peaked at 28.8 MB."""

@@ -19,7 +19,7 @@ from dtr_adhere.model import (
 )
 from dtr_adhere.simulation import generate_s1, scenario_plan
 
-from row_copy import copy_rows
+from row_copy import copy_rows, stack_datasets
 
 
 def record(x1, x2, prescribed=(1, 1), actual=(1, 1), outcome=0.0):
@@ -182,15 +182,6 @@ class TestDataset:
             Dataset(stage_covariates=[{"X": [1.0]}, {"X": [2.0]}], proxy=proxy, proxy_kind=kind,
                     actual=[None, None], validation=None, outcome=[1.0])
 
-    def test_stacked_members_share_one_proxy_kind(self):
-        fields = dict(stage_covariates=[{"X": [1.0, 2.0]}], proxy=[[1.0, 0.0]],
-                      actual=[None], validation=None, outcome=[1.0, 0.0])
-        prescribed = Dataset(proxy_kind="prescribed", **fields)
-        reported = Dataset(proxy_kind="reported", **fields)
-        assert Dataset.stack([reported, reported]).proxy_kind == "reported"
-        with pytest.raises(DataError, match="share their size and schema"):
-            Dataset.stack([prescribed, reported])
-
     def test_rejects_nonbinary_treatment(self):
         with pytest.raises(DataError):
             dataset(record(1.0, 2.0, prescribed=(2, 1)))
@@ -223,7 +214,7 @@ class TestDataset:
         """``stack.subset(i)`` is member i: dataset i's columns, (n,) and
         (n, K) flags, each a view of the stack's."""
         members = [generate_s1(30, 1.0, np.random.default_rng(k)) for k in range(3)]
-        stack = Dataset.stack(members)
+        stack = stack_datasets(members)
         for i, data in enumerate(members):
             member = stack.subset(i)
             assert (member.n, member.validation.shape) == (30, (30, 2))
@@ -244,7 +235,7 @@ class TestDataset:
                         proxy_kind="prescribed", validation=None,
                         outcome=np.stack([data.outcome for data in members]), **fields)
         assert (built.n, built.n_stages, built.validation.shape) == (2, 2, (2, 2, 2))
-        for got, want in zip(self.columns(built), self.columns(Dataset.stack(members))):
+        for got, want in zip(self.columns(built), self.columns(stack_datasets(members))):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("defect, message", [
@@ -280,7 +271,7 @@ class TestDataset:
 
     def test_subset_takes_a_slice_or_a_member_only(self):
         data = dataset(record(1.0, 2.0), record(3.0, 4.0))
-        for source in (data, Dataset.stack([data, data])):
+        for source in (data, stack_datasets([data, data])):
             for index in ([1, 0], np.array([0, 1]), np.arange(1), 1.0):
                 with pytest.raises(TypeError):
                     source.subset(index)
@@ -288,13 +279,13 @@ class TestDataset:
             data.subset(0)
 
     def test_derived_datasets_are_not_validated_again(self, monkeypatch):
-        """Members, windows and stacks take columns already validated, so
-        none runs ``__init__``; each keeps its source's schema."""
+        """Members and windows take columns already validated, so neither
+        runs ``__init__``; each keeps its source's schema."""
         data = dataset(record(1.0, 2.0), record(3.0, 4.0, actual=(None, 0)))
+        stack = stack_datasets([data, data])
         calls = []
         monkeypatch.setattr(Dataset, "__init__", lambda *args, **kwargs: calls.append(args))
-        derived = [Dataset.stack([data, data]).subset(1), data.subset(slice(0, 1)),
-                   Dataset.stack([data, data])]
+        derived = [stack.subset(1), data.subset(slice(0, 1)), stack.subset(slice(1, 2))]
         assert calls == []
         for out, n in zip(derived, (2, 1, 2)):
             assert (out.n, out.n_stages, out.covariate_names, out.proxy_kind) == (
@@ -327,8 +318,8 @@ class TestDataset:
 
     def test_derived_and_unpickled_datasets_are_read_only(self):
         data = dataset(record(1.0, 2.0), record(3.0, 4.0, actual=(None, 0)))
-        for derived in (data, data.subset(slice(1, 2)), Dataset.stack([data, data]).subset(0),
-                        Dataset.stack([data, data]), pickle.loads(pickle.dumps(data))):
+        for derived in (data, data.subset(slice(1, 2)), stack_datasets([data, data]).subset(0),
+                        stack_datasets([data, data]), pickle.loads(pickle.dumps(data))):
             assert not any(col.flags.writeable for col in self.columns(derived)
                            if col is not None)
 
@@ -479,7 +470,7 @@ class TestCompiledDesign:
         for member in members:
             compile_design(spec, member, 2, "use-expected")
         expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
-        stack = Dataset.stack(members)
+        stack = stack_datasets(members)
         form = compile_design(spec, stack, 2, "use-expected")
         assert form.base.shape == (3, data.n, len(spec)) and not form.base.flags.writeable
         assert compile_design(spec, stack, 2, "use-expected") is not form
@@ -498,7 +489,7 @@ class TestCompiledDesign:
         members = [copy_rows(data, p) for p in perms]
         expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
         per_member = [{s: col[p] for s, col in expected.items()} for p in perms]
-        stacked = compile_design(spec, Dataset.stack(members), 2, "use-expected").partials(
+        stacked = compile_design(spec, stack_datasets(members), 2, "use-expected").partials(
             {s: np.stack([e[s] for e in per_member]) for s in expected})
         own = [compile_design(spec, member, 2, "use-expected").partials(e)
                for member, e in zip(members, per_member)]
@@ -516,7 +507,7 @@ class TestCompiledDesign:
         data, spec = self.dataset(), parse_feature_spec(spec)
         expected = {1: np.linspace(0.1, 0.9, 6), 2: np.linspace(0.8, 0.3, 6)}
         if stacked:
-            data = Dataset.stack([data, copy_rows(data, np.arange(data.n)[::-1])])
+            data = stack_datasets([data, copy_rows(data, np.arange(data.n)[::-1])])
             expected = {s: np.stack([col, col[::-1]]) for s, col in expected.items()}
         forms = [compile_design(spec, data, 2, mode) for mode in ("use-expected", "use-proxy")]
         designs = [form.base for form in forms] + [form.evaluate(expected) for form in forms]
@@ -561,7 +552,7 @@ class TestCompiledDesign:
     def test_a_log_column_is_the_log_of_its_covariate(self, stacked):
         data = dataset(record(0.5, 2.0), record(3.0, 0.25), record(1.0, 7.5))
         if stacked:
-            data = Dataset.stack([data, copy_rows(data, [2, 0, 1])])
+            data = stack_datasets([data, copy_rows(data, [2, 0, 1])])
         base = compile_design(parse_feature_spec("1 + log(X[2])"), data, 2, "use-actual").base
         np.testing.assert_array_equal(base[..., 1], np.log(data.covariate("X", 2)))
 

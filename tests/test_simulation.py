@@ -9,7 +9,7 @@ import pytest
 from dtr_adhere import gest, simulation
 from dtr_adhere.glm import expit
 from dtr_adhere.gest import psi_flat, tally
-from dtr_adhere.model import DataError, Dataset
+from dtr_adhere.model import Dataset
 from dtr_adhere.simulation import (
     ESTIMATORS,
     SCENARIOS,
@@ -20,11 +20,12 @@ from dtr_adhere.simulation import (
     generate_s4,
     run_replications,
     scenario_block,
-    scenario_dataset,
     scenario_models,
     scenario_plan,
     scenario_truth,
 )
+
+from row_copy import stack_datasets
 
 
 def binned_rate_check(x, flag, prob, n_bins=10, n_sigma=4.0):
@@ -371,7 +372,7 @@ class TestGeneratedDatasets:
         stack = scenario_block(config, streams())
         assert stack.outcome.shape == (b, n) and stack.validation.shape == (b, n, 2)
         for i, rng in enumerate(streams()):
-            member, alone = stack.subset(i), scenario_dataset(config, rng)
+            member, alone = stack.subset(i), scenario_block(config, [rng]).subset(0)
             for got, want in zip(self.columns(member), self.columns(alone)):
                 assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                                   want.tobytes())
@@ -455,6 +456,19 @@ class TestRunReplications:
             np.testing.assert_array_equal(serial.replicate_indices[name],
                                           parallel.replicate_indices[name])
         assert serial.failures == parallel.failures
+
+    @pytest.mark.parametrize("values, statistic", [
+        ((1.7e308, 1.7e308), "mean"), ((1e200, -1e200), "variance"),
+        ((1e154, 0.0), "mse_x100")])
+    def test_a_statistic_past_the_double_range_fails(self, values, statistic):
+        summary = run_replications(self.config(replications=2, estimators=("naive-proxy",)))
+        estimates = np.zeros((2, 5))
+        estimates[:, 1] = values
+        summary = dataclasses.replace(summary, estimates={"naive-proxy": estimates})
+        with pytest.raises(ReplicationError) as err:
+            summary.statistics()
+        assert str(err.value) == (f"estimator 'naive-proxy': the {statistic} of stage-1 "
+                                  "parameter 'X[1]' is not finite")
 
     def test_mse_decomposition(self):
         summary = run_replications(self.config())
@@ -550,8 +564,8 @@ def _replicates(scenario, n, count, seed):
     """The datasets of replicates 0..count-1 of a run, as the engine draws them."""
     config = ScenarioConfig(scenario=scenario, n=n, replications=count, seed=seed,
                             varied_param=0.0 if scenario == "s2" else 1.0)
-    return [scenario_dataset(config, np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(r,)))) for r in range(count)]
+    return [scenario_block(config, [np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(r,)))]).subset(0) for r in range(count)]
 
 
 def _without_validation(data, stage):
@@ -588,7 +602,7 @@ class TestStackedReplicatesMatchSerialFits:
         ]
         outcomes = []
         for datasets in blocks:
-            got = plan.fit_members(Dataset.stack(datasets), np.ones((len(datasets),
+            got = plan.fit_members(stack_datasets(datasets), np.ones((len(datasets),
                                                                       datasets[0].n)))
             for data, (fit, error) in zip(datasets, got):
                 ref, ref_error = tally(plan.estimate, data)
@@ -610,15 +624,6 @@ class TestStackedReplicatesMatchSerialFits:
         if plan.fits_adherence:
             assert [str(error) for error in outcomes[5:7]] == [
                 f"no validation rows at stage {j}" for j in (1, 2)]
-
-    def test_stacking_needs_one_size_and_schema(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match="share their size and schema"):
-            Dataset.stack([generate_s1(20, 0.0, rng), generate_s1(21, 0.0, rng)])
-        with pytest.raises(ValueError, match="share their size and schema"):
-            Dataset.stack([generate_s1(20, 0.0, rng), generate_s4(20, 0.0, rng)])
-        with pytest.raises(DataError, match="^a stack needs at least one dataset$"):
-            Dataset.stack([])
 
 
 class TestReplicationBlocks:
@@ -705,7 +710,7 @@ class TestSharedAssignmentFits:
 
     def test_member_lost_by_one_estimator_still_fitted_by_the_next(self):
         datasets = _replicates("s4", 300, 10, 21)
-        stack = Dataset.stack(datasets)
+        stack = stack_datasets(datasets)
         weights = np.ones((10, 300))
         weights[0, datasets[0].validation[:, 0]] = 0.0  # member 0 keeps no stage-1 validation row
         fitted, naive = (scenario_plan("s4", name) for name in ("modified-fitted", "naive-proxy"))

@@ -9,6 +9,7 @@ from dtr_adhere.gest import StackedScore, psi_flat, recommend
 from dtr_adhere.inference import numerical_jacobian, regime_wald_intervals
 from dtr_adhere.model import Dataset
 
+from row_copy import stack_datasets
 from three_stage import (ADHERENCE_COEF, STAGES, TRUE_PSI, as_treated_plan,
                          generate_three_stage, in_regret_form, three_stage_plan)
 
@@ -48,7 +49,7 @@ class TestBatchedMembersMatchOneMemberFits:
     def test_stacked_datasets(self, case):
         plan = plan_of(case)
         datasets = [generate_three_stage(200, np.random.default_rng(10 + i)) for i in range(4)]
-        got = plan.fit_members(Dataset.stack(datasets), np.ones((4, 200)))
+        got = plan.fit_members(stack_datasets(datasets), np.ones((4, 200)))
         for member, data in zip(got, datasets):
             assert_same_fit(member, (plan.estimate(data), None))
 
