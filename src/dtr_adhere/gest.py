@@ -129,7 +129,9 @@ def ordered_map(fn, items, jobs: int) -> list:
 # one size at any n, while a pass keeps members enough to spread its fixed
 # per-pass work (one member a pass was 20% slower at n=50000).  A bootstrap
 # group, the resamples whose adherence models share one Newton loop per
-# stage, is cut by rows alone.  ``cut`` balances every batch within its budget.
+# stage, is cut by rows alone: its (b, n) weights, and the probabilities of a
+# stage a later adherence design reads, are held through its passes.
+# ``cut`` balances every batch within its budget.
 PASS_MEMBERS = 20
 PASS_ROWS = 100_000
 
@@ -346,21 +348,24 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
     # Member by member, so no (b, p, n) temporary: joint = left [T, w lam]
     # and rhs = left v, with left's rows [u T, u e lam].  A member already
     # lost is not summed (its sums may leave the double range) and solves
-    # the placeholder system I x = 0.
+    # the placeholder system I x = 0.  Sums past the double range are left
+    # non-finite, without a warning: a member whose system is not finite
+    # fails below, and one whose outcome sums are not fails on its pseudo
+    # outcomes.
     joint = np.broadcast_to(np.eye(p_tf + p_psi), (b, p_tf + p_psi, p_tf + p_psi)).copy()
     rhs = np.zeros((b, p_tf + p_psi))
     left = np.empty((p_tf + p_psi, n))
-    for i in np.flatnonzero(active):
-        tf_i, lam_i = member(tf_design, i), member(lam, i)
-        np.multiply(tf_i.T, weights[i], out=left[:p_tf])
-        np.multiply(lam_i.T, ue[i], out=left[p_tf:])
-        joint[i, :, :p_tf] = left @ tf_i
-        # An outcome sum past the double range is left non-finite, so that
-        # the stage fails on non-finite pseudo outcomes without a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero(active):
+            tf_i, lam_i = member(tf_design, i), member(lam, i)
+            np.multiply(tf_i.T, weights[i], out=left[:p_tf])
+            np.multiply(lam_i.T, ue[i], out=left[p_tf:])
+            joint[i, :, :p_tf] = left @ tf_i
             rhs[i] = left @ member(v_next, i, shared=1)
-        left *= member(weight, i, shared=1)
-        joint[i, :, p_tf:] = left @ lam_i
+            left *= member(weight, i, shared=1)
+            joint[i, :, p_tf:] = left @ lam_i
+    finite = np.isfinite(joint).all(axis=(1, 2))
+    joint[~finite] = np.eye(p_tf + p_psi)
     cond = np.linalg.cond(joint[:, p_tf:, p_tf:])
     joint_cond = np.linalg.cond(joint)
     # The eigenvalues of T^T U T = R^T R bound R's diagonal, |r_jj| between
@@ -386,7 +391,9 @@ def _fit_stages(lam, tf_design, treatment, assignment_prob, weight, v_next, weig
 
     errors = [None] * b
     for i in np.flatnonzero(active):
-        if noise(cond[i]):
+        if not finite[i]:
+            errors[i] = SingularSystemError("stage system is not finite", stage=stage)
+        elif noise(cond[i]):
             errors[i] = SingularSystemError("stage system is numerically singular", stage=stage)
         elif cond[i] > CONDITION_LIMIT:
             errors[i] = SingularSystemError(f"stage system condition number {cond[i]:.3g} "
@@ -651,13 +658,19 @@ class _StageSystem:
         return designs[key]
 
     def adherence(self, upto: int, coefficients: Optional[Callable] = None,
-                  tangents: Optional[_Tangents] = None):
+                  tangents: Optional[_Tangents] = None, pending: Optional[dict] = None):
         """Adherence designs and probabilities for stages 1..``upto``, built in
         stage order so each design can use the earlier stages' expected
         treatments.  Without ``coefficients`` the plan's fixed source supplies
         them.  Returns ``(designs, pi)``, dicts keyed by stage; both are empty
-        in the standard modes."""
-        designs, pi = {}, {}
+        in the standard modes.
+
+        Given ``pending``, a dict, a stage whose coefficients are per member,
+        (b, p), is left out of ``pi`` unless a later stage's design reads its
+        probabilities (``CompiledDesign.expected_stages``): ``pending`` maps
+        each stage left out to its compiled design, from which each pass
+        evaluates them for its own members (``_fit_pass``)."""
+        designs, pi, coefs = {}, {}, {}
         if not self.plan.is_modified:
             return designs, pi
         source = self.plan.adherence
@@ -668,9 +681,16 @@ class _StageSystem:
                     tangents.pi[j] = _Tangent()
                 continue
             form = self.compiled(self.plan.specs[j - 1].adherence, j, MODE_USE_PROXY)
+            reads = {stage for stages in form.expected_stages for stage in stages}
+            for read in sorted(reads & pending.keys() if pending else ()):
+                del pending[read]  # this design reads them, so they are evaluated here
+                pi[read] = expit(linear(designs[read], coefs[read]))
             designs[j] = form.evaluate(pi)
-            coef = (coefficients(j, designs[j]) if coefficients is not None
-                    else source.coefficients[j - 1])
+            coef = coefs[j] = (coefficients(j, designs[j]) if coefficients is not None
+                               else source.coefficients[j - 1])
+            if pending is not None and coef.ndim == 2:
+                pending[j] = form
+                continue
             pi[j] = expit(linear(designs[j], coef))
             if tangents is not None:
                 tangents.pi[j] = (pi[j] * (1.0 - pi[j])) * tangents.linear(
@@ -846,12 +866,17 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
 
     Each stage's adherence model is fitted for all b members in one batched
     Newton loop, so a member that is slow to stop holds one loop per stage.
-    Their adherence probabilities are computed once and held through the
-    passes ``passes(b, n)`` cuts (at most K × PASS_ROWS doubles in a
-    bootstrap group, 1.6 MB for s1).  Each pass (``_fit_pass``) takes its
-    members' rows of them and runs the assignment fits, stage solves and
-    pseudo outcomes on arrays of its own members only.  A stacked dataset is
-    one pass: its caller sizes the stack as one.
+    The passes ``passes(b, n)`` cuts then run the assignment fits, stage
+    solves and pseudo outcomes on arrays of their own members only
+    (``_fit_pass``).  Each pass first evaluates its own members' adherence
+    probabilities from their coefficients and the stage's compiled design,
+    so each member's are evaluated once per stage and the group holds its
+    designs through its passes, not its members' (b, n) probabilities; but
+    a stage whose probabilities a later stage's adherence design reads is
+    evaluated for all b members before that design, and each pass takes its
+    rows of it.  Probabilities shared by the members, (n,), from known
+    coefficients or a probability function, are evaluated once.  A stacked
+    dataset is one pass: its caller sizes the stack as one.
 
     ``assignment_fits``, when given, holds the assignment fits of the plans
     already fitted to the same stacked ``data`` and ``weights``, keyed by
@@ -860,7 +885,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
     pass shares none.  ``designs`` is the stage system's (``_StageSystem``)."""
     k, b = data.n_stages, len(weights)
     members = _Members([None] * b)
-    alphas = {}
+    alphas, pending = {}, {}
 
     def fit_alpha(j, design):
         alphas[j] = _fit_validation_rows(data, j, design, weights, members.alive)
@@ -872,7 +897,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
     try:
         system = _StageSystem(plan, data, designs)
         _check_inputs(system)
-        pi = system.adherence(k, fit_alpha if plan.fits_adherence else None)[1]
+        pi = system.adherence(k, fit_alpha if plan.fits_adherence else None, pending=pending)[1]
     except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member
         members.fail(members.alive, err)
         yield from ((None, error) for error in members.errors)
@@ -884,15 +909,20 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
                                       for j, fit in alphas.items()},
                              weights[rows], _Members(members.errors[rows]),
                              assignment_fits if len(cuts) == 1 else None,
-                             {j: p[rows] if p.ndim == 2 else p for j, p in pi.items()})
+                             {j: p[rows] if p.ndim == 2 else p for j, p in pi.items()},
+                             pending if part.stop == b else dict(pending))
 
 
 def _fit_pass(system: _StageSystem, alphas: dict, weights: np.ndarray, members: _Members,
-              assignment_fits: Optional[dict], pi: dict) -> list:
+              assignment_fits: Optional[dict], pi: dict, pending: dict) -> list:
     """``_fit_regime``'s pairs for one pass of its members, given their
     adherence fits ``alphas`` and probabilities ``pi`` by stage (their rows
     of a per-member array, or a shared (n,) one) and their (b, n) ``weights``:
-    the assignment fits, stage solves and pseudo outcomes, then the fits."""
+    the adherence probabilities of the ``pending`` stages, from their
+    compiled designs (``_StageSystem.adherence``), which it takes out of
+    ``pending``, the assignment fits, stage solves and pseudo outcomes, then
+    the fits.  The last pass is handed the group's ``pending`` itself, so
+    each design is freed once evaluated; the others, a copy."""
     plan, k, b = system.plan, system.k, len(weights)
     gammas, solved = {}, {}
 
@@ -926,6 +956,8 @@ def _fit_pass(system: _StageSystem, alphas: dict, weights: np.ndarray, members: 
         return solved[j].psi
 
     try:
+        for j in list(pending):  # in stage order, each design freed once evaluated
+            pi[j] = expit(linear(pending.pop(j).evaluate(pi), alphas[j].coefficients))
         p_cols = system.assignment(pi, fit_gamma)[1]
         pseudo = system.backward(pi, solve, fail=members.fail)
     except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member
@@ -1071,10 +1103,14 @@ class StackedScore:
         index = np.arange(self.size)
         return np.concatenate([index[self.slices[(j, "contrast")]] for j in range(1, self.k + 1)])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, theta: np.ndarray, *, jacobian: bool = False):
         """The (n, P) per-individual scores at ``theta`` and, with
         ``jacobian``, the P x P derivative of their mean over theta, from one
         pass of the stage system that carries tangents; otherwise ``None``.
+        Scores past the double range fail their stage as pseudo outcomes do
+        (``EstimationError``), without a warning; a Jacobian past it is left
+        non-finite for the sandwich to reject.
 
         Each score block is a design times an n-vector, ``X * s[:, None]``,
         so its rows of the Jacobian are ``(X^T ds + (dX)^T s) / n``, formed
@@ -1139,6 +1175,11 @@ class StackedScore:
             d_resid.contract(t.contrast_design * e[:, None], jac[con])
             tangents.p[j].contract(t.contrast_design * -resid[:, None], jac[con])
             tangents.design_rows(system.compiled(spec.contrast, j), pi, e * resid, jac[con])
+        finite = np.isfinite(out).all(axis=0)
+        if not finite.all():  # blocks run stage K first: the highest such stage fails
+            column = int(np.argmin(finite))
+            stage = next(j for (j, _), at in slices.items() if at.start <= column < at.stop)
+            raise EstimationError("scores are not finite", stage=stage)
         return out, None if jac is None else jac / data.n
 
     # evaluate's scores alone; perfbench's tracing.LAYERS wraps it by name

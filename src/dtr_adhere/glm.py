@@ -61,9 +61,13 @@ def check_weights(weights, shape: tuple) -> np.ndarray:
     return w
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def linear(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """``x @ coef`` for a shared (n, p) or per-member (b, n, p) design and
-    shared (p,) or per-member (b, p) coefficients."""
+    shared (p,) or per-member (b, p) coefficients.  A product past the
+    double range is left non-finite, without a warning, as is a design's
+    non-finite column at a failed member's zero coefficients: the fits and
+    checks that read the result fail on it."""
     if coef.ndim == 1:
         return x @ coef
     if x.ndim == 2:

@@ -9,10 +9,9 @@ Jacobian are summed, so a sandwich holds one block's scores at any n;
 function.  The nonparametric bootstrap resamples whole trajectories as
 multinomial frequency weights and refits the entire pipeline, adherence
 models included, for a group of replicates at a time (``gest.groups``): one
-batched adherence fit per stage and its probabilities, computed once and held
-(at most K × ``gest.PASS_ROWS`` doubles, 1.6 MB for s1), then batched passes
-of the stage system (``gest.passes``), each taking its replicates' rows of
-those probabilities.  ``gest.cut`` cuts the row blocks, groups and passes.
+batched adherence fit per stage, then batched passes of the stage system
+(``gest.passes``), each evaluating its own replicates' adherence
+probabilities.  ``gest.cut`` cuts the row blocks, groups and passes.
 """
 
 from __future__ import annotations

@@ -483,6 +483,7 @@ class CompiledDesign:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compile_design(
     spec: FeatureSpec,
     data: Dataset,
@@ -498,6 +499,8 @@ def compile_design(
     multiplied into the base columns here.  ``treatment_override`` pins the
     treatment at given stages to a fixed value regardless of source.  Each
     call compiles afresh; a caller that asks again for a design keeps it.
+    A product past the double range is left non-finite, without a warning:
+    the fits that read the design fail on it.
     """
     if mode not in SUBSTITUTION_MODES:
         raise ValueError(f"unknown substitution mode '{mode}'")

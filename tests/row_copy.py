@@ -1,8 +1,8 @@
 """Datasets of copied rows, for tests that reorder, repeat or drop
-trajectories, and stacks of built datasets.  ``Dataset.subset`` makes views
-only, a window of rows or one member of a stack, so any other selection of
-rows, and any stack, is a new dataset built through the public constructor,
-which validates it again."""
+trajectories, stacks of built datasets, and datasets of scaled covariates.
+``Dataset.subset`` makes views only, a window of rows or one member of a
+stack, so any other selection of rows, any stack and any rescaling is a new
+dataset built through the public constructor, which validates it again."""
 
 import numpy as np
 
@@ -47,4 +47,19 @@ def stack_datasets(datasets) -> Dataset:
         actual=[stacked(data.actual(j) for data in datasets) for j in stages],
         validation=stacked(data.validation for data in datasets),
         outcome=stacked(data.outcome for data in datasets),
+    )
+
+
+def scale_covariates(data: Dataset, scale: float) -> Dataset:
+    """``data`` with every covariate multiplied by ``scale``, as a new
+    dataset; its treatments, proxies, flags and outcome are shared."""
+    stages = range(1, data.n_stages + 1)
+    return Dataset(
+        stage_covariates=[{name: data.covariate(name, j) * scale for name in data.covariate_names}
+                          for j in stages],
+        proxy=[data.proxy(j) for j in stages],
+        proxy_kind=data.proxy_kind,
+        actual=[data.actual(j) for j in stages],
+        validation=data.validation,
+        outcome=data.outcome,
     )

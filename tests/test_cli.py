@@ -14,7 +14,9 @@ from dtr_adhere.cli import load_analysis_config, main, write_dataset_csv
 from dtr_adhere.gest import groups, passes, psi_flat
 from dtr_adhere.inference import regime_sandwich
 from dtr_adhere.model import MODE_USE_EXPECTED, MODE_USE_PROXY, Dataset
-from dtr_adhere.simulation import generate_s1, scenario_plan
+from dtr_adhere.simulation import generate_s1, generate_s4, scenario_plan
+
+from row_copy import scale_covariates
 
 
 def run_cli(*args):
@@ -306,6 +308,33 @@ class TestAnalyze:
             outputs.append(tmp_path / f"validation-bound-{bound}")
             assert run_cli("analyze", config_path, "--out", outputs[-1]) == 0
         assert read_bytes(outputs[0] / "fit.json") == read_bytes(outputs[1] / "fit.json")
+
+    @pytest.mark.parametrize("scale, failure", [
+        (1e152, "stage 2: stage system is not finite"),
+        (1e160, "stage 1: assignment model failed: logistic fit's score or information is "
+                "not finite at iteration 1"),
+    ])
+    def test_design_products_past_the_double_range_exit_3(self, analysis_setup, capsys,
+                                                          scale, failure):
+        """s4 data with both covariates scaled by ``scale``, analyzed by the
+        as-treated models: the stage-2 sums of X[1]*X[1]'s squares (1e152),
+        or the compiled column itself (1e160), leave the double range.  An
+        estimation failure, with no RuntimeWarning on the way (which the
+        test configuration turns into an error) and no output written."""
+        _, config, config_path, tmp_path = analysis_setup
+        scaled = scale_covariates(generate_s4(300, 1.0, np.random.default_rng(0)), scale)
+        bindings = write_dataset_csv(scaled, tmp_path / "data.csv")
+        specs = scenario_plan("s4", "standard-actual").specs
+        del config["adherence"]
+        config.update(mode="standard-actual", proxy_kind=bindings["proxy_kind"],
+                      stage_columns=bindings["stage_columns"],
+                      models=[{kind: str(getattr(spec, kind)) for kind in
+                               ("contrast", "treatment_free", "assignment")} for spec in specs])
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "fit"
+        assert run_cli("analyze", config_path, "--out", out) == 3
+        assert capsys.readouterr().err == f"estimation failed: {failure}\n"
+        assert not out.exists()
 
     def test_config_seed_overrides_the_environment(self, analysis_setup, monkeypatch, capsys):
         _, config, config_path, tmp_path = analysis_setup

@@ -49,7 +49,7 @@ from dtr_adhere.simulation import (
     scenario_plan,
 )
 
-from row_copy import copy_rows, stack_datasets
+from row_copy import copy_rows, scale_covariates, stack_datasets
 
 
 class TestPseudoOutcomes:
@@ -412,17 +412,38 @@ class TestEstimateRegime:
         iteration, and the stage solve sums no lost member, so no
         RuntimeWarning (which the test configuration turns into an error)
         is given on the way."""
-        data = generate_s1(300, 1.0, np.random.default_rng(0))
-        stages = (1, 2)
-        scaled = Dataset(stage_covariates=[{"X": data.covariate("X", j) * 1e160} for j in stages],
-                         proxy=[data.proxy(j) for j in stages], proxy_kind=data.proxy_kind,
-                         actual=[data.actual(j) for j in stages], validation=data.validation,
-                         outcome=data.outcome)
+        scaled = scale_covariates(generate_s1(300, 1.0, np.random.default_rng(0)), 1e160)
         with pytest.raises(EstimationError) as err:
             scenario_plan("s1", estimator).estimate(scaled)
         assert type(err.value) is EstimationError and err.value.stage == 1
         assert str(err.value) == (f"stage 1: {model} model failed: logistic fit's score or "
                                   "information is not finite at iteration 1")
+
+    @pytest.mark.parametrize("estimator, scale, error, stage, message", [
+        ("standard-actual", 1e152, SingularSystemError, 2, "stage system is not finite"),
+        ("standard-actual", 1e160, EstimationError, 1, "assignment model failed: logistic "
+         "fit's score or information is not finite at iteration 1"),
+        ("naive-proxy", 1e160, EstimationError, 1, "assignment model failed: logistic fit's "
+         "score or information is not finite at iteration 1"),
+        ("modified-fitted", 1e160, EstimationError, 1, "adherence model failed: logistic fit's "
+         "score or information is not finite at iteration 1"),
+    ])
+    def test_design_products_past_the_double_range_fail(self, estimator, scale, error, stage,
+                                                        message):
+        """s4's stage-2 treatment-free design squares X[1].  With its
+        covariates scaled by 1e152 the as-treated logistic fits stay in
+        range, but the stage-2 solve's sums of that column's squares do not:
+        the stage system is not finite.  At 1e160 the squared columns
+        themselves leave the range when compiled, and a fit that reads one
+        fails at its first iteration; the failed members' probabilities and
+        contrasts are then evaluated at zero coefficients on those columns.
+        None gives a RuntimeWarning (which the test configuration turns into
+        an error) on the way."""
+        with pytest.raises(EstimationError) as err:
+            scenario_plan("s4", estimator).estimate(
+                scale_covariates(generate_s4(300, 1.0, np.random.default_rng(0)), scale))
+        assert type(err.value) is error and err.value.stage == stage
+        assert str(err.value) == f"stage {stage}: {message}"
 
     def test_psi_shapes(self):
         rng = np.random.default_rng(0)
@@ -782,6 +803,28 @@ class TestStackedScore:
             score.evaluate(theta)
         assert type(err.value) is EstimationError and err.value.stage == 2
         assert str(err.value) == "stage 2: pseudo outcomes are not finite"
+
+    @pytest.mark.parametrize("estimator", ["modified-known", "modified-fitted", "naive-proxy",
+                                           "standard-actual"])
+    @pytest.mark.parametrize("jacobian", [False, True], ids=["scores", "jacobian"])
+    def test_scores_past_the_double_range_fail_their_stage(self, estimator, jacobian):
+        """At a stage-2 contrast intercept of 1e308 the pseudo outcomes stay
+        finite, but the scores they feed do not: the evaluation fails at the
+        highest stage whose scores are not finite, with no warning on the way.
+        An infinite intercept makes the pseudo outcomes not finite in every
+        mode, also where the uncorrected modes' weight equals the rule."""
+        data = generate_s1(200, 1.0, np.random.default_rng(1))
+        score = StackedScore(data, scenario_plan("s1", estimator).estimate(data))
+        theta = score.theta_hat.copy()
+        for value, message in ((1e308, "stage 2: scores are not finite"),
+                               (np.inf, "stage 2: pseudo outcomes are not finite")):
+            theta[score.slices[(2, "contrast")].start] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EstimationError) as err:
+                    score.evaluate(theta, jacobian=jacobian)
+            assert type(err.value) is EstimationError and err.value.stage == 2
+            assert str(err.value) == message
 
     @staticmethod
     def adherence_source(scenario, source, data):

@@ -22,6 +22,7 @@ from dtr_adhere.inference import (
 from dtr_adhere.gest import (ESTIMATION_FAILURES, AdherenceSource, EstimationError,
                              EstimationPlan, PASS_MEMBERS, SingularSystemError, StackedScore,
                              groups, passes, psi_flat, sensitivity_sweep, tally)
+from dtr_adhere.model import parse_feature_spec
 from dtr_adhere.simulation import (ScenarioConfig, generate_s1, generate_s3, generate_s4,
                                    run_replications, scenario_plan)
 
@@ -506,27 +507,58 @@ class TestPassRule:
     def test_one_adherence_fit_per_stage_and_group(self, monkeypatch):
         """A B=100, n=1000 bootstrap is one group: each stage's adherence
         models are one batched fit, after the point fit's one per stage, and
-        the group's adherence probabilities are computed once for its five
-        passes."""
+        each of the group's five passes evaluates its own members'
+        adherence probabilities, once per stage."""
         data = generate_s1(1000, 1.0, np.random.default_rng(6), validation_fraction=0.3)
-        calls, evaluations = [], []
-        fit, adherence = gest._fit_validation_rows, gest._StageSystem.adherence
+        calls = []
+        evaluations = _adherence_evaluations(monkeypatch)
+        fit = gest._fit_validation_rows
 
         def spy(data, stage, design, weights, active):
             calls.append((stage, len(weights)))
             return fit(data, stage, design, weights, active)
 
-        def adherence_spy(system, *args, **kwargs):
-            evaluations.append(system)
-            return adherence(system, *args, **kwargs)
-
         monkeypatch.setattr(gest, "_fit_validation_rows", spy)
-        monkeypatch.setattr(gest._StageSystem, "adherence", adherence_spy)
         iv = bootstrap(data, scenario_plan("s1", "modified-fitted").psi_estimator, 100, seed=4)
         assert len(passes(100, data.n)) == 5
         assert calls == [(1, 1), (2, 1), (1, 100), (2, 100)]
-        assert len(evaluations) == 2  # the point fit's and the group's
+        # the point fit's, then each pass's: each member once per stage
+        assert evaluations == [(1, 1), (2, 1)] + [(1, 20), (2, 20)] * 5
         assert iv.n_failed == 0
+
+    @pytest.mark.parametrize("members", [1, 20, 21, 100])
+    def test_each_pass_evaluates_its_own_probabilities(self, members, monkeypatch):
+        """At n=300 a pass holds at most 20 members.  Whether the call is
+        one pass or several, it leaves each stage's adherence probabilities
+        to its passes and holds the compiled designs."""
+        data = generate_s1(300, 1.0, np.random.default_rng(6), validation_fraction=0.3)
+        seen, fit_pass = [], gest._fit_pass
+
+        def spy(system, alphas, weights, members_, assignment_fits, pi, pending):
+            seen.append((sorted(pending), sorted(pi)))
+            return fit_pass(system, alphas, weights, members_, assignment_fits, pi, pending)
+
+        monkeypatch.setattr(gest, "_fit_pass", spy)
+        scenario_plan("s1", "modified-fitted").psi_estimator(data, np.ones((members, data.n)))
+        assert seen == [([1, 2], [])] * len(passes(members, data.n))
+
+    def test_group_memory(self):
+        """An n=1000, B=100 bootstrap is one group of five passes.  Its traced
+        peak above the point fit measured 3.47 MB; a group that held its
+        members' (b, n) adherence probabilities through the passes peaked at
+        4.71 MB."""
+        data = generate_s1(1000, 1.0, np.random.default_rng(6), validation_fraction=0.3)
+        estimator = scenario_plan("s1", "modified-fitted").psi_estimator
+        ((point, error),) = estimator(data, np.ones((1, data.n)))
+        assert error is None
+        tracemalloc.start()
+        try:
+            iv = bootstrap(data, estimator, 100, seed=3, point_estimates=point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iv.n_failed == 0
+        assert peak < 4.1e6
 
     def test_large_n_bootstrap_memory(self):
         """At n=20000 a pass holds five resamples.  The traced peak of a
@@ -550,6 +582,28 @@ def _resamples(n, seed, count):
     """The bootstrap's row draws for replicates 0..count-1 of ``seed``."""
     return [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
             .integers(0, n, size=n) for r in range(count)]
+
+
+def _adherence_evaluations(monkeypatch) -> list:
+    """``(stage, members)`` for each evaluation of adherence probabilities
+    from now on: a ``gest.linear`` call whose coefficients are rows of one
+    stage's batched adherence fit."""
+    fits, evaluations = [], []
+    fit, linear = gest._fit_validation_rows, gest.linear
+
+    def fit_spy(data, stage, design, weights, active):
+        out = fit(data, stage, design, weights, active)
+        fits.append((stage, out.coefficients))
+        return out
+
+    def linear_spy(x, coef):
+        evaluations.extend((stage, len(coef)) for stage, alpha in fits
+                           if np.shares_memory(coef, alpha))
+        return linear(x, coef)
+
+    monkeypatch.setattr(gest, "_fit_validation_rows", fit_spy)
+    monkeypatch.setattr(gest, "linear", linear_spy)
+    return evaluations
 
 
 def _digits_masked(message):
@@ -777,13 +831,31 @@ class TestBatchedReplicatesMatchSubsetFits:
     def test_group_members_match_per_replicate_fits_at_n120(self, scenario, estimator, exact):
         self.check(120, estimator, groups, scenario=scenario, exact=exact)
 
+    def test_group_members_match_when_an_adherence_design_reads_an_earlier_stage(
+            self, monkeypatch):
+        """Stage 2's adherence design reads EA[1], so the group evaluates the
+        stage-1 probabilities of all 61 members before fitting stage 2, and
+        each of its four passes takes its rows of them; the stage-2 ones
+        each pass evaluates for its own members.  The one-member reference
+        fits follow, but for the resample without a stage-1 validation row,
+        whose fit fails before any evaluation."""
+        specs = list(simulation.scenario_models("s1"))
+        specs[1] = replace(specs[1], adherence=parse_feature_spec("1 + X[2] + Astar[2] + EA[1]"))
+        plan = EstimationPlan(tuple(specs), "modified-prescribed", AdherenceSource.fitted())
+        evaluations = _adherence_evaluations(monkeypatch)
+        self.check(120, "modified-fitted", groups, plan=plan)
+        sizes = [len(part) for part in passes(61, 120)]
+        assert sizes == [15, 15, 15, 16]
+        assert evaluations == ([(1, 61)] + [(2, size) for size in sizes]
+                               + [(1, 1), (2, 1)] * 60)
+
     @staticmethod
-    def check(n, estimator, cut, scenario="s1", exact=False):
+    def check(n, estimator, cut, scenario="s1", exact=False, plan=None):
         """Hand the estimator the draws as ``cut`` cuts them and compare each
-        member with the fit of its resample."""
+        member with the fit of its resample (by ``plan``, when given)."""
         generate = generate_s4 if scenario == "s4" else generate_s1
         data = generate(n, 1.0, np.random.default_rng(900 + n), validation_fraction=0.3)
-        plan = scenario_plan(scenario, estimator, exact_pseudo_outcomes=exact)
+        plan = plan or scenario_plan(scenario, estimator, exact_pseudo_outcomes=exact)
         draws = _resamples(n, 31, 60)
         # one resample that keeps no stage-1 validation row
         outside = np.flatnonzero(~data.validation[:, 0])
