@@ -318,7 +318,7 @@ def load_analysis_config(path: Path) -> AnalysisConfig:
     adherence_raw = _typed(raw.get("adherence", {}), dict, "adherence")
     adherence = None
     # A standard mode takes no adherence block; the plan rejects one it is given.
-    if mode.startswith("modified") or "adherence" in raw:
+    if mode in MODE_PROXY_KIND or "adherence" in raw:
         kind = adherence_raw.get("kind", "fitted")
         # Both other kinds supply known coefficients; only "external" ones may
         # carry a covariance.

@@ -469,7 +469,7 @@ class EstimationPlan:
 
     @property
     def is_modified(self) -> bool:
-        return self.mode.startswith("modified")
+        return self.mode in MODE_PROXY_KIND
 
     @property
     def fits_adherence(self) -> bool:
@@ -658,23 +658,23 @@ class _StageSystem:
         return designs[key]
 
     def adherence(self, upto: int, coefficients: Optional[Callable] = None,
-                  tangents: Optional[_Tangents] = None, pending: Optional[dict] = None):
+                  tangents: Optional[_Tangents] = None, pi: Optional[dict] = None,
+                  evaluate: bool = True):
         """Adherence designs and probabilities for stages 1..``upto``, built in
         stage order so each design can use the earlier stages' expected
         treatments.  Without ``coefficients`` the plan's fixed source supplies
-        them.  Returns ``(designs, pi)``, dicts keyed by stage; both are empty
-        in the standard modes.
-
-        Given ``pending``, a dict, a stage whose coefficients are per member,
-        (b, p), is left out of ``pi`` unless a later stage's design reads its
-        probabilities (``CompiledDesign.expected_stages``): ``pending`` maps
-        each stage left out to its compiled design, from which each pass
-        evaluates them for its own members (``_fit_pass``)."""
-        designs, pi, coefs = {}, {}, {}
+        them; a stage in ``pi`` keeps the probabilities given there.  Without
+        ``evaluate``, only the probabilities a later stage's design reads
+        (``CompiledDesign.expected_stages``) are evaluated.  Returns
+        ``(designs, pi)``, dicts keyed by stage; both are empty in the
+        standard modes."""
+        designs, pi, coefs = {}, dict(pi or {}), {}
         if not self.plan.is_modified:
             return designs, pi
         source = self.plan.adherence
         for j in range(1, upto + 1):
+            if j in pi:
+                continue
             if source.probability is not None:
                 pi[j] = self._known_probability(source.probability, j)
                 if tangents is not None:
@@ -682,27 +682,25 @@ class _StageSystem:
                 continue
             form = self.compiled(self.plan.specs[j - 1].adherence, j, MODE_USE_PROXY)
             reads = {stage for stages in form.expected_stages for stage in stages}
-            for read in sorted(reads & pending.keys() if pending else ()):
-                del pending[read]  # this design reads them, so they are evaluated here
+            for read in sorted(reads - pi.keys()):  # left unevaluated until read
                 pi[read] = expit(linear(designs[read], coefs[read]))
             designs[j] = form.evaluate(pi)
             coef = coefs[j] = (coefficients(j, designs[j]) if coefficients is not None
                                else source.coefficients[j - 1])
-            if pending is not None and coef.ndim == 2:
-                pending[j] = form
-                continue
-            pi[j] = expit(linear(designs[j], coef))
-            if tangents is not None:
-                tangents.pi[j] = (pi[j] * (1.0 - pi[j])) * tangents.linear(
-                    form, designs[j], pi, coef, (j, "adherence"))
+            if evaluate:
+                pi[j] = expit(linear(designs[j], coef))
+                if tangents is not None:
+                    tangents.pi[j] = (pi[j] * (1.0 - pi[j])) * tangents.linear(
+                        form, designs[j], pi, coef, (j, "adherence"))
         return designs, pi
 
     def _known_probability(self, probability: Callable, stage: int) -> np.ndarray:
         proxy = self.data.proxy(stage)
         if proxy is None or np.any(np.isnan(proxy)):
             raise DesignError(f"proxy treatment missing at stage {stage}")
-        probs = np.asarray(probability(stage, self.data.covariate, proxy), dtype=float)
-        if probs.shape != proxy.shape or np.any((probs < 0) | (probs > 1)):
+        with np.errstate(all="ignore"):  # whatever it met, its values are checked here
+            probs = np.asarray(probability(stage, self.data.covariate, proxy), dtype=float)
+        if probs.shape != proxy.shape or not np.all((probs >= 0) & (probs <= 1)):
             raise DesignError("adherence probability function returned invalid values")
         return probs
 
@@ -865,18 +863,12 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
     ``(None, error)``.
 
     Each stage's adherence model is fitted for all b members in one batched
-    Newton loop, so a member that is slow to stop holds one loop per stage.
-    The passes ``passes(b, n)`` cuts then run the assignment fits, stage
-    solves and pseudo outcomes on arrays of their own members only
-    (``_fit_pass``).  Each pass first evaluates its own members' adherence
-    probabilities from their coefficients and the stage's compiled design,
-    so each member's are evaluated once per stage and the group holds its
-    designs through its passes, not its members' (b, n) probabilities; but
-    a stage whose probabilities a later stage's adherence design reads is
-    evaluated for all b members before that design, and each pass takes its
-    rows of it.  Probabilities shared by the members, (n,), from known
-    coefficients or a probability function, are evaluated once.  A stacked
-    dataset is one pass: its caller sizes the stack as one.
+    Newton loop, so a member that is slow to stop holds one loop per stage;
+    they evaluate a stage's probabilities only where a later stage's
+    adherence design reads them.  The passes ``passes(b, n)`` cuts then run
+    the adherence probabilities, assignment fits, stage solves and pseudo
+    outcomes on their own members only (``_fit_pass``).  A stacked dataset
+    is one pass: its caller sizes the stack as one.
 
     ``assignment_fits``, when given, holds the assignment fits of the plans
     already fitted to the same stacked ``data`` and ``weights``, keyed by
@@ -885,7 +877,7 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
     pass shares none.  ``designs`` is the stage system's (``_StageSystem``)."""
     k, b = data.n_stages, len(weights)
     members = _Members([None] * b)
-    alphas, pending = {}, {}
+    alphas, held = {}, {}
 
     def fit_alpha(j, design):
         alphas[j] = _fit_validation_rows(data, j, design, weights, members.alive)
@@ -897,7 +889,8 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
     try:
         system = _StageSystem(plan, data, designs)
         _check_inputs(system)
-        pi = system.adherence(k, fit_alpha if plan.fits_adherence else None, pending=pending)[1]
+        if plan.fits_adherence:
+            held = system.adherence(k, fit_alpha, evaluate=False)[1]
     except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member
         members.fail(members.alive, err)
         yield from ((None, error) for error in members.errors)
@@ -909,20 +902,16 @@ def _fit_regime(plan: EstimationPlan, data: Dataset, weights: np.ndarray,
                                       for j, fit in alphas.items()},
                              weights[rows], _Members(members.errors[rows]),
                              assignment_fits if len(cuts) == 1 else None,
-                             {j: p[rows] if p.ndim == 2 else p for j, p in pi.items()},
-                             pending if part.stop == b else dict(pending))
+                             {j: p[rows] for j, p in held.items()})
 
 
 def _fit_pass(system: _StageSystem, alphas: dict, weights: np.ndarray, members: _Members,
-              assignment_fits: Optional[dict], pi: dict, pending: dict) -> list:
+              assignment_fits: Optional[dict], held: dict) -> list:
     """``_fit_regime``'s pairs for one pass of its members, given their
-    adherence fits ``alphas`` and probabilities ``pi`` by stage (their rows
-    of a per-member array, or a shared (n,) one) and their (b, n) ``weights``:
-    the adherence probabilities of the ``pending`` stages, from their
-    compiled designs (``_StageSystem.adherence``), which it takes out of
-    ``pending``, the assignment fits, stage solves and pseudo outcomes, then
-    the fits.  The last pass is handed the group's ``pending`` itself, so
-    each design is freed once evaluated; the others, a copy."""
+    adherence fits ``alphas``, their rows of the group's ``held``
+    probabilities by stage and their (b, n) ``weights``: the adherence
+    probabilities of the other stages (``_StageSystem.adherence``), the
+    assignment fits, stage solves and pseudo outcomes, then the fits."""
     plan, k, b = system.plan, system.k, len(weights)
     gammas, solved = {}, {}
 
@@ -956,8 +945,8 @@ def _fit_pass(system: _StageSystem, alphas: dict, weights: np.ndarray, members: 
         return solved[j].psi
 
     try:
-        for j in list(pending):  # in stage order, each design freed once evaluated
-            pi[j] = expit(linear(pending.pop(j).evaluate(pi), alphas[j].coefficients))
+        fitted = (lambda j, _: alphas[j].coefficients) if plan.fits_adherence else None
+        pi = system.adherence(k, fitted, pi=held)[1]
         p_cols = system.assignment(pi, fit_gamma)[1]
         pseudo = system.backward(pi, solve, fail=members.fail)
     except ESTIMATION_FAILURES as err:  # a failure of the data or the plan fails every member

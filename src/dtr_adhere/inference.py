@@ -10,8 +10,8 @@ function.  The nonparametric bootstrap resamples whole trajectories as
 multinomial frequency weights and refits the entire pipeline, adherence
 models included, for a group of replicates at a time (``gest.groups``): one
 batched adherence fit per stage, then batched passes of the stage system
-(``gest.passes``), each evaluating its own replicates' adherence
-probabilities.  ``gest.cut`` cuts the row blocks, groups and passes.
+(``gest.passes``), each compiling and evaluating its own replicates'
+adherence designs.  ``gest.cut`` cuts the row blocks, groups and passes.
 """
 
 from __future__ import annotations

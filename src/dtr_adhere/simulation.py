@@ -40,9 +40,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .gest import (MAX_FAILURE_FRACTION, PROXY_FREE_MODES, AdherenceSource, EstimationPlan,
-                   RegimeFit, StageModelSpec, failure_counts, ordered_map, passes, psi_flat,
-                   tally)
+from .gest import (MAX_FAILURE_FRACTION, MODE_PROXY_KIND, PROXY_FREE_MODES, AdherenceSource,
+                   EstimationPlan, RegimeFit, StageModelSpec, failure_counts, ordered_map,
+                   passes, psi_flat, tally)
 from .glm import expit
 from .inference import regime_wald_intervals
 from .model import Dataset
@@ -349,7 +349,7 @@ def scenario_plan(scenario: str, estimator: str, *, exact_pseudo_outcomes=False)
         specs=tuple(specs),
         mode=mode,
         adherence=adherence,
-        exact_pseudo_outcomes=exact_pseudo_outcomes and estimator.startswith("modified"),
+        exact_pseudo_outcomes=exact_pseudo_outcomes and mode in MODE_PROXY_KIND,
     )
 
 

@@ -445,6 +445,24 @@ class TestEstimateRegime:
         assert type(err.value) is error and err.value.stage == stage
         assert str(err.value) == f"stage {stage}: {message}"
 
+    @pytest.mark.parametrize("scale, error, message", [
+        (1e151, EstimationError, "stage 1: assignment model failed: logistic fit's score or "
+         "information is not finite at iteration 1"),
+        (1e160, DesignError, "adherence probability function returned invalid values"),
+        (1e200, DesignError, "adherence probability function returned invalid values"),
+    ])
+    def test_known_probabilities_past_the_double_range_fail(self, scale, error, message):
+        """s4's known adherence probability function overflows on covariates
+        scaled by 1e151 or more.  From 1e160 its probabilities are not
+        finite, and are rejected as they are returned; no RuntimeWarning is
+        given on the way."""
+        scaled = scale_covariates(generate_s4(300, 1.0, np.random.default_rng(0)), scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as err:
+                scenario_plan("s4", "modified-known").estimate(scaled)
+        assert type(err.value) is error and str(err.value) == message
+
     def test_psi_shapes(self):
         rng = np.random.default_rng(0)
         data = generate_s1(300, 0.0, rng)

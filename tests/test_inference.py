@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -530,17 +531,45 @@ class TestPassRule:
     def test_each_pass_evaluates_its_own_probabilities(self, members, monkeypatch):
         """At n=300 a pass holds at most 20 members.  Whether the call is
         one pass or several, it leaves each stage's adherence probabilities
-        to its passes and holds the compiled designs."""
+        to its passes: no s1 adherence design reads an earlier stage's, so a
+        pass is handed none of the group's."""
         data = generate_s1(300, 1.0, np.random.default_rng(6), validation_fraction=0.3)
         seen, fit_pass = [], gest._fit_pass
 
-        def spy(system, alphas, weights, members_, assignment_fits, pi, pending):
-            seen.append((sorted(pending), sorted(pi)))
-            return fit_pass(system, alphas, weights, members_, assignment_fits, pi, pending)
+        def spy(system, alphas, weights, members_, assignment_fits, held):
+            seen.append(sorted(held))
+            return fit_pass(system, alphas, weights, members_, assignment_fits, held)
 
         monkeypatch.setattr(gest, "_fit_pass", spy)
         scenario_plan("s1", "modified-fitted").psi_estimator(data, np.ones((members, data.n)))
-        assert seen == [([1, 2], [])] * len(passes(members, data.n))
+        assert seen == [[]] * len(passes(members, data.n))
+
+    def test_each_pass_compiles_its_own_adherence_designs(self, monkeypatch):
+        """61 members at n=300 are four passes.  The group compiles each
+        stage's adherence design for its fits, then each pass compiles it
+        again for its own probabilities."""
+        data = generate_s1(300, 1.0, np.random.default_rng(6), validation_fraction=0.3)
+        plan = scenario_plan("s1", "modified-fitted")
+        compiled = _adherence_compiles(monkeypatch, plan)
+        plan.psi_estimator(data, np.ones((61, data.n)))
+        assert len(passes(61, data.n)) == 4
+        assert [stage for stage, _ in compiled] == [1, 2] + [1, 2] * 4
+
+    def test_no_compiled_design_outlives_the_group_fits(self, monkeypatch):
+        """The group's compiled adherence designs are freed before its first
+        pass starts, and each pass's before the next starts."""
+        data = generate_s1(300, 1.0, np.random.default_rng(6), validation_fraction=0.3)
+        plan = scenario_plan("s1", "modified-fitted")
+        compiled = _adherence_compiles(monkeypatch, plan)
+        alive, fit_pass = [], gest._fit_pass
+
+        def spy(*args):
+            alive.append([stage for stage, form in compiled if form() is not None])
+            return fit_pass(*args)
+
+        monkeypatch.setattr(gest, "_fit_pass", spy)
+        plan.psi_estimator(data, np.ones((61, data.n)))
+        assert alive == [[]] * 4
 
     def test_group_memory(self):
         """An n=1000, B=100 bootstrap is one group of five passes.  Its traced
@@ -604,6 +633,21 @@ def _adherence_evaluations(monkeypatch) -> list:
     monkeypatch.setattr(gest, "_fit_validation_rows", fit_spy)
     monkeypatch.setattr(gest, "linear", linear_spy)
     return evaluations
+
+
+def _adherence_compiles(monkeypatch, plan) -> list:
+    """``(stage, weak reference)`` for each adherence design of ``plan`` a
+    stage system compiles from now on."""
+    compiled, compile_ = [], gest.compile_design
+
+    def spy(spec, data, stage, mode, *, treatment_override=None):
+        form = compile_(spec, data, stage, mode, treatment_override=treatment_override)
+        if spec is plan.specs[stage - 1].adherence:
+            compiled.append((stage, weakref.ref(form)))
+        return form
+
+    monkeypatch.setattr(gest, "compile_design", spy)
+    return compiled
 
 
 def _digits_masked(message):

@@ -98,6 +98,10 @@ CASES = {
         lambda: prescribed_plan(adherence=AdherenceSource.known(
             probability=lambda stage, cov, proxy: np.full(proxy.shape, 2.0))).estimate(s1()),
         DesignError, "adherence probability function returned invalid values"),
+    "known-probability-not-a-number": (
+        lambda: prescribed_plan(adherence=AdherenceSource.known(
+            probability=lambda stage, cov, proxy: np.full(proxy.shape, np.nan))).estimate(s1()),
+        DesignError, "adherence probability function returned invalid values"),
     "mode-without-proxy": (lambda: scenario_plan("s1", "naive-proxy").estimate(without_proxy()),
                            DataError, "no proxy treatment column available for this mode"),
     "mode-missing-actual": (

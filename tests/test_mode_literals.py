@@ -1,6 +1,7 @@
-"""No module of the package compares against an estimation mode's name: a
-rule about modes is stated once, in gest's mode tables (``_SUBSTITUTION``,
-``MODE_PROXY_KIND``, ``PROXY_FREE_MODES``), and read from there."""
+"""No module of the package compares against an estimation mode's name, or
+tests a mode's prefix: a rule about modes is stated once, in gest's mode
+tables (``_SUBSTITUTION``, ``MODE_PROXY_KIND``, ``PROXY_FREE_MODES``), and
+read from there."""
 
 import ast
 from pathlib import Path
@@ -24,12 +25,20 @@ def _literals(node):
 
 
 def mode_comparisons(source: str) -> list:
-    """``(line, mode)`` for every comparison in ``source`` with a mode's name
-    as a literal operand."""
-    return sorted((node.lineno, value) for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Compare)
-                  for operand in (node.left, *node.comparators)
-                  for value in _literals(operand) if value in MODES)
+    """``(line, literal)`` for every comparison in ``source`` with a mode's
+    name as a literal operand, and every ``.startswith`` call with a literal
+    argument that begins a mode's name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            found += [(node.lineno, value) for operand in (node.left, *node.comparators)
+                      for value in _literals(operand) if value in MODES]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "startswith"):
+            found += [(node.lineno, value) for argument in node.args
+                      for value in _literals(argument)
+                      if any(mode.startswith(value) for mode in MODES)]
+    return sorted(found)
 
 
 def test_the_check_finds_a_mode_comparison():
@@ -37,9 +46,12 @@ def test_the_check_finds_a_mode_comparison():
               'if mode == "standard-actual" or "modified-reported" != mode:\n'
               '    pass\n'
               'ok = mode in ("modified-prescribed", "other")\n'
-              'fine = mode == "standard" or mode.startswith("modified")\n')
+              'fine = mode == "standard" or text.startswith(("X1,", "modified!"))\n'
+              'if mode.startswith("modified") or name.startswith(("x", "standard-")):\n'
+              '    pass\n')
     assert mode_comparisons(source) == [(2, "modified-reported"), (2, "standard-actual"),
-                                        (4, "modified-prescribed")]
+                                        (4, "modified-prescribed"), (6, "modified"),
+                                        (6, "standard-")]
 
 
 @pytest.mark.parametrize("module", MODULES)
