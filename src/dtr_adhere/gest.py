@@ -209,27 +209,23 @@ class AdherenceSource:
     """How the probability of actual treatment given history and proxy is obtained.
 
     ``fitted`` estimates it by logistic regression on validation rows;
-    ``known`` supplies it outright, either as a vectorized probability function
-    ``f(stage, cov, proxy)`` (``cov(name, stage)`` returns a column) or as
-    fixed coefficients for the stage adherence specs.  Fixed coefficients may
-    carry a covariance per stage, which the sandwich adds to the contrast
-    variance; without one they are held fixed.
+    ``known`` supplies it outright, as fixed coefficients for the stage
+    adherence specs, so a known probability is logistic in its spec's terms.
+    Fixed coefficients may carry a covariance per stage, which the sandwich
+    adds to the contrast variance; without one they are held fixed.
     """
 
     kind: str
-    probability: Optional[Callable] = None
     coefficients: Optional[tuple] = None
     covariance: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind == "fitted":
-            if self.probability is not None or self.coefficients is not None:
+            if self.coefficients is not None:
                 raise ValueError("fitted adherence carries no fixed values")
         elif self.kind == "known":
-            if (self.probability is None) == (self.coefficients is None):
-                raise ValueError(
-                    "known adherence needs a probability function or coefficients"
-                )
+            if self.coefficients is None:
+                raise ValueError("known adherence needs coefficients")
         else:
             raise ValueError(f"unknown adherence source kind '{self.kind}'")
         coefficients = self.coefficients or ()
@@ -260,10 +256,9 @@ class AdherenceSource:
         return cls(kind="fitted")
 
     @classmethod
-    def known(cls, probability=None, coefficients=None, covariance=None):
+    def known(cls, coefficients=None, covariance=None):
         return cls(
             kind="known",
-            probability=probability,
             coefficients=_coef_tuple(coefficients),
             covariance=None
             if covariance is None
@@ -675,11 +670,6 @@ class _StageSystem:
         for j in range(1, upto + 1):
             if j in pi:
                 continue
-            if source.probability is not None:
-                pi[j] = self._known_probability(source.probability, j)
-                if tangents is not None:
-                    tangents.pi[j] = _Tangent()
-                continue
             form = self.compiled(self.plan.specs[j - 1].adherence, j, MODE_USE_PROXY)
             reads = {stage for stages in form.expected_stages for stage in stages}
             for read in sorted(reads - pi.keys()):  # left unevaluated until read
@@ -693,16 +683,6 @@ class _StageSystem:
                     tangents.pi[j] = (pi[j] * (1.0 - pi[j])) * tangents.linear(
                         form, designs[j], pi, coef, (j, "adherence"))
         return designs, pi
-
-    def _known_probability(self, probability: Callable, stage: int) -> np.ndarray:
-        proxy = self.data.proxy(stage)
-        if proxy is None or np.any(np.isnan(proxy)):
-            raise DesignError(f"proxy treatment missing at stage {stage}")
-        with np.errstate(all="ignore"):  # whatever it met, its values are checked here
-            probs = np.asarray(probability(stage, self.data.covariate, proxy), dtype=float)
-        if probs.shape != proxy.shape or not np.all((probs >= 0) & (probs <= 1)):
-            raise DesignError("adherence probability function returned invalid values")
-        return probs
 
     def assignment(self, pi: dict, coefficients: Callable,
                    tangents: Optional[_Tangents] = None):
@@ -812,8 +792,6 @@ def _check_inputs(system: _StageSystem) -> None:
     source = plan.adherence
     if source is None:
         raise DataError("modified modes require an AdherenceSource")
-    if source.probability is not None:
-        return
     if source.kind != "fitted" and len(source.coefficients) != k:
         raise DataError(f"{len(source.coefficients)} adherence coefficient vectors "
                         f"for {k} stages")

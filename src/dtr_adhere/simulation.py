@@ -55,6 +55,10 @@ COVERAGE_LEVEL = 0.95
 # Nonadherence mechanism shared by s1/s2/s3: the chance the treatment was
 # actually taken, given the stage covariate and the prescription.
 PRESCRIBED_ADHERENCE_COEF = (-4.6, -0.83, 7.5)
+# s4's known adherence spec: one term per (X, report) cell of a three-point X,
+# so the true probability the treatment was taken is exactly logistic in it.
+REPORTED_ADHERENCE = ("1 + X[{j}] + X[{j}]*X[{j}] + Astar[{j}] + X[{j}]*Astar[{j}]"
+                      " + X[{j}]*X[{j}]*Astar[{j}]")
 
 
 class ReplicationError(RuntimeError):
@@ -236,16 +240,17 @@ def _report_prob(a, x):
     return a * (0.9 - 0.05 * x) + (1.0 - a) * (0.05 + 0.045 * x + 0.005 * x * x)
 
 
-def reported_inverse_probability(stage, cov, proxy):
-    """True probability the treatment was taken given covariate and report in
-    the s4 mechanism, by Bayes inversion."""
-    x = cov("X", stage)
-    p = 0.5 + 0.3 * x
-    r1, r0 = _report_prob(1.0, x), _report_prob(0.0, x)
-    proxy = np.asarray(proxy, dtype=float)
-    num = np.where(proxy == 1.0, p * r1, p * (1.0 - r1))
-    den = np.where(proxy == 1.0, p * r1 + (1.0 - p) * r0, p * (1.0 - r1) + (1.0 - p) * (1.0 - r0))
-    return num / den
+def _reported_adherence_coef() -> np.ndarray:
+    """The coefficients of ``REPORTED_ADHERENCE`` giving s4's true chance the
+    treatment was taken: each (X, report) cell's log odds of A by Bayes' rule
+    (P(A=1 | X) = 0.5 + 0.3 X, then ``_report_prob``), in one 6x6 solve."""
+    x, report = np.repeat([-1.0, 0.0, 1.0], 2), np.tile([0.0, 1.0], 3)
+    taken = 0.5 + 0.3 * x
+    given1, given0 = (np.where(report == 1.0, r, 1.0 - r)
+                      for r in (_report_prob(1.0, x), _report_prob(0.0, x)))
+    log_odds = np.log(taken * given1) - np.log((1.0 - taken) * given0)
+    terms = np.column_stack([np.ones(6), x, x * x, report, x * report, x * x * report])
+    return np.linalg.solve(terms, log_odds)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +267,11 @@ def scenario_models(scenario: str, *, as_treated: bool = False) -> list:
     and must not enter the assignment model; 0.5 + 0.3 X is exactly logistic
     in X there.)  The immutable specs are parsed once per process.
     """
-    return list(_scenario_models(scenario, bool(as_treated)))
+    return list(_scenario_models(scenario, bool(as_treated), False))
 
 
 @cache
-def _scenario_models(scenario: str, as_treated: bool) -> tuple:
+def _scenario_models(scenario: str, as_treated: bool, saturated: bool) -> tuple:
     if scenario in ("s1", "s2", "s3"):
         assign = "1 + X[{j}] + Astar[{j}]" if as_treated else "1 + X[{j}]"
         return (
@@ -288,18 +293,20 @@ def _scenario_models(scenario: str, as_treated: bool) -> tuple:
         )
     if scenario == "s4":
         assign = "1 + X[{j}]" if as_treated else "1 + X[{j}] + X[{j}]*X[{j}]"
+        adherence = (REPORTED_ADHERENCE if saturated
+                     else "1 + X[{j}] + Astar[{j}] + X[{j}]*Astar[{j}]")
         return (
             StageModelSpec.from_strings(
                 contrast="1 + X[1]",
                 treatment_free="1 + X[1]",
                 assignment=assign.format(j=1),
-                adherence="1 + X[1] + Astar[1] + X[1]*Astar[1]",
+                adherence=adherence.format(j=1),
             ),
             StageModelSpec.from_strings(
                 contrast="1 + A[1]",
                 treatment_free="1 + X[1] + X[1]*X[1] + A[1] + A[1]*X[1]",
                 assignment=assign.format(j=2),
-                adherence="1 + X[2] + Astar[2] + X[2]*Astar[2]",
+                adherence=adherence.format(j=2),
             ),
         )
     raise ValueError(f"unknown scenario '{scenario}'")
@@ -323,10 +330,11 @@ def scenario_truth(scenario: str, varied_param: float) -> np.ndarray:
 def known_adherence(scenario: str) -> AdherenceSource:
     if scenario in ("s1", "s2", "s3"):
         coef = np.asarray(PRESCRIBED_ADHERENCE_COEF, dtype=float)
-        return AdherenceSource.known(coefficients=(coef, coef))
-    if scenario == "s4":
-        return AdherenceSource.known(probability=reported_inverse_probability)
-    raise ValueError(f"unknown scenario '{scenario}'")
+    elif scenario == "s4":
+        coef = _reported_adherence_coef()
+    else:
+        raise ValueError(f"unknown scenario '{scenario}'")
+    return AdherenceSource.known(coefficients=(coef, coef))
 
 
 def scenario_mode(scenario: str, estimator: str) -> str:
@@ -344,9 +352,11 @@ def scenario_plan(scenario: str, estimator: str, *, exact_pseudo_outcomes=False)
     elif estimator == "modified-fitted":
         adherence = AdherenceSource.fitted()
     mode = scenario_mode(scenario, estimator)
-    specs = scenario_models(scenario, as_treated=mode in PROXY_FREE_MODES)
+    # s4's known coefficients come with the spec they are exact in
+    specs = _scenario_models(scenario, mode in PROXY_FREE_MODES,
+                             (scenario, estimator) == ("s4", "modified-known"))
     return EstimationPlan(
-        specs=tuple(specs),
+        specs=specs,
         mode=mode,
         adherence=adherence,
         exact_pseudo_outcomes=exact_pseudo_outcomes and mode in MODE_PROXY_KIND,

@@ -673,6 +673,10 @@ class TestMalformedConfig:
                                                            [-4.6, -0.83, float("inf")]],
                                           "covariance": [None, np.eye(3).tolist()]}),
             "bad adherence block: adherence coefficients must be finite"),
+        # a config can give known adherence only as coefficients
+        "sensitivity coefficients null": (
+            lambda c: c.update(adherence={"kind": "sensitivity", "coefficients": None}),
+            "error: bad adherence block: known adherence needs coefficients"),
         "sensitivity coefficients with a covariance": (
             lambda c: c.update(adherence={"kind": "sensitivity",
                                           "coefficients": [[-4.6, -0.83, 7.5]] * 2,

@@ -37,7 +37,6 @@ from dtr_adhere.model import (
     parse_feature_spec,
 )
 from dtr_adhere.simulation import (
-    PRESCRIBED_ADHERENCE_COEF,
     ReplicationError,
     ScenarioConfig,
     generate_s1,
@@ -445,23 +444,22 @@ class TestEstimateRegime:
         assert type(err.value) is error and err.value.stage == stage
         assert str(err.value) == f"stage {stage}: {message}"
 
-    @pytest.mark.parametrize("scale, error, message", [
-        (1e151, EstimationError, "stage 1: assignment model failed: logistic fit's score or "
-         "information is not finite at iteration 1"),
-        (1e160, DesignError, "adherence probability function returned invalid values"),
-        (1e200, DesignError, "adherence probability function returned invalid values"),
-    ])
-    def test_known_probabilities_past_the_double_range_fail(self, scale, error, message):
-        """s4's known adherence probability function overflows on covariates
-        scaled by 1e151 or more.  From 1e160 its probabilities are not
-        finite, and are rejected as they are returned; no RuntimeWarning is
-        given on the way."""
+    @pytest.mark.parametrize("scale", [1e151, 1e160, 1e200])
+    def test_known_probabilities_past_the_double_range_fail(self, scale):
+        """s4's stage-1 assignment design squares X, so on covariates scaled
+        by 1e151 or more its logistic fit's score or information leaves the
+        double range at the first iteration, and the fit with s4's known
+        coefficients fails there (from 1e160 the squared columns of the
+        six-term adherence design are not finite either).  No RuntimeWarning
+        is given on the way."""
         scaled = scale_covariates(generate_s4(300, 1.0, np.random.default_rng(0)), scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error) as err:
+            with pytest.raises(EstimationError) as err:
                 scenario_plan("s4", "modified-known").estimate(scaled)
-        assert type(err.value) is error and str(err.value) == message
+        assert type(err.value) is EstimationError and err.value.stage == 1
+        assert str(err.value) == ("stage 1: assignment model failed: logistic fit's score or "
+                                  "information is not finite at iteration 1")
 
     def test_psi_shapes(self):
         rng = np.random.default_rng(0)
@@ -487,20 +485,6 @@ class TestEstimateRegime:
         np.testing.assert_allclose(
             modified.pseudo_outcomes, standard.pseudo_outcomes, atol=1e-10
         )
-
-    def test_reduction_with_probability_function(self):
-        rng = np.random.default_rng(77)
-        data = perfect_adherence_dataset(rng)
-        specs = two_stage_specs()
-
-        def proxy_is_truth(stage, cov, proxy):
-            return np.asarray(proxy, dtype=float)
-
-        known = AdherenceSource.known(probability=proxy_is_truth)
-        modified = EstimationPlan(specs, "modified-prescribed", known).estimate(data)
-        standard = EstimationPlan(specs, "standard-actual").estimate(data)
-        for a, b in zip(modified.psi, standard.psi):
-            np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_large_sample_stage2_consistency(self):
         # n = 100000 per draw with the known adherence mechanism; averaged over
@@ -753,7 +737,7 @@ class TestPartialHistories:
         ("s1", "modified-known"),  # known coefficients
         ("s4", "standard-actual"),
         ("s4", "modified-fitted"),
-        ("s4", "modified-known"),  # known probability function
+        ("s4", "modified-known"),  # known coefficients of the six-term spec
     ]
 
     @pytest.mark.parametrize("scenario,estimator", CASES)
@@ -797,11 +781,10 @@ class TestStackedScore:
         # sandwich differentiates must have mean zero at the fitted theta.
         data = _score_dataset(scenario)
         standard = source in ("standard-actual", "naive-proxy")
-        base = scenario_plan(scenario, source if standard else "modified-fitted")
+        base = scenario_plan(scenario, source if standard else
+                             "modified-known" if source == "known" else "modified-fitted")
         adherence = base.adherence
-        if source == "known":
-            adherence = known_adherence(scenario)
-        elif source == "external":
+        if source == "external":
             alpha = [nuis["alpha"] for nuis in base.estimate(data).nuisance]
             adherence = AdherenceSource.known(coefficients=alpha)
         plan = EstimationPlan(specs=base.specs, mode=base.mode, adherence=adherence,
@@ -854,26 +837,24 @@ class TestStackedScore:
             return AdherenceSource.fitted()
         if source == "known-coefficients":
             return AdherenceSource.known(coefficients=alpha)
-        if source == "known-probability":
-            if scenario == "s4":
-                return known_adherence("s4")
-            c = PRESCRIBED_ADHERENCE_COEF
-            return AdherenceSource.known(
-                probability=lambda j, cov, proxy: expit(c[0] + c[1] * cov("X", j) + c[2] * proxy))
+        if source == "known-truth":
+            return known_adherence(scenario)
         covariance = [np.diag(np.full(a.size, 0.05)) + 0.01 for a in alpha]
         if source == "external-stage-2":
             covariance[0] = None
         return AdherenceSource.known(coefficients=alpha, covariance=covariance)
 
     @pytest.mark.parametrize("source", [
-        "standard-actual", "naive-proxy", "fitted", "known-coefficients", "known-probability",
+        "standard-actual", "naive-proxy", "fitted", "known-coefficients", "known-truth",
         "external-stage-2", "external-both-stages",
     ])
     @pytest.mark.parametrize("scenario", ["s1", "s3", "s4"])
     def test_jacobian_matches_central_differences(self, scenario, source):
         data = _score_dataset(scenario)
         standard = source in ("standard-actual", "naive-proxy")
-        base = scenario_plan(scenario, source if standard else "modified-fitted")
+        # the scenario's true coefficients come with the specs they are true in
+        base = scenario_plan(scenario, source if standard else
+                             "modified-known" if source == "known-truth" else "modified-fitted")
         for exact in (False,) if standard else (False, True):
             plan = dataclasses.replace(base, exact_pseudo_outcomes=exact)
             if not standard:

@@ -291,15 +291,13 @@ class TestExternalAdherenceCovariance:
                 AdherenceSource.known(coefficients=coef, covariance=covariance)
 
     def test_covariance_only_with_coefficients(self):
-        # a covariance describes fixed coefficients; on a fitted source or a
-        # probability function it would be silently ignored
+        # a covariance describes fixed coefficients; on a fitted source it
+        # would be silently ignored
         coef = (np.array([-4.6, -0.83, 7.5]),) * 2
         covariance = (np.diag([0.2, 0.05, 0.4]), None)
         message = "^only adherence coefficients take a covariance$"
         with pytest.raises(ValueError, match=message):
             AdherenceSource("fitted", covariance=covariance)
-        with pytest.raises(ValueError, match=message):
-            AdherenceSource.known(probability=lambda j, cov, proxy: proxy, covariance=covariance)
         source = AdherenceSource("known", coefficients=coef, covariance=covariance)
         assert source.covariance is covariance
         with pytest.raises(ValueError, match="^unknown adherence source kind 'external'$"):
@@ -695,7 +693,7 @@ class TestRowBlocks:
                             lambda data: scenario_plan("s1", "modified-fitted",
                                                        exact_pseudo_outcomes=True)),
         "s4-known": (lambda rng: generate_s4(1000, 1.0, rng, validation_fraction=0.3),
-                     lambda data: scenario_plan("s4", "modified-known")),  # a probability function
+                     lambda data: scenario_plan("s4", "modified-known")),  # six-term known spec
     }
 
     @classmethod
@@ -869,7 +867,7 @@ class TestBatchedReplicatesMatchSubsetFits:
         self.check(n, estimator, groups)
 
     @pytest.mark.parametrize("scenario, estimator, exact", [
-        ("s4", "modified-known", False),  # shared probabilities from a probability function
+        ("s4", "modified-known", False),  # shared probabilities from known coefficients
         ("s1", "modified-fitted", True),  # every pass reads its rows of the stage-1 ones
     ])
     def test_group_members_match_per_replicate_fits_at_n120(self, scenario, estimator, exact):

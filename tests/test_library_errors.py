@@ -15,9 +15,8 @@ from dtr_adhere.inference import (BootstrapError, SandwichError, bootstrap, nume
                                   regime_sandwich, sandwich, wald_intervals)
 from dtr_adhere.model import (DataError, Dataset, DesignError, compile_design,
                               parse_feature_spec)
-from dtr_adhere.simulation import (ScenarioConfig, generate_s1, known_adherence,
-                                   reported_inverse_probability, scenario_models, scenario_plan,
-                                   scenario_truth)
+from dtr_adhere.simulation import (ScenarioConfig, generate_s1, known_adherence, scenario_models,
+                                   scenario_plan, scenario_truth)
 
 
 @cache
@@ -65,10 +64,9 @@ def with_adherence(text: str) -> tuple:
 
 
 def known_fit_sandwich(data: Dataset):
-    """The sandwich, on ``data``, of a fit to ``s1()`` with a known adherence
-    probability."""
-    plan = prescribed_plan(adherence=AdherenceSource.known(
-        probability=lambda stage, cov, proxy: np.where(proxy == 1.0, 0.9, 0.1)))
+    """The sandwich, on ``data``, of a fit to ``s1()`` with known adherence
+    coefficients."""
+    plan = prescribed_plan(adherence=known_adherence("s1"))
     return regime_sandwich(data, plan.estimate(s1()))
 
 
@@ -85,23 +83,15 @@ CASES = {
     "stage-count": (lambda: validate_stage_models(scenario_models("s1")[:1], 2),
                     DesignError, "1 stage model specs for a 2-stage dataset"),
     "fitted-with-values": (lambda: AdherenceSource("fitted",
-                                                   probability=reported_inverse_probability),
+                                                   coefficients=known_adherence("s1").coefficients),
                            ValueError, "fitted adherence carries no fixed values"),
     "known-without-values": (lambda: AdherenceSource("known"), ValueError,
-                             "known adherence needs a probability function or coefficients"),
+                             "known adherence needs coefficients"),
     "unknown-mode": (lambda: EstimationPlan(specs=tuple(scenario_models("s1")), mode="bogus"),
                      ValueError, "unknown estimation mode 'bogus'"),
-    "known-probability-missing-proxy": (
+    "known-coefficients-missing-proxy": (
         lambda: known_fit_sandwich(rebuilt(proxy=[with_missing(s1().proxy(1)), s1().proxy(2)])),
-        DesignError, "proxy treatment missing at stage 1"),
-    "known-probability-out-of-range": (
-        lambda: prescribed_plan(adherence=AdherenceSource.known(
-            probability=lambda stage, cov, proxy: np.full(proxy.shape, 2.0))).estimate(s1()),
-        DesignError, "adherence probability function returned invalid values"),
-    "known-probability-not-a-number": (
-        lambda: prescribed_plan(adherence=AdherenceSource.known(
-            probability=lambda stage, cov, proxy: np.full(proxy.shape, np.nan))).estimate(s1()),
-        DesignError, "adherence probability function returned invalid values"),
+        DesignError, "prescribed treatment missing at stage 1"),
     "mode-without-proxy": (lambda: scenario_plan("s1", "naive-proxy").estimate(without_proxy()),
                            DataError, "no proxy treatment column available for this mode"),
     "mode-missing-actual": (

@@ -9,7 +9,7 @@ import pytest
 from dtr_adhere import gest, simulation
 from dtr_adhere.glm import expit
 from dtr_adhere.gest import psi_flat, tally
-from dtr_adhere.model import Dataset
+from dtr_adhere.model import MODE_USE_PROXY, Dataset, compile_design
 from dtr_adhere.simulation import (
     ESTIMATORS,
     SCENARIOS,
@@ -18,6 +18,7 @@ from dtr_adhere.simulation import (
     generate_s1,
     generate_s3,
     generate_s4,
+    known_adherence,
     run_replications,
     scenario_block,
     scenario_models,
@@ -385,12 +386,59 @@ class TestGeneratedDatasets:
                                             data.actual(j)))]
 
 
+def _cells(x, proxy_kind) -> Dataset:
+    """A two-stage dataset with one row per (X, proxy) cell of ``x`` x {0, 1},
+    the same cells at both stages."""
+    x, proxy = np.repeat(x, 2), np.tile([0.0, 1.0], len(x))
+    return Dataset(stage_covariates=[{"X": x}] * 2, proxy=[proxy] * 2, proxy_kind=proxy_kind,
+                   actual=[None, None], validation=None, outcome=np.zeros(x.size))
+
+
+def _prescribed_adherence(x, prescribed):
+    """s1 and s3: the treatment is taken with probability
+    expit(-4.6 - 0.83 X + 7.5 A*)."""
+    return 1.0 / (1.0 + np.exp(4.6 + 0.83 * x - 7.5 * prescribed))
+
+
+def _reported_adherence(x, reported):
+    """s4: P(A=1 | X) = 0.5 + 0.3 X, and the treatment is reported taken with
+    probability 0.9 - 0.05 X when taken, 0.05 + 0.045 X + 0.005 X^2 when
+    not; P(A=1 | X, report) by Bayes' rule."""
+    taken, report_if_taken = 0.5 + 0.3 * x, 0.9 - 0.05 * x
+    report_if_not = 0.05 + 0.045 * x + 0.005 * x * x
+    joint1 = taken * np.where(reported == 1.0, report_if_taken, 1.0 - report_if_taken)
+    joint0 = (1.0 - taken) * np.where(reported == 1.0, report_if_not, 1.0 - report_if_not)
+    return joint1 / (joint1 + joint0)
+
+
+class TestKnownAdherence:
+    # scenario -> (the covariate values of its cells, proxy kind, true adherence)
+    CELLS = {"s1": (np.linspace(-3.0, 5.0, 9), "prescribed", _prescribed_adherence),
+             "s3": (np.linspace(-3.0, 5.0, 9), "prescribed", _prescribed_adherence),
+             "s4": (np.array([-1.0, 0.0, 1.0]), "reported", _reported_adherence)}
+
+    @pytest.mark.parametrize("scenario", sorted(CELLS))
+    def test_each_scenarios_known_source_reproduces_its_generator(self, scenario):
+        """``known_adherence`` evaluated through the plan's own adherence
+        design gives the generator's probability that the treatment was
+        taken, at every (X, proxy) cell and both stages; on s4 the six-term
+        spec gives each of the six cells its own log odds."""
+        x, kind, truth = self.CELLS[scenario]
+        data = _cells(x, kind)
+        coefficients = known_adherence(scenario).coefficients
+        for j, spec in enumerate(scenario_plan(scenario, "modified-known").specs, start=1):
+            design = compile_design(spec.adherence, data, j, MODE_USE_PROXY).evaluate()
+            np.testing.assert_allclose(expit(design @ coefficients[j - 1]),
+                                       truth(data.covariate("X", j), data.proxy(j)),
+                                       rtol=0.0, atol=1e-12)
+
+
 class TestScenarioModels:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("as_treated", [False, True])
     def test_parsed_once_and_handed_out_fresh(self, monkeypatch, scenario, as_treated):
         first = scenario_models(scenario, as_treated=as_treated)
-        assert first == list(simulation._scenario_models.__wrapped__(scenario, as_treated))
+        assert first == list(simulation._scenario_models.__wrapped__(scenario, as_treated, False))
         first[0] = None  # a caller's edit to its list
         first.append(None)
 
